@@ -17,7 +17,6 @@ from rqbm import (
     check_identity_axiom,
     classify,
     minimal_rectangular_coefficient,
-    resolve_distance,
     space_from_dict,
 )
 
@@ -66,9 +65,9 @@ print(BAR)
 print("the built-in 6-point table (plus an 11-point grid on [1, 2])")
 print(BAR)
 space = build_example_2_3().space
-print("rho(1/2, 1/3) =", resolve_distance(space, "1/2", "1/3"))
-print("rho(1/3, 1/2) =", resolve_distance(space, "1/3", "1/2"))
-print("rho(1, 2)     =", resolve_distance(space, "1", "2"), " (default formula)")
+print("rho(1/2, 1/3) =", space.distance("1/2", "1/3"))
+print("rho(1/3, 1/2) =", space.distance("1/3", "1/2"))
+print("rho(1, 2)     =", space.distance("1", "2"), " (default formula)")
 
 report = check_b_rectangular(space, 3.0)
 print(f"claimed coefficient 3: {'holds' if report.passed else 'falsified'} "

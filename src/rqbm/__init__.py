@@ -31,7 +31,6 @@ from .spaces import (
     load_space,
     dump_space,
     minimal_rectangular_coefficient,
-    resolve_distance,
     space_from_dict,
     space_to_dict,
 )
@@ -75,4 +74,57 @@ from .instances import (
     random_space,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EvalError",
+    "ExprError",
+    "ExprSyntaxError",
+    "evaluate",
+    "parse",
+    "to_source",
+    "AnalyticSpace",
+    "Classification",
+    "FiniteSpace",
+    "Point",
+    "QuadrupleViolation",
+    "SpaceError",
+    "UnknownLabelError",
+    "check_b_rectangular",
+    "check_identity_axiom",
+    "classify",
+    "load_space",
+    "dump_space",
+    "minimal_rectangular_coefficient",
+    "space_from_dict",
+    "space_to_dict",
+    "PhiSpec",
+    "ThetaSpec",
+    "builtin_phi",
+    "builtin_theta",
+    "iterate_phi",
+    "phi_spec",
+    "theta_spec",
+    "validate_phi",
+    "validate_theta",
+    "ContractionCertificate",
+    "MapError",
+    "MapRangeError",
+    "SelfMap",
+    "best_exponent",
+    "check_linear_contraction",
+    "check_theta_contraction",
+    "check_theta_phi_contraction",
+    "PicardTrace",
+    "cauchy_diagnostics",
+    "limit_sandwich_check",
+    "picard_iterate",
+    "uniqueness_scan",
+    "verify_fixed_point",
+    "InstanceBundle",
+    "affine_toward",
+    "build_example_2_3",
+    "build_example_final",
+    "build_example_sqrt",
+    "get_instance",
+    "perturb",
+    "random_space",
+]

@@ -13,12 +13,10 @@ distances d(x_n, x_{n+2}) / d(x_{n+2}, x_n).  Termination:
 * ``max_iter`` otherwise.
 
 Each run is strictly sequential; multi-start scans are independent runs
-merged in start order (optionally in threads, capped by RQBM_THREADS).
+merged in start order.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .contraction import SelfMap
@@ -341,14 +339,6 @@ def verify_fixed_point(
     )
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RQBM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def uniqueness_scan(
     space: Space,
     selfmap: SelfMap,
@@ -364,14 +354,7 @@ def uniqueness_scan(
         raise ValueError("starts must be nonempty")
     if merge_tol is None:
         merge_tol = 100.0 * tol
-    workers = min(_thread_cap(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(
-                pool.map(lambda s0: picard_iterate(space, selfmap, s0, max_iter, tol), starts)
-            )
-    else:
-        traces = [picard_iterate(space, selfmap, s0, max_iter, tol) for s0 in starts]
+    traces = [picard_iterate(space, selfmap, s0, max_iter, tol) for s0 in starts]
     limits = []
     stray = []
     for s0, tr in zip(starts, traces):

@@ -11,12 +11,17 @@ checkers decide which axioms hold:
 
 Finite spaces are scanned exhaustively; analytic spaces are sampled on a
 uniform grid (exhaustive over grid quadruples) plus seeded random quadruples.
+One pass over those quadruples serves all three quadrilateral operations
+(``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
+``classify``): it counts every violation, builds only the witnesses a report
+keeps, and tracks the supremum ratio with its first maximiser.
 All scans are pure and deterministic for fixed inputs.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -38,7 +43,6 @@ __all__ = [
     "RectangularReport",
     "CoefficientBound",
     "Classification",
-    "resolve_distance",
     "check_identity_axiom",
     "check_b_rectangular",
     "minimal_rectangular_coefficient",
@@ -362,53 +366,94 @@ class Classification:
 
 
 # --------------------------------------------------------------------------
-# Core scans over a distance matrix
+# Core scans
 # --------------------------------------------------------------------------
 
-def _quad_masks(n: int, i: int) -> np.ndarray:
-    idx = np.arange(n)
-    U = idx[:, None, None]
-    V = idx[None, :, None]
-    J = idx[None, None, :]
-    return (U != V) & (U != i) & (V != i) & (U != J) & (V != J) & (J != i)
+def _quadrilateral_pass(
+    space: Space,
+    checks: list[tuple[float, float]],
+    grid_points: int,
+    random_samples: int,
+    seed: int,
+    max_violations: int | None,
+):
+    """The one pass over admissible quadruples behind every quadrilateral operation.
 
+    Visits the exhaustive (finite) or grid (analytic) quadruples in
+    lexicographic (x, u, v, y) point-index order, then, for analytic spaces,
+    ``random_samples`` seeded uniform quadruples.  For each ``(s, tol)`` in
+    ``checks`` it counts the quadruples with ``lhs > s * rhs + tol`` and keeps
+    the first ``max_violations`` of them (all when None) as witnesses.  It
+    also tracks the supremum of lhs / rhs and its first maximiser:
+    quadruples with rhs = 0 and lhs = 0 are skipped, rhs = 0 with lhs > 0
+    has ratio +inf.
 
-def _scan_quadrilateral(D: np.ndarray, s: float, tol: float):
-    """Exhaustive admissible-quadruple scan of a distance matrix.
-
-    Returns (checked, violation index tuples, sup ratio, sup witness indices).
-    Quadruples with rhs = 0 and lhs = 0 are skipped in the ratio; rhs = 0 with
-    lhs > 0 yields an infinite ratio.  Violation order is lexicographic in
-    (x, u, v, y) point index.
+    Returns ``(bound, [(count, witnesses) per check])``.  ``bound.value`` is
+    None when no admissible quadruple exists and 0 when every one has
+    rhs = lhs = 0.
     """
-    n = D.shape[0]
+    pts, D, source = _points_of(space, grid_points)
+    keep = sys.maxsize if max_violations is None else max_violations
     checked = 0
-    violations: list[tuple[int, int, int, int, float, float]] = []
-    sup = -math.inf
-    sup_idx: tuple[int, int, int, int] | None = None
-    for i in range(n):
-        adm = _quad_masks(n, i)
-        checked += int(adm.sum())
-        rhs = D[i, :][:, None, None] + D[:, :, None] + D[None, :, :]
-        lhs = np.broadcast_to(D[i, :][None, None, :], rhs.shape)
+    counts = [0] * len(checks)
+    kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
+    sup, sup_at = -math.inf, None
+
+    def visit(lhs, rhs, adm, at):
+        # lhs, rhs, adm are arrays of one shape; at(k) names the points at index k
+        nonlocal checked, sup, sup_at
+        checked += int(np.count_nonzero(adm))
         with np.errstate(all="ignore"):
-            ratio = np.where(adm, lhs / rhs, -math.inf)
-            ratio = np.where(adm & (rhs == 0.0) & (lhs > 0.0), math.inf, ratio)
-            ratio = np.where(adm & (rhs == 0.0) & (lhs == 0.0), -math.inf, ratio)
-            viol = adm & (lhs > s * rhs + tol)
-        k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[k] > sup:
-            sup = float(ratio[k])
-            sup_idx = (i, int(k[0]), int(k[1]), int(k[2]))
-        if viol.any():
-            for u, v, j in np.argwhere(viol):
-                violations.append(
-                    (i, int(u), int(v), int(j), float(D[i, j]), float(rhs[u, v, j]))
-                )
-    if sup == -math.inf:
-        sup_idx = None
-        sup = None if checked == 0 else 0.0
-    return checked, violations, sup, sup_idx
+            ratio = lhs / rhs
+            zero = rhs == 0.0
+            np.copyto(ratio, math.inf, where=zero & (lhs > 0.0))
+            np.copyto(ratio, -math.inf, where=~adm | (zero & (lhs == 0.0)))
+            k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+            if ratio[k] > sup:
+                sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
+            for c, (s, tol) in enumerate(checks):
+                viol = adm & (lhs > s * rhs + tol)
+                found = int(np.count_nonzero(viol))
+                counts[c] += found
+                room = keep - len(kept[c])
+                if found and room > 0:
+                    for row in np.argwhere(viol)[:room]:
+                        q = tuple(row)
+                        a, b = float(lhs[q]), float(rhs[q])
+                        r = math.inf if b == 0.0 else a / b
+                        kept[c].append(QuadrupleViolation(*at(q), a, b, r))
+
+    n = len(pts)
+    idx = np.arange(n)
+    U, V, J = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    distinct = (U != V) & (U != J) & (V != J)
+    for i in range(n):
+        # the arrays are built per call, so none outlives its x
+        visit(
+            np.broadcast_to(D[i, :][None, None, :], (n, n, n)),
+            D[i, :][:, None, None] + D[:, :, None] + D[None, :, :],
+            distinct & (U != i) & (V != i) & (J != i),
+            lambda k, i=i: (pts[i], pts[k[0]], pts[k[1]], pts[k[2]]),
+        )
+    if checked and sup == -math.inf:
+        sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
+    if isinstance(space, AnalyticSpace) and random_samples > 0:
+        rng = np.random.default_rng(seed)
+        xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples) for _ in range(4))
+        d = space.distance
+        visit(
+            np.asarray(d(xs, ys)),
+            np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys)),
+            (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys),
+            lambda k: (float(xs[k]), float(us[k]), float(vs[k]), float(ys[k])),
+        )
+        source += f"+random:{random_samples}(seed={seed})"
+    if not checked:
+        sup = None
+    elif sup == -math.inf:
+        sup = 0.0
+    witness = None if sup_at is None else QuadrupleViolation(*sup_at, sup)
+    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept))
 
 
 def _scan_triangle(D: np.ndarray, s: float, tol: float):
@@ -437,29 +482,8 @@ def _symmetry_witnesses(D: np.ndarray, tol: float):
 
 
 # --------------------------------------------------------------------------
-# Random quadruple sampling for analytic spaces
-# --------------------------------------------------------------------------
-
-def _random_quadruples(space: AnalyticSpace, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(space.lo, space.hi, count)
-    us = rng.uniform(space.lo, space.hi, count)
-    vs = rng.uniform(space.lo, space.hi, count)
-    ys = rng.uniform(space.lo, space.hi, count)
-    adm = (
-        (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
-    )
-    return xs, us, vs, ys, adm
-
-
-# --------------------------------------------------------------------------
 # Operations
 # --------------------------------------------------------------------------
-
-def resolve_distance(space: FiniteSpace, frm: str, to: str) -> float:
-    """Distance of an ordered label pair: override first, then the default formula."""
-    return space.distance(frm, to)
-
 
 def check_identity_axiom(
     space: Space, grid_points: int = 50
@@ -520,48 +544,23 @@ def check_b_rectangular(
     Finite spaces are scanned over every admissible quadruple; fewer than four
     points is reported as a vacuous pass.  Analytic spaces are scanned
     exhaustively over the grid quadruples plus ``random_samples`` seeded
-    uniform quadruples.
+    uniform quadruples.  ``violation_count`` counts every violation;
+    ``violations`` keeps the first ``max_violations`` in scan order.
     """
     if s < 0:
         raise ValueError("coefficient s must be >= 0")
-    pts, D, source = _points_of(space, grid_points)
-    violations: list[QuadrupleViolation] = []
-    checked, idx_viols, _, _ = _scan_quadrilateral(D, s, tol)
-    for i, u, v, j, lhs, rhs in idx_viols:
-        ratio = math.inf if rhs == 0.0 else lhs / rhs
-        violations.append(QuadrupleViolation(pts[i], pts[u], pts[v], pts[j], lhs, rhs, ratio))
-    if isinstance(space, AnalyticSpace) and random_samples > 0:
-        xs, us, vs, ys, adm = _random_quadruples(space, random_samples, seed)
-        lhs = np.asarray(space.distance(xs, ys))
-        rhs = (
-            np.asarray(space.distance(xs, us))
-            + np.asarray(space.distance(us, vs))
-            + np.asarray(space.distance(vs, ys))
-        )
-        checked += int(adm.sum())
-        viol = adm & (lhs > s * rhs + tol)
-        for (k,) in np.argwhere(viol):
-            r = math.inf if rhs[k] == 0.0 else float(lhs[k] / rhs[k])
-            violations.append(
-                QuadrupleViolation(
-                    float(xs[k]), float(us[k]), float(vs[k]), float(ys[k]),
-                    float(lhs[k]), float(rhs[k]), r,
-                )
-            )
-        source += f"+random:{random_samples}(seed={seed})"
-    count = len(violations)
-    if max_violations is not None:
-        violations = violations[:max_violations]
-    vacuous = checked == 0
+    bound, [(count, violations)] = _quadrilateral_pass(
+        space, [(s, tol)], grid_points, random_samples, seed, max_violations
+    )
     return RectangularReport(
         s=s,
         tol=tol,
         passed=count == 0,
-        vacuous=vacuous,
-        quadruples_checked=checked,
+        vacuous=bound.quadruples_checked == 0,
+        quadruples_checked=bound.quadruples_checked,
         violation_count=count,
         violations=tuple(violations),
-        source=source,
+        source=bound.source,
     )
 
 
@@ -576,40 +575,10 @@ def minimal_rectangular_coefficient(
 
     Quadruples with rhs = 0 and lhs = 0 are skipped; rhs = 0 with lhs > 0
     makes the result infinite.  Returns value ``None`` when no admissible
-    quadruple exists.
+    quadruple exists.  The witness is the first maximiser in scan order.
     """
-    pts, D, source = _points_of(space, grid_points)
-    checked, _, sup, sup_idx = _scan_quadrilateral(D, math.inf, 0.0)
-    witness = None
-    if sup_idx is not None:
-        i, u, v, j = sup_idx
-        lhs = float(D[i, j])
-        rhs = float(D[i, u] + D[u, v] + D[v, j])
-        witness = QuadrupleViolation(pts[i], pts[u], pts[v], pts[j], lhs, rhs, sup)
-    if isinstance(space, AnalyticSpace) and random_samples > 0:
-        xs, us, vs, ys, adm = _random_quadruples(space, random_samples, seed)
-        lhs_a = np.asarray(space.distance(xs, ys))
-        rhs_a = (
-            np.asarray(space.distance(xs, us))
-            + np.asarray(space.distance(us, vs))
-            + np.asarray(space.distance(vs, ys))
-        )
-        checked += int(adm.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(adm, lhs_a / rhs_a, -math.inf)
-            ratio = np.where(adm & (rhs_a == 0.0) & (lhs_a > 0.0), math.inf, ratio)
-            ratio = np.where(adm & (rhs_a == 0.0) & (lhs_a == 0.0), -math.inf, ratio)
-        k = int(np.argmax(ratio))
-        if (sup is None or float(ratio[k]) > sup) and ratio[k] > -math.inf:
-            sup = float(ratio[k])
-            witness = QuadrupleViolation(
-                float(xs[k]), float(us[k]), float(vs[k]), float(ys[k]),
-                float(lhs_a[k]), float(rhs_a[k]), sup,
-            )
-        source += f"+random:{random_samples}(seed={seed})"
-    if checked == 0:
-        return CoefficientBound(None, None, 0, source)
-    return CoefficientBound(float(sup), witness, checked, source)
+    bound, _ = _quadrilateral_pass(space, [], grid_points, random_samples, seed, 0)
+    return bound
 
 
 def classify(
@@ -634,17 +603,11 @@ def classify(
     is_symmetric = not asym
     tri_1 = _scan_triangle(D, 1.0, tol)
     tri_s = tri_1 if s == 1.0 else _scan_triangle(D, s, tol)
-    quad_1 = check_b_rectangular(
-        space, 1.0, grid_points=grid_points, random_samples=random_samples,
-        seed=seed, tol=tol, max_violations=1,
+    checks = [(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)]
+    bound, found = _quadrilateral_pass(
+        space, checks, grid_points, random_samples, seed, 1
     )
-    quad_s = quad_1 if s == 1.0 else check_b_rectangular(
-        space, s, grid_points=grid_points, random_samples=random_samples,
-        seed=seed, tol=tol, max_violations=1,
-    )
-    bound = minimal_rectangular_coefficient(
-        space, grid_points=grid_points, random_samples=random_samples, seed=seed
-    )
+    (count_1, _), (count_s, first_s) = found[0], found[-1]
     ok_id = identity.passed
     tri_witness = tri_s
     if tri_witness is not None:
@@ -655,14 +618,14 @@ def classify(
         is_quasi_identity=ok_id,
         is_symmetric=is_symmetric,
         is_metric=ok_id and is_symmetric and tri_1 is None,
-        is_rectangular=ok_id and is_symmetric and quad_1.passed,
+        is_rectangular=ok_id and is_symmetric and count_1 == 0,
         is_b_metric_at_s=ok_id and is_symmetric and tri_s is None,
-        is_rqb_at_s=ok_id and quad_s.passed,
+        is_rqb_at_s=ok_id and count_s == 0,
         minimal_s=bound.value,
         asymmetry_witnesses=tuple(asym),
         identity=identity,
         triangle_witness=tri_witness,
-        quadrilateral_witness=quad_s.violations[0] if quad_s.violations else None,
+        quadrilateral_witness=first_s[0] if first_s else None,
     )
 
 

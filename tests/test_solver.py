@@ -213,13 +213,6 @@ class TestUniquenessScan:
         with pytest.raises(ValueError):
             uniqueness_scan(sqrt_bundle.space, sqrt_bundle.selfmap, [])
 
-    def test_threaded_matches_sequential(self, sqrt_bundle, monkeypatch):
-        starts = [float(v) for v in np.linspace(1.0, 2.0, 8)]
-        seq = uniqueness_scan(sqrt_bundle.space, sqrt_bundle.selfmap, starts)
-        monkeypatch.setenv("RQBM_THREADS", "4")
-        par = uniqueness_scan(sqrt_bundle.space, sqrt_bundle.selfmap, starts)
-        assert seq == par
-
 
 class TestLimitSandwich:
     def test_sqrt_trace_observer_two(self, sqrt_bundle):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rqbm.instances import build_example_2_3, build_example_final, random_space
+from rqbm.instances import (
+    build_example_2_3,
+    build_example_final,
+    build_example_sqrt,
+    random_space,
+)
 from rqbm.spaces import (
     AnalyticSpace,
     FiniteSpace,
@@ -18,7 +23,6 @@ from rqbm.spaces import (
     check_identity_axiom,
     classify,
     minimal_rectangular_coefficient,
-    resolve_distance,
     space_from_dict,
     space_to_dict,
 )
@@ -29,24 +33,24 @@ from rqbm.spaces import (
 # --------------------------------------------------------------------------
 
 def oracle_quad_scan(points, dist, s, tol=1e-9):
-    """Plain-python sweep over admissible quadruples; returns (sup, violations)."""
+    """Plain-python sweep over admissible quadruples in lexicographic (x, u, v, y)
+    order; returns (sup, violations in that order, first maximiser)."""
     sup = None
-    violations = set()
-    for x, y in itertools.permutations(points, 2):
-        for u, v in itertools.permutations(points, 2):
-            if u in (x, y) or v in (x, y):
-                continue
-            lhs = dist(x, y)
-            rhs = dist(x, u) + dist(u, v) + dist(v, y)
-            if rhs == 0.0:
-                ratio = math.inf if lhs > 0 else None
-            else:
-                ratio = lhs / rhs
-            if ratio is not None and (sup is None or ratio > sup):
-                sup = ratio
-            if lhs > s * rhs + tol:
-                violations.add((x, u, v, y))
-    return sup, violations
+    first_max = None
+    violations = []
+    for x, u, v, y in itertools.permutations(points, 4):
+        lhs = dist(x, y)
+        rhs = dist(x, u) + dist(u, v) + dist(v, y)
+        if rhs == 0.0:
+            ratio = math.inf if lhs > 0 else None
+        else:
+            ratio = lhs / rhs
+        if ratio is not None and (sup is None or ratio > sup):
+            sup = ratio
+            first_max = (x, u, v, y)
+        if lhs > s * rhs + tol:
+            violations.append((x, u, v, y))
+    return sup, violations, first_max
 
 
 def dict_distance(obj):
@@ -85,18 +89,18 @@ def piecewise_space():
 
 class TestResolveDistance:
     def test_override_rows(self, table_space):
-        assert resolve_distance(table_space, "1/2", "1/3") == 0.05
-        assert resolve_distance(table_space, "1/3", "1/2") == 0.04
+        assert table_space.distance("1/2", "1/3") == 0.05
+        assert table_space.distance("1/3", "1/2") == 0.04
 
     def test_diagonal_is_zero(self, table_space):
-        assert resolve_distance(table_space, "1/2", "1/2") == 0.0
+        assert table_space.distance("1/2", "1/2") == 0.0
 
     def test_default_formula(self, table_space):
-        assert resolve_distance(table_space, "1", "2") == 1.0
+        assert table_space.distance("1", "2") == 1.0
 
     def test_unknown_label(self, table_space):
         with pytest.raises(UnknownLabelError):
-            resolve_distance(table_space, "1/2", "1/99")
+            table_space.distance("1/2", "1/99")
 
     def test_no_default_and_no_override(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0})
@@ -104,8 +108,8 @@ class TestResolveDistance:
             space.distance("b", "a")
 
     def test_deterministic(self, table_space):
-        a = resolve_distance(table_space, "1/5", "1/6")
-        b = resolve_distance(table_space, "1/5", "1/6")
+        a = table_space.distance("1/5", "1/6")
+        b = table_space.distance("1/5", "1/6")
         assert a == b == 0.08
 
 
@@ -157,9 +161,9 @@ class TestBRectangular:
         dist = dict_distance(obj)
         labels = [p["label"] for p in obj["points"]]
         for s in (1.0, 2.0, 3.0):
-            _, want = oracle_quad_scan(labels, dist, s)
+            _, want, _ = oracle_quad_scan(labels, dist, s)
             got = check_b_rectangular(table_space_no_grid, s)
-            assert {(v.x, v.u, v.v, v.y) for v in got.violations} == want
+            assert {(v.x, v.u, v.v, v.y) for v in got.violations} == set(want)
 
     def test_order_independence(self, table_space_no_grid):
         obj = space_to_dict(table_space_no_grid)
@@ -187,7 +191,7 @@ class TestMinimalCoefficient:
         obj = space_to_dict(table_space_no_grid)
         dist = dict_distance(obj)
         labels = [p["label"] for p in obj["points"]]
-        sup, _ = oracle_quad_scan(labels, dist, math.inf)
+        sup, _, _ = oracle_quad_scan(labels, dist, math.inf)
         bound = minimal_rectangular_coefficient(table_space_no_grid)
         assert bound.value == sup == 0.4 / 0.14
         assert bound.witness.ratio == bound.value
@@ -314,6 +318,62 @@ class TestHierarchyProperty:
         for s in (bound.value, bound.value + 1.0, 4.0):
             if check_b_rectangular(space, s).passed:
                 assert bound.value <= s + 1e-9
+
+
+class TestQuadrilateralPassOracle:
+    @given(
+        st.integers(min_value=4, max_value=7).flatmap(
+            lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
+        ),
+        st.sampled_from([1.0, 1.5, 2.0]),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_order_truncation_and_ties_match_oracle(self, table, s, k):
+        # small integer distances make ratios tie and rhs vanish
+        n = math.isqrt(len(table))
+        labels = [f"p{i}" for i in range(n)]
+        overrides = {
+            (a, b): float(table[i * n + j])
+            for i, a in enumerate(labels)
+            for j, b in enumerate(labels)
+            if i != j
+        }
+        space = FiniteSpace.build([(a, float(i)) for i, a in enumerate(labels)], None, overrides)
+        sup, want, first_max = oracle_quad_scan(
+            labels, lambda a, b: 0.0 if a == b else overrides[(a, b)], s
+        )
+
+        report = check_b_rectangular(space, s, max_violations=k)
+        assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want[:k]
+        assert report.violation_count == len(want)
+
+        bound = minimal_rectangular_coefficient(space)
+        if sup is None:  # every quadruple has rhs = lhs = 0: reported as 0, no witness
+            assert bound.value == 0.0 and bound.witness is None
+        else:
+            assert bound.value == sup
+            witness = bound.witness
+            assert (witness.x, witness.u, witness.v, witness.y) == first_max
+
+        result = classify(space, s)
+        at_s = check_b_rectangular(space, s, max_violations=1)
+        at_1 = check_b_rectangular(space, 1.0)
+        ok_id = result.identity.passed
+        assert result.is_rqb_at_s == (ok_id and at_s.passed)
+        assert result.quadrilateral_witness == (at_s.violations[0] if at_s.violations else None)
+        assert result.minimal_s == bound.value
+        assert result.is_rectangular == (ok_id and result.is_symmetric and at_1.passed)
+
+    def test_truncated_list_is_prefix_on_grid_then_random(self):
+        space = build_example_sqrt().space
+        scan = dict(grid_points=6, random_samples=300, seed=0)
+        full = check_b_rectangular(space, 1.0, **scan)
+        on_grid = sum(1 for v in full.violations if v.x in space.grid(6))
+        assert 0 < on_grid < full.violation_count == len(full.violations)
+        for k in (1, on_grid, on_grid + 1, full.violation_count + 1):
+            cut = check_b_rectangular(space, 1.0, max_violations=k, **scan)
+            assert cut.violations == full.violations[:k]
+            assert cut.violation_count == full.violation_count
 
 
 class TestSerialization:
