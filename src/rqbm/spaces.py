@@ -392,6 +392,8 @@ def _quadrilateral_pass(
     None when no admissible quadruple exists and 0 when every one has
     rhs = lhs = 0.
     """
+    if any(s < 0 for s, _ in checks):
+        raise ValueError("coefficient s must be >= 0")
     pts, D, source = _points_of(space, grid_points)
     keep = sys.maxsize if max_violations is None else max_violations
     checked = 0
@@ -547,8 +549,6 @@ def check_b_rectangular(
     uniform quadruples.  ``violation_count`` counts every violation;
     ``violations`` keeps the first ``max_violations`` in scan order.
     """
-    if s < 0:
-        raise ValueError("coefficient s must be >= 0")
     bound, [(count, violations)] = _quadrilateral_pass(
         space, [(s, tol)], grid_points, random_samples, seed, max_violations
     )

@@ -252,6 +252,13 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--space", "/does/not/exist.json", "--s", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_negative_coefficient(self, capsys, command):
+        code, out, err = run(capsys, command, "--instance", "example-2-3", "--s", "-1")
+        assert code == 2
+        assert out == ""
+        assert "s must be >= 0" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

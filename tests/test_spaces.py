@@ -301,6 +301,11 @@ class TestClassify:
         assert result.minimal_s == 3.0000000000000004
         assert check_b_rectangular(piecewise_space, result.minimal_s).passed
 
+    def test_negative_coefficient_rejected(self, table_space_no_grid):
+        for op in (check_b_rectangular, classify):
+            with pytest.raises(ValueError, match="s must be >= 0"):
+                op(table_space_no_grid, -1.0)
+
 
 class TestHierarchyProperty:
     @given(st.integers(min_value=0, max_value=40))
