@@ -12,6 +12,11 @@ Pairs failing the antecedent are counted as skipped, never as passes, so a
 vacuous certificate is visually distinct.  A pair with d(x, y) = 0 but
 d(Tx, Ty) > 0 puts theta outside its domain and is reported as a
 domain-violation failure for the two theta forms.
+
+One pair pass serves all four operations (the three checks and
+``best_exponent``): it validates s, enumerates and masks the pair set and,
+for the theta forms, builds the theta arrays and exponent ratios.  Each
+operation supplies only its own right-hand side.
 """
 from __future__ import annotations
 
@@ -243,7 +248,7 @@ class ExponentBound:
 
 
 # --------------------------------------------------------------------------
-# Pair enumeration
+# The pair pass
 # --------------------------------------------------------------------------
 
 def _pair_data(
@@ -266,7 +271,8 @@ def _pair_data(
         d_img = np.array(
             [space.distance_value(image[a], image[b]) for a, b in ids], dtype=np.float64
         )
-        d_pre = np.array([space.distance(a, b) for a, b in ids], dtype=np.float64)
+        # the table's rows and columns follow the labels, so ravel() is in ids order
+        d_pre = space.distance_matrix.ravel()
         return ids, d_img, d_pre, f"exhaustive:{len(labels)}x{len(labels)}"
     g = space.grid(grid_points)
     Tg = selfmap.apply_array(space, g)
@@ -293,99 +299,104 @@ def _pair_data(
     return ids, d_img, d_pre, source
 
 
-def _ratio_profile(checked, th_img, th_pre):
-    """Exponent ratios log theta(img) / log theta(pre) on checked pairs."""
-    with np.errstate(all="ignore"):
-        num = np.log(th_img)
-        den = np.log(th_pre)
-        ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
-        ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
-    return ratio
+@dataclass(frozen=True)
+class _Pairs:
+    """The pair set of one contraction operation, masked and (with theta) mapped."""
+
+    s: float
+    ids: list
+    source: str
+    d_img: np.ndarray
+    d_pre: np.ndarray
+    skipped: np.ndarray  # antecedent d(Tx,Ty) > 0 is false
+    checked: np.ndarray  # neither skipped nor a domain violation
+    domain: tuple | None  # first pair with d(x,y) = 0 < d(Tx,Ty) (theta forms)
+    th_img: np.ndarray | None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
+    th_pre: np.ndarray | None  # theta(d(x,y)), valid on checked pairs
+    ratio: np.ndarray | None  # log th_img / log th_pre on checked pairs, else 0
 
 
-def _assemble(
-    kind, params, s, tol, source, ids, checked, skipped, lhs, rhs, domain_idx, max_ratio
-):
-    n_checked = int(checked.sum())
-    n_skipped = int(skipped.sum())
-    with np.errstate(all="ignore"):
-        slack = np.where(checked, rhs - lhs, math.inf)
-        violations = checked & (lhs > rhs + tol)
-    n_viol = int(violations.sum())
-    worst = None
-    if n_checked:
-        k = int(np.argmin(slack))
-        x, y = ids[k]
-        worst = PairWitness(x, y, float(lhs[k]), float(rhs[k]), float(slack[k]))
-    domain = None
-    if domain_idx is not None:
-        x, y = ids[domain_idx]
-        domain = (x, y)
-    verdict = "fail" if (n_viol or domain is not None) else "pass"
-    cert = ContractionCertificate(
-        kind=kind,
-        params=params,
-        s=s,
-        tol=tol,
-        pair_source=source,
-        verdict=verdict,
-        vacuous=n_checked == 0 and domain is None,
-        pairs_total=len(ids),
-        pairs_checked=n_checked,
-        pairs_skipped=n_skipped,
-        violation_count=n_viol,
-        worst_pair=worst,
-        domain_violation=domain,
-        max_ratio=max_ratio,
-    )
-    return cert, violations
+def _pair_pass(space, selfmap, s, theta, param, grid_points, random_pairs, seed) -> _Pairs:
+    """Validate the inputs, then enumerate and mask the pair set once.
 
-
-def _masks(d_img, d_pre, domain_sensitive: bool):
+    ``param`` is the named r or k that must lie in (0, 1); it is checked
+    after s.  With a theta, a pair with d(x, y) = 0 and a positive image
+    distance leaves theta's domain, and the theta arrays and exponent ratios
+    are built.
+    """
+    if s < 1.0:
+        raise ValueError(f"coefficient s must be >= 1, got {s}")
+    if param is not None and not 0.0 < param[1] < 1.0:
+        raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
+    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
     skipped = d_img == 0.0
-    if domain_sensitive:
+    if theta is not None:
         domain_mask = (~skipped) & (d_pre == 0.0)
     else:
         domain_mask = np.zeros_like(skipped)
     checked = (~skipped) & (~domain_mask)
-    domain_idx = int(np.argmax(domain_mask)) if domain_mask.any() else None
-    return checked, skipped, domain_idx
+    domain = ids[int(np.argmax(domain_mask))] if domain_mask.any() else None
+    th_img = th_pre = ratio = None
+    if theta is not None:
+        # excluded entries are masked to a safe argument; their values are unused
+        th_img = np.asarray(theta(np.where(checked, s * s * d_img, 1.0)), dtype=np.float64)
+        th_pre = np.asarray(theta(np.where(checked, d_pre, 1.0)), dtype=np.float64)
+        with np.errstate(all="ignore"):
+            num = np.log(th_img)
+            den = np.log(th_pre)
+            ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
+            ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
+    return _Pairs(s, ids, source, d_img, d_pre, skipped, checked, domain,
+                  th_img, th_pre, ratio)
 
 
-def _theta_arrays(theta, s, d_img, d_pre, checked):
-    # excluded entries are masked to a safe argument; their values are unused
-    arg_img = np.where(checked, s * s * d_img, 1.0)
-    arg_pre = np.where(checked, d_pre, 1.0)
-    th_img = np.asarray(theta(arg_img), dtype=np.float64)
-    th_pre = np.asarray(theta(arg_pre), dtype=np.float64)
-    return th_img, th_pre
-
-
-def _validate_common(s: float):
-    if s < 1.0:
-        raise ValueError(f"coefficient s must be >= 1, got {s}")
+def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
+    """The certificate for ``lhs <= rhs`` on the checked pairs, and the ledger."""
+    checked = p.checked
+    n_checked = int(checked.sum())
+    with np.errstate(all="ignore"):
+        slack = np.where(checked, rhs - lhs, math.inf)
+        violated = checked & (lhs > rhs + tol)
+    n_viol = int(violated.sum())
+    worst = None
+    if n_checked:
+        k = int(np.argmin(slack))
+        x, y = p.ids[k]
+        worst = PairWitness(x, y, float(lhs[k]), float(rhs[k]), float(slack[k]))
+    cert = ContractionCertificate(
+        kind=kind,
+        params=params,
+        s=p.s,
+        tol=tol,
+        pair_source=p.source,
+        verdict="fail" if (n_viol or p.domain is not None) else "pass",
+        vacuous=n_checked == 0 and p.domain is None,
+        pairs_total=len(p.ids),
+        pairs_checked=n_checked,
+        pairs_skipped=int(p.skipped.sum()),
+        violation_count=n_viol,
+        worst_pair=worst,
+        domain_violation=p.domain,
+        max_ratio=float(ratio.max()) if len(p.ids) else 0.0,
+    )
+    if not details:
+        return cert
+    ledger = PairLedger(
+        ids=tuple(p.ids),
+        d_img=p.d_img,
+        d_pre=p.d_pre,
+        lhs=np.where(checked, lhs, np.nan),
+        rhs=np.where(checked, rhs, np.nan),
+        skipped=p.skipped,
+        domain=(~p.skipped) & (~checked),
+        violated=violated,
+    )
+    return cert, ledger
 
 
 # --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
-
-def _with_details(cert, violations, ids, d_img, d_pre, lhs, rhs, checked, skipped, details):
-    if not details:
-        return cert
-    domain = (~skipped) & (~checked)
-    ledger = PairLedger(
-        ids=tuple(ids),
-        d_img=d_img,
-        d_pre=d_pre,
-        lhs=np.where(checked, lhs, np.nan),
-        rhs=np.where(checked, rhs, np.nan),
-        skipped=skipped,
-        domain=domain,
-        violated=violations,
-    )
-    return cert, ledger
-
 
 def check_theta_contraction(
     space: Space,
@@ -404,23 +415,13 @@ def check_theta_contraction(
 
     With ``details=True`` also return the per-pair audit ledger.
     """
-    _validate_common(s)
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"exponent r must lie in (0, 1), got {r}")
-    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
-    checked, skipped, domain_idx = _masks(d_img, d_pre, True)
-    th_img, th_pre = _theta_arrays(theta, s, d_img, d_pre, checked)
-    lhs = th_img
+    p = _pair_pass(space, selfmap, s, theta, ("exponent r", r), grid_points, random_pairs, seed)
     # np.power, not **: ndarray.__pow__ takes a sqrt fast path at r = 0.5,
     # which would drift one ulp from the power-family phi evaluation
-    rhs = np.power(th_pre, r)
-    ratio = _ratio_profile(checked, th_img, th_pre)
-    max_ratio = float(ratio.max()) if len(ids) else 0.0
-    cert, violations = _assemble(
-        "theta_r", {"theta": theta.name, "r": r}, s, tol, source,
-        ids, checked, skipped, lhs, rhs, domain_idx, max_ratio,
+    rhs = np.power(p.th_pre, r)
+    return _certificate(
+        p, "theta_r", {"theta": theta.name, "r": r}, tol, p.th_img, rhs, p.ratio, details
     )
-    return _with_details(cert, violations, ids, d_img, d_pre, lhs, rhs, checked, skipped, details)
 
 
 def check_theta_phi_contraction(
@@ -437,19 +438,12 @@ def check_theta_phi_contraction(
     details: bool = False,
 ):
     """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over the pair set."""
-    _validate_common(s)
-    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
-    checked, skipped, domain_idx = _masks(d_img, d_pre, True)
-    th_img, th_pre = _theta_arrays(theta, s, d_img, d_pre, checked)
-    lhs = th_img
-    rhs = np.asarray(phi(th_pre), dtype=np.float64)
-    ratio = _ratio_profile(checked, th_img, th_pre)
-    max_ratio = float(ratio.max()) if len(ids) else 0.0
-    cert, violations = _assemble(
-        "theta_phi", {"theta": theta.name, "phi": phi.name}, s, tol, source,
-        ids, checked, skipped, lhs, rhs, domain_idx, max_ratio,
+    p = _pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed)
+    rhs = np.asarray(phi(p.th_pre), dtype=np.float64)
+    return _certificate(
+        p, "theta_phi", {"theta": theta.name, "phi": phi.name}, tol,
+        p.th_img, rhs, p.ratio, details,
     )
-    return _with_details(cert, violations, ids, d_img, d_pre, lhs, rhs, checked, skipped, details)
 
 
 def check_linear_contraction(
@@ -465,22 +459,14 @@ def check_linear_contraction(
     details: bool = False,
 ):
     """Certify s^2 d(Tx,Ty) <= k d(x,y) over the pair set."""
-    _validate_common(s)
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"factor k must lie in (0, 1), got {k}")
-    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
-    checked, skipped, domain_idx = _masks(d_img, d_pre, False)
+    p = _pair_pass(space, selfmap, s, None, ("factor k", k), grid_points, random_pairs, seed)
+    checked, d_img, d_pre = p.checked, p.d_img, p.d_pre
     lhs = np.where(checked, s * s * d_img, 0.0)
     rhs = np.where(checked, k * d_pre, 0.0)
     with np.errstate(all="ignore"):
         ratio = np.where(checked & (rhs > 0), (s * s * d_img) / d_pre, 0.0)
         ratio = np.where(checked & (d_pre == 0.0), math.inf, ratio)
-    max_ratio = float(ratio.max()) if len(ids) else 0.0
-    cert, violations = _assemble(
-        "linear_k", {"k": k}, s, tol, source,
-        ids, checked, skipped, lhs, rhs, domain_idx, max_ratio,
-    )
-    return _with_details(cert, violations, ids, d_img, d_pre, lhs, rhs, checked, skipped, details)
+    return _certificate(p, "linear_k", {"k": k}, tol, lhs, rhs, ratio, details)
 
 
 def best_exponent(
@@ -499,23 +485,12 @@ def best_exponent(
     a value >= 1 (or a pair with d(x,y) = 0 and positive image distance) is
     infeasible.  The supremum over an empty admissible set is 0.
     """
-    _validate_common(s)
-    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
-    checked, skipped, domain_idx = _masks(d_img, d_pre, True)
-    domain = None
-    if domain_idx is not None:
-        x, y = ids[domain_idx]
-        domain = (x, y)
-    if not checked.any():
-        return ExponentBound(
-            0.0, domain is None, None, 0, int(skipped.sum()), domain
-        )
-    th_img, th_pre = _theta_arrays(theta, s, d_img, d_pre, checked)
-    ratio = _ratio_profile(checked, th_img, th_pre)
-    k = int(np.argmax(ratio))
-    value = float(ratio[k])
-    witness = ids[k] if checked[k] else None
-    feasible = domain is None and value < 1.0
-    return ExponentBound(
-        value, feasible, witness, int(checked.sum()), int(skipped.sum()), domain
-    )
+    p = _pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed)
+    n_checked, n_skipped = int(p.checked.sum()), int(p.skipped.sum())
+    if not n_checked:
+        return ExponentBound(0.0, p.domain is None, None, 0, n_skipped, p.domain)
+    k = int(np.argmax(p.ratio))
+    value = float(p.ratio[k])
+    witness = p.ids[k] if p.checked[k] else None
+    feasible = p.domain is None and value < 1.0
+    return ExponentBound(value, feasible, witness, n_checked, n_skipped, p.domain)

@@ -95,7 +95,13 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """Labeled points with explicit distance overrides over a formula default."""
+    """Labeled points with explicit distance overrides over a formula default.
+
+    Point values are distinct, so a value names at most one label.  Every
+    distance is resolved once, at construction, into a read-only table; a
+    pair with no override and no default formula stays undefined there and
+    raises ``SpaceError`` when it is read.
+    """
 
     points: tuple[Point, ...]
     default_formula: ex.Expr | None
@@ -121,6 +127,14 @@ class FiniteSpace:
             raise SpaceError("point labels must be unique")
         if len(labels) == 0:
             raise SpaceError("a finite space needs at least one point")
+        label_of_value: dict[float, str] = {}
+        for p in self.points:
+            first = label_of_value.setdefault(p.value, p.label)
+            if first != p.label:
+                raise SpaceError(
+                    f"points {first!r} and {p.label!r} share the value {p.value!r}"
+                )
+        object.__setattr__(self, "_label_of_value", label_of_value)
         if self.claimed_s is not None and self.claimed_s < 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
         known = set(labels)
@@ -132,56 +146,54 @@ class FiniteSpace:
             if a == b and d != 0.0:
                 raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
         # every defined pair must resolve to a finite non-negative value;
-        # pairs with no override and no default formula error lazily on access
-        for a in labels:
-            for b in labels:
-                if self.default_formula is not None or (a, b) in self.overrides or a == b:
-                    self.distance(a, b)
+        # NaN marks a pair with no override and no default formula
+        table = np.full((len(labels), len(labels)), math.nan)
+        for i, p in enumerate(self.points):
+            for j, q in enumerate(self.points):
+                d = self.overrides.get((p.label, q.label))
+                if d is not None:
+                    table[i, j] = d
+                elif i == j:
+                    table[i, j] = 0.0
+                elif self.default_formula is not None:
+                    table[i, j] = self._formula_distance(p.label, q.label, p.value, q.value)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.points)
 
     @cached_property
-    def _value_of(self) -> dict[str, float]:
-        return {p.label: p.value for p in self.points}
+    def _index_of(self) -> dict[str, int]:
+        return {p.label: i for i, p in enumerate(self.points)}
 
-    @cached_property
-    def _label_of_value(self) -> dict[float, str]:
-        out: dict[float, str] = {}
-        for p in self.points:
-            out.setdefault(p.value, p.label)
-        return out
-
-    def value_of(self, label: str) -> float:
+    def _index(self, label: str) -> int:
         try:
-            return self._value_of[label]
+            return self._index_of[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
+
+    def value_of(self, label: str) -> float:
+        return self.points[self._index(label)].value
 
     def label_for_value(self, value: float) -> str | None:
         return self._label_of_value.get(value)
 
+    def _formula_distance(self, a, b, x: float, y: float) -> float:
+        """The default formula at (x, y); ``a`` and ``b`` name the pair in errors."""
+        d = float(ex.evaluate(self.default_formula, {"x": x, "y": y}))
+        if not (math.isfinite(d) and d >= 0.0):
+            raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+        return d
+
     def distance(self, a: str, b: str) -> float:
         """Override if present, else the default formula at the point values."""
-        if a not in self._value_of:
-            raise UnknownLabelError(f"unknown label {a!r}")
-        if b not in self._value_of:
-            raise UnknownLabelError(f"unknown label {b!r}")
-        d = self.overrides.get((a, b))
-        if d is not None:
-            return d
-        if a == b:
-            return 0.0
-        if self.default_formula is None:
+        d = float(self._table[self._index(a), self._index(b)])
+        if math.isnan(d):
             raise SpaceError(
                 f"no override for ({a!r}, {b!r}) and the space has no default formula"
             )
-        d = float(
-            ex.evaluate(self.default_formula, {"x": self._value_of[a], "y": self._value_of[b]})
-        )
-        if not (math.isfinite(d) and d >= 0.0):
-            raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
         return d
 
     def distance_value(self, a: float, b: float) -> float:
@@ -194,20 +206,16 @@ class FiniteSpace:
             return self.distance(la, lb)
         if self.default_formula is None:
             raise SpaceError("value lies outside the labeled carrier and no default formula exists")
-        d = float(ex.evaluate(self.default_formula, {"x": a, "y": b}))
-        if not (math.isfinite(d) and d >= 0.0):
-            raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
-        return d
+        return self._formula_distance(a, b, a, b)
 
-    @cached_property
+    @property
     def distance_matrix(self) -> np.ndarray:
-        n = len(self.points)
-        D = np.empty((n, n), dtype=np.float64)
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                D[i, j] = self.distance(a, b)
-        D.flags.writeable = False
-        return D
+        """The read-only table of every pair, rows and columns in label order."""
+        undefined = np.argwhere(np.isnan(self._table))
+        if len(undefined):
+            i, j = undefined[0]
+            self.distance(self.labels[i], self.labels[j])
+        return self._table
 
 
 @dataclass(frozen=True, eq=False)

@@ -259,6 +259,19 @@ class TestErrorPaths:
         assert out == ""
         assert "s must be >= 0" in err
 
+    def test_duplicate_point_value(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "kind": "finite",
+            "points": [{"label": "a", "value": 0.5}, {"label": "b", "value": 1.0},
+                       {"label": "c", "value": 0.5}],
+            "default": "(x - y)^2",
+        }))
+        code, out, err = run(capsys, "verify", "--space", str(path), "--s", "1")
+        assert code == 2
+        assert out == ""
+        assert "'a' and 'c'" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

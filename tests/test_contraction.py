@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rqbm.contraction import (
     MapError,
@@ -20,6 +22,18 @@ from rqbm.instances import (
 )
 from rqbm.spaces import AnalyticSpace, FiniteSpace
 from rqbm.thetaphi import builtin_phi, builtin_theta
+
+# closed forms of the builtin thetas and phis, on numpy scalars: numpy's
+# elementary functions agree bit for bit between scalars and arrays, where
+# the math module's can differ from them in the last place
+THETA_FORMS = {
+    "exp-sqrt": lambda t: np.exp(np.sqrt(t)),
+    "sqrt-plus-1": lambda t: np.sqrt(t) + 1.0,
+}
+PHI_FORMS = {
+    "midpoint": lambda t: (t + 1.0) / 2.0,
+    "pow-0.5": lambda t: np.power(t, 0.5),
+}
 
 
 def two_point_swap():
@@ -367,3 +381,120 @@ class TestCertificateReplay:
         rhs = float(b.phi(float(b.theta(b.space.distance(w.x, w.y)))))
         assert lhs == w.lhs
         assert rhs == w.rhs
+
+
+def oracle_pairs(labels, dist, image, s, theta, rhs_of):
+    """Per-pair reference in (x, y) label order: (pair, status, lhs, rhs, ratio).
+
+    With a theta (a closed form), a pair with d(x,y) = 0 < d(Tx,Ty) is a
+    domain violation and ``rhs_of`` maps theta(d(x,y)) to the rhs; without
+    one it is the linear form and ``rhs_of`` maps d(x,y) to the rhs.
+    """
+    rows = []
+    for x in labels:
+        for y in labels:
+            d_img = np.float64(dist(image[x], image[y]))
+            d_pre = np.float64(dist(x, y))
+            if d_img == 0.0:
+                rows.append(((x, y), "skipped", None, None, 0.0))
+            elif theta is not None and d_pre == 0.0:
+                rows.append(((x, y), "domain", None, None, 0.0))
+            elif theta is not None:
+                lhs, th_pre = theta(s * s * d_img), theta(d_pre)
+                num, den = np.log(lhs), np.log(th_pre)
+                ratio = (num / den if den > 0 else math.inf) if num > 0 else 0.0
+                rows.append(((x, y), "checked", lhs, rhs_of(th_pre), ratio))
+            else:
+                lhs = s * s * d_img
+                ratio = math.inf if d_pre == 0.0 else lhs / d_pre
+                rows.append(((x, y), "checked", lhs, rhs_of(d_pre), ratio))
+    return rows
+
+
+def assert_matches_oracle(result, rows, tol=1e-9):
+    cert, ledger = result
+    checked = [r for r in rows if r[1] == "checked"]
+    violated = [r for r in checked if r[2] > r[3] + tol]
+    domain = [r[0] for r in rows if r[1] == "domain"]
+    assert cert.pairs_total == len(rows)
+    assert cert.pairs_checked == len(checked)
+    assert cert.pairs_skipped == sum(r[1] == "skipped" for r in rows)
+    assert cert.violation_count == len(violated)
+    assert cert.domain_violation == (domain[0] if domain else None)
+    assert cert.verdict == ("fail" if violated or domain else "pass")
+    assert cert.max_ratio == max(r[4] for r in rows)
+    if checked:
+        worst = min(checked, key=lambda r: r[3] - r[2])  # min keeps the first of ties
+        w = cert.worst_pair
+        assert ((w.x, w.y), w.lhs, w.rhs, w.slack) == (
+            worst[0], worst[2], worst[3], worst[3] - worst[2]
+        )
+    else:
+        assert cert.worst_pair is None
+    want = ["violation" if r in violated else r[1].replace("checked", "satisfied")
+            for r in rows]
+    assert [ledger.verdict(k) for k in range(len(rows))] == want
+
+
+class TestPairPassOracle:
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from([1.0, 1.5, 2.0]),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.sampled_from(sorted(THETA_FORMS)),
+        st.sampled_from(sorted(PHI_FORMS)),
+    )
+    def test_every_operation_matches_per_pair_oracle(self, data, s, r, theta_name, phi_name):
+        # small integer distances make pairs tie and d(x, y) = 0 occur off the diagonal
+        table, targets = data
+        n = len(targets)
+        labels = [f"p{i}" for i in range(n)]
+        overrides = {
+            (a, b): float(table[i * n + j])
+            for i, a in enumerate(labels)
+            for j, b in enumerate(labels)
+            if i != j
+        }
+        space = FiniteSpace.build([(a, float(i)) for i, a in enumerate(labels)], None, overrides)
+        image = {a: labels[t] for a, t in zip(labels, targets)}
+        selfmap = SelfMap.from_table(image)
+        theta, phi = builtin_theta(theta_name), builtin_phi(phi_name)
+        theta_form, phi_form = THETA_FORMS[theta_name], PHI_FORMS[phi_name]
+
+        def dist(a, b):
+            return overrides.get((a, b), 0.0)  # only the diagonal has no override
+
+        def oracle(form, rhs_of):
+            return oracle_pairs(labels, dist, image, s, form, rhs_of)
+
+        theta_rows = oracle(theta_form, lambda th: np.power(th, r))
+        assert_matches_oracle(
+            check_theta_contraction(space, selfmap, theta, r, s, details=True), theta_rows
+        )
+        assert_matches_oracle(
+            check_theta_phi_contraction(space, selfmap, theta, phi, s, details=True),
+            oracle(theta_form, phi_form),
+        )
+        assert_matches_oracle(
+            check_linear_contraction(space, selfmap, r, s, details=True),
+            oracle(None, lambda d: r * d),
+        )
+
+        bound = best_exponent(space, selfmap, theta, s)
+        checked = [row for row in theta_rows if row[1] == "checked"]
+        domain = [row[0] for row in theta_rows if row[1] == "domain"]
+        assert bound.pairs_checked == len(checked)
+        assert bound.pairs_skipped == sum(row[1] == "skipped" for row in theta_rows)
+        assert bound.domain_violation == (domain[0] if domain else None)
+        if checked:
+            top = max(theta_rows, key=lambda row: row[4])  # max keeps the first of ties
+            assert bound.value == top[4]
+            assert bound.witness == (top[0] if top[1] == "checked" else None)
+        else:
+            assert (bound.value, bound.witness) == (0.0, None)
+        assert bound.feasible == (not domain and bound.value < 1.0)

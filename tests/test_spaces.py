@@ -113,6 +113,45 @@ class TestResolveDistance:
         assert a == b == 0.08
 
 
+class TestDistanceTable:
+    def test_matrix_raises_for_first_undefined_pair(self):
+        space = FiniteSpace.build(
+            [("a", 0.0), ("b", 1.0), ("c", 2.0)], None,
+            {("a", "b"): 1.0, ("a", "c"): 1.0, ("c", "a"): 1.0},
+        )
+        message = "no override for ('b', 'a') and the space has no default formula"
+        with pytest.raises(SpaceError) as err:
+            space.distance_matrix
+        assert str(err.value) == message
+
+    def test_matrix_is_read_only(self, table_space):
+        D = table_space.distance_matrix
+        with pytest.raises(ValueError):
+            D[0, 1] = 7.0
+        assert table_space.distance(table_space.labels[0], table_space.labels[1]) != 7.0
+
+    def test_each_formula_pair_evaluated_once(self, monkeypatch):
+        import rqbm.expr
+
+        calls = []
+        evaluate = rqbm.expr.evaluate
+
+        def counting(node, bindings):
+            calls.append((bindings["x"], bindings["y"]))
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", counting)
+        points = [("a", 0.0), ("b", 1.0), ("c", 2.5), ("d", 4.0)]
+        space = FiniteSpace.build(points, "(x - y)^2", {("a", "b"): 3.0, ("c", "a"): 0.5})
+        D = space.distance_matrix
+        for i, a in enumerate(space.labels):
+            for j, b in enumerate(space.labels):
+                assert space.distance(a, b) == D[i, j]
+        overridden = {(0.0, 1.0), (2.5, 0.0)}
+        want = [(x, y) for _, x in points for _, y in points if x != y and (x, y) not in overridden]
+        assert calls == want
+
+
 class TestIdentityAxiom:
     def test_full_table_passes(self, table_space):
         report = check_identity_axiom(table_space)
@@ -421,6 +460,11 @@ class TestConstructionInvariants:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(SpaceError):
             FiniteSpace.build([("a", 0.0), ("a", 1.0)], "(x - y)^2")
+
+    def test_duplicate_values_rejected(self):
+        # a shared value would make label_for_value and map images alias
+        with pytest.raises(SpaceError, match="'a' and 'c' share the value 0.5"):
+            FiniteSpace.build([("a", 0.5), ("b", 1.0), ("c", 0.5)], "(x - y)^2")
 
     def test_override_unknown_label_rejected(self):
         with pytest.raises(UnknownLabelError):
