@@ -38,7 +38,7 @@ from .spaces import (
     minimal_rectangular_coefficient,
     space_to_dict,
 )
-from .thetaphi import phi_spec, theta_spec, validate_phi, validate_theta
+from .thetaphi import IterateEscapeError, phi_spec, theta_spec, validate_phi, validate_theta
 
 SCHEMA = 1
 
@@ -492,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         code, report = args.run(args)
-    except (UsageError, ExprError, SpaceError, MapError, KeyError, ValueError, OSError) as e:
+    except (UsageError, ExprError, SpaceError, MapError, IterateEscapeError,
+            KeyError, ValueError, OSError) as e:
         msg = e.args[0] if (isinstance(e, KeyError) and e.args) else str(e)
         sys.stderr.write(f"error: {msg}\n")
         return 2

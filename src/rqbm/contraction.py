@@ -266,21 +266,16 @@ def _pair_data(
     selfmap.check_total(space)
     if isinstance(space, FiniteSpace):
         labels = space.labels
-        image = {lab: selfmap.apply_label(space, lab) for lab in labels}
         ids: list[tuple] = [(a, b) for a in labels for b in labels]
-        d_img = np.array(
-            [space.distance_value(image[a], image[b]) for a, b in ids], dtype=np.float64
-        )
-        # the table's rows and columns follow the labels, so ravel() is in ids order
+        # both tables' rows and columns follow the labels, so ravel() is in ids order
+        d_img = space._value_table([selfmap.apply_label(space, lab) for lab in labels]).ravel()
         d_pre = space.distance_matrix.ravel()
         return ids, d_img, d_pre, f"exhaustive:{len(labels)}x{len(labels)}"
     g = space.grid(grid_points)
     Tg = selfmap.apply_array(space, g)
-    D_img = np.asarray(space.distance(Tg[:, None], Tg[None, :]), dtype=np.float64)
-    D_pre = np.asarray(space.distance(g[:, None], g[None, :]), dtype=np.float64)
     ids = [(float(x), float(y)) for x in g for y in g]
-    d_img = D_img.ravel()
-    d_pre = D_pre.ravel()
+    d_img = space.distance(Tg[:, None], Tg[None, :]).ravel()
+    d_pre = space.distance(g[:, None], g[None, :]).ravel()
     source = f"grid:{grid_points}x{grid_points}"
     if random_pairs > 0:
         rng = np.random.default_rng(seed)
@@ -288,12 +283,8 @@ def _pair_data(
         ys = rng.uniform(space.lo, space.hi, random_pairs)
         Txs = selfmap.apply_array(space, xs)
         Tys = selfmap.apply_array(space, ys)
-        d_img = np.concatenate(
-            [d_img, np.asarray(space.distance(Txs, Tys), dtype=np.float64)]
-        )
-        d_pre = np.concatenate(
-            [d_pre, np.asarray(space.distance(xs, ys), dtype=np.float64)]
-        )
+        d_img = np.concatenate([d_img, space.distance(Txs, Tys)])
+        d_pre = np.concatenate([d_pre, space.distance(xs, ys)])
         ids.extend((float(x), float(y)) for x, y in zip(xs, ys))
         source += f"+random:{random_pairs}(seed={seed})"
     return ids, d_img, d_pre, source

@@ -13,10 +13,17 @@ Functions: sqrt, abs, exp, ln (one argument), min, max (two arguments), and
 
 Unary minus binds looser than '^', so ``-2^2`` is ``-(2^2) = -4``.
 Numbers accept decimal and scientific notation.
+
+Evaluation has one contract.  Scalar bindings give a float, evaluate one
+branch of a conditional and raise ``EvalError`` at the offending
+subexpression.  Array bindings give, element by element, bit for bit the
+float that the scalar bindings of that element give, and raise whenever some
+element's scalar evaluation raises, naming the first such element.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -414,21 +421,54 @@ def free_variables(node: Expr) -> frozenset[str]:
 
 Value = Union[float, np.ndarray]
 
-_RELOP_FN = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+_RELOP_FN = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+# The value operations of both walks; each takes floats or arrays.  min and
+# max keep Python's rule on ties (the first argument wins), so the two walks
+# agree on the sign of zero too.
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": np.power,
+    "sqrt": np.sqrt,
+    "abs": abs,
+    "exp": np.exp,
+    "ln": np.log,
+    "min": lambda a, b: np.where(b < a, b, a),
+    "max": lambda a, b: np.where(b > a, b, a),
 }
 
+# The scalar walk's domain checks, made before the operation: a reason or None.
+_DOMAIN = {
+    "/": lambda a, b: "division by zero" if b == 0.0 else None,
+    "^": lambda a, b: (
+        "fractional power of a negative base" if a < 0.0 and b != np.floor(b)
+        else "zero raised to a negative power" if a == 0.0 and b < 0.0
+        else None
+    ),
+    "sqrt": lambda a: "sqrt of a negative value" if a < 0.0 else None,
+    "ln": lambda a: "ln of a non-positive value" if a <= 0.0 else None,
+}
 
-def _is_array(v) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim > 0
+# operations whose result is finite whenever their arguments are
+_TOTAL = frozenset({"abs", "min", "max"})
 
 
-def _eval(node: Expr, ctx: Mapping[str, Value], array_mode: bool) -> Value:
+def _operation(node: BinOp | Call) -> tuple[str, tuple]:
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    return node.func, node.args
+
+
+def _finite(v, node: Expr) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise EvalError(f"non-finite result in {to_source(node)!r}")
+    return v
+
+
+def _scalar(node: Expr, ctx: Mapping[str, Value]) -> Value:
+    """The checked walk: lazy conditionals, every step checked where it happens."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -437,120 +477,77 @@ def _eval(node: Expr, ctx: Mapping[str, Value], array_mode: bool) -> Value:
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}") from None
     if isinstance(node, Neg):
-        return -_eval(node.operand, ctx, array_mode)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, ctx, array_mode)
-        b = _eval(node.right, ctx, array_mode)
-        return _binop(node, a, b, array_mode)
-    if isinstance(node, Call):
-        args = [_eval(arg, ctx, array_mode) for arg in node.args]
-        return _call(node, args, array_mode)
-    # Cond
-    if array_mode:
-        c = _RELOP_FN[node.relop](
-            _eval(node.lhs, ctx, array_mode), _eval(node.rhs, ctx, array_mode)
-        )
-        return np.where(
-            c, _eval(node.then, ctx, array_mode), _eval(node.orelse, ctx, array_mode)
-        )
-    c = _RELOP_FN[node.relop](
-        _eval(node.lhs, ctx, array_mode), _eval(node.rhs, ctx, array_mode)
-    )
-    branch = node.then if c else node.orelse
-    return _eval(branch, ctx, array_mode)
+        return -_scalar(node.operand, ctx)
+    if isinstance(node, Cond):
+        c = _RELOP_FN[node.relop](_scalar(node.lhs, ctx), _scalar(node.rhs, ctx))
+        return _scalar(node.then if c else node.orelse, ctx)
+    op, operands = _operation(node)
+    args = [_scalar(a, ctx) for a in operands]
+    reason = op in _DOMAIN and _DOMAIN[op](*args)
+    if reason:
+        raise EvalError(f"{reason} in {to_source(node)!r}")
+    value = _OPS[op](*args)
+    return value if op in _TOTAL else _finite(value, node)
 
 
-def _check_scalar(v, node: Expr) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise EvalError(f"non-finite result in {to_source(node)!r}")
-    return v
+class _Replay(Exception):
+    """The array walk cannot vouch for a leaf; the scalar walk decides."""
 
 
-def _binop(node: BinOp, a: Value, b: Value, array_mode: bool) -> Value:
-    op = node.op
-    if array_mode:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return np.power(a, b)
-    if op == "/":
-        if b == 0.0:
-            raise EvalError(f"division by zero in {to_source(node)!r}")
-        return _check_scalar(a / b, node)
-    if op == "^":
-        if a < 0.0 and b != math.floor(b):
-            raise EvalError(
-                f"fractional power of a negative base in {to_source(node)!r}"
-            )
-        if a == 0.0 and b < 0.0:
-            raise EvalError(f"zero raised to a negative power in {to_source(node)!r}")
-        return _check_scalar(np.power(np.float64(a), np.float64(b)), node)
-    if op == "+":
-        return _check_scalar(a + b, node)
-    if op == "-":
-        return _check_scalar(a - b, node)
-    return _check_scalar(a * b, node)
-
-
-def _call(node: Call, args: list[Value], array_mode: bool) -> Value:
-    fn = node.func
-    if array_mode:
-        if fn == "sqrt":
-            return np.sqrt(args[0])
-        if fn == "abs":
-            return np.abs(args[0])
-        if fn == "exp":
-            return np.exp(args[0])
-        if fn == "ln":
-            return np.log(args[0])
-        if fn == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
-    if fn == "sqrt":
-        if args[0] < 0.0:
-            raise EvalError(f"sqrt of a negative value in {to_source(node)!r}")
-        return _check_scalar(np.sqrt(np.float64(args[0])), node)
-    if fn == "ln":
-        if args[0] <= 0.0:
-            raise EvalError(f"ln of a non-positive value in {to_source(node)!r}")
-        return _check_scalar(np.log(np.float64(args[0])), node)
-    if fn == "exp":
-        return _check_scalar(np.exp(np.float64(args[0])), node)
-    if fn == "abs":
-        return abs(args[0])
-    if fn == "min":
-        return min(args[0], args[1])
-    return max(args[0], args[1])
+def _array(node: Expr, ctx: Mapping[str, np.ndarray]) -> Value:
+    """The unchecked walk: both branches of a conditional, on whole arrays."""
+    if isinstance(node, Num):
+        if not math.isfinite(node.value):
+            raise _Replay
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        if node.name not in ctx:
+            raise _Replay  # harmless if only untaken branches read it
+        return ctx[node.name]
+    if isinstance(node, Neg):
+        return -_array(node.operand, ctx)
+    if isinstance(node, Cond):
+        c = _RELOP_FN[node.relop](_array(node.lhs, ctx), _array(node.rhs, ctx))
+        return np.where(c, _array(node.then, ctx), _array(node.orelse, ctx))
+    op, operands = _operation(node)
+    return _OPS[op](*[_array(a, ctx) for a in operands])
 
 
 def evaluate(node: Expr, bindings: Mapping[str, Value]) -> Value:
     """Evaluate the AST under the given variable bindings.
 
-    Scalar bindings give a float, evaluate conditionals lazily (exactly one
-    branch), and raise :class:`EvalError` at the offending subexpression for
-    division by zero, domain errors, or non-finite results.  If any binding
-    is a numpy array the whole tree is evaluated elementwise (conditionals
-    via ``np.where``, so both branches are computed) and a single finiteness
-    check is applied to the result.
+    Scalar bindings give a float, evaluate exactly one branch of a conditional
+    and raise :class:`EvalError` at the offending subexpression (unbound
+    variable, division by zero, domain error or non-finite result).  With any
+    numpy array binding, the result has the arrays' broadcast shape and each
+    element is bit for bit what the scalar bindings of that element give; the
+    call raises exactly when some element's scalar evaluation raises, with the
+    first such element's message (C order) plus `` at sample index (...)``.
     """
-    array_mode = any(_is_array(v) for v in bindings.values())
-    if not array_mode:
+    arrays = [v for v in bindings.values() if isinstance(v, np.ndarray) and v.ndim > 0]
+    if not arrays:
         with np.errstate(all="ignore"):
-            result = _eval(node, bindings, False)
-        return _check_scalar(result, node)
+            return _finite(_scalar(node, bindings), node)
+    shape = np.broadcast(*arrays).shape
+    ctx = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
+    # one unchecked walk; a floating-point event, a non-finite value or an
+    # unbound variable sends the elements one by one through the scalar walk
+    try:
+        if not all(np.isfinite(v).all() for v in ctx.values()):
+            raise _Replay
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = np.broadcast_to(_array(node, ctx), shape).astype(np.float64)
+        if np.isfinite(out).all():
+            return out
+    except (_Replay, FloatingPointError):
+        pass
+    full = {k: np.broadcast_to(v, shape) for k, v in ctx.items()}
+    out = np.empty(shape)
     with np.errstate(all="ignore"):
-        result = _eval(node, bindings, True)
-    result = np.asarray(result, dtype=np.float64)
-    if not np.all(np.isfinite(result)):
-        bad = np.argwhere(~np.isfinite(result))[0]
-        raise EvalError(
-            f"non-finite result in {to_source(node)!r} at sample index "
-            f"{tuple(int(i) for i in bad)}"
-        )
-    return result
+        for k in np.ndindex(shape):
+            try:
+                sample = {name: float(v[k]) for name, v in full.items()}
+                out[k] = _finite(_scalar(node, sample), node)
+            except EvalError as e:
+                raise EvalError(f"{e} at sample index {k}") from None
+    return out

@@ -10,7 +10,6 @@ then measured by the space's default formula.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,45 +253,37 @@ def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) ->
     labels = list(space.labels)
     salt = {"break_identity": 3, "break_quadrilateral": 9}.get(kind, 0)
     rng = np.random.default_rng([salt, seed])
+    n = len(labels)
     if kind == "break_identity":
-        candidates = [
-            (a, b)
-            for a in labels
-            for b in labels
-            if a != b and space.distance(a, b) > 0.0
-        ]
-        if not candidates:
+        positive = space.distance_matrix > 0.0
+        np.fill_diagonal(positive, False)
+        rows, cols = np.nonzero(positive)
+        if not len(rows):
             raise SpaceError("every off-diagonal distance is already zero")
-        a, b = candidates[int(rng.integers(len(candidates)))]
+        k = int(rng.integers(len(rows)))
         overrides = dict(space.overrides)
-        overrides[(a, b)] = 0.0
+        overrides[(labels[rows[k]], labels[cols[k]])] = 0.0
         return FiniteSpace(
             space.points, space.default_formula, space.default_source,
             overrides, space.claimed_s,
         )
     if kind == "break_quadrilateral":
-        if len(labels) < 4:
+        if n < 4:
             raise SpaceError("breaking the quadrilateral inequality needs >= 4 points")
         if s is None:
             s = space.claimed_s if space.claimed_s is not None else 1.0
-        i = int(rng.integers(len(labels)))
-        j = int(rng.integers(len(labels) - 1))
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        x, y = labels[i], labels[j]
-        cheapest = math.inf
-        for u in labels:
-            if u in (x, y):
-                continue
-            for v in labels:
-                if v in (x, y) or v == u:
-                    continue
-                cheapest = min(
-                    cheapest,
-                    space.distance(x, u) + space.distance(u, v) + space.distance(v, y),
-                )
+        # three-hop sums (d(x,u) + d(u,v)) + d(v,y); u, v distinct and apart from x, y
+        D = space.distance_matrix
+        hops = (D[i, :, None] + D) + D[None, :, j]
+        np.fill_diagonal(hops, np.inf)
+        hops[[i, j], :] = hops[:, [i, j]] = np.inf
+        cheapest = float(hops.min())
         overrides = dict(space.overrides)
-        overrides[(x, y)] = s * cheapest + max(1.0, cheapest)
+        overrides[(labels[i], labels[j])] = s * cheapest + max(1.0, cheapest)
         return FiniteSpace(
             space.points, space.default_formula, space.default_source,
             overrides, space.claimed_s,

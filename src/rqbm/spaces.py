@@ -145,18 +145,18 @@ class FiniteSpace:
                 raise SpaceError(f"override ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
             if a == b and d != 0.0:
                 raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
-        # every defined pair must resolve to a finite non-negative value;
-        # NaN marks a pair with no override and no default formula
+        # a pair resolves to its override, else 0 on the diagonal, else the
+        # default formula; NaN marks a pair with none of these
         table = np.full((len(labels), len(labels)), math.nan)
-        for i, p in enumerate(self.points):
-            for j, q in enumerate(self.points):
-                d = self.overrides.get((p.label, q.label))
-                if d is not None:
-                    table[i, j] = d
-                elif i == j:
-                    table[i, j] = 0.0
-                elif self.default_formula is not None:
-                    table[i, j] = self._formula_distance(p.label, q.label, p.value, q.value)
+        np.fill_diagonal(table, 0.0)
+        for (a, b), d in self.overrides.items():
+            table[self._index_of[a], self._index_of[b]] = d
+        if self.default_formula is not None:
+            i, j = np.nonzero(np.isnan(table))
+            # labels as object references: a table of label strings would dwarf the distances
+            names = np.array(labels, dtype=object)
+            values = np.array([p.value for p in self.points])
+            table[i, j] = self._formula_distance(names[i], names[j], values[i], values[j])
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
 
@@ -180,11 +180,18 @@ class FiniteSpace:
     def label_for_value(self, value: float) -> str | None:
         return self._label_of_value.get(value)
 
-    def _formula_distance(self, a, b, x: float, y: float) -> float:
-        """The default formula at (x, y); ``a`` and ``b`` name the pair in errors."""
-        d = float(ex.evaluate(self.default_formula, {"x": x, "y": y}))
-        if not (math.isfinite(d) and d >= 0.0):
-            raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+    def _formula_distance(self, a, b, x, y):
+        """The default formula at values x, y (floats or 1-D arrays of pairs); ``a``
+        and ``b`` name the pairs, and the first pair to fail raises its own error."""
+        try:
+            d = ex.evaluate(self.default_formula, {"x": x, "y": y})
+        except ex.EvalError:
+            if np.ndim(x):
+                # pair by pair, so a negative pair before the failing one is named
+                for pair in zip(a, b, x, y):
+                    self._formula_distance(*pair)
+            raise
+        _refuse_negative(d, a, b)
         return d
 
     def distance(self, a: str, b: str) -> float:
@@ -208,12 +215,28 @@ class FiniteSpace:
             raise SpaceError("value lies outside the labeled carrier and no default formula exists")
         return self._formula_distance(a, b, a, b)
 
+    def _value_table(self, values: list[float]) -> np.ndarray:
+        """``distance_value`` of every ordered pair of ``values``, rows first,
+        with one formula call for the pairs that are not both labeled."""
+        v = np.array(values)
+        at = np.array([self._index_of.get(self._label_of_value.get(x), -1) for x in values])
+        labeled = np.minimum.outer(at, at) >= 0
+        table = np.where(labeled, self._table[np.ix_(at, at)], 0.0)
+        free = ~labeled & (v[:, None] != v[None, :])
+        if self.default_formula is None and (free.any() or np.isnan(table).any()):
+            for a in values:  # name the first pair that cannot be resolved
+                for b in values:
+                    self.distance_value(a, b)
+        if free.any():
+            x, y = (np.broadcast_to(w, free.shape)[free] for w in (v[:, None], v[None, :]))
+            table[free] = self._formula_distance(x, y, x, y)
+        return table
+
     @property
     def distance_matrix(self) -> np.ndarray:
         """The read-only table of every pair, rows and columns in label order."""
-        undefined = np.argwhere(np.isnan(self._table))
-        if len(undefined):
-            i, j = undefined[0]
+        if np.isnan(self._table).any():
+            i, j = np.argwhere(np.isnan(self._table))[0]
             self.distance(self.labels[i], self.labels[j])
         return self._table
 
@@ -243,20 +266,32 @@ class AnalyticSpace:
         for v in (self.lo, self.hi, 0.5 * (self.lo + self.hi)):
             if self.distance(v, v) != 0.0:
                 raise SpaceError(f"formula must vanish on the diagonal, d({v}, {v}) != 0")
-        if self.distance(self.lo, self.hi) < 0.0 or self.distance(self.hi, self.lo) < 0.0:
-            raise SpaceError("formula must be non-negative on the domain")
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
     def distance(self, x, y):
-        """Evaluate the distance; accepts floats or numpy arrays."""
-        return ex.evaluate(self.formula, {"x": x, "y": y})
+        """Evaluate the distance; accepts floats or numpy arrays.
+
+        A negative sample raises ``SpaceError``: the first one in C order.
+        """
+        d = ex.evaluate(self.formula, {"x": x, "y": y})
+        _refuse_negative(d, x, y)
+        return d
 
     def grid(self, m: int) -> np.ndarray:
         if m < 2:
             raise SpaceError("grid needs at least 2 points")
         return np.linspace(self.lo, self.hi, m)
+
+
+def _refuse_negative(d, a, b) -> None:
+    """Raise for the first negative ``d`` in C order, named by ``a`` and ``b``."""
+    neg = np.asarray(d) < 0.0
+    if neg.any():
+        k = np.unravel_index(int(np.argmax(neg)), neg.shape)
+        a, b, d = (np.broadcast_to(np.asarray(w).astype(object), neg.shape)[k] for w in (a, b, d))
+        raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
 
 
 Space = FiniteSpace | AnalyticSpace
@@ -495,37 +530,14 @@ def _symmetry_witnesses(D: np.ndarray, tol: float):
 # Operations
 # --------------------------------------------------------------------------
 
-def check_identity_axiom(
-    space: Space, grid_points: int = 50
-) -> IdentityReport:
+def check_identity_axiom(space: Space, grid_points: int = 50) -> IdentityReport:
     """Check d(a, b) = 0 exactly when a = b, over all pairs or a sampling grid."""
-    if isinstance(space, FiniteSpace):
-        D = space.distance_matrix
-        labels = space.labels
-        zero_off = [
-            (labels[i], labels[j])
-            for i, j in np.argwhere(D == 0.0)
-            if i != j
-        ]
-        nonzero_diag = [
-            (labels[i], float(D[i, i])) for i in range(len(labels)) if D[i, i] != 0.0
-        ]
-        checked = D.size
-    else:
-        g = space.grid(grid_points)
-        D = np.asarray(space.distance(g[:, None], g[None, :]))
-        zero_off = [
-            (float(g[i]), float(g[j]))
-            for i, j in np.argwhere(D == 0.0)
-            if i != j
-        ]
-        nonzero_diag = [
-            (float(g[i]), float(D[i, i])) for i in range(len(g)) if D[i, i] != 0.0
-        ]
-        checked = D.size
+    pts, D, _ = _points_of(space, grid_points)
+    zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(D == 0.0) if i != j]
+    nonzero_diag = [(pts[i], float(D[i, i])) for i in range(len(pts)) if D[i, i] != 0.0]
     return IdentityReport(
         passed=not zero_off and not nonzero_diag,
-        pairs_checked=int(checked),
+        pairs_checked=int(D.size),
         zero_off_diagonal=tuple(zero_off),
         nonzero_diagonal=tuple(nonzero_diag),
     )

@@ -253,7 +253,7 @@ def validate_theta(
 
     t0 = float(grid[0])
     seq_t = [t0 / 2.0 ** n for n in range(1, vanishing_seq_len + 1)]
-    seq_v = [float(spec(t)) for t in seq_t]
+    seq_v = np.asarray(spec(np.array(seq_t)), dtype=np.float64).tolist()
     lim_w = []
     lim_defect = 0.0
     for i in range(len(seq_v) - 1):
@@ -277,15 +277,23 @@ def validate_theta(
     return ValidationReport(spec.name, desc, checks)
 
 
-def _phi_iterates(spec: PhiSpec, t: float, n: int) -> list[float]:
-    seq = [float(t)]
-    for _ in range(n):
-        v = float(spec(seq[-1]))
-        if v < 1.0:
-            raise IterateEscapeError(
-                f"iterate of {spec.name!r} left [1, inf): phi({seq[-1]!r}) = {v!r}"
-            )
-        seq.append(v)
+def _phi_iterates(spec: PhiSpec, t, n: int) -> list:
+    """t, phi(t), ..., phi^n(t) for a float start, or for a 1-D array of starts
+    with one array call per step; the first start to leave [1, inf) raises."""
+    seq = [t]
+    try:
+        for _ in range(n):
+            v = spec(seq[-1])
+            if np.any(v < 1.0):
+                raise IterateEscapeError(
+                    f"iterate of {spec.name!r} left [1, inf): phi({seq[-1]!r}) = {v!r}"
+                )
+            seq.append(v)
+    except (IterateEscapeError, ex.EvalError):
+        if np.ndim(t):
+            for start in t:  # start by start, so the first in order raises its own error
+                _phi_iterates(spec, float(start), n)
+        raise
     return seq
 
 
@@ -295,7 +303,7 @@ def iterate_phi(spec: PhiSpec, t: float, n: int) -> float:
         raise ValueError(f"iterate_phi needs t >= 1, got {t!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _phi_iterates(spec, t, n)[-1]
+    return _phi_iterates(spec, float(t), n)[-1]
 
 
 def validate_phi(
@@ -336,18 +344,18 @@ def validate_phi(
             below_w.append((float(t), float(v)))
             below_defect = max(below_defect, float(v - t))
 
+    rows = np.stack(_phi_iterates(spec, grid, iterate_depth), axis=1)
     iter_w = []
     iter_defect = 0.0
-    for t in grid:
-        seq = _phi_iterates(spec, float(t), iterate_depth)
+    for t, seq in zip(grid.tolist(), rows.tolist()):
         for i in range(len(seq) - 1):
             if seq[i + 1] > seq[i]:
-                iter_w.append((float(t), i, seq[i], seq[i + 1]))
+                iter_w.append((t, i, seq[i], seq[i + 1]))
                 iter_defect = max(iter_defect, seq[i + 1] - seq[i])
                 break
         gap = seq[-1] - 1.0
         if not gap < limit_threshold:
-            iter_w.append((float(t), iterate_depth, seq[-1]))
+            iter_w.append((t, iterate_depth, seq[-1]))
             iter_defect = max(iter_defect, gap - limit_threshold)
 
     jump_w, jump_defect = _secant_jumps(grid, vals, jump_factor)

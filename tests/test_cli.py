@@ -272,6 +272,24 @@ class TestErrorPaths:
         assert out == ""
         assert "'a' and 'c'" in err
 
+    def test_escaping_phi(self, capsys):
+        code, out, err = run(capsys, "validate-phi", "--phi", "t/2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: iterate of 't/2' left [1, inf): phi(1.0) = 0.5\n"
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "min-s"])
+    def test_negative_analytic_distance(self, capsys, tmp_path, command):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({
+            "kind": "analytic", "domain": {"lo": 1.0, "hi": 2.0},
+            "forward": "(x-y)^2*(1 - 2*if(x>1.4, if(x<1.6,1,0),0))",
+        }))
+        code, out, err = run(capsys, command, "--space", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be finite and >= 0" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqbm.expr import (
@@ -248,3 +248,93 @@ def test_round_trip_fixed_corpus():
 def test_free_variables():
     e = parse("if(x >= y, t, x)", set(VARS))
     assert free_variables(e) == {"x", "y", "t"}
+
+
+# -- one evaluation contract -------------------------------------------------
+
+def _per_element(e, bindings, n):
+    """The scalar evaluation of each element, or the array call's error message."""
+    out = []
+    for k in range(n):
+        sample = {v: float(b[k]) if isinstance(b, np.ndarray) else b for v, b in bindings.items()}
+        try:
+            out.append(evaluate(e, sample))
+        except EvalError as err:
+            return None, f"{err} at sample index ({k},)"
+    return np.array(out), None
+
+
+def assert_array_call_matches_scalar_calls(e, bindings, n):
+    want, error = _per_element(e, bindings, n)
+    if error is not None:
+        with pytest.raises(EvalError) as err:
+            evaluate(e, bindings)
+        assert str(err.value) == error
+        return
+    got = evaluate(e, bindings)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400)
+@given(_exprs(), st.data())
+def test_array_call_is_the_scalar_call_per_element(e, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    column = st.lists(_SAMPLES, min_size=n, max_size=n).map(np.array)
+    bindings = {"x": data.draw(column), "y": data.draw(column), "t": data.draw(_SAMPLES)}
+    assert_array_call_matches_scalar_calls(e, bindings, n)
+
+
+class TestArrayContractPins:
+    @pytest.mark.parametrize("source, xs", [
+        ("if(x > 0, ln(x), 0)", [0.0, 2.0]),       # the untaken branch fails
+        ("min(exp(1000 * x), 1)", [0.0, 1.0]),     # a masked overflow
+        ("min(0 - x, 0)", [0.0, 1.0]),
+        ("min(-x, 0)", [0.0, -1.0]),              # ties keep the first argument
+        ("max(-x, 0)", [0.0, 1.0]),
+        ("min(1e999, x)", [1.0, 2.0]),             # a non-finite literal
+        ("min(1e999 + x, 1)", [1.0, 2.0]),         # ... that fails, then is masked
+        ("min(x + 1, 0)", [1.0, math.inf]),        # a non-finite binding
+        ("if(x > 0, x, y)", [1.0, 2.0]),           # y unbound, never read
+        ("if(x > 0, x, y)", [1.0, -2.0]),          # y unbound and read
+        ("if(y > 0, 1, 2)", [1.0, 2.0]),           # y unbound in a condition
+    ])
+    def test_pinned(self, source, xs):
+        assert_array_call_matches_scalar_calls(parse(source, XY), {"x": np.array(xs)}, 2)
+
+    def test_untaken_failing_branch_does_not_raise(self):
+        got = evaluate(parse("if(x > 0, ln(x), 0)", {"x"}), {"x": np.array([0.0])})
+        assert got.tolist() == [0.0]
+
+    def test_masked_overflow_raises_at_its_element(self):
+        with pytest.raises(EvalError) as err:
+            evaluate(parse("min(exp(1000 * x), 1)", {"x"}), {"x": np.array([0.0, 1.0])})
+        assert str(err.value) == "non-finite result in 'exp(1000.0 * x)' at sample index (1,)"
+
+    def test_sign_of_zero_follows_python_min_and_max(self):
+        # on a tie Python's min and max return the first argument
+        for source, first in (("min(0 - x, 0)", 0.0), ("min(-x, 0)", -0.0), ("max(-x, 0)", -0.0)):
+            e = parse(source, {"x"})
+            scalar = evaluate(e, {"x": 0.0})
+            got = evaluate(e, {"x": np.array([0.0])})
+            assert np.signbit(scalar) == np.signbit(got[0]) == np.signbit(first)
+
+    def test_non_finite_literal(self):
+        e = parse("1e999 + x", {"x"})
+        with pytest.raises(EvalError) as err:
+            evaluate(e, {"x": np.array([1.0, 2.0])})
+        assert str(err.value) == "non-finite result in 'inf + x' at sample index (0,)"
+        assert evaluate(parse("min(1e999, x)", {"x"}), {"x": np.array([3.0])}).tolist() == [3.0]
+
+    def test_result_has_the_broadcast_shape(self):
+        g = np.linspace(0.0, 1.0, 3)
+        out = evaluate(parse("x + 1", XY), {"x": g[:, None], "y": g[None, :]})
+        assert out.shape == (3, 3)
+        assert np.array_equal(out, np.repeat(g[:, None] + 1, 3, axis=1))

@@ -193,6 +193,25 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(random_space(4, 0, "metric"), "wobble", 0)
 
+    @pytest.mark.parametrize("profile", ["metric", "quasi", "adversarial"])
+    def test_matches_pairwise_reference(self, profile):
+        for seed in range(12):
+            base = random_space(6, seed, profile)
+            labels, d = base.labels, base.distance
+            rng = np.random.default_rng([3, seed])
+            pairs = [(a, b) for a in labels for b in labels if a != b and d(a, b) > 0.0]
+            a, b = pairs[int(rng.integers(len(pairs)))]
+            assert perturb(base, "break_identity", seed).distance(a, b) == 0.0
+            rng = np.random.default_rng([9, seed])
+            i, j = int(rng.integers(6)), int(rng.integers(5))
+            x, y = labels[i], labels[j + (j >= i)]
+            cheapest = min(
+                (d(x, u) + d(u, v)) + d(v, y)
+                for u in labels for v in labels if len({x, y, u, v}) == 4
+            )
+            broken = perturb(base, "break_quadrilateral", seed)
+            assert broken.distance(x, y) == base.claimed_s * cheapest + max(1.0, cheapest)
+
     def test_original_space_unchanged(self):
         base = random_space(4, 5, "metric")
         before = base.distance_matrix.copy()

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rqbm.contraction import SelfMap, check_linear_contraction
+from rqbm.expr import EvalError
 from rqbm.instances import (
     build_example_2_3,
     build_example_final,
@@ -137,7 +139,9 @@ class TestDistanceTable:
         evaluate = rqbm.expr.evaluate
 
         def counting(node, bindings):
-            calls.append((bindings["x"], bindings["y"]))
+            # one entry per evaluated pair, whether bound as scalars or as arrays
+            xs, ys = np.broadcast_arrays(bindings["x"], bindings["y"])
+            calls.extend(zip(xs.ravel().tolist(), ys.ravel().tolist()))
             return evaluate(node, bindings)
 
         monkeypatch.setattr(rqbm.expr, "evaluate", counting)
@@ -150,6 +154,62 @@ class TestDistanceTable:
         overridden = {(0.0, 1.0), (2.5, 0.0)}
         want = [(x, y) for _, x in points for _, y in points if x != y and (x, y) not in overridden]
         assert calls == want
+
+
+    @pytest.mark.parametrize("values, default, message", [
+        ([0.0, 1.0, 2.0], "sqrt(x - y)", "sqrt of a negative value in 'sqrt(x - y)'"),
+        ([0.0, 1.0, 2.0], "x - y + 0.5", "distance ('a', 'b') = -0.5 must be finite and >= 0"),
+        ([0.0, 1.0, 2.0, 900.0], "min(exp(x * y), 1) * (x - y)^2",
+         "non-finite result in 'exp(x * y)'"),
+        # ('b', 'a') is negative before ('c', 'a') fails to evaluate
+        ([0.0, 1.0, 10.0], "if(x > 5, sqrt(0 - x), y - x)",
+         "distance ('b', 'a') = -1.0 must be finite and >= 0"),
+    ])
+    def test_first_failing_formula_pair_raises_its_own_error(self, values, default, message):
+        with pytest.raises((SpaceError, EvalError)) as err:
+            FiniteSpace.build(zip("abcd", values), default)
+        assert str(err.value) == message
+
+    def test_image_distances_match_distance_value(self):
+        bundle = build_example_final(5)
+        space = bundle.space
+        _, ledger = check_linear_contraction(space, bundle.selfmap, 0.5, 3.0, details=True)
+        image = {l: bundle.selfmap.apply_label(space, l) for l in space.labels}
+        want = [space.distance_value(image[a], image[b]) for a, b in ledger.ids]
+        assert ledger.d_img.tolist() == want
+
+    def test_unlabeled_image_without_formula_raises(self):
+        space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0, ("b", "a"): 1.0})
+        selfmap = SelfMap.hybrid({"a": "b"}, "x / 2")
+        with pytest.raises(SpaceError, match="outside the labeled carrier"):
+            check_linear_contraction(space, selfmap, 0.5, 1.0)
+
+
+class TestNegativeAnalyticDistance:
+    SOURCE = "(x-y)^2*(1 - 2*if(x>1.4, if(x<1.6,1,0),0))"
+
+    def test_scalar_sample_refused(self):
+        space = AnalyticSpace.build(1.0, 2.0, self.SOURCE)
+        with pytest.raises(SpaceError) as err:
+            space.distance(1.5, 1.0)
+        assert str(err.value) == "distance (1.5, 1.0) = -0.25 must be finite and >= 0"
+
+    def test_first_negative_sample_in_c_order(self):
+        space = AnalyticSpace.build(1.0, 2.0, self.SOURCE)
+        g = np.array([1.0, 1.5, 1.55])
+        with pytest.raises(SpaceError) as err:
+            space.distance(g[:, None], g[None, :])
+        assert str(err.value) == "distance (1.5, 1.0) = -0.25 must be finite and >= 0"
+
+    @pytest.mark.parametrize("operation", [
+        check_identity_axiom,
+        lambda space: check_b_rectangular(space, 2.0),
+        minimal_rectangular_coefficient,
+        classify,
+    ])
+    def test_every_scan_refuses(self, operation):
+        with pytest.raises(SpaceError, match="must be finite and >= 0"):
+            operation(AnalyticSpace.build(1.0, 2.0, self.SOURCE))
 
 
 class TestIdentityAxiom:
