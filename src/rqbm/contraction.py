@@ -267,8 +267,17 @@ def _pair_data(
     if isinstance(space, FiniteSpace):
         labels = space.labels
         ids: list[tuple] = [(a, b) for a in labels for b in labels]
+        free = [a for a in labels if not (selfmap.table and a in selfmap.table)]
+        x = np.array([space.value_of(a) for a in free])
+        try:  # one map call for the labels off the table
+            image = dict(zip(free, ex.evaluate(selfmap.expr, {"x": x}).tolist() if free else []))
+        except ex.EvalError:
+            for a in free:  # the first failing label raises its own error
+                selfmap.apply_label(space, a)
+            raise
         # both tables' rows and columns follow the labels, so ravel() is in ids order
-        d_img = space._value_table([selfmap.apply_label(space, lab) for lab in labels]).ravel()
+        images = [image[a] if a in image else selfmap.apply_label(space, a) for a in labels]
+        d_img = space._value_table(images).ravel()
         d_pre = space.distance_matrix.ravel()
         return ids, d_img, d_pre, f"exhaustive:{len(labels)}x{len(labels)}"
     g = space.grid(grid_points)

@@ -412,118 +412,152 @@ class Classification:
 # Core scans
 # --------------------------------------------------------------------------
 
+# Elements per array in a quadrilateral-pass block: bounded memory, and in cache.
+_BLOCK = 1 << 14
+
+
 def _quadrilateral_pass(
     space: Space,
-    checks: list[tuple[float, float]],
+    checks: list[tuple[float, float, int | None]],
     grid_points: int,
     random_samples: int,
     seed: int,
-    max_violations: int | None,
+    exact: bool = True,
+    table: tuple | None = None,
 ):
     """The one pass over admissible quadruples behind every quadrilateral operation.
 
-    Visits the exhaustive (finite) or grid (analytic) quadruples in
-    lexicographic (x, u, v, y) point-index order, then, for analytic spaces,
-    ``random_samples`` seeded uniform quadruples.  For each ``(s, tol)`` in
-    ``checks`` it counts the quadruples with ``lhs > s * rhs + tol`` and keeps
-    the first ``max_violations`` of them (all when None) as witnesses.  It
-    also tracks the supremum of lhs / rhs and its first maximiser:
-    quadruples with rhs = 0 and lhs = 0 are skipped, rhs = 0 with lhs > 0
-    has ratio +inf.
+    Quadruples come in lexicographic (x, u, v, y) point-index order over the
+    exhaustive (finite) or grid (analytic) points, then, for analytic spaces,
+    ``random_samples`` seeded uniform ones.  Per ``(s, tol, keep)`` in
+    ``checks`` it keeps the first ``keep`` quadruples (all when None) with
+    ``lhs > s * rhs + tol``, counts them all (when ``exact``, else a count is
+    only zero or positive) and finds the first triangle violation in (x, z, y)
+    order.  The supremum of lhs / rhs comes with its first maximiser:
+    rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.  ``table`` is
+    ``_points_of(space, grid_points)`` when the caller has it.
 
-    Returns ``(bound, [(count, witnesses) per check])``.  ``bound.value`` is
-    None when no admissible quadruple exists and 0 when every one has
-    rhs = lhs = 0.
+    Stage 1 takes M(x, y) = min over admissible (u, v) of A(x, u, v) + d(v, y),
+    A = d(x, u) + d(u, v) (the triangle sums), from the two cheapest u per
+    (x, v).  Rounded addition, lhs / rhs and ``s * rhs + tol`` (s >= 0) are
+    monotone, so M gives each row x its exact supremum and verdicts; at
+    lhs = M = 0 the ratio is 0 if some admissible sum is positive, else
+    skipped.  Stage 2 visits, exactly and in order, the first row attaining
+    the supremum and the violating rows a check still needs.  No array holds
+    more than max(``_BLOCK``, n^2) elements.
+
+    Returns ``(bound, [(count, witnesses, triangle) per check])``;
+    ``bound.value`` is None without admissible quadruples, 0 when every one
+    has rhs = lhs = 0.
     """
-    if any(s < 0 for s, _ in checks):
+    if any(s < 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
-    pts, D, source = _points_of(space, grid_points)
-    keep = sys.maxsize if max_violations is None else max_violations
-    checked = 0
+    pts, D, source = table or _points_of(space, grid_points)
+    n = len(pts)
+    checked = n * (n - 1) * (n - 2) * (n - 3)
     counts = [0] * len(checks)
     kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
+    tri: list[tuple | None] = [None] * len(checks)
     sup, sup_at = -math.inf, None
 
-    def visit(lhs, rhs, adm, at):
+    def visit(lhs, rhs, adm, at, find_sup=True):
         # lhs, rhs, adm are arrays of one shape; at(k) names the points at index k
-        nonlocal checked, sup, sup_at
-        checked += int(np.count_nonzero(adm))
-        with np.errstate(all="ignore"):
-            ratio = lhs / rhs
-            zero = rhs == 0.0
-            np.copyto(ratio, math.inf, where=zero & (lhs > 0.0))
-            np.copyto(ratio, -math.inf, where=~adm | (zero & (lhs == 0.0)))
+        nonlocal sup, sup_at
+        if find_sup:
+            ratio = lhs / rhs  # NaN where rhs = lhs = 0
+            np.copyto(ratio, math.inf, where=(rhs == 0.0) & (lhs > 0.0))
+            np.copyto(ratio, -math.inf, where=~adm | np.isnan(ratio))
             k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
             if ratio[k] > sup:
                 sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
-            for c, (s, tol) in enumerate(checks):
-                viol = adm & (lhs > s * rhs + tol)
-                found = int(np.count_nonzero(viol))
-                counts[c] += found
-                room = keep - len(kept[c])
-                if found and room > 0:
-                    for row in np.argwhere(viol)[:room]:
-                        q = tuple(row)
-                        a, b = float(lhs[q]), float(rhs[q])
-                        r = math.inf if b == 0.0 else a / b
-                        kept[c].append(QuadrupleViolation(*at(q), a, b, r))
+        for c, (s, tol, keep) in enumerate(checks):
+            viol = adm & (lhs > s * rhs + tol)
+            found = int(np.count_nonzero(viol))
+            counts[c] += found
+            room = (sys.maxsize if keep is None else keep) - len(kept[c])
+            if found and room > 0:
+                for row in np.argwhere(viol)[:room]:
+                    q = tuple(row)
+                    a, b = float(lhs[q]), float(rhs[q])
+                    r = math.inf if b == 0.0 else a / b
+                    kept[c].append(QuadrupleViolation(*at(q), a, b, r))
 
-    n = len(pts)
     idx = np.arange(n)
-    U, V, J = idx[:, None, None], idx[None, :, None], idx[None, None, :]
-    distinct = (U != V) & (U != J) & (V != J)
-    for i in range(n):
-        # the arrays are built per call, so none outlives its x
-        visit(
-            np.broadcast_to(D[i, :][None, None, :], (n, n, n)),
-            D[i, :][:, None, None] + D[:, :, None] + D[None, :, :],
-            distinct & (U != i) & (V != i) & (J != i),
-            lambda k, i=i: (pts[i], pts[k[0]], pts[k[1]], pts[k[2]]),
-        )
-    if checked and sup == -math.inf:
-        sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
-    if isinstance(space, AnalyticSpace) and random_samples > 0:
-        rng = np.random.default_rng(seed)
-        xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples) for _ in range(4))
-        d = space.distance
-        visit(
-            np.asarray(d(xs, ys)),
-            np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys)),
-            (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys),
-            lambda k: (float(xs[k]), float(us[k]), float(vs[k]), float(ys[k])),
-        )
-        source += f"+random:{random_samples}(seed={seed})"
+    V, J = idx[None, :, None], idx[None, None, :]
+    step = max(1, _BLOCK // (n * n))
+    row_sup = np.full(n, -math.inf)
+    bad = np.zeros((n, len(checks)), dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, step):  # stage 1
+            X = idx[lo:lo + step]
+            x, r, L = X[:, None, None], np.arange(len(X)), D[X]
+            A = D[X, :, None] + D[None]  # A[x, u, v] = d(x, u) + d(u, v)
+            np.copyto(A, math.inf, where=(x == V) | (V == J) | (x == J))  # x, u, v distinct
+            for c, (s, tol, _) in enumerate(checks):  # the first triangle violation
+                hit = np.argwhere(L[:, None, :] > s * A + tol) if tri[c] is None else ()
+                for b, z, y in hit[:1]:
+                    tri[c] = (pts[X[b]], pts[z], pts[y], float(L[b, y]), float(A[b, z, y]))
+            if n < 4:
+                continue
+            bu = A.argmin(axis=1)[:, None, :]  # the two cheapest u per (x, v)
+            best = np.take_along_axis(A, bu, axis=1)
+            np.put_along_axis(A, bu, math.inf, axis=1)
+            second = np.take_along_axis(A, A.argmin(axis=1)[:, None, :], axis=1)
+            # B[x, y, v] = min over u not in {x, v, y} of A[x, u, v], plus d(v, y)
+            B = np.where(bu == V, second, best)
+            B += D.T[None]
+            B[:, idx, idx] = B[r, X, :] = math.inf  # v = y, y = x
+            M = B.min(axis=2)
+            ratio = L / M
+            np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
+            zero = np.isnan(ratio)
+            if zero.any():  # is a d(x, u), d(v, y) or d(u, v) off {x, y} positive?
+                P = (D > 0.0) & ~np.eye(n, dtype=bool)
+                R, C = P.sum(axis=1), P.sum(axis=0)
+                pos = (R[X, None] > 0) | (C > 0) | (R.sum() - R - C[X, None] + P.T[X] > 0)
+                ratio[zero] = np.where(pos[zero], 0.0, -math.inf)
+            ratio[r, X] = -math.inf
+            row_sup[X] = ratio.max(axis=1)
+            for c, (s, tol, _) in enumerate(checks):
+                bad[X, c] = (L > s * M + tol).any(axis=1)
+        top = int(np.argmax(row_sup))  # the first row attaining the supremum
+        rows = (idx == top) & (row_sup[top] > -math.inf)
+        for c, (_, _, keep) in enumerate(checks):
+            hit = np.flatnonzero(bad[:, c])
+            rows[hit if exact else hit[:keep]] = True
+            if not exact:  # a positive count is all the verdict needs
+                counts[c] += len(hit)
+        xu = np.argwhere(np.broadcast_to(rows[:, None], (n, n)))
+        for lo in range(0, len(xu), step):  # stage 2, in (x, u) slices
+            x, u = (xu[lo:lo + step, w, None, None] for w in (0, 1))
+            visit(
+                np.broadcast_to(D[x, J], (len(x), n, n)),
+                D[x, u] + D[u, V] + D[None],
+                ((x != u) & (u != V) & (x != V)) & ((u != J) & (x != J)) & (V != J),
+                lambda k: (*(pts[w] for w in xu[lo + k[0]]), pts[k[1]], pts[k[2]]),
+                rows[top] and top in x,
+            )
+        if checked and sup == -math.inf:
+            sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
+        if isinstance(space, AnalyticSpace) and random_samples > 0:
+            rng = np.random.default_rng(seed)
+            xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples) for _ in range(4))
+            d = space.distance
+            adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
+            checked += int(np.count_nonzero(adm))
+            visit(
+                np.asarray(d(xs, ys)),
+                np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys)),
+                adm,
+                lambda k: (float(xs[k]), float(us[k]), float(vs[k]), float(ys[k])),
+            )
+            source += f"+random:{random_samples}(seed={seed})"
     if not checked:
         sup = None
     elif sup == -math.inf:
         sup = 0.0
     witness = None if sup_at is None else QuadrupleViolation(*sup_at, sup)
-    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept))
-
-
-def _scan_triangle(D: np.ndarray, s: float, tol: float):
-    """All-triples scan of d(x,y) <= s*(d(x,z)+d(z,y)); z distinct from x, y."""
-    n = D.shape[0]
-    idx = np.arange(n)
-    for i in range(n):
-        rhs = D[i, :][:, None] + D[:, :]  # (z, j)
-        lhs = np.broadcast_to(D[i, :][None, :], rhs.shape)
-        Z = idx[:, None]
-        J = idx[None, :]
-        adm = (Z != i) & (Z != J) & (J != i)
-        viol = adm & (lhs > s * rhs + tol)
-        if viol.any():
-            z, j = np.argwhere(viol)[0]
-            return (i, int(z), int(j), float(D[i, j]), float(rhs[z, j]))
-    return None
-
-
-def _symmetry_witnesses(D: np.ndarray, tol: float):
-    diff = np.abs(D - D.T)
-    out = []
-    for i, j in np.argwhere(np.triu(diff, k=1) > tol):
-        out.append((int(i), int(j), float(D[i, j]), float(D[j, i])))
-    return out
+    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept, tri))
 
 
 # --------------------------------------------------------------------------
@@ -532,7 +566,10 @@ def _symmetry_witnesses(D: np.ndarray, tol: float):
 
 def check_identity_axiom(space: Space, grid_points: int = 50) -> IdentityReport:
     """Check d(a, b) = 0 exactly when a = b, over all pairs or a sampling grid."""
-    pts, D, _ = _points_of(space, grid_points)
+    return _identity(*_points_of(space, grid_points)[:2])
+
+
+def _identity(pts: list, D: np.ndarray) -> IdentityReport:
     zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(D == 0.0) if i != j]
     nonzero_diag = [(pts[i], float(D[i, i])) for i in range(len(pts)) if D[i, i] != 0.0]
     return IdentityReport(
@@ -569,8 +606,8 @@ def check_b_rectangular(
     uniform quadruples.  ``violation_count`` counts every violation;
     ``violations`` keeps the first ``max_violations`` in scan order.
     """
-    bound, [(count, violations)] = _quadrilateral_pass(
-        space, [(s, tol)], grid_points, random_samples, seed, max_violations
+    bound, [(count, violations, _)] = _quadrilateral_pass(
+        space, [(s, tol, max_violations)], grid_points, random_samples, seed
     )
     return RectangularReport(
         s=s,
@@ -597,7 +634,7 @@ def minimal_rectangular_coefficient(
     makes the result infinite.  Returns value ``None`` when no admissible
     quadruple exists.  The witness is the first maximiser in scan order.
     """
-    bound, _ = _quadrilateral_pass(space, [], grid_points, random_samples, seed, 0)
+    bound, _ = _quadrilateral_pass(space, [], grid_points, random_samples, seed)
     return bound
 
 
@@ -613,26 +650,20 @@ def classify(
     """Decide every class membership: symmetry, metric, b-metric, rectangular, RQB."""
     if s is None:
         s = space.claimed_s if space.claimed_s is not None else 1.0
-    pts, D, _ = _points_of(space, grid_points)
-    identity = check_identity_axiom(
-        space, grid_points if isinstance(space, AnalyticSpace) else 50
+    table = pts, D, _ = _points_of(space, grid_points)
+    identity = _identity(pts, D)
+    asym = tuple(
+        (pts[i], pts[j], float(D[i, j]), float(D[j, i]))
+        for i, j in np.argwhere(np.triu(np.abs(D - D.T), k=1) > tol)
     )
-    asym = [
-        (pts[i], pts[j], dij, dji) for i, j, dij, dji in _symmetry_witnesses(D, tol)
-    ]
     is_symmetric = not asym
-    tri_1 = _scan_triangle(D, 1.0, tol)
-    tri_s = tri_1 if s == 1.0 else _scan_triangle(D, s, tol)
-    checks = [(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)]
+    # the s = 1 check only needs its verdict and its triangle witness
+    checks = [(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)]
     bound, found = _quadrilateral_pass(
-        space, checks, grid_points, random_samples, seed, 1
+        space, checks, grid_points, random_samples, seed, exact=False, table=table
     )
-    (count_1, _), (count_s, first_s) = found[0], found[-1]
+    (count_1, _, tri_1), (count_s, first_s, tri_s) = found[0], found[-1]
     ok_id = identity.passed
-    tri_witness = tri_s
-    if tri_witness is not None:
-        i, z, j, lhs, rhs = tri_witness
-        tri_witness = (pts[i], pts[z], pts[j], lhs, rhs)
     return Classification(
         s=s,
         is_quasi_identity=ok_id,
@@ -642,9 +673,9 @@ def classify(
         is_b_metric_at_s=ok_id and is_symmetric and tri_s is None,
         is_rqb_at_s=ok_id and count_s == 0,
         minimal_s=bound.value,
-        asymmetry_witnesses=tuple(asym),
+        asymmetry_witnesses=asym,
         identity=identity,
-        triangle_witness=tri_witness,
+        triangle_witness=tri_s,
         quadrilateral_witness=first_s[0] if first_s else None,
     )
 

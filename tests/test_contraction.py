@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from rqbm.contraction import (
     check_theta_contraction,
     check_theta_phi_contraction,
 )
+from rqbm.expr import EvalError
 from rqbm.instances import (
     affine_toward,
     build_example_final,
@@ -84,6 +86,36 @@ class TestSelfMap:
         m = SelfMap.from_table({"a": 0.25, "b": "a"})
         assert m.apply_label(space, "a") == 0.25
         assert m.apply_label(space, "b") == 0.0
+
+
+class TestHybridMapImages:
+    def test_one_map_call_for_the_labels_off_the_table(self, monkeypatch, capsys):
+        import rqbm.cli
+        import rqbm.expr
+
+        calls = []
+        evaluate = rqbm.expr.evaluate
+
+        def counting(node, bindings):
+            calls.append(node)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", counting)
+        argv = ["contraction", "--instance", "example-final", "--grid", "200", "--kind", "theta_phi"]
+        assert rqbm.cli.main(argv) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["command"] == "contraction"
+        # label by label, the map alone would make 200 calls here
+        assert len(calls) <= 10
+
+    def test_first_failing_label_raises_its_own_error(self):
+        bundle = build_example_final()
+        selfmap = SelfMap.hybrid({l: 1.0 for l in bundle.space.labels[:4]}, "sqrt(0.8 - x)")
+        failing = [l for l in bundle.space.labels[4:] if bundle.space.value_of(l) > 0.8]
+        with pytest.raises(EvalError) as want:
+            selfmap.apply_label(bundle.space, failing[0])
+        with pytest.raises(EvalError) as got:
+            check_linear_contraction(bundle.space, selfmap, 0.5, 3.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestThetaPhiContraction:

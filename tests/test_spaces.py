@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rqbm.spaces
 from rqbm.contraction import SelfMap, check_linear_contraction
 from rqbm.expr import EvalError
 from rqbm.instances import (
@@ -53,6 +56,16 @@ def oracle_quad_scan(points, dist, s, tol=1e-9):
         if lhs > s * rhs + tol:
             violations.append((x, u, v, y))
     return sup, violations, first_max
+
+
+def oracle_triangle(points, dist, s, tol=1e-9):
+    """First (x, z, y, lhs, rhs) in lexicographic (x, z, y) order with
+    d(x, y) > s * (d(x, z) + d(z, y)) + tol, or None."""
+    for x, z, y in itertools.permutations(points, 3):
+        lhs, rhs = dist(x, y), dist(x, z) + dist(z, y)
+        if lhs > s * rhs + tol:
+            return (x, z, y, lhs, rhs)
+    return None
 
 
 def dict_distance(obj):
@@ -424,49 +437,97 @@ class TestHierarchyProperty:
                 assert bound.value <= s + 1e-9
 
 
+def table_space_of(labels, overrides):
+    return FiniteSpace.build([(a, float(i)) for i, a in enumerate(labels)], None, overrides)
+
+
 class TestQuadrilateralPassOracle:
     @given(
-        st.integers(min_value=4, max_value=7).flatmap(
+        st.integers(min_value=3, max_value=7).flatmap(
             lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
         ),
-        st.sampled_from([1.0, 1.5, 2.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from([0.0, 1e-9]),
+        st.sampled_from([1.0, 0.1, 1 / 3]),
         st.integers(min_value=0, max_value=5),
+        st.sampled_from([1, 100, rqbm.spaces._BLOCK]),
+        st.integers(min_value=0, max_value=1),
     )
-    def test_order_truncation_and_ties_match_oracle(self, table, s, k):
-        # small integer distances make ratios tie and rhs vanish
+    def test_order_truncation_and_ties_match_oracle(self, table, s, tol, unit, k, block, floor):
+        # small multiples of one unit make ratios tie, rhs vanish and sums round;
+        # floor 1 keeps the identity axiom, so classify's verdicts show; small
+        # blocks split rows and slices across blocks
         n = math.isqrt(len(table))
         labels = [f"p{i}" for i in range(n)]
         overrides = {
-            (a, b): float(table[i * n + j])
+            (a, b): (table[i * n + j] + floor) * unit
             for i, a in enumerate(labels)
             for j, b in enumerate(labels)
             if i != j
         }
-        space = FiniteSpace.build([(a, float(i)) for i, a in enumerate(labels)], None, overrides)
-        sup, want, first_max = oracle_quad_scan(
-            labels, lambda a, b: 0.0 if a == b else overrides[(a, b)], s
-        )
+        space = table_space_of(labels, overrides)
+        dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
+        sup, want, first_max = oracle_quad_scan(labels, dist, s, tol)
 
-        report = check_b_rectangular(space, s, max_violations=k)
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            report = check_b_rectangular(space, s, tol=tol, max_violations=k)
+            bound = minimal_rectangular_coefficient(space)
+            result = classify(space, s, tol=tol)
+            at_s = check_b_rectangular(space, s, tol=tol, max_violations=1)
+            at_1 = check_b_rectangular(space, 1.0, tol=tol)
         assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want[:k]
         assert report.violation_count == len(want)
 
-        bound = minimal_rectangular_coefficient(space)
-        if sup is None:  # every quadruple has rhs = lhs = 0: reported as 0, no witness
-            assert bound.value == 0.0 and bound.witness is None
+        if sup is None:  # no quadruple, or every one has rhs = lhs = 0: 0, no witness
+            assert bound.value == (0.0 if n >= 4 else None) and bound.witness is None
         else:
             assert bound.value == sup
             witness = bound.witness
             assert (witness.x, witness.u, witness.v, witness.y) == first_max
 
-        result = classify(space, s)
-        at_s = check_b_rectangular(space, s, max_violations=1)
-        at_1 = check_b_rectangular(space, 1.0)
         ok_id = result.identity.passed
         assert result.is_rqb_at_s == (ok_id and at_s.passed)
         assert result.quadrilateral_witness == (at_s.violations[0] if at_s.violations else None)
         assert result.minimal_s == bound.value
         assert result.is_rectangular == (ok_id and result.is_symmetric and at_1.passed)
+        tri_s = oracle_triangle(labels, dist, s, tol)
+        tri_1 = oracle_triangle(labels, dist, 1.0, tol)
+        assert result.triangle_witness == tri_s
+        assert result.is_b_metric_at_s == (ok_id and result.is_symmetric and tri_s is None)
+        assert result.is_metric == (ok_id and result.is_symmetric and tri_1 is None)
+
+    def test_cheapest_sum_through_y_is_excluded(self):
+        # A(p0, u, p2) is cheapest at u = p3; for y = p3 only u = p1 is admissible,
+        # so row p0's supremum is 2/3 and the first maximiser lies in row p1
+        labels = ["p0", "p1", "p2", "p3"]
+        rows = [[0, 2, 3, 1], [2, 0, 1, 3], [2, 2, 0, 0], [1, 3, 0, 0]]
+        overrides = {
+            (a, b): float(rows[i][j])
+            for i, a in enumerate(labels) for j, b in enumerate(labels) if i != j
+        }
+        space = table_space_of(labels, overrides)
+        dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
+        sup, _, first_max = oracle_quad_scan(labels, dist, 1.0)
+        bound = minimal_rectangular_coefficient(space)
+        assert bound.value == sup == 1.0
+        assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
+
+    def test_zero_lhs_with_zero_and_positive_sums(self):
+        # d(p0, p1) = 0, its sum through (p2, p3) is 0 and through (p3, p2) is 1
+        labels = ["p0", "p1", "p2", "p3"]
+        overrides = {(a, b): 0.0 for a in labels for b in labels if a != b}
+        overrides[("p3", "p2")] = 1.0
+        space = table_space_of(labels, overrides)
+        dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
+        bound = minimal_rectangular_coefficient(space)
+        for s in (0.0, 1.0, 3.0):
+            sup, want, first_max = oracle_quad_scan(labels, dist, s)
+            report = check_b_rectangular(space, s)
+            assert report.violation_count == len(want) > 0
+            assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want
+            assert bound.value == sup == math.inf
+            assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
+            assert classify(space, s).triangle_witness == oracle_triangle(labels, dist, s)
 
     def test_truncated_list_is_prefix_on_grid_then_random(self):
         space = build_example_sqrt().space
@@ -478,6 +539,25 @@ class TestQuadrilateralPassOracle:
             cut = check_b_rectangular(space, 1.0, max_violations=k, **scan)
             assert cut.violations == full.violations[:k]
             assert cut.violation_count == full.violation_count
+
+
+class TestScanMemory:
+    # the pass works in blocks; one (n, n, n) float array per x would be 64 MB here
+    BOUND_MIB = 8
+
+    @pytest.mark.parametrize("operation", [
+        lambda space: minimal_rectangular_coefficient(space, grid_points=200, random_samples=0),
+        lambda space: check_b_rectangular(space, 4.0, grid_points=200, random_samples=0),
+    ], ids=["min-s", "no-violating-row"])
+    def test_grid_200_peak_below_bound(self, operation):
+        space = build_example_sqrt().space
+        tracemalloc.start()
+        try:
+            operation(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND_MIB * 2**20
 
 
 class TestSerialization:
