@@ -28,8 +28,13 @@ from .solver import (
     verify_fixed_point,
 )
 from .spaces import (
+    DEFAULT_RANDOM_SAMPLES,
+    DEFAULT_TOL,
     FiniteSpace,
     SpaceError,
+    _identity,
+    _points_of,
+    _rectangular,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -95,10 +100,21 @@ def _render_text(obj: dict, indent: int = 0) -> str:
 # Shared argument handling
 # --------------------------------------------------------------------------
 
+def _grid_size(text: str) -> int:
+    """A ``--grid`` value: an integer of at least 2 (0 and 1 would alias other sizes)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {n}")
+    return n
+
+
 def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="path to a space definition file (JSON)")
     p.add_argument("--instance", help=f"built-in instance: {', '.join(INSTANCE_NAMES)}")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_grid_size, default=None,
                    help="grid density (instance carrier and analytic sampling)")
     p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
 
@@ -137,10 +153,10 @@ def _parse_start(space, text: str):
 def _cmd_verify(args) -> tuple[int, dict]:
     space, bundle, src = _resolve_space(args)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
-    identity = check_identity_axiom(space, _scan_grid(args))
-    rect = check_b_rectangular(
-        space, s, grid_points=_scan_grid(args), seed=args.seed, max_violations=100
-    )
+    grid = _scan_grid(args)
+    table = _points_of(space, grid)  # one table for both checks
+    identity = _identity(*table[:2])
+    rect = _rectangular(space, s, table, grid, DEFAULT_RANDOM_SAMPLES, args.seed, DEFAULT_TOL, 100)
     passed = identity.passed and rect.passed
     report = {
         "schema": SCHEMA,
@@ -476,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instances", help="list or export built-in instances")
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("--name")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_grid_size, default=None)
     p.add_argument("--out", dest="out_file")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(run=_cmd_instances, out=None)

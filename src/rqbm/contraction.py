@@ -114,36 +114,48 @@ class SelfMap:
                 raise MapError("an analytic space needs an expression map")
 
     def apply_label(self, space: FiniteSpace, label: str) -> float:
-        if self.table and label in self.table:
-            target = self.table[label]
-            return space.value_of(target) if isinstance(target, str) else float(target)
-        if self.expr is None:
-            raise MapError(f"map has no rule for label {label!r}")
-        return float(ex.evaluate(self.expr, {"x": space.value_of(label)}))
+        return self.apply_value(space, space.value_of(label))
 
     def apply_value(self, space: Space, value: float) -> float:
-        if isinstance(space, FiniteSpace):
-            label = space.label_for_value(value)
-            if label is not None:
-                return self.apply_label(space, label)
-            if self.expr is None:
-                raise MapError(f"map has no rule for value {value!r}")
-            return float(ex.evaluate(self.expr, {"x": value}))
-        out = float(ex.evaluate(self.expr, {"x": value}))
-        if not space.contains(out):
-            raise MapRangeError(
-                f"map image {out!r} of {value!r} leaves [{space.lo}, {space.hi}]"
-            )
-        return out
+        return float(self.apply_array(space, np.array([value]))[0])
 
-    def apply_array(self, space: AnalyticSpace, xs: np.ndarray) -> np.ndarray:
-        out = np.asarray(ex.evaluate(self.expr, {"x": xs}), dtype=np.float64)
-        if not (np.all(out >= space.lo) and np.all(out <= space.hi)):
-            k = int(np.argmax((out < space.lo) | (out > space.hi)))
-            raise MapRangeError(
-                f"map image {out[k]!r} of {float(xs[k])!r} leaves "
-                f"[{space.lo}, {space.hi}]"
-            )
+    def apply_array(self, space: Space, xs: np.ndarray) -> np.ndarray:
+        """The image of every value in the 1-D array ``xs``, with one expression
+        call for the values off the table.  If it fails, the first failing
+        value raises the error a call on that value alone gives."""
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.empty(xs.shape)
+        rest = np.ones(xs.shape, dtype=bool)  # the values the expression maps
+        if isinstance(space, FiniteSpace):
+            at = space._indices(xs)
+            raw, xs = xs, np.where(at >= 0, space._values[at], xs)
+            if self.table:  # the only loop over values, and only for a table
+                for k in np.flatnonzero(at >= 0):
+                    target = self.table.get(space.labels[at[k]])
+                    if isinstance(target, str):
+                        target = space.value_of(target)
+                    if target is not None:
+                        out[k], rest[k] = target, False
+            if self.expr is None and rest.any():
+                k = int(np.argmax(rest))
+                if at[k] >= 0:
+                    raise MapError(f"map has no rule for label {space.labels[at[k]]!r}")
+                raise MapError(f"map has no rule for value {float(raw[k])!r}")
+        if rest.any():
+            try:
+                out[rest] = ex.evaluate(self.expr, {"x": xs[rest]})
+            except ex.EvalError:
+                for x in xs[rest].tolist():
+                    ex.evaluate(self.expr, {"x": x})
+                raise
+        if isinstance(space, AnalyticSpace):
+            outside = (out < space.lo) | (out > space.hi)
+            if outside.any():
+                k = int(np.argmax(outside))
+                raise MapRangeError(
+                    f"map image {float(out[k])!r} of {float(xs[k])!r} leaves "
+                    f"[{space.lo}, {space.hi}]"
+                )
         return out
 
 
@@ -267,17 +279,9 @@ def _pair_data(
     if isinstance(space, FiniteSpace):
         labels = space.labels
         ids: list[tuple] = [(a, b) for a in labels for b in labels]
-        free = [a for a in labels if not (selfmap.table and a in selfmap.table)]
-        x = np.array([space.value_of(a) for a in free])
-        try:  # one map call for the labels off the table
-            image = dict(zip(free, ex.evaluate(selfmap.expr, {"x": x}).tolist() if free else []))
-        except ex.EvalError:
-            for a in free:  # the first failing label raises its own error
-                selfmap.apply_label(space, a)
-            raise
+        image = selfmap.apply_array(space, space._values)
         # both tables' rows and columns follow the labels, so ravel() is in ids order
-        images = [image[a] if a in image else selfmap.apply_label(space, a) for a in labels]
-        d_img = space._value_table(images).ravel()
+        d_img = space.distance_value(image[:, None], image[None, :]).ravel()
         d_pre = space.distance_matrix.ravel()
         return ids, d_img, d_pre, f"exhaustive:{len(labels)}x{len(labels)}"
     g = space.grid(grid_points)

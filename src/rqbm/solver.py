@@ -12,15 +12,20 @@ distances d(x_n, x_{n+2}) / d(x_{n+2}, x_n).  Termination:
 * ``cycle_detected`` on exact revisit of a point (finite carriers only);
 * ``max_iter`` otherwise.
 
-Each run is strictly sequential; multi-start scans are independent runs
-merged in start order.
+All starts advance in lock-step, a single run being the one-start case: a
+round makes one map call and one distance call per series over the live
+starts.  If a round raises, the starts rerun one at a time in start order,
+so the first start that fails raises its own error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .contraction import SelfMap
-from .spaces import AnalyticSpace, FiniteSpace, Space, UnknownLabelError
+import numpy as np
+
+from .contraction import MapError, SelfMap
+from .expr import ExprError
+from .spaces import AnalyticSpace, FiniteSpace, Space, SpaceError, UnknownLabelError
 
 __all__ = [
     "PicardTrace",
@@ -40,18 +45,6 @@ __all__ = [
 
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_SOLVE_TOL = 1e-10
-
-
-def _dist(space: Space, a: float, b: float) -> float:
-    if isinstance(space, FiniteSpace):
-        return space.distance_value(a, b)
-    return float(space.distance(a, b))
-
-
-def _label_for(space: Space, value: float) -> str | None:
-    if isinstance(space, FiniteSpace):
-        return space.label_for_value(value)
-    return None
 
 
 @dataclass(frozen=True)
@@ -104,14 +97,7 @@ class FixedPointVerdict:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "label": self.label,
-            "fwd_residual": self.fwd_residual,
-            "bwd_residual": self.bwd_residual,
-            "verified": self.verified,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,14 +110,7 @@ class SeriesDiagnostic:
     tail_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "length": self.length,
-            "monotone": self.monotone,
-            "first_violation": self.first_violation,
-            "tail_value": self.tail_value,
-            "tail_ok": self.tail_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -185,18 +164,7 @@ class SandwichReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "y": self.y,
-            "s": self.s,
-            "tail_len": self.tail_len,
-            "fwd_reference": self.fwd_reference,
-            "bwd_reference": self.bwd_reference,
-            "fwd_tail_min": self.fwd_tail_min,
-            "fwd_tail_max": self.fwd_tail_max,
-            "bwd_tail_min": self.bwd_tail_min,
-            "bwd_tail_max": self.bwd_tail_max,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +186,66 @@ def _resolve_start(space: Space, x0) -> float:
     return x0
 
 
+def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
+    cycles = isinstance(space, FiniteSpace)
+    values = [[_resolve_start(space, x0)] for x0 in starts]
+    labels = [[space.label_for_value(v[0])] for v in values]
+    series = [([], [], [], []) for _ in starts]  # fwd, bwd, fwd skip, bwd skip
+    seen = [{l[0] if l[0] is not None else v[0]: 0} for l, v in zip(labels, values)]
+    ends = [("max_iter", None)] * len(starts)  # (terminated_by, limit)
+    live = list(range(len(starts)))
+    for _ in range(max_iter):
+        if not live:
+            break
+        x = np.array([values[i][-1] for i in live])
+        xn = selfmap.apply_array(space, x)
+        dists = [space.distance_value(x, xn), space.distance_value(xn, x)]
+        if len(values[live[0]]) >= 2:  # every live run has the same length
+            prev = np.array([values[i][-2] for i in live])
+            dists += [space.distance_value(prev, xn), space.distance_value(xn, prev)]
+        still = []
+        for i, v, *d in zip(live, xn.tolist(), *(w.tolist() for w in dists)):
+            label = space.label_for_value(v)
+            values[i].append(v)
+            labels[i].append(label)
+            for seq, dv in zip(series[i], d):
+                seq.append(dv)
+            key = label if label is not None else v
+            if d[0] == 0.0:
+                ends[i] = ("exact_fixed_point", v)
+            elif cycles and key in seen[i]:
+                # revisit with a positive step distance: a cycle of length >= 2
+                ends[i] = ("cycle_detected", None)
+            elif max(d[0], d[1]) < tol and abs(v - values[i][-2]) < tol:
+                ends[i] = ("tolerance", v)
+            else:
+                if cycles:
+                    seen[i][key] = len(values[i]) - 1
+                still.append(i)
+        live = still
+    return [
+        PicardTrace(space, selfmap, tuple(v), tuple(l), *map(tuple, s), end, lim,
+                    None if lim is None else space.label_for_value(lim), tol)
+        for v, l, s, (end, lim) in zip(values, labels, series, ends)
+    ]
+
+
+def _iterate(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
+    """Picard traces from every start (labels or values), in start order."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    selfmap.check_total(space)
+    try:
+        return _lockstep(space, selfmap, starts, max_iter, tol)
+    except (ExprError, MapError, SpaceError, ValueError) as e:
+        error = e
+    for x0 in starts:  # one at a time: the first start to fail raises its own error
+        _lockstep(space, selfmap, [x0], max_iter, tol)
+    raise error
+
+
 def picard_iterate(
     space: Space,
     selfmap: SelfMap,
@@ -226,65 +254,7 @@ def picard_iterate(
     tol: float = DEFAULT_SOLVE_TOL,
 ) -> PicardTrace:
     """Iterate x_{n+1} = T(x_n) from x0 (a label or a value) and trace it."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    selfmap.check_total(space)
-    x = _resolve_start(space, x0)
-    values = [x]
-    labels = [_label_for(space, x)]
-    fwd: list[float] = []
-    bwd: list[float] = []
-    fwd_skip: list[float] = []
-    bwd_skip: list[float] = []
-    seen: dict = {}
-    if isinstance(space, FiniteSpace):
-        seen[labels[0] if labels[0] is not None else x] = 0
-    terminated = "max_iter"
-    limit = None
-    for _ in range(max_iter):
-        xn = selfmap.apply_value(space, x)
-        values.append(xn)
-        labels.append(_label_for(space, xn))
-        step_f = _dist(space, x, xn)
-        step_b = _dist(space, xn, x)
-        fwd.append(step_f)
-        bwd.append(step_b)
-        if len(values) >= 3:
-            fwd_skip.append(_dist(space, values[-3], values[-1]))
-            bwd_skip.append(_dist(space, values[-1], values[-3]))
-        if step_f == 0.0:
-            terminated = "exact_fixed_point"
-            limit = xn
-            break
-        if isinstance(space, FiniteSpace):
-            key = labels[-1] if labels[-1] is not None else xn
-            if key in seen:
-                # revisit with a positive step distance: a cycle of length >= 2
-                terminated = "cycle_detected"
-                break
-            seen[key] = len(values) - 1
-        gap = abs(xn - x)
-        if max(step_f, step_b) < tol and gap < tol:
-            terminated = "tolerance"
-            limit = xn
-            break
-        x = xn
-    return PicardTrace(
-        space=space,
-        selfmap=selfmap,
-        values=tuple(values),
-        labels=tuple(labels),
-        fwd_step=tuple(fwd),
-        bwd_step=tuple(bwd),
-        fwd_skip=tuple(fwd_skip),
-        bwd_skip=tuple(bwd_skip),
-        terminated_by=terminated,
-        limit=limit,
-        limit_label=_label_for(space, limit) if limit is not None else None,
-        tol=tol,
-    )
+    return _iterate(space, selfmap, [x0], max_iter, tol)[0]
 
 
 def _diag_series(name: str, seq: tuple[float, ...], tol: float) -> SeriesDiagnostic:
@@ -327,16 +297,9 @@ def verify_fixed_point(
     """Residuals d(Tz, z) and d(z, Tz); verified iff both are within tol."""
     zv = _resolve_start(space, z)
     tz = selfmap.apply_value(space, zv)
-    fwd = _dist(space, tz, zv)
-    bwd = _dist(space, zv, tz)
-    return FixedPointVerdict(
-        point=zv,
-        label=_label_for(space, zv),
-        fwd_residual=fwd,
-        bwd_residual=bwd,
-        verified=fwd <= tol and bwd <= tol,
-        tol=tol,
-    )
+    fwd, bwd = space.distance_value(np.array([tz, zv]), np.array([zv, tz])).tolist()
+    verified = fwd <= tol and bwd <= tol
+    return FixedPointVerdict(zv, space.label_for_value(zv), fwd, bwd, verified, tol)
 
 
 def uniqueness_scan(
@@ -354,7 +317,7 @@ def uniqueness_scan(
         raise ValueError("starts must be nonempty")
     if merge_tol is None:
         merge_tol = 100.0 * tol
-    traces = [picard_iterate(space, selfmap, s0, max_iter, tol) for s0 in starts]
+    traces = _iterate(space, selfmap, starts, max_iter, tol)
     limits = []
     stray = []
     for s0, tr in zip(starts, traces):
@@ -365,21 +328,16 @@ def uniqueness_scan(
     if not limits:
         return UniquenessReport(False, None, merge_tol, (), tuple(stray), None)
     rep = limits[0][2]
-    worst = 0.0
-    ok = True
-    for _, _, lim in limits:
-        d1 = _dist(space, rep, lim)
-        d2 = _dist(space, lim, rep)
-        worst = max(worst, d1, d2)
-        if d1 > merge_tol or d2 > merge_tol:
-            ok = False
+    # row k holds d(rep, limit k) and d(limit k, rep)
+    d = space.distance_value(np.array([[rep, lim] for *_, lim in limits]),
+                             np.array([[lim, rep] for *_, lim in limits]))
     return UniquenessReport(
-        passed=ok,
+        passed=not (d > merge_tol).any(),
         representative=rep,
         merge_tol=merge_tol,
         limits=tuple(limits),
         non_converged=tuple(stray),
-        max_mutual_distance=worst,
+        max_mutual_distance=max(0.0, float(d.max())),
     )
 
 
@@ -404,13 +362,14 @@ def limit_sandwich_check(
     x = trace.limit
     if yv == x:
         raise ValueError("observer point must differ from the limit")
-    tail = trace.values[-tail_len:]
-    fwd_ref = _dist(space, x, yv)
-    bwd_ref = _dist(space, yv, x)
-    fwd_vals = [_dist(space, v, yv) for v in tail]
-    bwd_vals = [_dist(space, yv, v) for v in tail]
-    f_min, f_max = min(fwd_vals), max(fwd_vals)
-    b_min, b_max = min(bwd_vals), max(bwd_vals)
+    tail = np.array(trace.values[-tail_len:])
+    ys = np.full(tail_len, yv)
+    # d(x, y), d(y, x), then d(x_n, y) and d(y, x_n) over the tail
+    d = space.distance_value(np.r_[x, yv, tail, ys], np.r_[yv, x, ys, tail])
+    fwd_ref, bwd_ref = float(d[0]), float(d[1])
+    fwd_vals, bwd_vals = d[2:2 + tail_len], d[2 + tail_len:]
+    f_min, f_max = float(fwd_vals.min()), float(fwd_vals.max())
+    b_min, b_max = float(bwd_vals.min()), float(bwd_vals.max())
     passed = (
         fwd_ref / s <= f_min + tol
         and f_max <= s * fwd_ref + tol

@@ -155,8 +155,9 @@ class FiniteSpace:
             i, j = np.nonzero(np.isnan(table))
             # labels as object references: a table of label strings would dwarf the distances
             names = np.array(labels, dtype=object)
-            values = np.array([p.value for p in self.points])
-            table[i, j] = self._formula_distance(names[i], names[j], values[i], values[j])
+            values = self._values
+            table[i, j] = _formula_distance(self.default_formula, values[i], values[j],
+                                            names[i], names[j])
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
 
@@ -180,20 +181,6 @@ class FiniteSpace:
     def label_for_value(self, value: float) -> str | None:
         return self._label_of_value.get(value)
 
-    def _formula_distance(self, a, b, x, y):
-        """The default formula at values x, y (floats or 1-D arrays of pairs); ``a``
-        and ``b`` name the pairs, and the first pair to fail raises its own error."""
-        try:
-            d = ex.evaluate(self.default_formula, {"x": x, "y": y})
-        except ex.EvalError:
-            if np.ndim(x):
-                # pair by pair, so a negative pair before the failing one is named
-                for pair in zip(a, b, x, y):
-                    self._formula_distance(*pair)
-            raise
-        _refuse_negative(d, a, b)
-        return d
-
     def distance(self, a: str, b: str) -> float:
         """Override if present, else the default formula at the point values."""
         d = float(self._table[self._index(a), self._index(b)])
@@ -203,34 +190,38 @@ class FiniteSpace:
             )
         return d
 
-    def distance_value(self, a: float, b: float) -> float:
-        """Distance between raw values; overrides apply when both are labeled."""
-        if a == b:
-            return 0.0
-        la = self._label_of_value.get(a)
-        lb = self._label_of_value.get(b)
-        if la is not None and lb is not None:
-            return self.distance(la, lb)
-        if self.default_formula is None:
-            raise SpaceError("value lies outside the labeled carrier and no default formula exists")
-        return self._formula_distance(a, b, a, b)
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The point values, in label order."""
+        return np.array([p.value for p in self.points])
 
-    def _value_table(self, values: list[float]) -> np.ndarray:
-        """``distance_value`` of every ordered pair of ``values``, rows first,
-        with one formula call for the pairs that are not both labeled."""
-        v = np.array(values)
-        at = np.array([self._index_of.get(self._label_of_value.get(x), -1) for x in values])
-        labeled = np.minimum.outer(at, at) >= 0
-        table = np.where(labeled, self._table[np.ix_(at, at)], 0.0)
-        free = ~labeled & (v[:, None] != v[None, :])
-        if self.default_formula is None and (free.any() or np.isnan(table).any()):
-            for a in values:  # name the first pair that cannot be resolved
-                for b in values:
-                    self.distance_value(a, b)
+    def _indices(self, values: np.ndarray) -> np.ndarray:
+        """The label index of every value, -1 where the value names no point."""
+        at = [self._index_of.get(self._label_of_value.get(v), -1)
+              for v in np.ravel(values).tolist()]
+        return np.array(at, dtype=np.intp).reshape(np.shape(values))
+
+    def distance_value(self, a, b):
+        """Distance between raw values over the broadcast of ``a`` and ``b`` (a
+        float for two floats): overrides where both are labeled, else the
+        default formula.  The first pair in C order that fails raises its error."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        ia, ib = self._indices(a), self._indices(b)  # on the inputs, not their broadcast
+        labeled = (ia >= 0) & (ib >= 0)
+        d = np.where(labeled, self._table[ia, ib], 0.0)
+        free = ~labeled & (a != b)
+        undefined = np.isnan(d) | (free & (self.default_formula is None))
+        if undefined.any():
+            k = np.unravel_index(int(np.argmax(undefined)), d.shape)
+            if free[k]:
+                raise SpaceError(
+                    "value lies outside the labeled carrier and no default formula exists"
+                )
+            self.distance(*(self.labels[np.broadcast_to(i, d.shape)[k]] for i in (ia, ib)))
         if free.any():
-            x, y = (np.broadcast_to(w, free.shape)[free] for w in (v[:, None], v[None, :]))
-            table[free] = self._formula_distance(x, y, x, y)
-        return table
+            x, y = (np.broadcast_to(w, d.shape)[free] for w in (a, b))
+            d[free] = _formula_distance(self.default_formula, x, y, x, y)
+        return float(d) if d.ndim == 0 else d
 
     @property
     def distance_matrix(self) -> np.ndarray:
@@ -270,6 +261,10 @@ class AnalyticSpace:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
+    def label_for_value(self, value: float) -> None:
+        """An interval carries no labels."""
+        return None
+
     def distance(self, x, y):
         """Evaluate the distance; accepts floats or numpy arrays.
 
@@ -279,10 +274,29 @@ class AnalyticSpace:
         _refuse_negative(d, x, y)
         return d
 
+    def distance_value(self, x, y):
+        """``distance``, except that a failing evaluation raises the first
+        failing pair's error as a call on that pair alone gives it."""
+        return _formula_distance(self.formula, x, y, x, y)
+
     def grid(self, m: int) -> np.ndarray:
         if m < 2:
             raise SpaceError("grid needs at least 2 points")
         return np.linspace(self.lo, self.hi, m)
+
+
+def _formula_distance(formula: ex.Expr, x, y, a, b):
+    """``formula`` at values x, y (floats or arrays), its pairs named by ``a``
+    and ``b``.  The first pair in C order that fails raises its own error."""
+    try:
+        d = ex.evaluate(formula, {"x": x, "y": y})
+    except ex.EvalError:
+        if np.ndim(x) or np.ndim(y):  # pair by pair, so an earlier negative pair is named
+            for pair in np.broadcast(x, y, a, b):
+                _formula_distance(formula, *pair)
+        raise
+    _refuse_negative(d, a, b)
+    return d
 
 
 def _refuse_negative(d, a, b) -> None:
@@ -606,8 +620,13 @@ def check_b_rectangular(
     uniform quadruples.  ``violation_count`` counts every violation;
     ``violations`` keeps the first ``max_violations`` in scan order.
     """
+    return _rectangular(space, s, None, grid_points, random_samples, seed, tol, max_violations)
+
+
+def _rectangular(space, s, table, grid_points, random_samples, seed, tol, max_violations):
+    """``check_b_rectangular`` over ``_points_of(space, grid_points)`` if given as ``table``."""
     bound, [(count, violations, _)] = _quadrilateral_pass(
-        space, [(s, tol, max_violations)], grid_points, random_samples, seed
+        space, [(s, tol, max_violations)], grid_points, random_samples, seed, table=table
     )
     return RectangularReport(
         s=s,

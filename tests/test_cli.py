@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rqbm.cli import main
@@ -290,6 +291,42 @@ class TestErrorPaths:
         assert out == ""
         assert "must be finite and >= 0" in err
 
+    def test_map_image_leaving_the_domain(self, capsys):
+        code, out, err = run(
+            capsys, "contraction", "--instance", "example-sqrt", "--map", "x + 0.5", "--grid", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: map image 2.25 of 1.75 leaves [1.0, 2.0]\n"
+
+    @pytest.mark.parametrize("argv", [
+        # a failing map expression names its value as a call on that value alone does
+        ("contraction", "--instance", "example-sqrt", "--map", "sqrt(x - 1.5)", "--grid", "5"),
+        ("solve", "--instance", "example-sqrt", "--map", "sqrt(x - 1.5)", "--start", "1.2"),
+    ])
+    def test_failing_map_expression(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: sqrt of a negative value in 'sqrt(x - 1.5)'\n"
+
+    def test_failing_map_on_a_finite_carrier(self, capsys):
+        code, out, err = run(
+            capsys, "contraction", "--instance", "example-final", "--map", "sqrt(0.8 - x)",
+            "--kind", "linear", "--k", "0.5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sqrt of a negative value in 'sqrt(0.8 - x)'\n"
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    @pytest.mark.parametrize("command", [
+        ("verify", "--instance", "example-sqrt"),
+        ("solve", "--instance", "example-final", "--start", "1/3"),
+        ("instances", "export", "--name", "example-final"),
+    ])
+    def test_grid_below_two_refused(self, capsys, command, grid):
+        code, out, err = run(capsys, *command, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert f"a grid needs at least 2 points, got {int(grid)}" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -299,6 +336,23 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--space", str(path), "--s", "1")
         assert code == 2
         assert "domain" in err
+
+
+class TestVerifySharesOneTable:
+    def test_one_grid_evaluation(self, capsys, monkeypatch):
+        import rqbm.expr
+
+        shapes = []
+        evaluate = rqbm.expr.evaluate
+
+        def recording(node, bindings):
+            shapes.append(np.broadcast(*bindings.values()).shape)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", recording)
+        code, report, _ = run_json(capsys, "verify", "--instance", "example-sqrt", "--grid", "5")
+        assert code in (0, 1) and report["identity"]["pairs_checked"] == 25
+        assert shapes.count((5, 5)) == 1
 
 
 class TestDeterminism:

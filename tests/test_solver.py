@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rqbm.contraction import SelfMap, check_theta_contraction
+import rqbm.expr as ex
+from rqbm.contraction import MapError, MapRangeError, SelfMap, check_theta_contraction
+from rqbm.expr import EvalError
 from rqbm.instances import build_example_final, build_example_sqrt
 from rqbm.solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_SOLVE_TOL,
     PicardTrace,
     cauchy_diagnostics,
     limit_sandwich_check,
@@ -13,7 +19,7 @@ from rqbm.solver import (
     uniqueness_scan,
     verify_fixed_point,
 )
-from rqbm.spaces import AnalyticSpace, FiniteSpace, UnknownLabelError
+from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError, UnknownLabelError
 
 
 def two_point(d_ab=1.0, d_ba=1.0):
@@ -270,3 +276,247 @@ class TestCertifiedContractionConsequences:
             b.space, b.selfmap, [float(v) for v in np.linspace(1.0, 2.0, 5)]
         )
         assert report.passed
+
+
+# --------------------------------------------------------------------------
+# independent oracle: scalar Picard from the overrides and scalar evaluation
+# --------------------------------------------------------------------------
+
+def ref_label(space, v):
+    if isinstance(space, AnalyticSpace):
+        return None
+    return {p.value: p.label for p in space.points}.get(v)
+
+
+def ref_distance(space, a, b):
+    """d(a, b) from the overrides plus scalar calls of the formula."""
+    if isinstance(space, AnalyticSpace):
+        d = ex.evaluate(space.formula, {"x": a, "y": b})
+    else:
+        if a == b:
+            return 0.0
+        la, lb = ref_label(space, a), ref_label(space, b)
+        if la is not None and lb is not None and (la, lb) in space.overrides:
+            return space.overrides[(la, lb)]
+        if space.default_formula is None:
+            if la is not None and lb is not None:
+                raise SpaceError(
+                    f"no override for ({la!r}, {lb!r}) and the space has no default formula"
+                )
+            raise SpaceError(
+                "value lies outside the labeled carrier and no default formula exists"
+            )
+        d = ex.evaluate(space.default_formula, {"x": a, "y": b})
+    if d < 0.0:
+        raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+    return d
+
+
+def ref_map(space, selfmap, v):
+    if isinstance(space, AnalyticSpace):
+        out = ex.evaluate(selfmap.expr, {"x": v})
+        if not space.lo <= out <= space.hi:
+            raise MapRangeError(f"map image {out!r} of {v!r} leaves [{space.lo}, {space.hi}]")
+        return out
+    label = ref_label(space, v)
+    if label is not None and selfmap.table and label in selfmap.table:
+        target = selfmap.table[label]
+        return space.value_of(target) if isinstance(target, str) else float(target)
+    if selfmap.expr is None:
+        what = f"label {label!r}" if label is not None else f"value {v!r}"
+        raise MapError(f"map has no rule for {what}")
+    return ex.evaluate(selfmap.expr, {"x": v if label is None else space.value_of(label)})
+
+
+def ref_picard(space, selfmap, x0, max_iter, tol):
+    """The iteration one start and one scalar step at a time."""
+    selfmap.check_total(space)
+    finite = isinstance(space, FiniteSpace)
+    if isinstance(x0, str):
+        x = space.value_of(x0)
+    elif finite and ref_label(space, x0) is None and space.default_formula is None:
+        raise UnknownLabelError(f"start value {x0!r} matches no labeled point")
+    elif not finite and not space.contains(x0):
+        raise ValueError(f"start {x0!r} outside [{space.lo}, {space.hi}]")
+    else:
+        x = x0
+    values, labels = [x], [ref_label(space, x)]
+    fwd, bwd, fwd_skip, bwd_skip = [], [], [], []
+    seen = {labels[0] if labels[0] is not None else x}
+    terminated, limit = "max_iter", None
+    for _ in range(max_iter):
+        xn = ref_map(space, selfmap, x)
+        values.append(xn)
+        labels.append(ref_label(space, xn))
+        fwd.append(ref_distance(space, x, xn))
+        bwd.append(ref_distance(space, xn, x))
+        if len(values) >= 3:
+            fwd_skip.append(ref_distance(space, values[-3], xn))
+            bwd_skip.append(ref_distance(space, xn, values[-3]))
+        key = labels[-1] if labels[-1] is not None else xn
+        if fwd[-1] == 0.0:
+            terminated, limit = "exact_fixed_point", xn
+            break
+        if finite and key in seen:
+            terminated = "cycle_detected"
+            break
+        seen.add(key)
+        if max(fwd[-1], bwd[-1]) < tol and abs(xn - x) < tol:
+            terminated, limit = "tolerance", xn
+            break
+        x = xn
+    return (values, labels, fwd, bwd, fwd_skip, bwd_skip, terminated, limit,
+            ref_label(space, limit) if limit is not None else None, tol)
+
+
+def bits(obj):
+    """Floats by their bits (the sign of zero included), sequences element-wise."""
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, (list, tuple)):
+        return [bits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: bits(v) for k, v in obj.items()}
+    return obj
+
+
+def trace_fields(trace):
+    return (trace.values, trace.labels, trace.fwd_step, trace.bwd_step, trace.fwd_skip,
+            trace.bwd_skip, trace.terminated_by, trace.limit, trace.limit_label, trace.tol)
+
+
+def outcome(fn, *args):
+    """What a call returns, bit for bit, or the type and text of what it raises."""
+    try:
+        return "ok", bits(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return type(e).__name__, str(e)
+
+
+_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+_MAPS = ["x / 2 + 0.5", "2 - x", "x * x / 2", "sqrt(x + 1) - 0.5", "0 * x + 0.75",
+         "(x + 1) / 2", "sqrt(0.9 - x)", "-x"]
+_FORMULAS = [None, "(x - y)^2", "abs(x - y)", "if(x > y, x - y, 2 * (y - x))"]
+_MAX_ITER = [1, 2, 3, DEFAULT_MAX_ITER]
+
+
+@st.composite
+def finite_cases(draw):
+    n = draw(st.integers(2, 7))
+    values = draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n, unique=True))
+    labels = [f"p{i}" for i in range(n)]
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    formula = draw(st.sampled_from(_FORMULAS))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if formula else pairs
+    if formula is None and draw(st.booleans()):
+        chosen = chosen[1:]  # one pair left undefined
+    overrides = {p: draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) for p in chosen}
+    space = FiniteSpace.build(list(zip(labels, values)), formula, overrides)
+    kind = draw(st.sampled_from(["table", "expression", "hybrid"]))
+    expression = draw(st.sampled_from(_MAPS))
+    covered = labels if kind == "table" else draw(st.lists(st.sampled_from(labels), unique=True))
+    targets = labels + [0.125, 0.6]  # raw values off the carrier
+    table = {a: draw(st.sampled_from(targets)) for a in covered}
+    selfmap = {"table": lambda: SelfMap.from_table(table),
+               "expression": lambda: SelfMap.from_expression(expression),
+               "hybrid": lambda: SelfMap.hybrid(table, expression)}[kind]()
+    # -0.0 names the point at 0.0 when there is one, and the map reads that point's value
+    starts = draw(st.lists(st.sampled_from(labels + [0.125, 0.6, -0.0]), min_size=1, max_size=5))
+    return space, selfmap, starts
+
+
+@st.composite
+def analytic_cases(draw):
+    lo = draw(st.sampled_from([0.0, 1.0]))
+    space = AnalyticSpace.build(lo, lo + 1.0, draw(st.sampled_from(_FORMULAS[1:])))
+    a = draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.9, 1.0]))
+    c = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))  # a few of these leave the domain
+    affine = f"{a} * (x - {lo}) + {lo + c}"
+    source = draw(st.sampled_from([affine, affine, affine, f"sqrt(x - {lo + c})"]))
+    grid = [lo + k / 8 for k in range(9)] + [lo + 1.5]  # the last one is outside
+    starts = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=5))
+    return space, SelfMap.from_expression(source), starts
+
+
+class TestLockstepOracle:
+    def check(self, space, selfmap, starts, max_iter):
+        tol = DEFAULT_SOLVE_TOL
+        refs = [outcome(ref_picard, space, selfmap, s0, max_iter, tol) for s0 in starts]
+        for s0, want in zip(starts, refs):
+            got = outcome(lambda: trace_fields(picard_iterate(space, selfmap, s0, max_iter, tol)))
+            assert got == want
+        failed = [r for r in refs if r[0] != "ok"]
+        got = outcome(lambda: uniqueness_scan(space, selfmap, starts, max_iter, tol).to_dict())
+        if failed:  # the first start that fails raises its own error
+            assert got == failed[0]
+            return
+        ends = [(s0, fields[6], fields[7]) for s0, (_, fields) in zip(starts, refs)]
+        converged = ("exact_fixed_point", "tolerance")
+        limits = [(s0, end, float.fromhex(lim)) for s0, end, lim in ends if end in converged]
+        stray = [[s0, end] for s0, end, _ in ends if end not in converged]
+        assert got[0] == "ok"
+        report = got[1]
+        assert report["limits"] == bits([list(l) for l in limits])
+        assert report["non_converged"] == bits(stray)
+        if not limits:
+            assert (report["passed"], report["representative"]) == (False, None)
+            return
+        rep = limits[0][2]
+        worst, ok = 0.0, True
+        for _, _, lim in limits:
+            d1, d2 = ref_distance(space, rep, lim), ref_distance(space, lim, rep)
+            worst = max(worst, d1, d2)
+            ok = ok and d1 <= 100.0 * tol and d2 <= 100.0 * tol
+        assert (report["passed"], report["max_mutual_distance"]) == (ok, bits(worst))
+
+    @settings(max_examples=150)
+    @given(finite_cases(), st.sampled_from(_MAX_ITER))
+    def test_finite_spaces_match_scalar_reference(self, case, max_iter):
+        self.check(*case, max_iter)
+
+    @settings(max_examples=150)
+    @given(analytic_cases(), st.sampled_from(_MAX_ITER))
+    def test_analytic_spaces_match_scalar_reference(self, case, max_iter):
+        self.check(*case, max_iter)
+
+    def test_signed_zero_start_maps_the_point_value(self):
+        # -0.0 names the point at 0.0, so the map reads 0.0 and -x gives -0.0
+        space = FiniteSpace.build([("z", 0.0), ("a", 1.0)], "(x - y)^2")
+        selfmap = SelfMap.from_expression("-x")
+        self.check(space, selfmap, [-0.0, "a", 0.0], DEFAULT_MAX_ITER)
+        assert bits(picard_iterate(space, selfmap, -0.0).values) == bits((-0.0, -0.0))
+
+    def test_earlier_start_failing_later_raises_first(self):
+        # 1.8 leaves the domain in the first round, 1.0 only in the fourth
+        space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2")
+        selfmap = SelfMap.from_expression("x + 0.3")
+        with pytest.raises(MapRangeError) as err:
+            uniqueness_scan(space, selfmap, [1.0, 1.8])
+        assert str(err.value) == "map image 2.2 of 1.9000000000000001 leaves [1.0, 2.0]"
+
+    def test_finite_earlier_start_failing_later_raises_first(self):
+        # from 0.6 the map first reads sqrt(-0.1); from 0.125 it first succeeds
+        space = FiniteSpace.build([("a", 0.125), ("b", 0.6)], "(x - y)^2")
+        selfmap = SelfMap.from_expression("sqrt(0.5 - x) * 2")
+        with pytest.raises(EvalError) as want:
+            picard_iterate(space, selfmap, "a")
+        with pytest.raises(EvalError) as got:
+            uniqueness_scan(space, selfmap, ["a", "b"])
+        assert str(got.value) == str(want.value)
+        assert "sample index" not in str(got.value)
+
+    def test_scan_makes_one_array_call_per_series_and_round(self, monkeypatch):
+        b = build_example_final(400)
+        calls = []
+        evaluate = ex.evaluate
+
+        def counting(node, bindings):
+            calls.append(node)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(ex, "evaluate", counting)
+        report = uniqueness_scan(b.space, b.selfmap, list(b.space.labels))
+        assert report.passed
+        # one start at a time, the scan makes about 23,000 scalar calls
+        assert len(calls) <= 100

@@ -191,6 +191,18 @@ class TestDistanceTable:
         want = [space.distance_value(image[a], image[b]) for a, b in ledger.ids]
         assert ledger.d_img.tolist() == want
 
+    def test_first_undefined_pair_in_c_order_raises(self):
+        # no default formula, and neither ('b', 'a') nor ('c', 'b') has an override
+        overrides = {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0, ("c", "a"): 1.0}
+        space = FiniteSpace.build([("a", 0.0), ("b", 1.0), ("c", 2.0)], None, overrides)
+        v = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(SpaceError) as err:
+            space.distance_value(v[:, None], v[None, :])
+        assert str(err.value) == (
+            "no override for ('b', 'a') and the space has no default formula"
+        )
+        assert space.distance_value(v, v[::-1]).tolist() == [1.0, 0.0, 1.0]
+
     def test_unlabeled_image_without_formula_raises(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0, ("b", "a"): 1.0})
         selfmap = SelfMap.hybrid({"a": "b"}, "x / 2")
