@@ -12,15 +12,17 @@ import sys
 
 from . import __version__
 from .contraction import (
+    DEFAULT_RANDOM_PAIRS,
     MapError,
     SelfMap,
-    best_exponent,
-    check_linear_contraction,
-    check_theta_contraction,
-    check_theta_phi_contraction,
+    _exponent,
+    _linear,
+    _pair_pass,
+    _theta_phi,
+    _theta_r,
 )
 from .expr import ExprError
-from .instances import INSTANCE_NAMES, get_instance, perturb, random_space
+from .instances import INSTANCE_NAMES, _broken_tables, get_instance
 from .solver import (
     cauchy_diagnostics,
     picard_iterate,
@@ -33,10 +35,10 @@ from .spaces import (
     FiniteSpace,
     SpaceError,
     _identity,
+    _identity_verdicts,
     _points_of,
     _rectangular,
-    check_b_rectangular,
-    check_identity_axiom,
+    _rectangular_verdicts,
     classify,
     dump_space,
     load_space,
@@ -100,15 +102,22 @@ def _render_text(obj: dict, indent: int = 0) -> str:
 # Shared argument handling
 # --------------------------------------------------------------------------
 
-def _grid_size(text: str) -> int:
-    """A ``--grid`` value: an integer of at least 2 (0 and 1 would alias other sizes)."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {n}")
-    return n
+def _integer_at_least(least: int, refusal: str):
+    """An argparse type: an integer of at least ``least``; a lower one is
+    refused as ``refusal`` (the lower values would alias others or prove nothing)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{refusal}, got {n}")
+        return n
+    return parse
+
+
+_grid_size = _integer_at_least(2, "a grid needs at least 2 points")
+_trial_count = _integer_at_least(1, "falsify needs at least 1 trial")
 
 
 def _add_space_args(p: argparse.ArgumentParser) -> None:
@@ -252,16 +261,19 @@ def _cmd_contraction(args) -> tuple[int, dict]:
         theta = bundle.theta
     config = {**src, "kind": args.kind, "s": s, "seed": args.seed,
               "map": selfmap.describe()}
+
+    def pairs(theta, param, reuse=None):  # one pair set, shared with --best-exponent
+        return _pair_pass(space, selfmap, s, theta, param, grid, DEFAULT_RANDOM_PAIRS,
+                          args.seed, reuse)
+
     if args.kind == "theta_r":
         if theta is None:
             raise UsageError("theta_r needs --theta")
         r = args.exponent if args.exponent is not None else (bundle.r if bundle else None)
         if r is None:
             raise UsageError("theta_r needs --exponent")
-        cert = check_theta_contraction(
-            space, selfmap, theta, r, s,
-            grid_points=grid, seed=args.seed,
-        )
+        p = pairs(theta, ("exponent r", r))
+        cert = _theta_r(p, theta, r)
         config["theta"], config["exponent"] = theta.name, r
     elif args.kind == "theta_phi":
         if theta is None:
@@ -269,17 +281,14 @@ def _cmd_contraction(args) -> tuple[int, dict]:
         phi = phi_spec(args.phi) if args.phi else (bundle.phi if bundle else None)
         if phi is None:
             raise UsageError("theta_phi needs --phi")
-        cert = check_theta_phi_contraction(
-            space, selfmap, theta, phi, s,
-            grid_points=grid, seed=args.seed,
-        )
+        p = pairs(theta, None)
+        cert = _theta_phi(p, theta, phi)
         config["theta"], config["phi"] = theta.name, phi.name
     elif args.kind == "linear":
         if args.k is None:
             raise UsageError("linear needs --k")
-        cert = check_linear_contraction(
-            space, selfmap, args.k, s, grid_points=grid, seed=args.seed
-        )
+        p = pairs(None, ("factor k", args.k))
+        cert = _linear(p, args.k)
         config["k"] = args.k
     else:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
@@ -291,9 +300,9 @@ def _cmd_contraction(args) -> tuple[int, dict]:
         "certificate": cert.to_dict(),
     }
     if args.best_exponent and theta is not None:
-        report["best_exponent"] = best_exponent(
-            space, selfmap, theta, s, grid_points=grid, seed=args.seed
-        ).to_dict()
+        if p.th_img is None:  # the linear pass left theta out
+            p = pairs(theta, None, reuse=p)
+        report["best_exponent"] = _exponent(p).to_dict()
     return (0 if cert.passed else 1), report
 
 
@@ -352,19 +361,18 @@ def _cmd_falsify(args) -> tuple[int, dict]:
         if args.kind == "both"
         else [args.kind]
     )
-    runs = []
-    all_detected = True
-    for seed in range(args.seed, args.seed + args.trials):
-        base = random_space(args.size, seed, args.profile)
-        for kind in kinds:
-            broken = perturb(base, kind, seed)
-            if kind == "break_identity":
-                detected = not check_identity_axiom(broken).passed
-            else:
-                s = base.claimed_s or 1.0
-                detected = not check_b_rectangular(broken, s, max_violations=1).passed
-            runs.append({"seed": seed, "kind": kind, "detected": detected})
-            all_detected = all_detected and detected
+    seeds = range(args.seed, args.seed + args.trials)
+    tables, s = _broken_tables(args.size, seeds, args.profile, kinds)
+    found = {  # each stack is released once its verdicts are in
+        kind: _identity_verdicts(tables.pop(kind)) if kind == "break_identity"
+        else _rectangular_verdicts(tables.pop(kind), s)
+        for kind in kinds
+    }
+    runs = [
+        {"seed": seed, "kind": kind, "detected": bool(found[kind][t])}
+        for t, seed in enumerate(seeds) for kind in kinds
+    ]
+    all_detected = all(r["detected"] for r in runs)
     report = {
         "schema": SCHEMA,
         "command": "falsify",
@@ -483,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind",
                    choices=("break_identity", "break_quadrilateral", "both"),
                    default="both")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_trial_count, default=20)
     p.add_argument("--size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     _add_report_args(p)

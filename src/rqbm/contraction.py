@@ -16,7 +16,8 @@ domain-violation failure for the two theta forms.
 One pair pass serves all four operations (the three checks and
 ``best_exponent``): it validates s, enumerates and masks the pair set and,
 for the theta forms, builds the theta arrays and exponent ratios.  Each
-operation supplies only its own right-hand side.
+operation supplies only its own right-hand side, so one pass can serve a
+check and ``best_exponent`` together.
 """
 from __future__ import annotations
 
@@ -320,19 +321,25 @@ class _Pairs:
     ratio: np.ndarray | None  # log th_img / log th_pre on checked pairs, else 0
 
 
-def _pair_pass(space, selfmap, s, theta, param, grid_points, random_pairs, seed) -> _Pairs:
+def _pair_pass(
+    space, selfmap, s, theta, param, grid_points, random_pairs, seed, reuse: _Pairs | None = None
+) -> _Pairs:
     """Validate the inputs, then enumerate and mask the pair set once.
 
     ``param`` is the named r or k that must lie in (0, 1); it is checked
     after s.  With a theta, a pair with d(x, y) = 0 and a positive image
     distance leaves theta's domain, and the theta arrays and exponent ratios
-    are built.
+    are built.  ``reuse`` is a pass over the same pair set (same space, map,
+    grid, random pairs and seed) whose pairs and distances are taken as they are.
     """
     if s < 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
     if param is not None and not 0.0 < param[1] < 1.0:
         raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
-    ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
+    if reuse is None:
+        ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
+    else:
+        ids, d_img, d_pre, source = reuse.ids, reuse.d_img, reuse.d_pre, reuse.source
     skipped = d_img == 0.0
     if theta is not None:
         domain_mask = (~skipped) & (d_pre == 0.0)
@@ -420,6 +427,10 @@ def check_theta_contraction(
     With ``details=True`` also return the per-pair audit ledger.
     """
     p = _pair_pass(space, selfmap, s, theta, ("exponent r", r), grid_points, random_pairs, seed)
+    return _theta_r(p, theta, r, tol, details)
+
+
+def _theta_r(p: _Pairs, theta: ThetaSpec, r: float, tol: float = DEFAULT_TOL, details=False):
     # np.power, not **: ndarray.__pow__ takes a sqrt fast path at r = 0.5,
     # which would drift one ulp from the power-family phi evaluation
     rhs = np.power(p.th_pre, r)
@@ -443,6 +454,10 @@ def check_theta_phi_contraction(
 ):
     """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over the pair set."""
     p = _pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed)
+    return _theta_phi(p, theta, phi, tol, details)
+
+
+def _theta_phi(p: _Pairs, theta: ThetaSpec, phi: PhiSpec, tol: float = DEFAULT_TOL, details=False):
     rhs = np.asarray(phi(p.th_pre), dtype=np.float64)
     return _certificate(
         p, "theta_phi", {"theta": theta.name, "phi": phi.name}, tol,
@@ -464,7 +479,11 @@ def check_linear_contraction(
 ):
     """Certify s^2 d(Tx,Ty) <= k d(x,y) over the pair set."""
     p = _pair_pass(space, selfmap, s, None, ("factor k", k), grid_points, random_pairs, seed)
-    checked, d_img, d_pre = p.checked, p.d_img, p.d_pre
+    return _linear(p, k, tol, details)
+
+
+def _linear(p: _Pairs, k: float, tol: float = DEFAULT_TOL, details=False):
+    s, checked, d_img, d_pre = p.s, p.checked, p.d_img, p.d_pre
     lhs = np.where(checked, s * s * d_img, 0.0)
     rhs = np.where(checked, k * d_pre, 0.0)
     with np.errstate(all="ignore"):
@@ -489,7 +508,10 @@ def best_exponent(
     a value >= 1 (or a pair with d(x,y) = 0 and positive image distance) is
     infeasible.  The supremum over an empty admissible set is 0.
     """
-    p = _pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed)
+    return _exponent(_pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed))
+
+
+def _exponent(p: _Pairs) -> ExponentBound:
     n_checked, n_skipped = int(p.checked.sum()), int(p.skipped.sum())
     if not n_checked:
         return ExponentBound(0.0, p.domain is None, None, 0, n_skipped, p.domain)

@@ -529,6 +529,14 @@ def evaluate(node: Expr, bindings: Mapping[str, Value]) -> Value:
         with np.errstate(all="ignore"):
             return _finite(_scalar(node, bindings), node)
     shape = np.broadcast(*arrays).shape
+    if all(v.size == 1 for v in arrays):  # one element: the scalar walk is the cheaper one
+        sample = {k: float(v.ravel()[0]) if isinstance(v, np.ndarray) else float(v)
+                  for k, v in bindings.items()}
+        try:
+            with np.errstate(all="ignore"):
+                return np.full(shape, _finite(_scalar(node, sample), node))
+        except EvalError as e:
+            raise EvalError(f"{e} at sample index {(0,) * len(shape)}") from None
     ctx = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
     # one unchecked walk; a floating-point event, a non-finite value or an
     # unbound variable sends the elements one by one through the scalar walk

@@ -197,49 +197,94 @@ def get_instance(name: str, grid_points: int | None = None) -> InstanceBundle:
 # --------------------------------------------------------------------------
 
 _PROFILES = ("metric", "quasi", "adversarial")
+_SALTS = {"break_identity": 3, "break_quadrilateral": 9}
 
 
-def random_space(n: int, seed: int, profile: str = "metric") -> FiniteSpace:
-    """Seeded table space over n planar points.
+def _sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the off-diagonal pairs of labels p0 ... p{n-1},
+    in sorted label order (p10 comes before p2)."""
+    order = sorted(range(n), key=lambda i: f"p{i}")
+    pairs = np.array([(i, j) for i in order for j in order if i != j], dtype=np.intp)
+    return pairs[:, 0], pairs[:, 1]
 
-    metric: Euclidean distances (a genuine metric).  quasi: the same table
-    with an independent per-direction scale in [0.5, 2] (coefficient 4 is a
-    safe quadrilateral bound).  adversarial: quasi with one ordered pair
-    inflated by a factor in [5, 50], a likely axiom breaker.
-    """
+
+def _random_tables(n: int, seeds, profile: str):
+    """``random_space(n, seed, profile)`` for every seed, as arrays: the
+    (T, n, n) distance tables, the (T, n) point values and the claimed
+    coefficient.  Each seed's rng makes the draws ``random_space`` documents,
+    in the same order."""
     if n < 2:
         raise ValueError("need at least 2 points")
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; known: {', '.join(_PROFILES)}")
-    rng = np.random.default_rng(seed)
-    coords = rng.uniform(0.0, 10.0, size=(n, 2))
+    I, J = _sorted_pairs(n)
+    D, values = np.empty((len(seeds), n, n)), np.empty((len(seeds), n))
+    # filled trial by trial, with no temporary stack; a non-finite draw shows
+    # as a non-finite table, which the caller refuses
+    with np.errstate(invalid="ignore"):
+        for t, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            x, y = rng.uniform(0.0, 10.0, size=(n, 2)).T
+            D[t], values[t] = np.hypot(x[:, None] - x, y[:, None] - y), x
+            if profile != "metric":  # one scale per ordered pair, in sorted label order
+                D[t, I, J] *= rng.uniform(0.5, 2.0, size=len(I))
+            if profile == "adversarial":
+                k = rng.integers(len(I))
+                D[t, I[k], J[k]] *= rng.uniform(5.0, 50.0)
+    return D, values, 1.0 if profile == "metric" else 4.0
+
+
+def random_space(n: int, seed: int, profile: str = "metric") -> FiniteSpace:
+    """Seeded table space over n planar points p0 ... p{n-1}.
+
+    metric: Euclidean distances (a genuine metric).  quasi: the same table
+    with an independent per-direction scale in [0.5, 2] (coefficient 4 is a
+    safe quadrilateral bound).  adversarial: quasi with one ordered pair
+    inflated by a factor in [5, 50], a likely axiom breaker.  The point
+    values are the first coordinates.  This is one trial of the array
+    generator that ``falsify`` runs over all its seeds at once.
+    """
+    (D,), (values,), claimed = _random_tables(n, [seed], profile)
     labels = [f"p{i}" for i in range(n)]
-    table: dict[tuple[str, str], float] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = float(np.hypot(*(coords[i] - coords[j])))
-            table[(labels[i], labels[j])] = d
-    claimed = 1.0
-    if profile in ("quasi", "adversarial"):
-        claimed = 4.0
-        for key in sorted(table):
-            table[key] = table[key] * float(rng.uniform(0.5, 2.0))
-    if profile == "adversarial":
-        keys = sorted(table)
-        key = keys[int(rng.integers(len(keys)))]
-        table[key] = table[key] * float(rng.uniform(5.0, 50.0))
-    obj = {
-        "kind": "finite",
-        "points": [
-            {"label": labels[i], "value": float(coords[i, 0])} for i in range(n)
-        ],
-        "default": None,
-        "overrides": [{"from": a, "to": b, "d": d} for (a, b), d in sorted(table.items())],
-        "claimed_s": claimed,
-    }
-    return space_from_dict(obj)
+    I, J = _sorted_pairs(n)
+    keys = zip([labels[i] for i in I], [labels[j] for j in J])
+    return FiniteSpace.build(
+        zip(labels, values.tolist()), None, dict(zip(keys, D[I, J].tolist())), claimed
+    )
+
+
+def _zeroed_entries(D: np.ndarray, rngs) -> np.ndarray:
+    """``break_identity`` over a (T, n, n) stack: the row-major index of the
+    entry each trial zeroes, or -1 where no off-diagonal entry is positive.
+    The k-th positive entry is zeroed, k drawn from the trial's rng."""
+    positive = ((D > 0.0) & ~np.eye(D.shape[-1], dtype=bool)).reshape(len(D), -1)
+    count = positive.sum(axis=1).tolist()
+    return np.array([
+        np.flatnonzero(row)[rng.integers(c)] if c else -1
+        for rng, row, c in zip(rngs, positive, count)
+    ], dtype=np.intp)
+
+
+def _inflated_entries(D: np.ndarray, rngs, s: float):
+    """``break_quadrilateral`` over a (T, n, n) stack, n >= 4: per trial the
+    entry (i, j) drawn from its rng and its new value s * c + max(1, c), c
+    being the cheapest three-hop sum (d(i,u) + d(u,v)) + d(v,j) over u, v
+    distinct and apart from i, j."""
+    T, n = D.shape[0], D.shape[-1]
+    ij = np.empty((2, T), dtype=np.intp)
+    for t, rng in enumerate(rngs):
+        i, j = int(rng.integers(n)), int(rng.integers(n - 1))
+        ij[:, t] = i, j + (j >= i)
+    i, j = ij
+    r, idx = np.arange(T), np.arange(n)
+    hops = D[r, i, :, None] + D
+    hops += D[r, :, j][:, None, :]
+    hops[:, idx, idx] = np.inf
+    for w in (i, j):
+        hops[r, w, :] = hops[r, :, w] = np.inf
+    cheapest = hops.min(axis=(1, 2))
+    with np.errstate(all="ignore"):  # float arithmetic, as on Python floats
+        return i, j, s * cheapest + np.maximum(1.0, cheapest)
 
 
 def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) -> FiniteSpace:
@@ -248,47 +293,70 @@ def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) ->
     ``break_identity`` zeroes one positive off-diagonal distance.
     ``break_quadrilateral`` inflates one distance above s times the cheapest
     three-hop sum over its admissible quadruples (s defaults to the claimed
-    coefficient, else 1).
+    coefficient, else 1).  This is one trial of the array perturbations that
+    ``falsify`` applies to all its tables at once.
     """
-    labels = list(space.labels)
-    salt = {"break_identity": 3, "break_quadrilateral": 9}.get(kind, 0)
-    rng = np.random.default_rng([salt, seed])
+    labels = space.labels
+    rng = np.random.default_rng([_SALTS.get(kind, 0), seed])
     n = len(labels)
     if kind == "break_identity":
-        positive = space.distance_matrix > 0.0
-        np.fill_diagonal(positive, False)
-        rows, cols = np.nonzero(positive)
-        if not len(rows):
+        (at,) = _zeroed_entries(space.distance_matrix[None], [rng])
+        if at < 0:
             raise SpaceError("every off-diagonal distance is already zero")
-        k = int(rng.integers(len(rows)))
-        overrides = dict(space.overrides)
-        overrides[(labels[rows[k]], labels[cols[k]])] = 0.0
-        return FiniteSpace(
-            space.points, space.default_formula, space.default_source,
-            overrides, space.claimed_s,
-        )
-    if kind == "break_quadrilateral":
+        (i, j), d = divmod(int(at), n), 0.0
+    elif kind == "break_quadrilateral":
         if n < 4:
             raise SpaceError("breaking the quadrilateral inequality needs >= 4 points")
         if s is None:
             s = space.claimed_s if space.claimed_s is not None else 1.0
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        # three-hop sums (d(x,u) + d(u,v)) + d(v,y); u, v distinct and apart from x, y
-        D = space.distance_matrix
-        hops = (D[i, :, None] + D) + D[None, :, j]
-        np.fill_diagonal(hops, np.inf)
-        hops[[i, j], :] = hops[:, [i, j]] = np.inf
-        cheapest = float(hops.min())
-        overrides = dict(space.overrides)
-        overrides[(labels[i], labels[j])] = s * cheapest + max(1.0, cheapest)
-        return FiniteSpace(
-            space.points, space.default_formula, space.default_source,
-            overrides, space.claimed_s,
-        )
-    raise ValueError(f"unknown perturbation {kind!r}")
+        (i,), (j,), (d,) = _inflated_entries(space.distance_matrix[None], [rng], s)
+    else:
+        raise ValueError(f"unknown perturbation {kind!r}")
+    overrides = dict(space.overrides)
+    overrides[(labels[i], labels[j])] = float(d)
+    return FiniteSpace(
+        space.points, space.default_formula, space.default_source, overrides, space.claimed_s,
+    )
+
+
+def _broken_tables(n: int, seeds, profile: str, kinds):
+    """Every falsify trial at once: per kind, the (T, n, n) stack of
+    ``perturb(random_space(n, seed, profile), kind, seed)`` tables, and the
+    claimed coefficient.  Where some trial would raise (a shared point
+    value, a distance that is not finite and >= 0, no positive distance to
+    zero, fewer than 4 points to break the quadrilateral inequality), the
+    first such trial reruns through ``random_space`` and ``perturb``, kind by
+    kind, and raises their error."""
+    D, values, claimed = _random_tables(n, seeds, profile)
+    off = ~np.eye(n, dtype=bool)
+    ok = ~((values[:, :, None] == values[:, None, :]) & off).any(axis=(1, 2))
+    ok &= (np.isfinite(D) & (D >= 0.0)).all(axis=(1, 2))
+    entries = {}
+    for kind in kinds:
+        rngs = (np.random.default_rng([_SALTS[kind], seed]) for seed in seeds)  # one at a time
+        if kind == "break_identity":
+            at = _zeroed_entries(D, rngs)
+            ok &= at >= 0
+            entries[kind] = np.divmod(at, n), 0.0
+        elif n < 4:
+            ok[:] = False
+        else:
+            i, j, d = _inflated_entries(D, rngs, claimed)
+            ok &= np.isfinite(d)
+            entries[kind] = (i, j), d
+    if not ok.all():
+        seed = seeds[int(np.argmin(ok))]
+        base = random_space(n, seed, profile)
+        for kind in kinds:
+            perturb(base, kind, seed)
+        raise AssertionError(f"trial {seed} was refused but reran cleanly")
+    broken = {}
+    for kind in kinds:  # the last kind breaks the base stack itself
+        B = D if kind == kinds[-1] else D.copy()
+        (i, j), d = entries[kind]
+        B[np.arange(len(B)), i, j] = d
+        broken[kind] = B
+    return broken, claimed
 
 
 def affine_toward(space: FiniteSpace, target: str, ratio: float = 0.5) -> SelfMap:

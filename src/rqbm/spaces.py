@@ -430,6 +430,53 @@ class Classification:
 _BLOCK = 1 << 14
 
 
+def _triangle_sums(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A[r, u, v] = d(x, u) + d(u, v) in row r's table D[r], x = X[r];
+    inf unless x, u and v are distinct.  D has shape (len(X), n, n)."""
+    idx = np.arange(D.shape[-1])
+    x, V, J = X[:, None, None], idx[None, :, None], idx[None, None, :]
+    A = D[np.arange(len(X)), X, :, None] + D
+    np.copyto(A, math.inf, where=(x == V) | (V == J) | (x == J))
+    return A
+
+
+def _three_hop_min(A: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Stage 1 of the tropical pass over a block of rows.
+
+    M[r, y] = min over u, v of A[r, u, v] + d(v, y), with u and v apart from
+    y, and inf at y = x; ``A`` is ``_triangle_sums(D, X)`` and is overwritten.
+    The two cheapest u per (x, v) give it: the second stands in where the
+    cheapest is y.
+    """
+    r, idx = np.arange(len(X)), np.arange(D.shape[-1])
+    bu = A.argmin(axis=1)[:, None, :]
+    best = np.take_along_axis(A, bu, axis=1)
+    np.put_along_axis(A, bu, math.inf, axis=1)
+    second = np.take_along_axis(A, A.argmin(axis=1)[:, None, :], axis=1)
+    # B[r, y, v] = min over u not in {x, v, y} of A[r, u, v], plus d(v, y)
+    B = np.where(bu == idx[:, None], second, best)
+    B += D.swapaxes(1, 2)
+    B[:, idx, idx] = B[r, X, :] = math.inf  # v = y, y = x
+    return B.min(axis=2)
+
+
+def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """For each table of a (T, n, n) stack with n >= 4: does some admissible
+    quadruple have lhs > s * rhs + tol?  The verdict of ``check_b_rectangular``
+    on that table, from stage 1 alone, over the rows of every table in
+    blocks of at most max(``_BLOCK``, n^2) elements."""
+    T, n = tables.shape[0], tables.shape[-1]
+    bad = np.empty(T * n, dtype=bool)  # per (trial, x) row
+    step = max(1, _BLOCK // (n * n))
+    with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
+        for lo in range(0, T * n, step):
+            t, X = np.divmod(np.arange(lo, min(lo + step, T * n)), n)
+            D = tables[t]
+            M = _three_hop_min(_triangle_sums(D, X), D, X)
+            bad[lo:lo + step] = (D[np.arange(len(X)), X] > s * M + tol).any(axis=1)
+    return bad.reshape(T, n).any(axis=1)
+
+
 def _quadrilateral_pass(
     space: Space,
     checks: list[tuple[float, float, int | None]],
@@ -438,6 +485,7 @@ def _quadrilateral_pass(
     seed: int,
     exact: bool = True,
     table: tuple | None = None,
+    supremum: bool = True,
 ):
     """The one pass over admissible quadruples behind every quadrilateral operation.
 
@@ -462,7 +510,8 @@ def _quadrilateral_pass(
 
     Returns ``(bound, [(count, witnesses, triangle) per check])``;
     ``bound.value`` is None without admissible quadruples, 0 when every one
-    has rhs = lhs = 0.
+    has rhs = lhs = 0.  Without ``supremum`` no ratio is taken, no row is
+    visited for it, and ``bound`` carries no value and no witness.
     """
     if any(s < 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
@@ -504,24 +553,19 @@ def _quadrilateral_pass(
     with np.errstate(all="ignore"):
         for lo in range(0, n, step):  # stage 1
             X = idx[lo:lo + step]
-            x, r, L = X[:, None, None], np.arange(len(X)), D[X]
-            A = D[X, :, None] + D[None]  # A[x, u, v] = d(x, u) + d(u, v)
-            np.copyto(A, math.inf, where=(x == V) | (V == J) | (x == J))  # x, u, v distinct
+            r, L, Dx = np.arange(len(X)), D[X], np.broadcast_to(D, (len(X), n, n))
+            A = _triangle_sums(Dx, X)
             for c, (s, tol, _) in enumerate(checks):  # the first triangle violation
                 hit = np.argwhere(L[:, None, :] > s * A + tol) if tri[c] is None else ()
                 for b, z, y in hit[:1]:
                     tri[c] = (pts[X[b]], pts[z], pts[y], float(L[b, y]), float(A[b, z, y]))
             if n < 4:
                 continue
-            bu = A.argmin(axis=1)[:, None, :]  # the two cheapest u per (x, v)
-            best = np.take_along_axis(A, bu, axis=1)
-            np.put_along_axis(A, bu, math.inf, axis=1)
-            second = np.take_along_axis(A, A.argmin(axis=1)[:, None, :], axis=1)
-            # B[x, y, v] = min over u not in {x, v, y} of A[x, u, v], plus d(v, y)
-            B = np.where(bu == V, second, best)
-            B += D.T[None]
-            B[:, idx, idx] = B[r, X, :] = math.inf  # v = y, y = x
-            M = B.min(axis=2)
+            M = _three_hop_min(A, Dx, X)
+            for c, (s, tol, _) in enumerate(checks):
+                bad[X, c] = (L > s * M + tol).any(axis=1)
+            if not supremum:
+                continue
             ratio = L / M
             np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
             zero = np.isnan(ratio)
@@ -532,8 +576,6 @@ def _quadrilateral_pass(
                 ratio[zero] = np.where(pos[zero], 0.0, -math.inf)
             ratio[r, X] = -math.inf
             row_sup[X] = ratio.max(axis=1)
-            for c, (s, tol, _) in enumerate(checks):
-                bad[X, c] = (L > s * M + tol).any(axis=1)
         top = int(np.argmax(row_sup))  # the first row attaining the supremum
         rows = (idx == top) & (row_sup[top] > -math.inf)
         for c, (_, _, keep) in enumerate(checks):
@@ -549,7 +591,7 @@ def _quadrilateral_pass(
                 D[x, u] + D[u, V] + D[None],
                 ((x != u) & (u != V) & (x != V)) & ((u != J) & (x != J)) & (V != J),
                 lambda k: (*(pts[w] for w in xu[lo + k[0]]), pts[k[1]], pts[k[2]]),
-                rows[top] and top in x,
+                supremum and top in x,
             )
         if checked and sup == -math.inf:
             sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
@@ -564,9 +606,10 @@ def _quadrilateral_pass(
                 np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys)),
                 adm,
                 lambda k: (float(xs[k]), float(us[k]), float(vs[k]), float(ys[k])),
+                supremum,
             )
             source += f"+random:{random_samples}(seed={seed})"
-    if not checked:
+    if not (checked and supremum):
         sup = None
     elif sup == -math.inf:
         sup = 0.0
@@ -592,6 +635,13 @@ def _identity(pts: list, D: np.ndarray) -> IdentityReport:
         zero_off_diagonal=tuple(zero_off),
         nonzero_diagonal=tuple(nonzero_diag),
     )
+
+
+def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
+    """For each table of a (T, n, n) stack: does it break the identity axiom,
+    with a zero off the diagonal or a nonzero on it?"""
+    off = ~np.eye(tables.shape[-1], dtype=bool)
+    return ((tables == 0.0) == off).any(axis=(1, 2))
 
 
 def _points_of(space: Space, grid_points: int):
@@ -626,7 +676,8 @@ def check_b_rectangular(
 def _rectangular(space, s, table, grid_points, random_samples, seed, tol, max_violations):
     """``check_b_rectangular`` over ``_points_of(space, grid_points)`` if given as ``table``."""
     bound, [(count, violations, _)] = _quadrilateral_pass(
-        space, [(s, tol, max_violations)], grid_points, random_samples, seed, table=table
+        space, [(s, tol, max_violations)], grid_points, random_samples, seed,
+        table=table, supremum=False,
     )
     return RectangularReport(
         s=s,

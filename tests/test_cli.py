@@ -145,6 +145,43 @@ class TestContraction:
         )
         assert code == 2
 
+    def test_best_exponent_shares_the_pair_pass(self, capsys, monkeypatch):
+        import rqbm.expr
+
+        calls = []
+        evaluate = rqbm.expr.evaluate
+
+        def counting(node, bindings):
+            calls.append(node)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", counting)
+        argv = ["contraction", "--instance", "example-final", "--grid", "200",
+                "--kind", "theta_r", "--exponent", "0.5"]
+        code, plain, _ = run_json(capsys, *argv)
+        without = len(calls)
+        calls.clear()
+        code_flag, report, _ = run_json(capsys, *argv, "--best-exponent")
+        assert len(calls) == without
+        assert code_flag == code
+        assert report.pop("best_exponent")["witness"] is not None
+        assert report == plain
+
+    @pytest.mark.parametrize("kind", [
+        ("--kind", "theta_r", "--exponent", "0.5"),
+        ("--kind", "theta_phi"),
+        ("--kind", "linear", "--k", "0.5"),  # its pass leaves theta out
+    ], ids=lambda k: k[1])
+    def test_best_exponent_matches_the_library_call(self, capsys, kind):
+        from rqbm.contraction import best_exponent
+        from rqbm.instances import get_instance
+
+        bundle = get_instance("example-final", 11)
+        _, report, _ = run_json(capsys, "contraction", "--instance", "example-final",
+                                "--grid", "11", *kind, "--best-exponent")
+        want = best_exponent(bundle.space, bundle.selfmap, bundle.theta, bundle.s, grid_points=11)
+        assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
+
 
 class TestSolve:
     def test_final_example_from_table_label(self, capsys):
@@ -316,6 +353,12 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == "error: sqrt of a negative value in 'sqrt(0.8 - x)'\n"
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_refused(self, capsys, trials):
+        code, out, err = run(capsys, "falsify", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert f"falsify needs at least 1 trial, got {int(trials)}" in err
+
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     @pytest.mark.parametrize("command", [
         ("verify", "--instance", "example-sqrt"),
@@ -353,6 +396,24 @@ class TestVerifySharesOneTable:
         code, report, _ = run_json(capsys, "verify", "--instance", "example-sqrt", "--grid", "5")
         assert code in (0, 1) and report["identity"]["pairs_checked"] == 25
         assert shapes.count((5, 5)) == 1
+
+
+class TestVerifySkipsTheSupremum:
+    def test_no_witness_is_built(self, capsys, monkeypatch):
+        # example-2-3 holds at s = 3: no violating row, and no supremum to report
+        from rqbm.spaces import QuadrupleViolation
+
+        built = []
+        init = QuadrupleViolation.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadrupleViolation, "__init__", recording)
+        code, report, _ = run_json(capsys, "verify", "--instance", "example-2-3", "--s", "3")
+        assert code == 0 and report["quadrilateral"]["quadruples_checked"] > 0
+        assert built == []
 
 
 class TestDeterminism:

@@ -333,6 +333,44 @@ class TestArrayContractPins:
         assert str(err.value) == "non-finite result in 'inf + x' at sample index (0,)"
         assert evaluate(parse("min(1e999, x)", {"x"}), {"x": np.array([3.0])}).tolist() == [3.0]
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    @pytest.mark.parametrize("source, x", [
+        ("if(x > 0, ln(x), 0)", 0.0),      # the untaken branch fails
+        ("min(exp(1000 * x), 1)", 1.0),    # an overflow raises
+        ("min(-x, 0)", 0.0),               # ties keep the first argument's sign
+        ("max(-x, 0)", 0.0),
+        ("1e999 + x", 1.0),                # a non-finite literal
+        ("min(1e999, x)", 3.0),
+        ("x + 1", math.inf),               # a non-finite binding
+        ("if(x > 0, x, y)", -2.0),         # y unbound and read
+        ("sqrt(x - 2) + y", 1.0),
+        ("x ^ 0.5 / 3", 2.0),
+    ])
+    def test_one_element_is_the_scalar_call(self, source, x, shape):
+        e = parse(source, XY)
+        index = (0,) * len(shape)
+        try:
+            want = evaluate(e, {"x": x})
+        except EvalError as err:
+            with pytest.raises(EvalError) as got:
+                evaluate(e, {"x": np.full(shape, x)})
+            assert str(got.value) == f"{err} at sample index {index}"
+            return
+        for bindings in ({"x": np.full(shape, x)}, {"x": np.full(shape, x), "y": np.ones(1)}):
+            got = evaluate(e, bindings)
+            assert got.shape == shape and got.dtype == np.float64
+            assert got.view(np.int64)[index] == np.float64(want).view(np.int64)
+
+    def test_one_element_takes_the_scalar_walk(self, monkeypatch):
+        import rqbm.expr
+
+        def no_array_walk(node, ctx):
+            raise AssertionError("array walk on one element")
+
+        monkeypatch.setattr(rqbm.expr, "_array", no_array_walk)
+        got = evaluate(parse("3 - x", XY), {"x": np.array([1.25]), "y": 2.0})
+        assert got.tolist() == [1.75]
+
     def test_result_has_the_broadcast_shape(self):
         g = np.linspace(0.0, 1.0, 3)
         out = evaluate(parse("x + 1", XY), {"x": g[:, None], "y": g[None, :]})

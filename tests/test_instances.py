@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rqbm.spaces
+from rqbm.cli import main
 
 from rqbm.instances import (
     INSTANCE_NAMES,
@@ -14,9 +22,12 @@ from rqbm.instances import (
     perturb,
     random_space,
 )
+from rqbm.instances import _broken_tables
 from rqbm.spaces import (
     FiniteSpace,
     SpaceError,
+    _identity_verdicts,
+    _rectangular_verdicts,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -235,3 +246,187 @@ class TestAffineToward:
         space = random_space(4, 0, "metric")
         with pytest.raises(ValueError):
             affine_toward(space, "p0", 1.0)
+
+
+# -- falsify's batched trials against the per-trial public path ---------------
+
+_KINDS = {"break_identity": ["break_identity"],
+          "break_quadrilateral": ["break_quadrilateral"],
+          "both": ["break_identity", "break_quadrilateral"]}
+
+
+def reference_space(n, seed, profile):
+    """``random_space`` pair by pair: a dict keyed by label pairs, scaled in
+    sorted key order, built into a space."""
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 10.0, size=(n, 2))
+    labels = [f"p{i}" for i in range(n)]
+    table = {(labels[i], labels[j]): float(np.hypot(*(coords[i] - coords[j])))
+             for i in range(n) for j in range(n) if i != j}
+    if profile != "metric":
+        for key in sorted(table):
+            table[key] *= float(rng.uniform(0.5, 2.0))
+    if profile == "adversarial":
+        key = sorted(table)[int(rng.integers(len(table)))]
+        table[key] *= float(rng.uniform(5.0, 50.0))
+    points = [(label, float(coords[i, 0])) for i, label in enumerate(labels)]
+    return FiniteSpace.build(points, None, table, 1.0 if profile == "metric" else 4.0)
+
+
+def reference_perturb(space, kind, seed):
+    """``perturb`` at the claimed coefficient, pair by pair."""
+    labels, d = space.labels, space.distance
+    rng = np.random.default_rng([{"break_identity": 3, "break_quadrilateral": 9}[kind], seed])
+    overrides = dict(space.overrides)
+    if kind == "break_identity":
+        pairs = [(a, b) for a in labels for b in labels if a != b and d(a, b) > 0.0]
+        if not pairs:
+            raise SpaceError("every off-diagonal distance is already zero")
+        overrides[pairs[int(rng.integers(len(pairs)))]] = 0.0
+    else:
+        n = len(labels)
+        if n < 4:
+            raise SpaceError("breaking the quadrilateral inequality needs >= 4 points")
+        i, j = int(rng.integers(n)), int(rng.integers(n - 1))
+        x, y = labels[i], labels[j + (j >= i)]
+        cheapest = min((d(x, u) + d(u, v)) + d(v, y)
+                       for u in labels for v in labels if len({x, y, u, v}) == 4)
+        overrides[(x, y)] = space.claimed_s * cheapest + max(1.0, cheapest)
+    return FiniteSpace(space.points, None, None, overrides, space.claimed_s)
+
+
+def per_trial_reference(n, seeds, profile, kinds):
+    """Each trial pair by pair and through the public checks, in (trial, kind)
+    order: the broken tables and verdicts, or the first error."""
+    tables = {kind: [] for kind in kinds}
+    detected = {kind: [] for kind in kinds}
+    try:
+        for seed in seeds:
+            base = reference_space(n, seed, profile)
+            for kind in kinds:
+                broken = reference_perturb(base, kind, seed)
+                tables[kind].append(broken.distance_matrix)
+                if kind == "break_identity":
+                    detected[kind].append(not check_identity_axiom(broken).passed)
+                else:
+                    s = base.claimed_s or 1.0
+                    detected[kind].append(not check_b_rectangular(broken, s).passed)
+    except (SpaceError, ValueError) as e:
+        return None, None, e
+    return tables, detected, None
+
+
+def run_falsify(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["falsify", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_batched_matches_reference(n, start, trials, profile, kind):
+    seeds = range(start, start + trials)
+    kinds = _KINDS[kind]
+    want_tables, want_detected, error = per_trial_reference(n, seeds, profile, kinds)
+    argv = ["--profile", profile, "--size", str(n), "--kind", kind,
+            "--trials", str(trials), "--seed", str(start)]
+    code, out, err = run_falsify(*argv)
+    if error is not None:
+        with pytest.raises(type(error)) as got:
+            _broken_tables(n, seeds, profile, kinds)
+        assert str(got.value) == str(error)
+        with pytest.raises(type(error)) as got:  # the one-trial views
+            for seed in seeds:
+                base = random_space(n, seed, profile)
+                for k in kinds:
+                    perturb(base, k, seed)
+        assert str(got.value) == str(error)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        return
+    tables, s = _broken_tables(n, seeds, profile, kinds)
+    for k in kinds:
+        # bit for bit, signed zeros included; the one-trial views too
+        want = np.array(want_tables[k]).view(np.int64)
+        assert np.array_equal(tables[k].view(np.int64), want)
+        views = [perturb(random_space(n, seed, profile), k, seed).distance_matrix for seed in seeds]
+        assert np.array_equal(np.array(views).view(np.int64), want)
+        D = tables[k]
+        got = _identity_verdicts(D) if k == "break_identity" else _rectangular_verdicts(D, s)
+        assert got.tolist() == want_detected[k]
+    runs = json.loads(out)["runs"]
+    assert [(r["seed"], r["kind"]) for r in runs] == [(t, k) for t in seeds for k in kinds]
+    assert [r["detected"] for r in runs] == [
+        want_detected[k][t] for t in range(trials) for k in kinds
+    ]
+    assert code == (0 if all(r["detected"] for r in runs) else 1)
+
+
+class TestBatchedFalsifyOracle:
+    @settings(max_examples=120)
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        start=st.one_of(st.integers(min_value=0, max_value=2**32), st.integers(-3, 3)),
+        trials=st.integers(min_value=1, max_value=6),
+        profile=st.sampled_from(["metric", "quasi", "adversarial"]),
+        kind=st.sampled_from(sorted(_KINDS)),
+        block=st.sampled_from([1, 100, rqbm.spaces._BLOCK]),
+    )
+    def test_tables_verdicts_and_first_error_match(self, n, start, trials, profile, kind, block):
+        # small blocks split a trial's rows, and a block's rows across trials
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            assert_batched_matches_reference(n, start, trials, profile, kind)
+
+    def test_three_points_with_both_kinds(self):
+        assert run_falsify("--size", "3", "--kind", "both") == (
+            2, "", "error: breaking the quadrilateral inequality needs >= 4 points\n"
+        )
+        assert_batched_matches_reference(3, 0, 20, "metric", "both")
+
+    def test_shared_point_value_raises_at_its_trial(self, monkeypatch):
+        def twins(seed, coords):  # trials 2 and 3 fail, each with its own message
+            if seed in (2, 3):
+                coords[seed - 1, 0] = coords[0, 0]
+
+        spoil_coordinates(monkeypatch, twins)
+        code, out, err = run_falsify("--profile", "quasi", "--size", "6", "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: points 'p0' and 'p1' share the value ")
+        assert_batched_matches_reference(6, 0, 5, "quasi", "both")
+
+    @pytest.mark.parametrize("at, value, message", [
+        ((1, 0), math.nan, "point 'p1' has non-finite value"),
+        ((2, 1), math.inf, "override ('p0', 'p2') = inf must be finite and >= 0"),
+    ])
+    def test_non_finite_draw_raises_at_its_trial(self, monkeypatch, at, value, message):
+        def spoil(seed, coords):
+            if seed == 3:
+                coords[at] = value
+
+        spoil_coordinates(monkeypatch, spoil)
+        assert run_falsify("--size", "5", "--trials", "6") == (2, "", f"error: {message}\n")
+        assert_batched_matches_reference(5, 0, 6, "metric", "both")
+
+
+def spoil_coordinates(monkeypatch, spoil):
+    """Let ``spoil(seed, coords)`` edit the point coordinates drawn for each
+    integer seed; every other draw is the real one."""
+    real = np.random.default_rng
+
+    class Spoiled:
+        def __init__(self, seed):
+            self.rng, self.seed = real(seed), seed
+
+        def uniform(self, lo, hi, size=None):
+            out = self.rng.uniform(lo, hi, size)
+            if isinstance(size, tuple):  # the (n, 2) coordinates
+                spoil(self.seed, out)
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed=None: Spoiled(seed) if isinstance(seed, int) else real(seed),
+    )

@@ -508,6 +508,43 @@ class TestQuadrilateralPassOracle:
         assert result.is_b_metric_at_s == (ok_id and result.is_symmetric and tri_s is None)
         assert result.is_metric == (ok_id and result.is_symmetric and tri_1 is None)
 
+    @given(
+        st.integers(min_value=4, max_value=7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
+                min_size=1, max_size=4,
+            )
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from([0.0, 1e-9]),
+        st.sampled_from([1.0, 0.1, 1 / 3]),
+        st.sampled_from([1, 100, rqbm.spaces._BLOCK]),
+    )
+    def test_batched_verdicts_match_oracle(self, tables, s, tol, unit, block):
+        # a stack of tie-heavy tables; small blocks split tables across blocks
+        n = math.isqrt(len(tables[0]))
+        labels = [f"p{i}" for i in range(n)]
+        stack = np.array(tables, dtype=np.float64).reshape(-1, n, n) * unit
+        stack[:, range(n), range(n)] = 0.0
+        want_quad, want_identity = [], []
+        for D in stack:
+            dist = lambda a, b: D[labels.index(a), labels.index(b)]  # noqa: E731
+            want_quad.append(bool(oracle_quad_scan(labels, dist, s, tol)[1]))
+            space = table_space_of(labels, {
+                (a, b): float(D[i, j]) for i, a in enumerate(labels)
+                for j, b in enumerate(labels) if i != j
+            })
+            want_identity.append(not check_identity_axiom(space).passed)
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            assert rqbm.spaces._rectangular_verdicts(stack, s, tol).tolist() == want_quad
+        assert rqbm.spaces._identity_verdicts(stack).tolist() == want_identity
+
+    def test_identity_verdict_sees_a_nonzero_diagonal(self):
+        stack = np.ones((3, 4, 4))
+        stack[:, range(4), range(4)] = 0.0
+        stack[1, 2, 2], stack[2, 0, 3] = 0.5, 0.0
+        assert rqbm.spaces._identity_verdicts(stack).tolist() == [False, True, True]
+
     def test_cheapest_sum_through_y_is_excluded(self):
         # A(p0, u, p2) is cheapest at u = p3; for y = p3 only u = p1 is admissible,
         # so row p0's supremum is 2/3 and the first maximiser lies in row p1
