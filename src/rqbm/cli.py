@@ -12,6 +12,7 @@ import sys
 
 from . import __version__
 from .contraction import (
+    DEFAULT_PAIR_GRID,
     DEFAULT_RANDOM_PAIRS,
     MapError,
     SelfMap,
@@ -24,12 +25,15 @@ from .contraction import (
 from .expr import ExprError
 from .instances import INSTANCE_NAMES, _broken_tables, get_instance
 from .solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_SOLVE_TOL,
     cauchy_diagnostics,
     picard_iterate,
     uniqueness_scan,
     verify_fixed_point,
 )
 from .spaces import (
+    DEFAULT_GRID_POINTS,
     DEFAULT_RANDOM_SAMPLES,
     DEFAULT_TOL,
     FiniteSpace,
@@ -48,6 +52,13 @@ from .spaces import (
 from .thetaphi import IterateEscapeError, phi_spec, theta_spec, validate_phi, validate_theta
 
 SCHEMA = 1
+# The most points a --grid or a falsify --size may ask for: a table grows as
+# n^2 and a scan's stage 1 as n^3.  At 1,000 points on a 2-vCPU host,
+# `contraction --instance example-sqrt --best-exponent` peaks at 234 MiB and
+# `min-s --instance example-sqrt` takes about 50 s.
+MAX_POINTS = 1000
+# Table elements per chunk of falsify trials, so memory stays bounded for any --trials.
+_TRIAL_CHUNK = 1 << 18
 
 
 class UsageError(Exception):
@@ -102,9 +113,10 @@ def _render_text(obj: dict, indent: int = 0) -> str:
 # Shared argument handling
 # --------------------------------------------------------------------------
 
-def _integer_at_least(least: int, refusal: str):
-    """An argparse type: an integer of at least ``least``; a lower one is
-    refused as ``refusal`` (the lower values would alias others or prove nothing)."""
+def _integer_at_least(least: int, refusal: str, most: int | None = None):
+    """An argparse type: an integer of at least ``least``, and at most ``most``
+    when given; a lower one is refused as ``refusal`` (the lower values would
+    alias others or prove nothing), a higher one as over the limit."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -112,11 +124,13 @@ def _integer_at_least(least: int, refusal: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < least:
             raise argparse.ArgumentTypeError(f"{refusal}, got {n}")
+        if most is not None and n > most:
+            raise argparse.ArgumentTypeError(f"at most {most} points are allowed, got {n}")
         return n
     return parse
 
 
-_grid_size = _integer_at_least(2, "a grid needs at least 2 points")
+_grid_size = _integer_at_least(2, "a grid needs at least 2 points", MAX_POINTS)
 _trial_count = _integer_at_least(1, "falsify needs at least 1 trial")
 
 
@@ -124,7 +138,7 @@ def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="path to a space definition file (JSON)")
     p.add_argument("--instance", help=f"built-in instance: {', '.join(INSTANCE_NAMES)}")
     p.add_argument("--grid", type=_grid_size, default=None,
-                   help="grid density (instance carrier and analytic sampling)")
+                   help=f"grid density (instance carrier and analytic sampling), 2 to {MAX_POINTS}")
     p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
 
 
@@ -142,7 +156,7 @@ def _resolve_space(args) -> tuple:
     return bundle.space, bundle, {"instance": args.instance}
 
 
-def _scan_grid(args, default: int = 40) -> int:
+def _scan_grid(args, default: int = DEFAULT_GRID_POINTS) -> int:
     return args.grid if args.grid else default
 
 
@@ -253,7 +267,7 @@ def _cmd_contraction(args) -> tuple[int, dict]:
     s = args.s if args.s is not None else (
         bundle.s if bundle and bundle.s else space.claimed_s or 1.0
     )
-    grid = _scan_grid(args)
+    grid = _scan_grid(args, DEFAULT_PAIR_GRID)
     theta = None
     if args.theta:
         theta = theta_spec(args.theta)
@@ -361,15 +375,19 @@ def _cmd_falsify(args) -> tuple[int, dict]:
         if args.kind == "both"
         else [args.kind]
     )
+    if args.size > MAX_POINTS:
+        raise UsageError(f"falsify needs at most {MAX_POINTS} points, got {args.size}")
     seeds = range(args.seed, args.seed + args.trials)
-    tables, s = _broken_tables(args.size, seeds, args.profile, kinds)
-    found = {  # each stack is released once its verdicts are in
-        kind: _identity_verdicts(tables.pop(kind)) if kind == "break_identity"
-        else _rectangular_verdicts(tables.pop(kind), s)
-        for kind in kinds
-    }
+    step = max(1, _TRIAL_CHUNK // max(1, args.size) ** 2)
+    found = {kind: [] for kind in kinds}
+    for lo in range(0, len(seeds), step):  # in order, so the first failing trial raises
+        tables, s = _broken_tables(args.size, seeds[lo:lo + step], args.profile, kinds)
+        for kind in kinds:  # each stack is released once its verdicts are in
+            D = tables.pop(kind)
+            found[kind] += (_identity_verdicts(D) if kind == "break_identity"
+                            else _rectangular_verdicts(D, s)).tolist()
     runs = [
-        {"seed": seed, "kind": kind, "detected": bool(found[kind][t])}
+        {"seed": seed, "kind": kind, "detected": found[kind][t]}
         for t, seed in enumerate(seeds) for kind in kinds
     ]
     all_detected = all(r["detected"] for r in runs)
@@ -477,8 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     p.add_argument("--map", help="self-map expression in x")
     p.add_argument("--start", help="a label or a number")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_SOLVE_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--diagnostics", action="store_true")
     p.add_argument("--uniqueness-starts",
                    help='comma-separated starts, or "all" for every label')
@@ -492,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("break_identity", "break_quadrilateral", "both"),
                    default="both")
     p.add_argument("--trials", type=_trial_count, default=20)
-    p.add_argument("--size", type=int, default=5)
+    p.add_argument("--size", type=int, default=5, help=f"points per trial, 2 to {MAX_POINTS}")
     p.add_argument("--seed", type=int, default=0)
     _add_report_args(p)
     p.set_defaults(run=_cmd_falsify)

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as ex
-from .spaces import AnalyticSpace, FiniteSpace, Space
+from .spaces import DEFAULT_TOL, AnalyticSpace, FiniteSpace, Space
 from .thetaphi import PhiSpec, ThetaSpec
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 
 DEFAULT_PAIR_GRID = 40
 DEFAULT_RANDOM_PAIRS = 10_000
-DEFAULT_TOL = 1e-9
 
 
 class MapError(Exception):

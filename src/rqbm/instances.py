@@ -20,6 +20,8 @@ from .spaces import (
     FiniteSpace,
     Space,
     SpaceError,
+    _three_hop_min,
+    _triangle_sums,
     format_value,
     space_from_dict,
 )
@@ -270,19 +272,10 @@ def _inflated_entries(D: np.ndarray, rngs, s: float):
     entry (i, j) drawn from its rng and its new value s * c + max(1, c), c
     being the cheapest three-hop sum (d(i,u) + d(u,v)) + d(v,j) over u, v
     distinct and apart from i, j."""
-    T, n = D.shape[0], D.shape[-1]
-    ij = np.empty((2, T), dtype=np.intp)
-    for t, rng in enumerate(rngs):
-        i, j = int(rng.integers(n)), int(rng.integers(n - 1))
-        ij[:, t] = i, j + (j >= i)
-    i, j = ij
-    r, idx = np.arange(T), np.arange(n)
-    hops = D[r, i, :, None] + D
-    hops += D[r, :, j][:, None, :]
-    hops[:, idx, idx] = np.inf
-    for w in (i, j):
-        hops[r, w, :] = hops[r, :, w] = np.inf
-    cheapest = hops.min(axis=(1, 2))
+    n = D.shape[-1]
+    i, j = np.array([(rng.integers(n), rng.integers(n - 1)) for rng in rngs], dtype=np.intp).T
+    j += j >= i  # the j-th column apart from i
+    cheapest = _three_hop_min(_triangle_sums(D, i), D, i)[np.arange(len(D)), j]
     with np.errstate(all="ignore"):  # float arithmetic, as on Python floats
         return i, j, s * cheapest + np.maximum(1.0, cheapest)
 

@@ -14,8 +14,10 @@ uniform grid (exhaustive over grid quadruples) plus seeded random quadruples.
 One pass over those quadruples serves all three quadrilateral operations
 (``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
 ``classify``): it counts every violation, builds only the witnesses a report
-keeps, and tracks the supremum ratio with its first maximiser.
-All scans are pure and deterministic for fixed inputs.
+keeps, and tracks the supremum ratio with its first maximiser.  Its stage 1
+is the same min-plus kernel that checks a whole stack of tables at once
+(``_rectangular_verdicts``); only ``classify`` searches for a triangle
+violation.  All scans are pure and deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -312,7 +314,7 @@ Space = FiniteSpace | AnalyticSpace
 
 
 # --------------------------------------------------------------------------
-# Reports
+# Reports (``to_dict`` keeps the field order; nested reports become dicts)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -326,10 +328,7 @@ class QuadrupleViolation:
     ratio: float  # lhs / rhs_sum, or +inf when rhs_sum == 0 and lhs > 0
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x, "u": self.u, "v": self.v, "y": self.y,
-            "lhs": self.lhs, "rhs_sum": self.rhs_sum, "ratio": self.ratio,
-        }
+        return dict(vars(self))  # the fields, in order
 
 
 @dataclass(frozen=True)
@@ -341,8 +340,7 @@ class IdentityReport:
 
     def to_dict(self) -> dict:
         return {
-            "passed": self.passed,
-            "pairs_checked": self.pairs_checked,
+            **vars(self),
             "zero_off_diagonal": [list(p) for p in self.zero_off_diagonal],
             "nonzero_diagonal": [list(p) for p in self.nonzero_diagonal],
         }
@@ -360,16 +358,7 @@ class RectangularReport:
     source: str  # description of the quadruple source
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "tol": self.tol,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "quadruples_checked": self.quadruples_checked,
-            "violation_count": self.violation_count,
-            "violations": [v.to_dict() for v in self.violations],
-            "source": self.source,
-        }
+        return {**vars(self), "violations": [v.to_dict() for v in self.violations]}
 
 
 @dataclass(frozen=True)
@@ -380,12 +369,7 @@ class CoefficientBound:
     source: str
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "quadruples_checked": self.quadruples_checked,
-            "source": self.source,
-        }
+        return {**vars(self), "witness": self.witness.to_dict() if self.witness else None}
 
 
 @dataclass(frozen=True)
@@ -405,14 +389,7 @@ class Classification:
 
     def to_dict(self) -> dict:
         return {
-            "s": self.s,
-            "is_quasi_identity": self.is_quasi_identity,
-            "is_symmetric": self.is_symmetric,
-            "is_metric": self.is_metric,
-            "is_rectangular": self.is_rectangular,
-            "is_b_metric_at_s": self.is_b_metric_at_s,
-            "is_rqb_at_s": self.is_rqb_at_s,
-            "minimal_s": self.minimal_s,
+            **vars(self),
             "asymmetry_witnesses": [list(w) for w in self.asymmetry_witnesses],
             "identity": self.identity.to_dict(),
             "triangle_witness": list(self.triangle_witness) if self.triangle_witness else None,
@@ -433,21 +410,17 @@ _BLOCK = 1 << 14
 def _triangle_sums(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A[r, u, v] = d(x, u) + d(u, v) in row r's table D[r], x = X[r];
     inf unless x, u and v are distinct.  D has shape (len(X), n, n)."""
-    idx = np.arange(D.shape[-1])
-    x, V, J = X[:, None, None], idx[None, :, None], idx[None, None, :]
-    A = D[np.arange(len(X)), X, :, None] + D
-    np.copyto(A, math.inf, where=(x == V) | (V == J) | (x == J))
+    r, idx = np.arange(len(X)), np.arange(D.shape[-1])
+    A = D[r, X, :, None] + D
+    A[r, X, :] = A[:, idx, idx] = A[r, :, X] = math.inf  # u = x, u = v, v = x
     return A
 
 
 def _three_hop_min(A: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Stage 1 of the tropical pass over a block of rows.
-
-    M[r, y] = min over u, v of A[r, u, v] + d(v, y), with u and v apart from
+    """M[r, y] = min over u, v of A[r, u, v] + d(v, y), with u and v apart from
     y, and inf at y = x; ``A`` is ``_triangle_sums(D, X)`` and is overwritten.
     The two cheapest u per (x, v) give it: the second stands in where the
-    cheapest is y.
-    """
+    cheapest is y."""
     r, idx = np.arange(len(X)), np.arange(D.shape[-1])
     bu = A.argmin(axis=1)[:, None, :]
     best = np.take_along_axis(A, bu, axis=1)
@@ -460,21 +433,70 @@ def _three_hop_min(A: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return B.min(axis=2)
 
 
-def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """For each table of a (T, n, n) stack with n >= 4: does some admissible
-    quadruple have lhs > s * rhs + tol?  The verdict of ``check_b_rectangular``
-    on that table, from stage 1 alone, over the rows of every table in
-    blocks of at most max(``_BLOCK``, n^2) elements."""
+def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: bool = False):
+    """Stage 1 of the tropical pass over the (table, x) rows of a (T, n, n)
+    stack, in blocks of at most max(``_BLOCK``, n^2) elements.
+
+    M(x, y) = ``_three_hop_min`` is the least rhs = d(x, u) + d(u, v) + d(v, y)
+    over admissible (u, v).  Rounded addition, lhs / rhs and ``s * rhs + tol``
+    (s >= 0) are monotone, so M gives each row its exact verdicts and
+    supremum; at lhs = M = 0 the ratio is 0 if some admissible sum is
+    positive, else skipped.  Returns ``bad`` (T * n, len(checks)): does the
+    row hold a quadruple with lhs > s * rhs + tol, per ``(s, tol)``; and, with
+    ``supremum``, each row's supremum (-inf for no ratio), else None.
+    """
     T, n = tables.shape[0], tables.shape[-1]
-    bad = np.empty(T * n, dtype=bool)  # per (trial, x) row
+    bad = np.zeros((T * n, len(checks)), dtype=bool)
+    row_sup = np.full(T * n, -math.inf) if supremum else None
     step = max(1, _BLOCK // (n * n))
     with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
-        for lo in range(0, T * n, step):
-            t, X = np.divmod(np.arange(lo, min(lo + step, T * n)), n)
-            D = tables[t]
+        for lo in range(0, T * n if n >= 4 else 0, step):  # no quadruple below 4 points
+            rows = np.arange(lo, min(lo + step, T * n))
+            (t, X), r = np.divmod(rows, n), np.arange(len(rows))
+            # a block inside one table reads it through a view, not a copy
+            D = np.broadcast_to(tables[t[0]], (len(r), n, n)) if t[0] == t[-1] else tables[t]
+            L = D[r, X]
             M = _three_hop_min(_triangle_sums(D, X), D, X)
-            bad[lo:lo + step] = (D[np.arange(len(X)), X] > s * M + tol).any(axis=1)
-    return bad.reshape(T, n).any(axis=1)
+            for c, (s, tol) in enumerate(checks):
+                bad[rows, c] = (L > s * M + tol).any(axis=1)
+            if not supremum:
+                continue
+            ratio = L / M
+            np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
+            zero = np.isnan(ratio)
+            if zero.any():  # is a d(x, u), d(v, y) or d(u, v) off {x, y} positive?
+                P = (D > 0.0) & ~np.eye(n, dtype=bool)
+                R, C = P.sum(axis=2), P.sum(axis=1)
+                pos = ((R[r, X, None] > 0) | (C > 0)
+                       | (R.sum(axis=1)[:, None] - R - C[r, X, None] + P[r, :, X] > 0))
+                ratio[zero] = np.where(pos[zero], 0.0, -math.inf)
+            ratio[r, X] = -math.inf
+            row_sup[rows] = ratio.max(axis=1)
+    return bad, row_sup
+
+
+def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """For each table of a (T, n, n) stack, the verdict of ``check_b_rectangular``:
+    does some admissible quadruple have lhs > s * rhs + tol?"""
+    bad, _ = _stage1(tables, [(s, tol)])
+    return bad.reshape(len(tables), -1).any(axis=1)
+
+
+def _first_triangle(pts: list, D: np.ndarray, s: float, tol: float) -> tuple | None:
+    """The first (x, z, y, lhs, rhs) in (x, z, y) order, x, z, y distinct, with
+    d(x, y) > s * (d(x, z) + d(z, y)) + tol, or None.  Blocks of x rows of at
+    most max(``_BLOCK``, n^2) elements, up to the first block that holds one."""
+    n = len(pts)
+    step = max(1, _BLOCK // (n * n))
+    with np.errstate(all="ignore"):  # s = 0 meets the inf of a masked sum
+        for lo in range(0, n, step):
+            X = np.arange(lo, min(lo + step, n))
+            A = _triangle_sums(np.broadcast_to(D, (len(X), n, n)), X)
+            hit = D[X, None, :] > s * A + tol
+            if hit.any():
+                b, z, y = np.unravel_index(int(np.argmax(hit)), hit.shape)
+                return pts[X[b]], pts[z], pts[y], float(D[X[b], y]), float(A[b, z, y])
+    return None
 
 
 def _quadrilateral_pass(
@@ -493,25 +515,20 @@ def _quadrilateral_pass(
     exhaustive (finite) or grid (analytic) points, then, for analytic spaces,
     ``random_samples`` seeded uniform ones.  Per ``(s, tol, keep)`` in
     ``checks`` it keeps the first ``keep`` quadruples (all when None) with
-    ``lhs > s * rhs + tol``, counts them all (when ``exact``, else a count is
-    only zero or positive) and finds the first triangle violation in (x, z, y)
-    order.  The supremum of lhs / rhs comes with its first maximiser:
-    rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.  ``table`` is
+    ``lhs > s * rhs + tol`` and counts them all (when ``exact``, else a count
+    is only zero or positive).  The supremum of lhs / rhs comes with its first
+    maximiser: rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.  ``table`` is
     ``_points_of(space, grid_points)`` when the caller has it.
 
-    Stage 1 takes M(x, y) = min over admissible (u, v) of A(x, u, v) + d(v, y),
-    A = d(x, u) + d(u, v) (the triangle sums), from the two cheapest u per
-    (x, v).  Rounded addition, lhs / rhs and ``s * rhs + tol`` (s >= 0) are
-    monotone, so M gives each row x its exact supremum and verdicts; at
-    lhs = M = 0 the ratio is 0 if some admissible sum is positive, else
-    skipped.  Stage 2 visits, exactly and in order, the first row attaining
-    the supremum and the violating rows a check still needs.  No array holds
-    more than max(``_BLOCK``, n^2) elements.
+    ``_stage1`` gives every grid row its verdicts and supremum; stage 2 then
+    visits, exactly and in order, the first row attaining the supremum and
+    the violating rows a check still needs, in (x, u) slices of at most
+    max(``_BLOCK``, n^2) elements.
 
-    Returns ``(bound, [(count, witnesses, triangle) per check])``;
-    ``bound.value`` is None without admissible quadruples, 0 when every one
-    has rhs = lhs = 0.  Without ``supremum`` no ratio is taken, no row is
-    visited for it, and ``bound`` carries no value and no witness.
+    Returns ``(bound, [(count, witnesses) per check])``; ``bound.value`` is
+    None without admissible quadruples, 0 when every one has rhs = lhs = 0.
+    Without ``supremum`` no ratio is taken, no row is visited for it, and
+    ``bound`` carries no value and no witness.
     """
     if any(s < 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
@@ -520,7 +537,6 @@ def _quadrilateral_pass(
     checked = n * (n - 1) * (n - 2) * (n - 3)
     counts = [0] * len(checks)
     kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
-    tri: list[tuple | None] = [None] * len(checks)
     sup, sup_at = -math.inf, None
 
     def visit(lhs, rhs, adm, at, find_sup=True):
@@ -545,44 +561,20 @@ def _quadrilateral_pass(
                     r = math.inf if b == 0.0 else a / b
                     kept[c].append(QuadrupleViolation(*at(q), a, b, r))
 
+    bad, row_sup = _stage1(D[None], [(s, tol) for s, tol, _ in checks], supremum)
     idx = np.arange(n)
     V, J = idx[None, :, None], idx[None, None, :]
     step = max(1, _BLOCK // (n * n))
-    row_sup = np.full(n, -math.inf)
-    bad = np.zeros((n, len(checks)), dtype=bool)
+    rows = np.zeros(n, dtype=bool)
+    if supremum:  # the first row attaining the supremum
+        top = int(np.argmax(row_sup))
+        rows[top] = row_sup[top] > -math.inf
+    for c, (_, _, keep) in enumerate(checks):
+        hit = np.flatnonzero(bad[:, c])
+        rows[hit if exact else hit[:keep]] = True
+        if not exact:  # a positive count is all the verdict needs
+            counts[c] += len(hit)
     with np.errstate(all="ignore"):
-        for lo in range(0, n, step):  # stage 1
-            X = idx[lo:lo + step]
-            r, L, Dx = np.arange(len(X)), D[X], np.broadcast_to(D, (len(X), n, n))
-            A = _triangle_sums(Dx, X)
-            for c, (s, tol, _) in enumerate(checks):  # the first triangle violation
-                hit = np.argwhere(L[:, None, :] > s * A + tol) if tri[c] is None else ()
-                for b, z, y in hit[:1]:
-                    tri[c] = (pts[X[b]], pts[z], pts[y], float(L[b, y]), float(A[b, z, y]))
-            if n < 4:
-                continue
-            M = _three_hop_min(A, Dx, X)
-            for c, (s, tol, _) in enumerate(checks):
-                bad[X, c] = (L > s * M + tol).any(axis=1)
-            if not supremum:
-                continue
-            ratio = L / M
-            np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
-            zero = np.isnan(ratio)
-            if zero.any():  # is a d(x, u), d(v, y) or d(u, v) off {x, y} positive?
-                P = (D > 0.0) & ~np.eye(n, dtype=bool)
-                R, C = P.sum(axis=1), P.sum(axis=0)
-                pos = (R[X, None] > 0) | (C > 0) | (R.sum() - R - C[X, None] + P.T[X] > 0)
-                ratio[zero] = np.where(pos[zero], 0.0, -math.inf)
-            ratio[r, X] = -math.inf
-            row_sup[X] = ratio.max(axis=1)
-        top = int(np.argmax(row_sup))  # the first row attaining the supremum
-        rows = (idx == top) & (row_sup[top] > -math.inf)
-        for c, (_, _, keep) in enumerate(checks):
-            hit = np.flatnonzero(bad[:, c])
-            rows[hit if exact else hit[:keep]] = True
-            if not exact:  # a positive count is all the verdict needs
-                counts[c] += len(hit)
         xu = np.argwhere(np.broadcast_to(rows[:, None], (n, n)))
         for lo in range(0, len(xu), step):  # stage 2, in (x, u) slices
             x, u = (xu[lo:lo + step, w, None, None] for w in (0, 1))
@@ -614,7 +606,7 @@ def _quadrilateral_pass(
     elif sup == -math.inf:
         sup = 0.0
     witness = None if sup_at is None else QuadrupleViolation(*sup_at, sup)
-    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept, tri))
+    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept))
 
 
 # --------------------------------------------------------------------------
@@ -627,8 +619,9 @@ def check_identity_axiom(space: Space, grid_points: int = 50) -> IdentityReport:
 
 
 def _identity(pts: list, D: np.ndarray) -> IdentityReport:
-    zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(D == 0.0) if i != j]
-    nonzero_diag = [(pts[i], float(D[i, i])) for i in range(len(pts)) if D[i, i] != 0.0]
+    bad = _identity_breaks(D)
+    zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(bad) if i != j]
+    nonzero_diag = [(pts[i], float(D[i, i])) for i in np.flatnonzero(bad.diagonal())]
     return IdentityReport(
         passed=not zero_off and not nonzero_diag,
         pairs_checked=int(D.size),
@@ -637,11 +630,15 @@ def _identity(pts: list, D: np.ndarray) -> IdentityReport:
     )
 
 
+def _identity_breaks(D: np.ndarray) -> np.ndarray:
+    """Where a table, or each table of a stack, breaks the identity axiom:
+    a zero off the diagonal or a nonzero on it."""
+    return (D == 0.0) == ~np.eye(D.shape[-1], dtype=bool)
+
+
 def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
-    """For each table of a (T, n, n) stack: does it break the identity axiom,
-    with a zero off the diagonal or a nonzero on it?"""
-    off = ~np.eye(tables.shape[-1], dtype=bool)
-    return ((tables == 0.0) == off).any(axis=(1, 2))
+    """For each table of a (T, n, n) stack: does it break the identity axiom?"""
+    return _identity_breaks(tables).any(axis=(1, 2))
 
 
 def _points_of(space: Space, grid_points: int):
@@ -675,7 +672,7 @@ def check_b_rectangular(
 
 def _rectangular(space, s, table, grid_points, random_samples, seed, tol, max_violations):
     """``check_b_rectangular`` over ``_points_of(space, grid_points)`` if given as ``table``."""
-    bound, [(count, violations, _)] = _quadrilateral_pass(
+    bound, [(count, violations)] = _quadrilateral_pass(
         space, [(s, tol, max_violations)], grid_points, random_samples, seed,
         table=table, supremum=False,
     )
@@ -727,12 +724,14 @@ def classify(
         for i, j in np.argwhere(np.triu(np.abs(D - D.T), k=1) > tol)
     )
     is_symmetric = not asym
-    # the s = 1 check only needs its verdict and its triangle witness
+    # the s = 1 check only needs its verdict
     checks = [(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)]
     bound, found = _quadrilateral_pass(
         space, checks, grid_points, random_samples, seed, exact=False, table=table
     )
-    (count_1, _, tri_1), (count_s, first_s, tri_s) = found[0], found[-1]
+    (count_1, _), (count_s, first_s) = found[0], found[-1]
+    tri_1 = _first_triangle(pts, D, 1.0, tol)
+    tri_s = tri_1 if s == 1.0 else _first_triangle(pts, D, s, tol)
     ok_id = identity.passed
     return Classification(
         s=s,

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from rqbm.cli import main
+import rqbm.spaces
+from rqbm.cli import MAX_POINTS, _grid_size, main
 
 
 def run(capsys, *argv):
@@ -370,6 +372,32 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert f"a grid needs at least 2 points, got {int(grid)}" in err
 
+    def test_grid_type_at_the_limit(self):
+        assert MAX_POINTS == 1000
+        assert _grid_size(str(MAX_POINTS)) == MAX_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match="at most 1000 points are allowed, got 1001"):
+            _grid_size(str(MAX_POINTS + 1))
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--instance", "example-sqrt"),
+        ("contraction", "--instance", "example-sqrt"),
+        ("solve", "--instance", "example-final", "--start", "1/3"),
+        ("instances", "export", "--name", "example-final"),
+    ])
+    def test_grid_above_the_limit_refused(self, capsys, command):
+        code, out, err = run(capsys, *command, "--grid", str(MAX_POINTS + 1))
+        assert (code, out) == (2, "")
+        assert "at most 1000 points are allowed, got 1001" in err
+
+    def test_size_above_the_limit_refused(self, capsys):
+        assert run(capsys, "falsify", "--size", str(MAX_POINTS + 1)) == (
+            2, "", "error: falsify needs at most 1000 points, got 1001\n"
+        )
+
+    @pytest.mark.parametrize("size", ["0", "1", "-2"])
+    def test_size_below_two_refused(self, capsys, size):
+        assert run(capsys, "falsify", "--size", size) == (2, "", "error: need at least 2 points\n")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -414,6 +442,28 @@ class TestVerifySkipsTheSupremum:
         code, report, _ = run_json(capsys, "verify", "--instance", "example-2-3", "--s", "3")
         assert code == 0 and report["quadrilateral"]["quadruples_checked"] > 0
         assert built == []
+
+
+class TestOnlyClassifySearchesTriangles:
+    @pytest.mark.parametrize("argv, searched", [
+        (("classify", "--instance", "example-sqrt", "--grid", "11"), [1.0, 2.0]),
+        (("classify", "--instance", "example-2-3", "--s", "1"), [1.0]),
+        (("verify", "--instance", "example-sqrt", "--grid", "11", "--s", "1"), []),
+        (("min-s", "--instance", "example-sqrt", "--grid", "11"), []),
+        (("falsify", "--trials", "5", "--size", "6"), []),
+    ], ids=["classify", "classify-s1", "verify", "min-s", "falsify"])
+    def test_triangle_search_calls(self, capsys, monkeypatch, argv, searched):
+        calls = []
+        search = rqbm.spaces._first_triangle
+
+        def recording(pts, D, s, tol):
+            calls.append(s)
+            return search(pts, D, s, tol)
+
+        monkeypatch.setattr(rqbm.spaces, "_first_triangle", recording)
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert calls == searched
 
 
 class TestDeterminism:

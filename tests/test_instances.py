@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqbm.cli
 import rqbm.spaces
 from rqbm.cli import main
 
@@ -406,6 +407,33 @@ class TestBatchedFalsifyOracle:
         spoil_coordinates(monkeypatch, spoil)
         assert run_falsify("--size", "5", "--trials", "6") == (2, "", f"error: {message}\n")
         assert_batched_matches_reference(5, 0, 6, "metric", "both")
+
+
+class TestFalsifyChunks:
+    # trials run in chunks of at most _TRIAL_CHUNK table elements; patched
+    # here to chunks of one and of three 6-point trials
+    ARGV = ("--profile", "quasi", "--size", "6", "--trials", "7", "--seed", "3")
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, per_chunk, fmt):
+        whole = run_falsify(*self.ARGV, "--format", fmt)
+        assert whole[0] == 0 and whole[1]
+        monkeypatch.setattr(rqbm.cli, "_TRIAL_CHUNK", per_chunk * 36)
+        assert run_falsify(*self.ARGV, "--format", fmt) == whole
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_failure_in_a_later_chunk_names_its_trial(self, monkeypatch, per_chunk):
+        def twins(seed, coords):  # seeds 8 and 9 fail, in chunks after the first
+            if seed in (8, 9):
+                coords[seed - 7, 0] = coords[0, 0]
+
+        spoil_coordinates(monkeypatch, twins)
+        whole = run_falsify(*self.ARGV)
+        assert whole[:2] == (2, "")
+        assert whole[2].startswith("error: points 'p0' and 'p1' share the value ")
+        monkeypatch.setattr(rqbm.cli, "_TRIAL_CHUNK", per_chunk * 36)
+        assert run_falsify(*self.ARGV) == whole
 
 
 def spoil_coordinates(monkeypatch, spoil):

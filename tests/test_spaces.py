@@ -68,6 +68,16 @@ def oracle_triangle(points, dist, s, tol=1e-9):
     return None
 
 
+def oracle_identity(points, D):
+    """Pair by pair, in row-major order: the off-diagonal pairs at distance 0
+    and the diagonal entries that are not 0, as ``IdentityReport`` lists them."""
+    n = len(points)
+    zero_off = tuple((points[i], points[j]) for i in range(n) for j in range(n)
+                     if i != j and D[i, j] == 0.0)
+    nonzero_diag = tuple((points[i], float(D[i, i])) for i in range(n) if D[i, i] != 0.0)
+    return zero_off, nonzero_diag
+
+
 def dict_distance(obj):
     """Distance function read directly off a space definition dict."""
     values = {p["label"]: p["value"] for p in obj["points"]}
@@ -320,6 +330,14 @@ class TestMinimalCoefficient:
         assert bound.value == sup == 0.4 / 0.14
         assert bound.witness.ratio == bound.value
 
+    def test_readme_coefficients(self, table_space, table_space_no_grid):
+        # the README: the table alone needs 20/7, the table plus its 11-point grid 3
+        bound = minimal_rectangular_coefficient(table_space_no_grid)
+        assert bound.value == 20 / 7
+        w = bound.witness
+        assert (w.x, w.u, w.v, w.y) == ("1/6", "1/5", "1/4", "1/2")
+        assert minimal_rectangular_coefficient(table_space).value == 3.0000000000000004
+
     def test_collinear_euclidean_at_most_1(self):
         pts = [(f"p{i}", float(i)) for i in range(5)]
         ov = {
@@ -403,6 +421,15 @@ class TestClassify:
         assert result.is_quasi_identity and result.is_symmetric
         assert result.is_rectangular
         assert result.is_b_metric_at_s and result.is_rqb_at_s
+
+    def test_squared_line_is_a_b_metric_at_2_but_no_metric(self):
+        # symmetric; d(0, 2) = 4 > d(0, 1) + d(1, 2) = 2, and 4 <= 2 * 2
+        space = FiniteSpace.build([(f"p{i}", float(i)) for i in range(4)], "(x - y)^2")
+        result = classify(space, 2.0)
+        assert result.is_symmetric and result.is_quasi_identity
+        assert not result.is_metric and result.is_b_metric_at_s
+        assert result.triangle_witness is None
+        assert classify(space, 1.0).triangle_witness == ("p0", "p1", "p2", 4.0, 2.0)
 
     def test_metric_implies_weaker_classes(self):
         for seed in range(5):
@@ -524,26 +551,45 @@ class TestQuadrilateralPassOracle:
         # a stack of tie-heavy tables; small blocks split tables across blocks
         n = math.isqrt(len(tables[0]))
         labels = [f"p{i}" for i in range(n)]
-        stack = np.array(tables, dtype=np.float64).reshape(-1, n, n) * unit
+        raw = np.array(tables, dtype=np.float64).reshape(-1, n, n) * unit
+        stack = raw.copy()
         stack[:, range(n), range(n)] = 0.0
         want_quad, want_identity = [], []
-        for D in stack:
+        for D, R in zip(stack, raw):
             dist = lambda a, b: D[labels.index(a), labels.index(b)]  # noqa: E731
             want_quad.append(bool(oracle_quad_scan(labels, dist, s, tol)[1]))
             space = table_space_of(labels, {
                 (a, b): float(D[i, j]) for i, a in enumerate(labels)
                 for j, b in enumerate(labels) if i != j
             })
-            want_identity.append(not check_identity_axiom(space).passed)
+            report = check_identity_axiom(space)
+            assert (report.zero_off_diagonal, report.nonzero_diagonal) == oracle_identity(labels, D)
+            want_identity.append(not report.passed)
+            # a raw table keeps its nonzero diagonal, which the lists must name too
+            report = rqbm.spaces._identity(labels, R)
+            assert (report.zero_off_diagonal, report.nonzero_diagonal) == oracle_identity(labels, R)
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
             assert rqbm.spaces._rectangular_verdicts(stack, s, tol).tolist() == want_quad
         assert rqbm.spaces._identity_verdicts(stack).tolist() == want_identity
+        assert rqbm.spaces._identity_verdicts(raw).tolist() == [
+            oracle_identity(labels, R) != ((), ()) for R in raw
+        ]
 
     def test_identity_verdict_sees_a_nonzero_diagonal(self):
         stack = np.ones((3, 4, 4))
         stack[:, range(4), range(4)] = 0.0
         stack[1, 2, 2], stack[2, 0, 3] = 0.5, 0.0
         assert rqbm.spaces._identity_verdicts(stack).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("block", [1, 32, rqbm.spaces._BLOCK])
+    def test_triangle_in_the_last_row(self, block):
+        # the one triangle violation is d(p3, p0) = 3 > d(p3, p1) + d(p1, p0) = 2
+        labels = ["p0", "p1", "p2", "p3"]
+        overrides = {(a, b): 1.0 for a in labels for b in labels if a != b}
+        overrides[("p3", "p0")] = 3.0
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            result = classify(table_space_of(labels, overrides), 1.0)
+        assert result.triangle_witness == ("p3", "p1", "p0", 3.0, 2.0)
 
     def test_cheapest_sum_through_y_is_excluded(self):
         # A(p0, u, p2) is cheapest at u = p3; for y = p3 only u = p1 is admissible,
