@@ -1,8 +1,9 @@
 """Batch command-line front door with deterministic machine-readable reports.
 
-Exit codes: 0 all checks passed; 1 a check failed (witnesses are in the
-report); 2 usage or input error.  Reports are JSON (default) or aligned
-text; identical configurations produce byte-identical JSON.
+A report holds ``schema``, ``command``, ``config`` and ``passed``, then the
+command's sections.  Exit codes: 0 passed; 1 a check failed (witnesses are
+in the report); 2 usage or input error.  Reports are JSON (default) or
+aligned text; identical configurations produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import sys
 
 from . import __version__
+from ._report import plain
 from .contraction import (
     DEFAULT_PAIR_GRID,
     DEFAULT_RANDOM_PAIRS,
@@ -170,29 +172,22 @@ def _parse_start(space, text: str):
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (passed, config, sections); ``main`` writes the
+# report header and the exit code.
 # --------------------------------------------------------------------------
 
-def _cmd_verify(args) -> tuple[int, dict]:
+def _cmd_verify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
     grid = _scan_grid(args)
     table = _points_of(space, grid)  # one table for both checks
     identity = _identity(*table[:2])
     rect = _rectangular(space, s, table, grid, DEFAULT_RANDOM_SAMPLES, args.seed, DEFAULT_TOL, 100)
-    passed = identity.passed and rect.passed
-    report = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "config": {**src, "s": s, "seed": args.seed},
-        "passed": passed,
-        "identity": identity.to_dict(),
-        "quadrilateral": rect.to_dict(),
-    }
-    return (0 if passed else 1), report
+    return (identity.passed and rect.passed, {**src, "s": s, "seed": args.seed},
+            {"identity": identity, "quadrilateral": rect})
 
 
-def _cmd_classify(args) -> tuple[int, dict]:
+def _cmd_classify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     result = classify(
         space, args.s, grid_points=_scan_grid(args), seed=args.seed
@@ -202,55 +197,25 @@ def _cmd_classify(args) -> tuple[int, dict]:
         and result.is_symmetric
         and result.is_rqb_at_s
     )
-    report = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "config": {**src, "s": result.s, "seed": args.seed},
-        "passed": clean,
-        "classification": result.to_dict(),
-    }
-    return (0 if clean else 1), report
+    return clean, {**src, "s": result.s, "seed": args.seed}, {"classification": result}
 
 
-def _cmd_min_s(args) -> tuple[int, dict]:
+def _cmd_min_s(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     bound = minimal_rectangular_coefficient(
         space, grid_points=_scan_grid(args), seed=args.seed
     )
-    report = {
-        "schema": SCHEMA,
-        "command": "min-s",
-        "config": {**src, "seed": args.seed},
-        "passed": True,
-        "minimal_coefficient": bound.to_dict(),
-    }
-    return 0, report
+    return True, {**src, "seed": args.seed}, {"minimal_coefficient": bound}
 
 
-def _cmd_validate_theta(args) -> tuple[int, dict]:
-    spec = theta_spec(args.theta)
-    result = validate_theta(spec)
-    report = {
-        "schema": SCHEMA,
-        "command": "validate-theta",
-        "config": {"theta": args.theta},
-        "passed": result.passed,
-        "validation": result.to_dict(),
-    }
-    return (0 if result.passed else 1), report
+def _cmd_validate_theta(args) -> tuple[bool, dict, dict]:
+    result = validate_theta(theta_spec(args.theta))
+    return result.passed, {"theta": args.theta}, {"validation": result}
 
 
-def _cmd_validate_phi(args) -> tuple[int, dict]:
-    spec = phi_spec(args.phi)
-    result = validate_phi(spec)
-    report = {
-        "schema": SCHEMA,
-        "command": "validate-phi",
-        "config": {"phi": args.phi},
-        "passed": result.passed,
-        "validation": result.to_dict(),
-    }
-    return (0 if result.passed else 1), report
+def _cmd_validate_phi(args) -> tuple[bool, dict, dict]:
+    result = validate_phi(phi_spec(args.phi))
+    return result.passed, {"phi": args.phi}, {"validation": result}
 
 
 def _resolve_map(args, bundle) -> SelfMap:
@@ -261,7 +226,7 @@ def _resolve_map(args, bundle) -> SelfMap:
     raise UsageError("--map is required (the instance carries none)")
 
 
-def _cmd_contraction(args) -> tuple[int, dict]:
+def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     selfmap = _resolve_map(args, bundle)
     s = args.s if args.s is not None else (
@@ -306,49 +271,36 @@ def _cmd_contraction(args) -> tuple[int, dict]:
         config["k"] = args.k
     else:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
-    report = {
-        "schema": SCHEMA,
-        "command": "contraction",
-        "config": config,
-        "passed": cert.passed,
-        "certificate": cert.to_dict(),
-    }
+    sections = {"certificate": cert}
     if args.best_exponent and theta is not None:
         if p.th_img is None:  # the linear pass left theta out
             p = pairs(theta, None, reuse=p)
-        report["best_exponent"] = _exponent(p).to_dict()
-    return (0 if cert.passed else 1), report
+        sections["best_exponent"] = _exponent(p)
+    return cert.passed, config, sections
 
 
-def _cmd_solve(args) -> tuple[int, dict]:
+def _cmd_solve(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     selfmap = _resolve_map(args, bundle)
     if args.start is None:
         raise UsageError("--start is required")
     start = _parse_start(space, args.start)
     trace = picard_iterate(space, selfmap, start, args.max_iter, args.tol)
+    config = {**src, "map": selfmap.describe(), "start": args.start,
+              "tol": args.tol, "max_iter": args.max_iter}
     passed = trace.converged
-    report = {
-        "schema": SCHEMA,
-        "command": "solve",
-        "config": {
-            **src, "map": selfmap.describe(), "start": args.start,
-            "tol": args.tol, "max_iter": args.max_iter,
-        },
-        "passed": passed,
-        "trace": trace.to_dict(),
-    }
+    sections = {"trace": trace}
     if trace.limit is not None:
         verdict = verify_fixed_point(space, selfmap, trace.limit, 10 * args.tol)
-        report["fixed_point"] = verdict.to_dict()
+        sections["fixed_point"] = verdict
         passed = passed and verdict.verified
     if args.diagnostics:
         if len(trace.values) >= 3:
             diag = cauchy_diagnostics(trace)
-            report["diagnostics"] = diag.to_dict()
+            sections["diagnostics"] = diag
             passed = passed and diag.passed
         else:
-            report["diagnostics"] = {
+            sections["diagnostics"] = {
                 "passed": True,
                 "note": "trace too short for skip-distance diagnostics",
             }
@@ -363,13 +315,12 @@ def _cmd_solve(args) -> tuple[int, dict]:
                 for tok in args.uniqueness_starts.split(",") if tok
             ]
         scan = uniqueness_scan(space, selfmap, starts, args.max_iter, args.tol)
-        report["uniqueness"] = scan.to_dict()
+        sections["uniqueness"] = scan
         passed = passed and scan.passed
-    report["passed"] = passed
-    return (0 if passed else 1), report
+    return passed, config, sections
 
 
-def _cmd_falsify(args) -> tuple[int, dict]:
+def _cmd_falsify(args) -> tuple[bool, dict, dict]:
     kinds = (
         ["break_identity", "break_quadrilateral"]
         if args.kind == "both"
@@ -390,23 +341,14 @@ def _cmd_falsify(args) -> tuple[int, dict]:
         {"seed": seed, "kind": kind, "detected": found[kind][t]}
         for t, seed in enumerate(seeds) for kind in kinds
     ]
-    all_detected = all(r["detected"] for r in runs)
-    report = {
-        "schema": SCHEMA,
-        "command": "falsify",
-        "config": {
-            "profile": args.profile, "kind": args.kind, "size": args.size,
-            "trials": args.trials, "seed": args.seed,
-        },
-        "passed": all_detected,
-        "detected": sum(1 for r in runs if r["detected"]),
-        "total": len(runs),
-        "runs": runs,
-    }
-    return (0 if all_detected else 1), report
+    config = {"profile": args.profile, "kind": args.kind, "size": args.size,
+              "trials": args.trials, "seed": args.seed}
+    detected = sum(1 for r in runs if r["detected"])
+    return (detected == len(runs), config,
+            {"detected": detected, "total": len(runs), "runs": runs})
 
 
-def _cmd_instances(args) -> tuple[int, dict]:
+def _cmd_instances(args) -> tuple[bool, dict, dict]:
     if args.action == "list":
         entries = []
         for name in INSTANCE_NAMES:
@@ -417,22 +359,14 @@ def _cmd_instances(args) -> tuple[int, dict]:
                 "kind": "finite" if isinstance(b.space, FiniteSpace) else "analytic",
                 "has_map": b.selfmap is not None,
             })
-        return 0, {
-            "schema": SCHEMA, "command": "instances",
-            "config": {"action": "list"},
-            "passed": True, "instances": entries,
-        }
+        return True, {"action": "list"}, {"instances": entries}
     if args.action == "export":
         if not args.name or not args.out_file:
             raise UsageError("export needs --name and --out")
         bundle = get_instance(args.name, args.grid)
         dump_space(bundle.space, args.out_file)
-        return 0, {
-            "schema": SCHEMA, "command": "instances",
-            "config": {"action": "export", "name": args.name, "out": args.out_file},
-            "passed": True,
-            "space": space_to_dict(bundle.space),
-        }
+        return (True, {"action": "export", "name": args.name, "out": args.out_file},
+                {"space": space_to_dict(bundle.space)})
     raise UsageError(f"unknown instances action {args.action!r}")
 
 
@@ -533,16 +467,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        code, report = args.run(args)
+        passed, config, sections = args.run(args)
     except (UsageError, ExprError, SpaceError, MapError, IterateEscapeError,
             KeyError, ValueError, OSError) as e:
         msg = e.args[0] if (isinstance(e, KeyError) and e.args) else str(e)
         sys.stderr.write(f"error: {msg}\n")
         return 2
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "json")
-    _emit(report, fmt, out)
-    return code
+    report = plain({"schema": SCHEMA, "command": args.command, "config": config,
+                    "passed": passed, **sections})
+    _emit(report, args.format, args.out)
+    return 0 if passed else 1
 
 
 def entry() -> None:

@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as ex
+from ._report import Result
 from .spaces import DEFAULT_TOL, AnalyticSpace, FiniteSpace, Space
 from .thetaphi import PhiSpec, ThetaSpec
 
@@ -164,20 +165,16 @@ class SelfMap:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PairWitness:
+class PairWitness(Result):
     x: str | float
     y: str | float
     lhs: float
     rhs: float
     slack: float  # rhs - lhs; a pass keeps this >= -tol everywhere
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "lhs": self.lhs, "rhs": self.rhs,
-                "slack": self.slack}
-
 
 @dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(Result):
     kind: str  # "theta_r" | "theta_phi" | "linear_k"
     params: dict
     s: float
@@ -190,30 +187,12 @@ class ContractionCertificate:
     pairs_skipped: int
     violation_count: int
     worst_pair: PairWitness | None
-    domain_violation: tuple | None  # (x, y, d_img, d_pre)
+    domain_violation: tuple | None  # (x, y): the first pair with d(x,y) = 0 < d(Tx,Ty)
     max_ratio: float
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "s": self.s,
-            "tol": self.tol,
-            "pair_source": self.pair_source,
-            "verdict": self.verdict,
-            "vacuous": self.vacuous,
-            "pairs_total": self.pairs_total,
-            "pairs_checked": self.pairs_checked,
-            "pairs_skipped": self.pairs_skipped,
-            "violation_count": self.violation_count,
-            "worst_pair": self.worst_pair.to_dict() if self.worst_pair else None,
-            "domain_violation": list(self.domain_violation) if self.domain_violation else None,
-            "max_ratio": self.max_ratio,
-        }
 
 
 @dataclass(frozen=True)
@@ -238,7 +217,7 @@ class PairLedger:
 
 
 @dataclass(frozen=True)
-class ExponentBound:
+class ExponentBound(Result):
     """Supremum of log theta(s^2 d(Tx,Ty)) / log theta(d(x,y)) over the pair set."""
 
     value: float  # 0.0 over an empty admissible set; may be inf
@@ -247,16 +226,6 @@ class ExponentBound:
     pairs_checked: int
     pairs_skipped: int
     domain_violation: tuple | None
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "feasible": self.feasible,
-            "witness": list(self.witness) if self.witness else None,
-            "pairs_checked": self.pairs_checked,
-            "pairs_skipped": self.pairs_skipped,
-            "domain_violation": list(self.domain_violation) if self.domain_violation else None,
-        }
 
 
 # --------------------------------------------------------------------------

@@ -19,10 +19,11 @@ so the first start that fails raises its own error.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import Result, plain
 from .contraction import MapError, SelfMap
 from .expr import ExprError
 from .spaces import AnalyticSpace, FiniteSpace, Space, SpaceError, UnknownLabelError
@@ -48,7 +49,7 @@ DEFAULT_SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PicardTrace:
+class PicardTrace(Result):
     space: Space
     selfmap: SelfMap
     values: tuple[float, ...]
@@ -71,24 +72,22 @@ class PicardTrace:
         return self.terminated_by in ("exact_fixed_point", "tolerance")
 
     def to_dict(self) -> dict:
-        return {
-            "iterates": [
-                {"value": v, "label": l} for v, l in zip(self.values, self.labels)
-            ],
-            "fwd_step": list(self.fwd_step),
-            "bwd_step": list(self.bwd_step),
-            "fwd_skip": list(self.fwd_skip),
-            "bwd_skip": list(self.bwd_skip),
+        return plain({
+            "iterates": [{"value": v, "label": l} for v, l in zip(self.values, self.labels)],
+            "fwd_step": self.fwd_step,
+            "bwd_step": self.bwd_step,
+            "fwd_skip": self.fwd_skip,
+            "bwd_skip": self.bwd_skip,
             "terminated_by": self.terminated_by,
             "steps": self.steps,
             "limit": self.limit,
             "limit_label": self.limit_label,
             "tol": self.tol,
-        }
+        })
 
 
 @dataclass(frozen=True)
-class FixedPointVerdict:
+class FixedPointVerdict(Result):
     point: float
     label: str | None
     fwd_residual: float  # d(Tz, z)
@@ -96,12 +95,9 @@ class FixedPointVerdict:
     verified: bool
     tol: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class SeriesDiagnostic:
+class SeriesDiagnostic(Result):
     name: str
     length: int
     monotone: bool  # strictly decreasing while positive, zero tail allowed
@@ -109,12 +105,9 @@ class SeriesDiagnostic:
     tail_value: float | None
     tail_ok: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class CauchyDiagnostics:
+class CauchyDiagnostics(Result):
     series: tuple[SeriesDiagnostic, ...]
     tol: float
 
@@ -123,15 +116,11 @@ class CauchyDiagnostics:
         return all(s.monotone and s.tail_ok for s in self.series)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "series": [s.to_dict() for s in self.series],
-        }
+        return plain({"passed": self.passed, "tol": self.tol, "series": self.series})
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Result):
     passed: bool
     representative: float | None
     merge_tol: float
@@ -139,19 +128,9 @@ class UniquenessReport:
     non_converged: tuple  # (start_repr, terminated_by)
     max_mutual_distance: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "representative": self.representative,
-            "merge_tol": self.merge_tol,
-            "limits": [list(l) for l in self.limits],
-            "non_converged": [list(l) for l in self.non_converged],
-            "max_mutual_distance": self.max_mutual_distance,
-        }
-
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Result):
     y: float
     s: float
     tail_len: int
@@ -162,9 +141,6 @@ class SandwichReport:
     bwd_tail_min: float
     bwd_tail_max: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # --------------------------------------------------------------------------

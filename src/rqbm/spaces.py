@@ -31,6 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from . import expr as ex
+from ._report import Result
 
 __all__ = [
     "Point",
@@ -314,11 +315,11 @@ Space = FiniteSpace | AnalyticSpace
 
 
 # --------------------------------------------------------------------------
-# Reports (``to_dict`` keeps the field order; nested reports become dicts)
+# Reports (``to_dict`` is the shared ``Result`` report form)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadrupleViolation:
+class QuadrupleViolation(Result):
     x: str | float
     u: str | float
     v: str | float
@@ -327,27 +328,17 @@ class QuadrupleViolation:
     rhs_sum: float
     ratio: float  # lhs / rhs_sum, or +inf when rhs_sum == 0 and lhs > 0
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in order
-
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Result):
     passed: bool
     pairs_checked: int
     zero_off_diagonal: tuple  # pairs (a, b) with d(a,b)=0 and a != b
     nonzero_diagonal: tuple   # (p, d(p,p)) entries with d != 0
 
-    def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "zero_off_diagonal": [list(p) for p in self.zero_off_diagonal],
-            "nonzero_diagonal": [list(p) for p in self.nonzero_diagonal],
-        }
-
 
 @dataclass(frozen=True)
-class RectangularReport:
+class RectangularReport(Result):
     s: float
     tol: float
     passed: bool
@@ -357,23 +348,17 @@ class RectangularReport:
     violations: tuple[QuadrupleViolation, ...]
     source: str  # description of the quadruple source
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "violations": [v.to_dict() for v in self.violations]}
-
 
 @dataclass(frozen=True)
-class CoefficientBound:
+class CoefficientBound(Result):
     value: float | None  # None means undefined (no admissible quadruple)
     witness: QuadrupleViolation | None
     quadruples_checked: int
     source: str
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "witness": self.witness.to_dict() if self.witness else None}
-
 
 @dataclass(frozen=True)
-class Classification:
+class Classification(Result):
     s: float
     is_quasi_identity: bool
     is_symmetric: bool
@@ -386,17 +371,6 @@ class Classification:
     identity: IdentityReport
     triangle_witness: tuple | None       # (x, z, y, lhs, rhs_sum) at s
     quadrilateral_witness: QuadrupleViolation | None  # at s
-
-    def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "asymmetry_witnesses": [list(w) for w in self.asymmetry_witnesses],
-            "identity": self.identity.to_dict(),
-            "triangle_witness": list(self.triangle_witness) if self.triangle_witness else None,
-            "quadrilateral_witness": (
-                self.quadrilateral_witness.to_dict() if self.quadrilateral_witness else None
-            ),
-        }
 
 
 # --------------------------------------------------------------------------
@@ -731,7 +705,9 @@ def classify(
     )
     (count_1, _), (count_s, first_s) = found[0], found[-1]
     tri_1 = _first_triangle(pts, D, 1.0, tol)
-    tri_s = tri_1 if s == 1.0 else _first_triangle(pts, D, s, tol)
+    # For s >= 1 the rounded s * rhs is at least rhs, so a violation at s is
+    # one at 1 too: with none at 1 there is nothing to search for at s.
+    tri_s = tri_1 if s == 1.0 or (s > 1.0 and tri_1 is None) else _first_triangle(pts, D, s, tol)
     ok_id = identity.passed
     return Classification(
         s=s,

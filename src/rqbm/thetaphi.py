@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
+from ._report import Result, plain
 
 __all__ = [
     "ThetaSpec",
@@ -135,23 +137,15 @@ def phi_spec(text: str) -> PhiSpec:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Result):
     name: str
     passed: bool
     witnesses: tuple
     defect: float  # largest observed violation magnitude; 0.0 when passed
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": [list(w) for w in self.witnesses],
-            "defect": self.defect,
-        }
-
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Result):
     name: str
     grid_description: str
     checks: tuple[PropertyCheck, ...]
@@ -171,13 +165,8 @@ class ValidationReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": self.grid_description,
-            "passed": self.passed,
-            "max_defect": self.max_defect,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return plain({"name": self.name, "grid": self.grid_description, "passed": self.passed,
+                      "max_defect": self.max_defect, "checks": self.checks})
 
 
 # --------------------------------------------------------------------------
@@ -205,19 +194,24 @@ def default_phi_grid() -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _secant_jumps(grid: np.ndarray, values: np.ndarray, factor: float):
-    """Flag secant slopes larger than ``factor`` times their local median."""
+    """Flag secant slopes larger than ``factor`` times their local median.
+
+    A slope's window is itself and up to ``half`` slopes on each side; the
+    full windows take one median call, the at most 2 * ``half`` truncated
+    ones at the ends one call each.
+    """
     if len(grid) < 4:
         return [], 0.0
     sec = np.abs(np.diff(values)) / np.diff(grid)
-    half = 5
-    witnesses = []
-    worst = 0.0
-    for i in range(len(sec)):
-        window = sec[max(0, i - half): i + half + 1]
-        med = float(np.median(window))
-        if sec[i] > factor * med:
-            witnesses.append((float(grid[i]), float(grid[i + 1]), float(sec[i]), med))
-            worst = max(worst, float(sec[i] - factor * med))
+    half, n = 5, len(sec)
+    med = np.empty(n)
+    if n > 2 * half:
+        med[half:n - half] = np.median(sliding_window_view(sec, 2 * half + 1), axis=1)
+    for i in (*range(min(half, n)), *range(max(half, n - half), n)):
+        med[i] = np.median(sec[max(0, i - half): i + half + 1])
+    jumps = np.flatnonzero(sec > factor * med)
+    witnesses = [(float(grid[i]), float(grid[i + 1]), float(sec[i]), float(med[i])) for i in jumps]
+    worst = max([0.0] + [float(sec[i] - factor * med[i]) for i in jumps])
     return witnesses, worst
 
 

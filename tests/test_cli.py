@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rqbm.cli
 import rqbm.spaces
 from rqbm.cli import MAX_POINTS, _grid_size, main
 
@@ -451,8 +452,18 @@ class TestOnlyClassifySearchesTriangles:
         (("verify", "--instance", "example-sqrt", "--grid", "11", "--s", "1"), []),
         (("min-s", "--instance", "example-sqrt", "--grid", "11"), []),
         (("falsify", "--trials", "5", "--size", "6"), []),
-    ], ids=["classify", "classify-s1", "verify", "min-s", "falsify"])
-    def test_triangle_search_calls(self, capsys, monkeypatch, argv, searched):
+        # no violation at 1 means none at s >= 1; below 1 there may be one
+        (("classify", "--space", "METRIC", "--s", "2"), [1.0]),
+        (("classify", "--space", "METRIC", "--s", "0.5"), [1.0, 0.5]),
+    ], ids=["classify", "classify-s1", "verify", "min-s", "falsify", "metric-s2", "metric-s0.5"])
+    def test_triangle_search_calls(self, capsys, monkeypatch, tmp_path, argv, searched):
+        if "METRIC" in argv:
+            from rqbm.instances import random_space
+            from rqbm.spaces import dump_space
+
+            path = tmp_path / "metric.json"
+            dump_space(random_space(6, 0, "metric"), str(path))
+            argv = [str(path) if a == "METRIC" else a for a in argv]
         calls = []
         search = rqbm.spaces._first_triangle
 
@@ -507,3 +518,38 @@ class TestDeterminism:
         )
         assert code == 0
         assert "passed" in out and "quadrilateral" in out
+
+
+class TestReportShape:
+    CASES = [*TestDeterminism.COMMANDS, ("instances", "list"),
+             ("instances", "export", "--name", "example-2-3", "--out", "OUT")]
+
+    @staticmethod
+    def plain_types(value) -> set:
+        """The exact types anywhere in a report tree."""
+        if isinstance(value, dict):
+            return {dict}.union(*map(TestReportShape.plain_types, value.values()))
+        if isinstance(value, (list, tuple)):
+            return {type(value)}.union(*map(TestReportShape.plain_types, value))
+        return {type(value)}
+
+    @pytest.mark.parametrize("argv", CASES,
+                             ids=[a[0] for a in TestDeterminism.COMMANDS] + ["list", "export"])
+    def test_header_exit_code_and_plain_tree(self, capsys, monkeypatch, tmp_path, argv):
+        argv = [str(tmp_path / "space.json") if a == "OUT" else a for a in argv]
+        emitted = []
+        emit = rqbm.cli._emit
+
+        def recording(report, *rest):
+            emitted.append(report)
+            emit(report, *rest)
+
+        monkeypatch.setattr(rqbm.cli, "_emit", recording)
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert list(report)[:4] == ["schema", "command", "config", "passed"]
+        assert report["command"] == argv[0]
+        assert code == (0 if report["passed"] is True else 1)
+        assert self.plain_types(emitted[0]) <= {dict, list, str, int, float, bool, type(None)}
+        text_code, _, _ = run(capsys, *argv, "--format", "text")
+        assert text_code == code

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rqbm.expr import EvalError
 from rqbm.thetaphi import (
+    _secant_jumps,
     IterateEscapeError,
     PhiSpec,
     ThetaSpec,
@@ -69,6 +72,51 @@ class TestValidateTheta:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             validate_theta(builtin_theta("exp-sqrt"), [1.0, 0.5])
+
+
+def reference_secant_jumps(grid, values, factor):
+    """Each slope against the median of its own window, one slope at a time."""
+    if len(grid) < 4:
+        return [], 0.0
+    sec = np.abs(np.diff(values)) / np.diff(grid)
+    witnesses, worst = [], 0.0
+    for i in range(len(sec)):
+        med = float(np.median(sec[max(0, i - 5): i + 6]))
+        if sec[i] > factor * med:
+            witnesses.append((float(grid[i]), float(grid[i + 1]), float(sec[i]), med))
+            worst = max(worst, float(sec[i] - factor * med))
+    return witnesses, worst
+
+
+@st.composite
+def secant_cases(draw):
+    """4 to 40 grid points (every window truncated below 11 slopes), steps and
+    increments from small sets so that slopes tie, and one planted jump."""
+    n = draw(st.integers(4, 40))
+    steps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]), min_size=n - 1,
+                          max_size=n - 1))
+    rises[draw(st.integers(0, n - 2))] += draw(st.sampled_from([0.0, 7.0, 1e3]))
+    grid = np.concatenate([[0.1], 0.1 + np.cumsum(steps)])
+    values = np.concatenate([[1.0], 1.0 + np.cumsum(rises)])
+    return grid, values, draw(st.sampled_from([1.0, 2.0, 10.0]))
+
+
+class TestSecantJumps:
+    @given(secant_cases())
+    def test_matches_the_per_slope_loop(self, case):
+        grid, values, factor = case
+        # repr tells a float from a numpy scalar and -0.0 from 0.0: bit for bit
+        assert repr(_secant_jumps(grid, values, factor)) == repr(
+            reference_secant_jumps(grid, values, factor))
+
+    def test_planted_jump_in_a_full_window(self):
+        grid = np.arange(1.0, 31.0)
+        values = grid.copy()
+        values[15:] += 100.0  # slope 101 between points 15 and 16, slope 1 elsewhere
+        witnesses, defect = _secant_jumps(grid, values, 10.0)
+        assert witnesses == [(15.0, 16.0, 101.0, 1.0)]
+        assert defect == 91.0
 
 
 class TestValidatePhi:

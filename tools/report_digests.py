@@ -1,0 +1,65 @@
+"""Print the exit code and the SHA-256 of stdout and stderr of every report command.
+
+The commands are every workload command of ``bench/workloads.py`` at the
+given seeds, each again with ``--format text``, and a fixed list of error
+cases.  Each runs through ``rqbm.cli.main`` in this process, one line per
+command: exit code, stdout digest, stderr digest, argv.
+
+``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
+checkouts tells whether any report byte changed between them::
+
+    PYTHONPATH=/path/to/parent/src python tools/report_digests.py --seeds 0 1 > before.txt
+    PYTHONPATH=src python tools/report_digests.py --seeds 0 1 > after.txt
+    diff before.txt after.txt
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+import rqbm.cli  # noqa: E402
+
+ERROR_CASES = [
+    ["classify", "--instance", "no-such-instance"],
+    ["verify", "--instance", "example-2-3", "--grid", "1"],
+    ["verify", "--instance", "example-2-3", "--s", "-1"],
+    ["falsify", "--trials", "0"],
+    ["falsify", "--size", "3"],
+]
+
+
+def digest_line(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rqbm.cli.main(argv)
+    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    return f"{code} {sha[0]} {sha[1]} {shlex.join(argv)}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1],
+                        help="workload seeds (default: 0 1)")
+    args = parser.parse_args(argv)
+    json_runs = [
+        cmd["argv"]
+        for seed in args.seeds
+        for workload in workloads.WORKLOADS
+        for cmd in workloads.commands(workload, seed)
+    ]
+    text_runs = [run + ["--format", "text"] for run in json_runs]
+    for run in json_runs + text_runs + ERROR_CASES:
+        print(digest_line(run), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
