@@ -180,8 +180,8 @@ def _cmd_verify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
     grid = _scan_grid(args)
-    table = _points_of(space, grid)  # one table for both checks
-    identity = _identity(*table[:2])
+    table = pts, _, D, _ = _points_of(space, grid)  # one table for both checks
+    identity = _identity(pts, D)
     rect = _rectangular(space, s, table, grid, DEFAULT_RANDOM_SAMPLES, args.seed, DEFAULT_TOL, 100)
     return (identity.passed and rect.passed, {**src, "s": s, "seed": args.seed},
             {"identity": identity, "quadrilateral": rect})

@@ -1,7 +1,8 @@
 """Self-maps and contraction-condition certificates.
 
-Three conditions are decided over a pair set (exhaustive for finite spaces,
-grid plus seeded random pairs for analytic ones), each as an implication
+Three conditions are decided over a pair set (every ordered pair of the
+carrier sample the axiom checks read, plus seeded random pairs on analytic
+spaces), each as an implication
 whose antecedent is a positive image distance d(Tx, Ty) > 0:
 
 * exponent form:   theta(s^2 * d(Tx, Ty)) <= theta(d(x, y)) ** r,  0 < r < 1;
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from . import expr as ex
 from ._report import Result
-from .spaces import DEFAULT_TOL, AnalyticSpace, FiniteSpace, Space
+from .spaces import DEFAULT_TOL, AnalyticSpace, FiniteSpace, Space, _points_of
 from .thetaphi import PhiSpec, ThetaSpec
 
 __all__ = [
@@ -239,37 +241,29 @@ def _pair_data(
     random_pairs: int,
     seed: int,
 ):
-    """All ordered pairs with image and preimage distances, deterministically.
-
-    Finite: every ordered label pair including the diagonal.  Analytic: the
-    row-major grid mesh followed by seeded random pairs.
+    """Every ordered pair of ``_points_of(space, grid_points)`` in row-major
+    order, then on an analytic space the seeded random pairs ``zip(xs, ys)``,
+    with image and preimage distances: ``(names, xs, ys, d_img, d_pre, source)``.
     """
     selfmap.check_total(space)
-    if isinstance(space, FiniteSpace):
-        labels = space.labels
-        ids: list[tuple] = [(a, b) for a in labels for b in labels]
-        image = selfmap.apply_array(space, space._values)
-        # both tables' rows and columns follow the labels, so ravel() is in ids order
-        d_img = space.distance_value(image[:, None], image[None, :]).ravel()
-        d_pre = space.distance_matrix.ravel()
-        return ids, d_img, d_pre, f"exhaustive:{len(labels)}x{len(labels)}"
-    g = space.grid(grid_points)
-    Tg = selfmap.apply_array(space, g)
-    ids = [(float(x), float(y)) for x in g for y in g]
-    d_img = space.distance(Tg[:, None], Tg[None, :]).ravel()
-    d_pre = space.distance(g[:, None], g[None, :]).ravel()
-    source = f"grid:{grid_points}x{grid_points}"
-    if random_pairs > 0:
+    names, values, D, carrier = _points_of(space, grid_points)
+    n = len(names)
+    image = selfmap.apply_array(space, values)
+    # the table's rows and columns follow the names, so ravel() is in pair order
+    d_img = space.distance_value(image[:, None], image[None, :]).ravel()
+    d_pre = D.ravel()
+    source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
+    xs = ys = np.empty(0)
+    if isinstance(space, AnalyticSpace) and random_pairs > 0:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(space.lo, space.hi, random_pairs)
         ys = rng.uniform(space.lo, space.hi, random_pairs)
         Txs = selfmap.apply_array(space, xs)
         Tys = selfmap.apply_array(space, ys)
-        d_img = np.concatenate([d_img, space.distance(Txs, Tys)])
-        d_pre = np.concatenate([d_pre, space.distance(xs, ys)])
-        ids.extend((float(x), float(y)) for x, y in zip(xs, ys))
+        d_img = np.concatenate([d_img, space.distance_value(Txs, Tys)])
+        d_pre = np.concatenate([d_pre, space.distance_value(xs, ys)])
         source += f"+random:{random_pairs}(seed={seed})"
-    return ids, d_img, d_pre, source
+    return names, xs, ys, d_img, d_pre, source
 
 
 @dataclass(frozen=True)
@@ -277,16 +271,30 @@ class _Pairs:
     """The pair set of one contraction operation, masked and (with theta) mapped."""
 
     s: float
-    ids: list
+    names: list  # the carrier points; pair k < len(names)^2 is a carrier pair
+    xs: np.ndarray  # the random pairs, after the carrier pairs
+    ys: np.ndarray
     source: str
     d_img: np.ndarray
     d_pre: np.ndarray
     skipped: np.ndarray  # antecedent d(Tx,Ty) > 0 is false
     checked: np.ndarray  # neither skipped nor a domain violation
-    domain: tuple | None  # first pair with d(x,y) = 0 < d(Tx,Ty) (theta forms)
     th_img: np.ndarray | None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
     th_pre: np.ndarray | None  # theta(d(x,y)), valid on checked pairs
     ratio: np.ndarray | None  # log th_img / log th_pre on checked pairs, else 0
+
+    def pair(self, k: int) -> tuple:
+        """The (x, y) of pair k."""
+        n = len(self.names)
+        if k < n * n:
+            return self.names[k // n], self.names[k % n]
+        return float(self.xs[k - n * n]), float(self.ys[k - n * n])
+
+    @cached_property
+    def domain(self) -> tuple | None:
+        """The first pair with d(x,y) = 0 < d(Tx,Ty) (theta forms), or None."""
+        at = ~self.skipped & ~self.checked
+        return self.pair(int(np.argmax(at))) if at.any() else None
 
 
 def _pair_pass(
@@ -304,19 +312,14 @@ def _pair_pass(
         raise ValueError(f"coefficient s must be >= 1, got {s}")
     if param is not None and not 0.0 < param[1] < 1.0:
         raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
-    if reuse is None:
-        ids, d_img, d_pre, source = _pair_data(space, selfmap, grid_points, random_pairs, seed)
-    else:
-        ids, d_img, d_pre, source = reuse.ids, reuse.d_img, reuse.d_pre, reuse.source
+    names, xs, ys, d_img, d_pre, source = (
+        _pair_data(space, selfmap, grid_points, random_pairs, seed) if reuse is None
+        else (reuse.names, reuse.xs, reuse.ys, reuse.d_img, reuse.d_pre, reuse.source))
     skipped = d_img == 0.0
-    if theta is not None:
-        domain_mask = (~skipped) & (d_pre == 0.0)
-    else:
-        domain_mask = np.zeros_like(skipped)
-    checked = (~skipped) & (~domain_mask)
-    domain = ids[int(np.argmax(domain_mask))] if domain_mask.any() else None
+    checked = ~skipped
     th_img = th_pre = ratio = None
     if theta is not None:
+        checked &= d_pre != 0.0  # d(x, y) = 0 < d(Tx, Ty) leaves theta's domain
         # excluded entries are masked to a safe argument; their values are unused
         th_img = np.asarray(theta(np.where(checked, s * s * d_img, 1.0)), dtype=np.float64)
         th_pre = np.asarray(theta(np.where(checked, d_pre, 1.0)), dtype=np.float64)
@@ -325,7 +328,7 @@ def _pair_pass(
             den = np.log(th_pre)
             ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
             ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
-    return _Pairs(s, ids, source, d_img, d_pre, skipped, checked, domain,
+    return _Pairs(s, names, xs, ys, source, d_img, d_pre, skipped, checked,
                   th_img, th_pre, ratio)
 
 
@@ -340,7 +343,7 @@ def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
     worst = None
     if n_checked:
         k = int(np.argmin(slack))
-        x, y = p.ids[k]
+        x, y = p.pair(k)
         worst = PairWitness(x, y, float(lhs[k]), float(rhs[k]), float(slack[k]))
     cert = ContractionCertificate(
         kind=kind,
@@ -350,18 +353,18 @@ def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
         pair_source=p.source,
         verdict="fail" if (n_viol or p.domain is not None) else "pass",
         vacuous=n_checked == 0 and p.domain is None,
-        pairs_total=len(p.ids),
+        pairs_total=p.d_img.size,
         pairs_checked=n_checked,
         pairs_skipped=int(p.skipped.sum()),
         violation_count=n_viol,
         worst_pair=worst,
         domain_violation=p.domain,
-        max_ratio=float(ratio.max()) if len(p.ids) else 0.0,
+        max_ratio=float(ratio.max()) if p.d_img.size else 0.0,
     )
     if not details:
         return cert
     ledger = PairLedger(
-        ids=tuple(p.ids),
+        ids=tuple(map(p.pair, range(p.d_img.size))),
         d_img=p.d_img,
         d_pre=p.d_pre,
         lhs=np.where(checked, lhs, np.nan),
@@ -485,6 +488,6 @@ def _exponent(p: _Pairs) -> ExponentBound:
         return ExponentBound(0.0, p.domain is None, None, 0, n_skipped, p.domain)
     k = int(np.argmax(p.ratio))
     value = float(p.ratio[k])
-    witness = p.ids[k] if p.checked[k] else None
+    witness = p.pair(k) if p.checked[k] else None
     feasible = p.domain is None and value < 1.0
     return ExponentBound(value, feasible, witness, n_checked, n_skipped, p.domain)

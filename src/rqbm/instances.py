@@ -205,9 +205,9 @@ _SALTS = {"break_identity": 3, "break_quadrilateral": 9}
 def _sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the off-diagonal pairs of labels p0 ... p{n-1},
     in sorted label order (p10 comes before p2)."""
-    order = sorted(range(n), key=lambda i: f"p{i}")
-    pairs = np.array([(i, j) for i in order for j in order if i != j], dtype=np.intp)
-    return pairs[:, 0], pairs[:, 1]
+    order = np.array(sorted(range(n), key=lambda i: f"p{i}"), dtype=np.intp)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    return order[i], order[j]
 
 
 def _random_tables(n: int, seeds, profile: str):

@@ -268,19 +268,12 @@ class AnalyticSpace:
         """An interval carries no labels."""
         return None
 
-    def distance(self, x, y):
-        """Evaluate the distance; accepts floats or numpy arrays.
-
-        A negative sample raises ``SpaceError``: the first one in C order.
-        """
-        d = ex.evaluate(self.formula, {"x": x, "y": y})
-        _refuse_negative(d, x, y)
-        return d
-
     def distance_value(self, x, y):
-        """``distance``, except that a failing evaluation raises the first
-        failing pair's error as a call on that pair alone gives it."""
+        """The distance at floats or over the broadcast of arrays.  The first
+        pair in C order that fails, or is negative, raises its own error."""
         return _formula_distance(self.formula, x, y, x, y)
+
+    distance = distance_value
 
     def grid(self, m: int) -> np.ndarray:
         if m < 2:
@@ -414,10 +407,12 @@ def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: boo
     M(x, y) = ``_three_hop_min`` is the least rhs = d(x, u) + d(u, v) + d(v, y)
     over admissible (u, v).  Rounded addition, lhs / rhs and ``s * rhs + tol``
     (s >= 0) are monotone, so M gives each row its exact verdicts and
-    supremum; at lhs = M = 0 the ratio is 0 if some admissible sum is
-    positive, else skipped.  Returns ``bad`` (T * n, len(checks)): does the
-    row hold a quadruple with lhs > s * rhs + tol, per ``(s, tol)``; and, with
-    ``supremum``, each row's supremum (-inf for no ratio), else None.
+    supremum.  An entry with lhs = M = 0 is skipped (-inf): row suprema only
+    choose the row stage 2 visits, and if none is above 0 (n >= 4), every
+    off-diagonal distance is 0, so no admissible sum is positive.  Returns
+    ``bad`` (T * n, len(checks)): does the row hold a quadruple with
+    lhs > s * rhs + tol, per ``(s, tol)``; and, with ``supremum``, each row's
+    supremum (-inf for no ratio), else None.
     """
     T, n = tables.shape[0], tables.shape[-1]
     bad = np.zeros((T * n, len(checks)), dtype=bool)
@@ -437,13 +432,7 @@ def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: boo
                 continue
             ratio = L / M
             np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
-            zero = np.isnan(ratio)
-            if zero.any():  # is a d(x, u), d(v, y) or d(u, v) off {x, y} positive?
-                P = (D > 0.0) & ~np.eye(n, dtype=bool)
-                R, C = P.sum(axis=2), P.sum(axis=1)
-                pos = ((R[r, X, None] > 0) | (C > 0)
-                       | (R.sum(axis=1)[:, None] - R - C[r, X, None] + P[r, :, X] > 0))
-                ratio[zero] = np.where(pos[zero], 0.0, -math.inf)
+            np.copyto(ratio, -math.inf, where=np.isnan(ratio))  # lhs = M = 0
             ratio[r, X] = -math.inf
             row_sup[rows] = ratio.max(axis=1)
     return bad, row_sup
@@ -506,7 +495,7 @@ def _quadrilateral_pass(
     """
     if any(s < 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
-    pts, D, source = table or _points_of(space, grid_points)
+    pts, _, D, source = table or _points_of(space, grid_points)
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
     counts = [0] * len(checks)
@@ -564,7 +553,7 @@ def _quadrilateral_pass(
         if isinstance(space, AnalyticSpace) and random_samples > 0:
             rng = np.random.default_rng(seed)
             xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples) for _ in range(4))
-            d = space.distance
+            d = space.distance_value
             adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
             checked += int(np.count_nonzero(adm))
             visit(
@@ -589,7 +578,8 @@ def _quadrilateral_pass(
 
 def check_identity_axiom(space: Space, grid_points: int = 50) -> IdentityReport:
     """Check d(a, b) = 0 exactly when a = b, over all pairs or a sampling grid."""
-    return _identity(*_points_of(space, grid_points)[:2])
+    pts, _, D, _ = _points_of(space, grid_points)
+    return _identity(pts, D)
 
 
 def _identity(pts: list, D: np.ndarray) -> IdentityReport:
@@ -616,11 +606,13 @@ def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
 
 
 def _points_of(space: Space, grid_points: int):
+    """The carrier sample every check reads: the point names (labels, or the
+    grid's floats), their values, the distance table and the source."""
     if isinstance(space, FiniteSpace):
-        return list(space.labels), space.distance_matrix, "exhaustive"
+        return list(space.labels), space._values, space.distance_matrix, "exhaustive"
     g = space.grid(grid_points)
-    D = np.asarray(space.distance(g[:, None], g[None, :]), dtype=np.float64)
-    return [float(v) for v in g], D, f"grid:{grid_points}"
+    D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
+    return g.tolist(), g, D, f"grid:{grid_points}"
 
 
 def check_b_rectangular(
@@ -691,7 +683,7 @@ def classify(
     """Decide every class membership: symmetry, metric, b-metric, rectangular, RQB."""
     if s is None:
         s = space.claimed_s if space.claimed_s is not None else 1.0
-    table = pts, D, _ = _points_of(space, grid_points)
+    table = pts, _, D, _ = _points_of(space, grid_points)
     identity = _identity(pts, D)
     asym = tuple(
         (pts[i], pts[j], float(D[i, j]), float(D[j, i]))

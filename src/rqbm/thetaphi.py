@@ -173,11 +173,18 @@ class ValidationReport(Result):
 # Grids
 # --------------------------------------------------------------------------
 
-def log_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
+_PER_DECADE = 64  # log-grid points per decade
+_THETA_LIMIT = 1e-3  # how close to 1 theta's vanishing sequence must end
+_PHI_LIMIT = 1e-6  # how close to 1 every phi iterate sequence must end
+_FIXPOINT_TOL = 1e-12  # how far phi(1) may lie from 1
+_JUMP_FACTOR = 10.0  # a secant slope above this times its local median is a jump
+
+
+def log_grid(lo: float, hi: float) -> np.ndarray:
     if not (0 < lo < hi):
         raise ValueError("log grid needs 0 < lo < hi")
     decades = math.log10(hi / lo)
-    count = max(2, int(round(decades * per_decade)) + 1)
+    count = max(2, int(round(decades * _PER_DECADE)) + 1)
     return np.geomspace(lo, hi, count)
 
 
@@ -219,15 +226,12 @@ def validate_theta(
     spec: ThetaSpec,
     grid: np.ndarray | list[float] | None = None,
     vanishing_seq_len: int = 40,
-    *,
-    limit_threshold: float = 1e-3,
-    jump_factor: float = 10.0,
 ) -> ValidationReport:
     """Sample-check membership in the (0, inf) -> (1, inf) family.
 
     Checks on the sorted grid: values finite and > 1; strict increase;
     values along t_n = grid_min / 2^n descending toward 1 with the final
-    value within ``limit_threshold`` of 1; and the secant continuity proxy.
+    value within ``_THETA_LIMIT`` of 1; and the secant continuity proxy.
     Expression evaluation failures propagate.
     """
     grid = np.asarray(default_theta_grid() if grid is None else grid, dtype=np.float64)
@@ -255,11 +259,11 @@ def validate_theta(
             lim_w.append((seq_t[i], seq_v[i], seq_t[i + 1], seq_v[i + 1]))
             lim_defect = max(lim_defect, seq_v[i + 1] - seq_v[i])
     final_gap = seq_v[-1] - 1.0
-    if not final_gap < limit_threshold:
+    if not final_gap < _THETA_LIMIT:
         lim_w.append((seq_t[-1], seq_v[-1]))
-        lim_defect = max(lim_defect, final_gap - limit_threshold)
+        lim_defect = max(lim_defect, final_gap - _THETA_LIMIT)
 
-    jump_w, jump_defect = _secant_jumps(grid, vals, jump_factor)
+    jump_w, jump_defect = _secant_jumps(grid, vals, _JUMP_FACTOR)
 
     checks = (
         PropertyCheck("range-above-one", not range_w, tuple(range_w), range_defect),
@@ -304,17 +308,13 @@ def validate_phi(
     spec: PhiSpec,
     grid: np.ndarray | list[float] | None = None,
     iterate_depth: int = 256,
-    *,
-    fixpoint_tol: float = 1e-12,
-    limit_threshold: float = 1e-6,
-    jump_factor: float = 10.0,
 ) -> ValidationReport:
     """Sample-check membership in the [1, inf) -> [1, inf) family.
 
-    Checks: nondecreasing on the grid; phi(1) = 1 within ``fixpoint_tol``;
+    Checks: nondecreasing on the grid; phi(1) = 1 within ``_FIXPOINT_TOL``;
     phi(t) < t for grid points t > 1; for each grid point the iterate
     sequence is nonincreasing, stays in [1, inf), and lands within
-    ``limit_threshold`` of 1 after ``iterate_depth`` steps; secant proxy.
+    ``_PHI_LIMIT`` of 1 after ``iterate_depth`` steps; secant proxy.
     """
     grid = np.asarray(default_phi_grid() if grid is None else grid, dtype=np.float64)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 1.0:
@@ -329,7 +329,7 @@ def validate_phi(
             mono_defect = max(mono_defect, float(vals[i] - vals[i + 1]))
 
     at_one = float(spec(1.0))
-    fix_w = [] if abs(at_one - 1.0) <= fixpoint_tol else [(1.0, at_one)]
+    fix_w = [] if abs(at_one - 1.0) <= _FIXPOINT_TOL else [(1.0, at_one)]
 
     below_w = []
     below_defect = 0.0
@@ -348,11 +348,11 @@ def validate_phi(
                 iter_defect = max(iter_defect, seq[i + 1] - seq[i])
                 break
         gap = seq[-1] - 1.0
-        if not gap < limit_threshold:
+        if not gap < _PHI_LIMIT:
             iter_w.append((t, iterate_depth, seq[-1]))
-            iter_defect = max(iter_defect, gap - limit_threshold)
+            iter_defect = max(iter_defect, gap - _PHI_LIMIT)
 
-    jump_w, jump_defect = _secant_jumps(grid, vals, jump_factor)
+    jump_w, jump_defect = _secant_jumps(grid, vals, _JUMP_FACTOR)
 
     checks = (
         PropertyCheck("nondecreasing", not mono_w, tuple(mono_w), mono_defect),

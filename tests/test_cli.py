@@ -356,6 +356,38 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == "error: sqrt of a negative value in 'sqrt(0.8 - x)'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify",),
+        ("classify",),
+        ("min-s",),
+        ("contraction", "--kind", "linear", "--k", "0.5", "--map", "2 - x/2"),
+    ])
+    def test_failing_analytic_formula_names_no_sample_index(self, capsys, tmp_path, argv):
+        # the first failing pair raises the error a call on that pair alone gives
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps({
+            "kind": "analytic", "domain": {"lo": 1.0, "hi": 2.0},
+            "forward": "(x - y)^2 + 0 * ln(x - y + 0.5)",
+        }))
+        code, out, err = run(capsys, argv[0], "--space", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: ln of a non-positive value in 'ln(x - y + 0.5)'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("contraction", "--instance", "example-2-3", "--kind", "theta_r",
+          "--theta", "builtin:exp", "--map", "x"), "theta_r needs --exponent"),
+        (("contraction", "--instance", "example-2-3", "--kind", "theta_phi",
+          "--theta", "builtin:exp", "--map", "x"), "theta_phi needs --phi"),
+        (("contraction", "--instance", "example-2-3"),
+         "--map is required (the instance carries none)"),
+        (("solve", "--instance", "example-sqrt", "--start", "1.5", "--uniqueness-starts", "all"),
+         "--uniqueness-starts all needs a finite space"),
+        (("solve", "--instance", "example-final", "--start", "zz"),
+         "start 'zz' is neither a label nor a number"),
+    ], ids=["exponent", "phi", "map", "uniqueness-all", "start"])
+    def test_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_refused(self, capsys, trials):
         code, out, err = run(capsys, "falsify", "--trials", trials)

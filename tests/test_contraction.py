@@ -22,7 +22,7 @@ from rqbm.instances import (
     build_example_sqrt,
     random_space,
 )
-from rqbm.spaces import AnalyticSpace, FiniteSpace
+from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError
 from rqbm.thetaphi import builtin_phi, builtin_theta
 
 # closed forms of the builtin thetas and phis, on numpy scalars: numpy's
@@ -413,6 +413,61 @@ class TestCertificateReplay:
         rhs = float(b.phi(float(b.theta(b.space.distance(w.x, w.y)))))
         assert lhs == w.lhs
         assert rhs == w.rhs
+
+
+class TestPairNaming:
+    # on [1, 2], d(x, y) = 0 exactly when x <= y, and T takes both grid ends
+    # to 1.5: the four grid pairs are skipped, so every witness is a random pair
+    SPACE = "if(x < y, 0, x - y)"
+    MAP = "1.5 + (x - 1) * (2 - x)"
+    SAMPLE = dict(grid_points=2, random_pairs=50, seed=3)
+
+    def test_grid_pairs_then_random_pairs(self):
+        space = AnalyticSpace.build(1.0, 2.0, self.SPACE)
+        selfmap, theta = SelfMap.from_expression(self.MAP), builtin_theta("exp-sqrt")
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(1.0, 2.0, 50), rng.uniform(1.0, 2.0, 50)
+        want = [(x, y) for x in (1.0, 2.0) for y in (1.0, 2.0)]
+        want += list(zip(xs.tolist(), ys.tolist()))
+        cert, ledger = check_theta_contraction(
+            space, selfmap, theta, 0.5, 1.0, details=True, **self.SAMPLE
+        )
+        assert ledger.ids == tuple(want) and cert.pairs_total == 54
+        image = {v: selfmap.apply_value(space, v) for pair in want for v in pair}
+        assert ledger.d_pre.tolist() == [space.distance(x, y) for x, y in want]
+        assert ledger.d_img.tolist() == [space.distance(image[x], image[y]) for x, y in want]
+
+        verdicts = [ledger.verdict(k) for k in range(len(want))]
+        assert verdicts[:4] == ["skipped"] * 4
+        assert cert.domain_violation == want[verdicts.index("domain")]
+        slack = np.where(np.isnan(ledger.lhs), np.inf, ledger.rhs - ledger.lhs)
+        w = cert.worst_pair
+        assert (w.x, w.y) == want[int(np.argmin(slack))]
+
+        bound = best_exponent(space, selfmap, theta, 1.0, **self.SAMPLE)
+        checked = np.array([v in ("satisfied", "violation") for v in verdicts])
+        with np.errstate(all="ignore"):  # unchecked pairs may give 0 / 0
+            ratio = np.log(theta(ledger.d_img)) / np.log(theta(ledger.d_pre))
+        ratio = np.where(checked, ratio, 0.0)
+        assert bound.witness == want[int(np.argmax(ratio))]
+        assert bound.domain_violation == cert.domain_violation
+
+
+class TestPairPassPrecedence:
+    # the carrier table is read before the map is applied
+    def test_analytic_table_error_before_a_map_leaving_the_domain(self):
+        space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2 + 0 * ln(x - y + 0.5)")
+        with pytest.raises(EvalError) as err:
+            check_linear_contraction(space, SelfMap.from_expression("x - 5"), 0.5, 1.0)
+        assert str(err.value) == "ln of a non-positive value in 'ln(x - y + 0.5)'"
+
+    def test_finite_undefined_pair_before_a_failing_map(self):
+        space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0})
+        with pytest.raises(SpaceError) as err:
+            check_linear_contraction(space, SelfMap.from_expression("sqrt(0.5 - x)"), 0.5, 1.0)
+        assert str(err.value) == (
+            "no override for ('b', 'a') and the space has no default formula"
+        )
 
 
 def oracle_pairs(labels, dist, image, s, theta, rhs_of):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from rqbm.instances import (
     perturb,
     random_space,
 )
-from rqbm.instances import _broken_tables
+from rqbm.instances import _broken_tables, _sorted_pairs
 from rqbm.spaces import (
     FiniteSpace,
     SpaceError,
@@ -171,6 +172,26 @@ class TestRandomSpace:
             random_space(1, 0, "metric")
         with pytest.raises(ValueError):
             random_space(4, 0, "weird")
+
+
+class TestSortedPairs:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_the_pair_list(self, n):
+        order = sorted(range(n), key=lambda i: f"p{i}")
+        pairs = np.array([(i, j) for i in order for j in order if i != j], dtype=np.intp)
+        I, J = _sorted_pairs(n)
+        assert I.dtype == J.dtype == np.intp
+        assert np.array_equal(I, pairs[:, 0]) and np.array_equal(J, pairs[:, 1])
+
+    def test_no_python_pair_objects(self):
+        # the index arrays of n = 1000 take 30 MiB; n(n - 1) tuples took 107 MiB
+        tracemalloc.start()
+        try:
+            _sorted_pairs(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestPerturb:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rqbm.spaces
@@ -247,6 +247,40 @@ class TestNegativeAnalyticDistance:
             operation(AnalyticSpace.build(1.0, 2.0, self.SOURCE))
 
 
+class TestAnalyticDistance:
+    SOURCE = "(x - y)^2 + 0 * ln(x - y + 0.5)"  # fails where x - y <= -0.5
+
+    def test_one_distance_body(self):
+        assert AnalyticSpace.distance is AnalyticSpace.distance_value
+
+    def test_first_failing_pair_raises_its_own_error(self):
+        space = AnalyticSpace.build(1.0, 2.0, self.SOURCE)
+        g = space.grid(5)
+        with pytest.raises(EvalError) as alone:
+            space.distance(1.0, 1.5)
+        with pytest.raises(EvalError) as mesh:
+            space.distance(g[:, None], g[None, :])
+        assert str(mesh.value) == str(alone.value) == (
+            "ln of a non-positive value in 'ln(x - y + 0.5)'"
+        )
+
+
+class TestCarrierSample:
+    def test_finite_labels_values_and_table(self, table_space):
+        names, values, D, source = rqbm.spaces._points_of(table_space, 7)
+        assert names == list(table_space.labels)
+        assert values.tolist() == [table_space.value_of(a) for a in names]
+        assert D is table_space.distance_matrix and source == "exhaustive"
+
+    def test_analytic_grid(self):
+        space = build_example_sqrt().space
+        names, values, D, source = rqbm.spaces._points_of(space, 7)
+        g = space.grid(7)
+        assert names == [float(v) for v in g] and values.tolist() == names
+        assert D.tolist() == [[space.distance(x, y) for y in names] for x in names]
+        assert source == "grid:7"
+
+
 class TestIdentityAxiom:
     def test_full_table_passes(self, table_space):
         report = check_identity_axiom(table_space)
@@ -349,6 +383,13 @@ class TestMinimalCoefficient:
         space = FiniteSpace.build(pts, None, ov)
         bound = minimal_rectangular_coefficient(space)
         assert bound.value <= 1.0 + 1e-9
+
+    def test_zero_analytic_distance(self):
+        # three grid points hold no quadruple; every random one has lhs = rhs = 0
+        space = AnalyticSpace.build(1, 2, "0 * (x - y)")
+        bound = minimal_rectangular_coefficient(space, grid_points=3)
+        assert (bound.value, bound.witness) == (0.0, None)
+        assert bound.quadruples_checked > 0
 
     def test_two_points_undefined(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], "(x - y)^2")
@@ -481,6 +522,10 @@ def table_space_of(labels, overrides):
 
 
 class TestQuadrilateralPassOracle:
+    # an all-zero table, and one with a single positive entry: every lhs = M = 0
+    # entry is skipped, and in the second the positive one sets the supremum
+    @example(table=[0] * 16, s=1.0, tol=0.0, unit=1.0, k=5, block=1, floor=0)
+    @example(table=[0, 1] + [0] * 14, s=1.0, tol=0.0, unit=1.0, k=5, block=1, floor=0)
     @given(
         st.integers(min_value=3, max_value=7).flatmap(
             lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)

@@ -57,6 +57,15 @@ class TestValidateTheta:
         assert report.check("strictly-increasing").passed
         assert not report.check("vanishing-limit").passed
 
+    def test_rising_vanishing_sequence_flagged(self):
+        # 1 + t, bumped by 0.5 on (0.1, 0.2): along t_n = 1 / 2^n it rises once,
+        # from t = 0.25 to t = 0.125, and still ends within the limit of 1
+        theta = ThetaSpec.from_source("bump", "1 + t + if(t > 0.1, if(t < 0.2, 0.5, 0), 0)")
+        report = validate_theta(theta, [1.0, 2.0], 12)
+        check = report.check("vanishing-limit")
+        assert check.witnesses == ((0.25, 1.25, 0.125, 1.625),)
+        assert check.defect == 0.375
+
     def test_jump_flagged(self):
         report = validate_theta(
             ThetaSpec.from_source("step", "if(t < 1, 1 + t, 100 + t)"),
@@ -139,6 +148,12 @@ class TestValidatePhi:
         below = report.check("below-identity")
         assert not below.passed
         assert (2.0, 2.0) in below.witnesses
+
+    def test_decreasing_phi_fails_nondecreasing(self):
+        report = validate_phi(PhiSpec.from_source("inv", "1 + 1/t"), [1.0, 2.0, 4.0], 8)
+        check = report.check("nondecreasing")
+        assert check.witnesses == ((1.0, 2.0, 2.0, 1.5), (2.0, 1.5, 4.0, 1.25))
+        assert check.defect == 0.5
 
     def test_wrong_value_at_one(self):
         report = validate_phi(PhiSpec.from_source("off", "t / 2 + 1"))

@@ -2,7 +2,9 @@
 
 The commands are every workload command of ``bench/workloads.py`` at the
 given seeds, each again with ``--format text``, and a fixed list of error
-cases.  Each runs through ``rqbm.cli.main`` in this process, one line per
+cases (two read a failing analytic space file that the script writes under
+the system temp directory, at a fixed path so that the printed argv is
+stable).  Each runs through ``rqbm.cli.main`` in this process, one line per
 command: exit code, stdout digest, stderr digest, argv.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
@@ -18,8 +20,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -27,12 +31,22 @@ import workloads  # noqa: E402
 
 import rqbm.cli  # noqa: E402
 
+# an analytic space whose formula fails where x - y <= -0.5
+FAILING_SPACE = Path(tempfile.gettempdir()) / "rqbm-failing-analytic.json"
+FAILING_FORMULA = "(x - y)^2 + 0 * ln(x - y + 0.5)"
+
 ERROR_CASES = [
     ["classify", "--instance", "no-such-instance"],
     ["verify", "--instance", "example-2-3", "--grid", "1"],
     ["verify", "--instance", "example-2-3", "--s", "-1"],
     ["falsify", "--trials", "0"],
     ["falsify", "--size", "3"],
+    ["contraction", "--instance", "example-sqrt", "--map", "x - 5"],
+    ["solve", "--instance", "example-sqrt", "--map", "ln(x - 1.5)", "--start", "1.2"],
+    ["contraction", "--instance", "example-sqrt", "--kind", "theta_phi"],
+    ["verify", "--space", str(FAILING_SPACE)],
+    ["contraction", "--space", str(FAILING_SPACE), "--kind", "linear", "--k", "0.5",
+     "--map", "2 - x/2"],
 ]
 
 
@@ -56,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         for cmd in workloads.commands(workload, seed)
     ]
     text_runs = [run + ["--format", "text"] for run in json_runs]
+    FAILING_SPACE.write_text(json.dumps({
+        "kind": "analytic", "domain": {"lo": 1.0, "hi": 2.0}, "forward": FAILING_FORMULA,
+    }))
     for run in json_runs + text_runs + ERROR_CASES:
         print(digest_line(run), flush=True)
     return 0
