@@ -374,7 +374,9 @@ def _cmd_instances(args) -> tuple[bool, dict, dict]:
 # Entry point
 # --------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand; given ``argv``, only the subcommand it
+    names gets its arguments (the top-level help shows the others by name)."""
     top = argparse.ArgumentParser(
         prog="rqbm",
         description="verify axioms, certify contractions, and solve fixed points "
@@ -382,86 +384,86 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
+    # the top level takes no option values, so its first positional names the subcommand
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
-    p = sub.add_parser("verify", help="identity + quadrilateral axioms at a coefficient")
-    _add_space_args(p)
-    p.add_argument("--s", type=float, default=None)
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_verify)
+    def command(name: str, summary: str, run, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, **defaults)
+        return p if chosen in (None, name) else None
 
-    p = sub.add_parser("classify", help="full class membership report")
-    _add_space_args(p)
-    p.add_argument("--s", type=float, default=None)
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_classify)
+    if p := command("verify", "identity + quadrilateral axioms at a coefficient", _cmd_verify):
+        _add_space_args(p)
+        p.add_argument("--s", type=float, default=None)
+        _add_report_args(p)
 
-    p = sub.add_parser("min-s", help="tightest quadrilateral coefficient")
-    _add_space_args(p)
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_min_s)
+    if p := command("classify", "full class membership report", _cmd_classify):
+        _add_space_args(p)
+        p.add_argument("--s", type=float, default=None)
+        _add_report_args(p)
 
-    p = sub.add_parser("validate-theta", help="validate a theta candidate")
-    p.add_argument("--theta", required=True, help='expression in t or "builtin:NAME"')
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_validate_theta)
+    if p := command("min-s", "tightest quadrilateral coefficient", _cmd_min_s):
+        _add_space_args(p)
+        _add_report_args(p)
 
-    p = sub.add_parser("validate-phi", help="validate a phi candidate")
-    p.add_argument("--phi", required=True, help='expression in t or "builtin:NAME"')
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_validate_phi)
+    if p := command("validate-theta", "validate a theta candidate", _cmd_validate_theta):
+        p.add_argument("--theta", required=True, help='expression in t or "builtin:NAME"')
+        _add_report_args(p)
 
-    p = sub.add_parser("contraction", help="certify a contraction condition")
-    _add_space_args(p)
-    p.add_argument("--kind", choices=("theta_r", "theta_phi", "linear"),
-                   default="theta_r")
-    p.add_argument("--map", help="self-map expression in x")
-    p.add_argument("--theta")
-    p.add_argument("--phi")
-    p.add_argument("--exponent", type=float, default=None, help="r for theta_r")
-    p.add_argument("--k", type=float, default=None, help="factor for linear")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--best-exponent", action="store_true",
-                   help="also search the tightest exponent")
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_contraction)
+    if p := command("validate-phi", "validate a phi candidate", _cmd_validate_phi):
+        p.add_argument("--phi", required=True, help='expression in t or "builtin:NAME"')
+        _add_report_args(p)
 
-    p = sub.add_parser("solve", help="run the fixed-point iteration")
-    _add_space_args(p)
-    p.add_argument("--map", help="self-map expression in x")
-    p.add_argument("--start", help="a label or a number")
-    p.add_argument("--tol", type=float, default=DEFAULT_SOLVE_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--diagnostics", action="store_true")
-    p.add_argument("--uniqueness-starts",
-                   help='comma-separated starts, or "all" for every label')
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_solve)
+    if p := command("contraction", "certify a contraction condition", _cmd_contraction):
+        _add_space_args(p)
+        p.add_argument("--kind", choices=("theta_r", "theta_phi", "linear"),
+                       default="theta_r")
+        p.add_argument("--map", help="self-map expression in x")
+        p.add_argument("--theta")
+        p.add_argument("--phi")
+        p.add_argument("--exponent", type=float, default=None, help="r for theta_r")
+        p.add_argument("--k", type=float, default=None, help="factor for linear")
+        p.add_argument("--s", type=float, default=None)
+        p.add_argument("--best-exponent", action="store_true",
+                       help="also search the tightest exponent")
+        _add_report_args(p)
 
-    p = sub.add_parser("falsify", help="generate-and-check loop over seeds")
-    p.add_argument("--profile", choices=("metric", "quasi", "adversarial"),
-                   default="metric")
-    p.add_argument("--kind",
-                   choices=("break_identity", "break_quadrilateral", "both"),
-                   default="both")
-    p.add_argument("--trials", type=_trial_count, default=20)
-    p.add_argument("--size", type=int, default=5, help=f"points per trial, 2 to {MAX_POINTS}")
-    p.add_argument("--seed", type=int, default=0)
-    _add_report_args(p)
-    p.set_defaults(run=_cmd_falsify)
+    if p := command("solve", "run the fixed-point iteration", _cmd_solve):
+        _add_space_args(p)
+        p.add_argument("--map", help="self-map expression in x")
+        p.add_argument("--start", help="a label or a number")
+        p.add_argument("--tol", type=float, default=DEFAULT_SOLVE_TOL)
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+        p.add_argument("--diagnostics", action="store_true")
+        p.add_argument("--uniqueness-starts",
+                       help='comma-separated starts, or "all" for every label')
+        _add_report_args(p)
 
-    p = sub.add_parser("instances", help="list or export built-in instances")
-    p.add_argument("action", choices=("list", "export"))
-    p.add_argument("--name")
-    p.add_argument("--grid", type=_grid_size, default=None)
-    p.add_argument("--out", dest="out_file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_cmd_instances, out=None)
+    if p := command("falsify", "generate-and-check loop over seeds", _cmd_falsify):
+        p.add_argument("--profile", choices=("metric", "quasi", "adversarial"),
+                       default="metric")
+        p.add_argument("--kind",
+                       choices=("break_identity", "break_quadrilateral", "both"),
+                       default="both")
+        p.add_argument("--trials", type=_trial_count, default=20)
+        p.add_argument("--size", type=int, default=5,
+                       help=f"points per trial, 2 to {MAX_POINTS}")
+        p.add_argument("--seed", type=int, default=0)
+        _add_report_args(p)
+
+    if p := command("instances", "list or export built-in instances", _cmd_instances, out=None):
+        p.add_argument("action", choices=("list", "export"))
+        p.add_argument("--name")
+        p.add_argument("--grid", type=_grid_size, default=None)
+        p.add_argument("--out", dest="out_file")
+        p.add_argument("--format", choices=("json", "text"), default="json")
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

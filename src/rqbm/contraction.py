@@ -122,6 +122,28 @@ class SelfMap:
     def apply_value(self, space: Space, value: float) -> float:
         return float(self.apply_array(space, np.array([value]))[0])
 
+    def _label_images(self, space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The table image of every label of ``space``, and per label 1 for an
+        image, 0 for no rule and -1 for a target label the space lacks.  Built
+        once for the last space the map was applied to."""
+        cached = self.__dict__.get("_images")
+        if cached is None or cached[0] is not space:
+            image, rule = np.zeros(len(space.points)), np.zeros(len(space.points), np.int8)
+            for label, target in self.table.items():
+                k = space._index_of.get(label)
+                if k is None or target is None:
+                    continue
+                if isinstance(target, str):
+                    j = space._index_of.get(target)
+                    if j is None:
+                        rule[k] = -1
+                        continue
+                    target = space.points[j].value
+                image[k], rule[k] = target, 1
+            cached = (space, image, rule)
+            object.__setattr__(self, "_images", cached)
+        return cached[1:]
+
     def apply_array(self, space: Space, xs: np.ndarray) -> np.ndarray:
         """The image of every value in the 1-D array ``xs``, with one expression
         call for the values off the table.  If it fails, the first failing
@@ -132,13 +154,13 @@ class SelfMap:
         if isinstance(space, FiniteSpace):
             at = space._indices(xs)
             raw, xs = xs, np.where(at >= 0, space._values[at], xs)
-            if self.table:  # the only loop over values, and only for a table
-                for k in np.flatnonzero(at >= 0):
-                    target = self.table.get(space.labels[at[k]])
-                    if isinstance(target, str):
-                        target = space.value_of(target)
-                    if target is not None:
-                        out[k], rest[k] = target, False
+            if self.table:
+                image, rule = self._label_images(space)
+                ruled = np.where(at >= 0, rule[at], 0)
+                if (ruled < 0).any():  # the first value whose target names no label
+                    space.value_of(self.table[space.labels[at[int(np.argmax(ruled < 0))]]])
+                rest = ruled == 0
+                out[~rest] = image[at[~rest]]
             if self.expr is None and rest.any():
                 k = int(np.argmax(rest))
                 if at[k] >= 0:

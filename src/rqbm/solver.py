@@ -9,13 +9,15 @@ distances d(x_n, x_{n+2}) / d(x_{n+2}, x_n).  Termination:
   fall below ``tol`` (both directions matter in an asymmetric space; the
   coordinate gap keeps the reported limit meaningful on spaces whose
   distance flattens near the diagonal, e.g. squared differences);
-* ``cycle_detected`` on exact revisit of a point (finite carriers only);
+* ``cycle_detected`` on exact revisit of a point (finite carriers only):
+  a label the run has visited, or an unlabeled value it has taken;
 * ``max_iter`` otherwise.
 
 All starts advance in lock-step, a single run being the one-start case: a
 round makes one map call and one distance call per series over the live
-starts.  If a round raises, the starts rerun one at a time in start order,
-so the first start that fails raises its own error.
+starts, and keeps only their arrays; the traces are built from those once,
+at the end.  If a round raises, the starts rerun one at a time in start
+order, so the first start that fails raises its own error.
 """
 from __future__ import annotations
 
@@ -163,47 +165,69 @@ def _resolve_start(space: Space, x0) -> float:
 
 
 def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
-    cycles = isinstance(space, FiniteSpace)
-    values = [[_resolve_start(space, x0)] for x0 in starts]
-    labels = [[space.label_for_value(v[0])] for v in values]
-    series = [([], [], [], []) for _ in starts]  # fwd, bwd, fwd skip, bwd skip
-    seen = [{l[0] if l[0] is not None else v[0]: 0} for l, v in zip(labels, values)]
-    ends = [("max_iter", None)] * len(starts)  # (terminated_by, limit)
-    live = list(range(len(starts)))
+    finite, m = isinstance(space, FiniteSpace), len(starts)
+    x = np.array([_resolve_start(space, x0) for x0 in starts])
+    live = np.arange(m)  # the starts still running, in start order
+    at = space._indices(x) if finite else np.full(m, -1)  # label indices, -1 for none
+    # each column holds per round the round's starts and one array over them:
+    # iterates, label indices, then the four distance series
+    iterates, indices, series = [(live, x)], [(live, at)], ([], [], [], [])
+    ends = np.full(m, "max_iter", dtype=object)
+    prev = None
+    if finite:
+        # a start revisits a label its row of ``visited`` holds; its unlabeled
+        # iterates (only a default formula makes them) go to its own set
+        visited = np.zeros((m, len(space.points)), dtype=bool)
+        visited[live[at >= 0], at[at >= 0]] = True
+        loose = [{v} if a < 0 else set() for a, v in zip(at.tolist(), x.tolist())]
     for _ in range(max_iter):
-        if not live:
+        if not live.size:
             break
-        x = np.array([values[i][-1] for i in live])
         xn = selfmap.apply_array(space, x)
-        dists = [space.distance_value(x, xn), space.distance_value(xn, x)]
-        if len(values[live[0]]) >= 2:  # every live run has the same length
-            prev = np.array([values[i][-2] for i in live])
-            dists += [space.distance_value(prev, xn), space.distance_value(xn, prev)]
-        still = []
-        for i, v, *d in zip(live, xn.tolist(), *(w.tolist() for w in dists)):
-            label = space.label_for_value(v)
-            values[i].append(v)
-            labels[i].append(label)
-            for seq, dv in zip(series[i], d):
-                seq.append(dv)
-            key = label if label is not None else v
-            if d[0] == 0.0:
-                ends[i] = ("exact_fixed_point", v)
-            elif cycles and key in seen[i]:
-                # revisit with a positive step distance: a cycle of length >= 2
-                ends[i] = ("cycle_detected", None)
-            elif max(d[0], d[1]) < tol and abs(v - values[i][-2]) < tol:
-                ends[i] = ("tolerance", v)
-            else:
-                if cycles:
-                    seen[i][key] = len(values[i]) - 1
-                still.append(i)
-        live = still
-    return [
-        PicardTrace(space, selfmap, tuple(v), tuple(l), *map(tuple, s), end, lim,
-                    None if lim is None else space.label_for_value(lim), tol)
-        for v, l, s, (end, lim) in zip(values, labels, series, ends)
-    ]
+        d = [space.distance_value(x, xn), space.distance_value(xn, x)]
+        if prev is not None:
+            d += [space.distance_value(prev, xn), space.distance_value(xn, prev)]
+        at = space._indices(xn) if finite else np.full(len(xn), -1)
+        iterates.append((live, xn))
+        indices.append((live, at))
+        for column, dk in zip(series, d):
+            column.append((live, dk))
+        exact = d[0] == 0.0
+        cycle = np.zeros(live.size, dtype=bool)
+        if finite:  # a revisit with a positive step distance: a cycle of length >= 2
+            cycle = visited[live, at] & (at >= 0) & ~exact
+            visited[live, at] |= at >= 0
+            unlabeled = np.flatnonzero((at < 0) & ~exact)
+            for k, i, v in zip(unlabeled.tolist(), live[unlabeled].tolist(),
+                               xn[unlabeled].tolist()):
+                cycle[k] = v in loose[i]
+                loose[i].add(v)
+        # max(d0, d1) as Python's max takes it: d0 unless d1 is larger
+        near = (np.where(d[1] > d[0], d[1], d[0]) < tol) & (np.abs(xn - x) < tol)
+        near &= ~(exact | cycle)
+        ends[live[exact]], ends[live[cycle]] = "exact_fixed_point", "cycle_detected"
+        ends[live[near]] = "tolerance"
+        keep = ~(exact | cycle | near)
+        live, prev, x = live[keep], x[keep], xn[keep]
+    names = np.array([*(space.labels if finite else ()), None], dtype=object)  # -1: None
+    values = _by_start(iterates, m)
+    labels = _by_start([(w, names[a]) for w, a in indices], m)
+    steps = [_by_start(column, m) for column in series]
+    converged = ("exact_fixed_point", "tolerance")
+    return [PicardTrace(space, selfmap, v, l, *s, end, v[-1] if end in converged else None,
+                        l[-1] if end in converged else None, tol)
+            for v, l, *s, end in zip(values, labels, *steps, ends.tolist())]
+
+
+def _by_start(column: list, m: int) -> list[tuple]:
+    """A column of per-round (starts, array) pairs as one tuple of Python
+    scalars per start, in round order."""
+    if not column:
+        return [()] * m
+    who = np.concatenate([w for w, _ in column])
+    flat = np.concatenate([a for _, a in column])[np.argsort(who, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(who, minlength=m)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
 
 
 def _iterate(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):

@@ -130,14 +130,17 @@ class FiniteSpace:
             raise SpaceError("point labels must be unique")
         if len(labels) == 0:
             raise SpaceError("a finite space needs at least one point")
-        label_of_value: dict[float, str] = {}
-        for p in self.points:
-            first = label_of_value.setdefault(p.value, p.label)
-            if first != p.label:
-                raise SpaceError(
-                    f"points {first!r} and {p.label!r} share the value {p.value!r}"
-                )
-        object.__setattr__(self, "_label_of_value", label_of_value)
+        values = self._values
+        order = np.argsort(values, kind="stable")  # equal values stay in label order
+        ascending = values[order]
+        shared = np.flatnonzero(ascending[1:] == ascending[:-1]) + 1
+        if shared.size:  # the first point whose value an earlier point holds
+            later = int(order[shared].min())
+            first = int(order[np.searchsorted(ascending, values[later])])
+            raise SpaceError(f"points {labels[first]!r} and {labels[later]!r} "
+                             f"share the value {self.points[later].value!r}")
+        object.__setattr__(self, "_ascending", ascending)
+        object.__setattr__(self, "_order", order)
         if self.claimed_s is not None and self.claimed_s < 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
         known = set(labels)
@@ -155,12 +158,9 @@ class FiniteSpace:
         for (a, b), d in self.overrides.items():
             table[self._index_of[a], self._index_of[b]] = d
         if self.default_formula is not None:
-            i, j = np.nonzero(np.isnan(table))
-            # labels as object references: a table of label strings would dwarf the distances
-            names = np.array(labels, dtype=object)
-            values = self._values
+            i, j = np.nonzero(np.isnan(table))  # pairs named by index until one fails
             table[i, j] = _formula_distance(self.default_formula, values[i], values[j],
-                                            names[i], names[j])
+                                            i, j, labels)
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
 
@@ -182,7 +182,8 @@ class FiniteSpace:
         return self.points[self._index(label)].value
 
     def label_for_value(self, value: float) -> str | None:
-        return self._label_of_value.get(value)
+        k = int(self._indices(value))
+        return self.labels[k] if k >= 0 else None
 
     def distance(self, a: str, b: str) -> float:
         """Override if present, else the default formula at the point values."""
@@ -198,11 +199,12 @@ class FiniteSpace:
         """The point values, in label order."""
         return np.array([p.value for p in self.points])
 
-    def _indices(self, values: np.ndarray) -> np.ndarray:
-        """The label index of every value, -1 where the value names no point."""
-        at = [self._index_of.get(self._label_of_value.get(v), -1)
-              for v in np.ravel(values).tolist()]
-        return np.array(at, dtype=np.intp).reshape(np.shape(values))
+    def _indices(self, values) -> np.ndarray:
+        """The label index of every value (any shape), -1 where the value names
+        no point: -0.0 names the point at 0.0, and NaN and infinities name none."""
+        values = np.asarray(values, dtype=np.float64)
+        k = np.minimum(np.searchsorted(self._ascending, values), len(self._order) - 1)
+        return np.where(self._ascending[k] == values, self._order[k], -1)
 
     def distance_value(self, a, b):
         """Distance between raw values over the broadcast of ``a`` and ``b`` (a
@@ -281,26 +283,29 @@ class AnalyticSpace:
         return np.linspace(self.lo, self.hi, m)
 
 
-def _formula_distance(formula: ex.Expr, x, y, a, b):
+def _formula_distance(formula: ex.Expr, x, y, a, b, names=None):
     """``formula`` at values x, y (floats or arrays), its pairs named by ``a``
-    and ``b``.  The first pair in C order that fails raises its own error."""
+    and ``b``, or by ``names[a]`` and ``names[b]`` when ``names`` is given.
+    The first pair in C order that fails raises its own error."""
     try:
         d = ex.evaluate(formula, {"x": x, "y": y})
     except ex.EvalError:
         if np.ndim(x) or np.ndim(y):  # pair by pair, so an earlier negative pair is named
             for pair in np.broadcast(x, y, a, b):
-                _formula_distance(formula, *pair)
+                _formula_distance(formula, *pair, names)
         raise
-    _refuse_negative(d, a, b)
+    _refuse_negative(d, a, b, names)
     return d
 
 
-def _refuse_negative(d, a, b) -> None:
-    """Raise for the first negative ``d`` in C order, named by ``a`` and ``b``."""
+def _refuse_negative(d, a, b, names=None) -> None:
+    """Raise for the first negative ``d`` in C order, named as ``_formula_distance`` names it."""
     neg = np.asarray(d) < 0.0
     if neg.any():
         k = np.unravel_index(int(np.argmax(neg)), neg.shape)
-        a, b, d = (np.broadcast_to(np.asarray(w).astype(object), neg.shape)[k] for w in (a, b, d))
+        a, b, d = (np.broadcast_to(np.asarray(w), neg.shape)[k].item() for w in (a, b, d))
+        if names is not None:
+            a, b = names[a], names[b]
         raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -585,3 +586,49 @@ class TestReportShape:
         assert self.plain_types(emitted[0]) <= {dict, list, str, int, float, bool, type(None)}
         text_code, _, _ = run(capsys, *argv, "--format", "text")
         assert text_code == code
+
+
+class TestParserBuildsOnlyTheChosenSubcommand:
+    # every subcommand's options as the parser offered them before it built
+    # only the chosen subcommand
+    SPACE, REPORT = ["--space", "--instance", "--grid", "--seed"], ["--out", "--format"]
+    OPTIONS = {
+        "verify": [*SPACE, "--s", *REPORT],
+        "classify": [*SPACE, "--s", *REPORT],
+        "min-s": [*SPACE, *REPORT],
+        "validate-theta": ["--theta", *REPORT],
+        "validate-phi": ["--phi", *REPORT],
+        "contraction": [*SPACE, "--kind", "--map", "--theta", "--phi", "--exponent", "--k",
+                        "--s", "--best-exponent", *REPORT],
+        "solve": [*SPACE, "--map", "--start", "--tol", "--max-iter", "--diagnostics",
+                  "--uniqueness-starts", *REPORT],
+        "falsify": ["--profile", "--kind", "--trials", "--size", "--seed", *REPORT],
+        "instances": ["--name", "--grid", "--out", "--format"],
+    }
+    CASES = [["--help"], *([name, "--help"] for name in OPTIONS), ["no-such-command"],
+             ["solve", "--no-such-option"], ["verify", "--grid", "1"], []]
+
+    @staticmethod
+    def full(argv, capsys):
+        """What the parser with every subcommand's arguments prints for ``argv``."""
+        with pytest.raises(SystemExit) as exit_:
+            rqbm.cli._build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        return (2 if exit_.value.code else 0), captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) or "empty" for a in CASES])
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == self.full(argv, capsys)
+
+    @pytest.mark.parametrize("name", OPTIONS)
+    def test_each_subcommand_keeps_its_options(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        _, out, _ = run(capsys, name, "--help")
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {"--help", *self.OPTIONS[name]}
+
+    def test_other_subcommands_get_no_arguments(self, capsys):
+        parser = rqbm.cli._build_parser(["solve", "--start", "1"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--instance", "example-2-3"])
+        assert "unrecognized arguments: --instance example-2-3" in capsys.readouterr().err

@@ -426,6 +426,30 @@ def finite_cases(draw):
     return space, selfmap, starts
 
 
+# below 1.25 the map converges to 1.02, so a start ends by tolerance or by
+# max_iter; above, it swaps x with 3.03125 - x, half a grid step off the carrier
+_MIXED = "if(x < 1.25, x / 2 + 0.51, 3.03125 - x)"
+_NEAR = 1.02 + 2.0 ** -40  # a table target within tol of that limit
+
+
+@st.composite
+def many_start_cases(draw):
+    """10 to 40 points on a 1/16 grid, every label a start.  At max_iter 3
+    or 5 one scan ends starts at an exact fixed point, in a label cycle, in an
+    unlabeled cycle (through 1.3 and 1.73125), by tolerance (through the target
+    next to 1.02) and by max_iter; at 40 and up every start converges or cycles."""
+    n = draw(st.integers(10, 40))
+    values = draw(st.lists(st.sampled_from([k / 16 for k in range(41)]), min_size=n,
+                           max_size=n, unique=True))
+    labels = [f"p{i}" for i in range(n)]
+    space = FiniteSpace.build(list(zip(labels, values)), draw(st.sampled_from(_FORMULAS[1:])))
+    fixed, a, b, loose, near, *rest = draw(st.permutations(labels))
+    table = {fixed: fixed, a: b, b: a, loose: 1.3, near: _NEAR}
+    for c in draw(st.lists(st.sampled_from(rest), unique=True)):
+        table[c] = draw(st.sampled_from(labels + [_NEAR, 1.3, 0.6]))
+    return space, SelfMap.hybrid(table, _MIXED), labels
+
+
 @st.composite
 def analytic_cases(draw):
     lo = draw(st.sampled_from([0.0, 1.0]))
@@ -475,6 +499,11 @@ class TestLockstepOracle:
     def test_finite_spaces_match_scalar_reference(self, case, max_iter):
         self.check(*case, max_iter)
 
+    @settings(max_examples=30, deadline=None)
+    @given(many_start_cases(), st.sampled_from([1, 2, 3, 5, 40, DEFAULT_MAX_ITER]))
+    def test_many_starts_match_scalar_reference(self, case, max_iter):
+        self.check(*case, max_iter)
+
     @settings(max_examples=150)
     @given(analytic_cases(), st.sampled_from(_MAX_ITER))
     def test_analytic_spaces_match_scalar_reference(self, case, max_iter):
@@ -486,6 +515,15 @@ class TestLockstepOracle:
         selfmap = SelfMap.from_expression("-x")
         self.check(space, selfmap, [-0.0, "a", 0.0], DEFAULT_MAX_ITER)
         assert bits(picard_iterate(space, selfmap, -0.0).values) == bits((-0.0, -0.0))
+
+    def test_unlabeled_two_cycle_off_the_carrier(self):
+        # 0.55 and 1.45 both lie between the 40 grid points, and 2 - x swaps them
+        b = build_example_final(40)
+        selfmap = SelfMap.from_expression("2 - x")
+        self.check(b.space, selfmap, [0.55, *b.space.labels], DEFAULT_MAX_ITER)
+        trace = picard_iterate(b.space, selfmap, 0.55)
+        assert (trace.terminated_by, trace.labels) == ("cycle_detected", (None, None, None))
+        assert trace.values == (0.55, 2 - 0.55, 0.55)
 
     def test_earlier_start_failing_later_raises_first(self):
         # 1.8 leaves the domain in the first round, 1.0 only in the fourth

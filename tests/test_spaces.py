@@ -138,6 +138,45 @@ class TestResolveDistance:
         assert a == b == 0.08
 
 
+@st.composite
+def carrier_lookups(draw):
+    """1 to 40 distinct point values (0.0 among them) and an array of queries
+    of shape (), (k,) or (r, c) mixing them with -0.0, NaN, infinities and
+    values off the carrier."""
+    finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    others = draw(st.lists(finite.filter(bool), max_size=39, unique=True))
+    values = draw(st.permutations([0.0, *others]))
+    query = st.one_of(st.sampled_from(values),
+                      st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), finite)
+    shape = draw(st.sampled_from([(), (draw(st.integers(0, 12)),),
+                                  (draw(st.integers(1, 4)), draw(st.integers(1, 4)))]))
+    queries = draw(st.lists(query, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return values, np.array(queries, dtype=np.float64).reshape(shape)
+
+
+class TestValueLookup:
+    @given(carrier_lookups())
+    def test_indices_match_a_dict_lookup(self, case):
+        values, queries = case
+        space = FiniteSpace.build([(f"p{i}", v) for i, v in enumerate(values)], "(x - y)^2")
+        index_of = {v: i for i, v in enumerate(values)}  # -0.0 finds 0.0 here too
+        want = [-1 if math.isnan(q) else index_of.get(q, -1) for q in queries.ravel().tolist()]
+        got = space._indices(queries)
+        assert got.shape == queries.shape and got.dtype == np.intp
+        assert got.ravel().tolist() == want
+        assert [space.label_for_value(q) for q in queries.ravel().tolist()] == [
+            None if k < 0 else f"p{k}" for k in want]
+
+    def test_signed_zero_names_the_point_at_zero(self):
+        space = FiniteSpace.build([("a", 1.0), ("z", 0.0)], "(x - y)^2")
+        assert space._indices(np.float64(-0.0)).tolist() == 1
+        assert space.label_for_value(-0.0) == "z"
+
+    def test_signed_zeros_share_a_value(self):
+        with pytest.raises(SpaceError, match="'z' and 'n' share the value -0.0"):
+            FiniteSpace.build([("z", 0.0), ("a", 1.0), ("n", -0.0), ("b", 1.0)], "(x - y)^2")
+
+
 class TestDistanceTable:
     def test_matrix_raises_for_first_undefined_pair(self):
         space = FiniteSpace.build(

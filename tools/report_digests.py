@@ -1,11 +1,13 @@
 """Print the exit code and the SHA-256 of stdout and stderr of every report command.
 
 The commands are every workload command of ``bench/workloads.py`` at the
-given seeds, each again with ``--format text``, and a fixed list of error
-cases (two read a failing analytic space file that the script writes under
-the system temp directory, at a fixed path so that the printed argv is
-stable).  Each runs through ``rqbm.cli.main`` in this process, one line per
-command: exit code, stdout digest, stderr digest, argv.
+given seeds, each again with ``--format text``, a fixed list of error cases
+(two read a failing analytic space file that the script writes under the
+system temp directory, at a fixed path so that the printed argv is stable),
+solver cases that between them reach every Picard ending, and the help and
+usage-error text of the parser (wrapped at ``COLUMNS=80``).  Each runs
+through ``rqbm.cli.main`` in this process, one line per command: exit code,
+stdout digest, stderr digest, argv.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -21,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 import tempfile
@@ -49,6 +52,28 @@ ERROR_CASES = [
      "--map", "2 - x/2"],
 ]
 
+SOLVER_CASES = [
+    # label cycles
+    ["solve", "--instance", "example-2-3", "--map", "2.5 - x", "--start", "1.05",
+     "--uniqueness-starts", "all"],
+    # unlabeled cycles, off the carrier
+    ["solve", "--instance", "example-final", "--grid", "40", "--map", "2 - x", "--start", "0.55",
+     "--uniqueness-starts", "all"],
+    # exact fixed points and max_iter in one scan
+    ["solve", "--instance", "example-final", "--start", "1/3", "--uniqueness-starts", "all",
+     "--max-iter", "2"],
+    ["solve", "--instance", "example-sqrt", "--start", "2.0", "--max-iter", "3", "--diagnostics"],
+]
+
+SUBCOMMANDS = ["verify", "classify", "min-s", "validate-theta", "validate-phi", "contraction",
+               "solve", "falsify", "instances"]
+HELP_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["no-such-command"],
+    ["solve", "--no-such-option"],
+]
+
 
 def digest_line(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -73,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     FAILING_SPACE.write_text(json.dumps({
         "kind": "analytic", "domain": {"lo": 1.0, "hi": 2.0}, "forward": FAILING_FORMULA,
     }))
-    for run in json_runs + text_runs + ERROR_CASES:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
+    for run in json_runs + text_runs + ERROR_CASES + SOLVER_CASES + HELP_CASES:
         print(digest_line(run), flush=True)
     return 0
 
