@@ -23,6 +23,7 @@ from .contraction import (
     _pair_pass,
     _theta_phi,
     _theta_r,
+    _with_theta,
 )
 from .expr import ExprError
 from .instances import INSTANCE_NAMES, _broken_tables, get_instance
@@ -36,15 +37,12 @@ from .solver import (
 )
 from .spaces import (
     DEFAULT_GRID_POINTS,
-    DEFAULT_RANDOM_SAMPLES,
-    DEFAULT_TOL,
     FiniteSpace,
     SpaceError,
-    _identity,
     _identity_verdicts,
-    _points_of,
-    _rectangular,
     _rectangular_verdicts,
+    check_b_rectangular,
+    check_identity_axiom,
     classify,
     dump_space,
     load_space,
@@ -180,9 +178,8 @@ def _cmd_verify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
     grid = _scan_grid(args)
-    table = pts, _, D, _ = _points_of(space, grid)  # one table for both checks
-    identity = _identity(pts, D)
-    rect = _rectangular(space, s, table, grid, DEFAULT_RANDOM_SAMPLES, args.seed, DEFAULT_TOL, 100)
+    identity = check_identity_axiom(space, grid)
+    rect = check_b_rectangular(space, s, grid_points=grid, seed=args.seed, max_violations=100)
     return (identity.passed and rect.passed, {**src, "s": s, "seed": args.seed},
             {"identity": identity, "quadrilateral": rect})
 
@@ -241,9 +238,8 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     config = {**src, "kind": args.kind, "s": s, "seed": args.seed,
               "map": selfmap.describe()}
 
-    def pairs(theta, param, reuse=None):  # one pair set, shared with --best-exponent
-        return _pair_pass(space, selfmap, s, theta, param, grid, DEFAULT_RANDOM_PAIRS,
-                          args.seed, reuse)
+    def pairs(param):  # one pair set, shared with --best-exponent
+        return _pair_pass(space, selfmap, s, param, grid, DEFAULT_RANDOM_PAIRS, args.seed)
 
     if args.kind == "theta_r":
         if theta is None:
@@ -251,7 +247,7 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         r = args.exponent if args.exponent is not None else (bundle.r if bundle else None)
         if r is None:
             raise UsageError("theta_r needs --exponent")
-        p = pairs(theta, ("exponent r", r))
+        p = _with_theta(pairs(("exponent r", r)), theta)
         cert = _theta_r(p, theta, r)
         config["theta"], config["exponent"] = theta.name, r
     elif args.kind == "theta_phi":
@@ -260,22 +256,20 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         phi = phi_spec(args.phi) if args.phi else (bundle.phi if bundle else None)
         if phi is None:
             raise UsageError("theta_phi needs --phi")
-        p = pairs(theta, None)
+        p = _with_theta(pairs(None), theta)
         cert = _theta_phi(p, theta, phi)
         config["theta"], config["phi"] = theta.name, phi.name
     elif args.kind == "linear":
         if args.k is None:
             raise UsageError("linear needs --k")
-        p = pairs(None, ("factor k", args.k))
+        p = pairs(("factor k", args.k))
         cert = _linear(p, args.k)
         config["k"] = args.k
     else:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
     sections = {"certificate": cert}
-    if args.best_exponent and theta is not None:
-        if p.th_img is None:  # the linear pass left theta out
-            p = pairs(theta, None, reuse=p)
-        sections["best_exponent"] = _exponent(p)
+    if args.best_exponent and theta is not None:  # the linear pass left theta out
+        sections["best_exponent"] = _exponent(_with_theta(p, theta) if p.th_img is None else p)
     return cert.passed, config, sections
 
 
@@ -477,7 +471,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = plain({"schema": SCHEMA, "command": args.command, "config": config,
                     "passed": passed, **sections})
-    _emit(report, args.format, args.out)
+    try:
+        _emit(report, args.format, args.out)  # opens --out before stdout is written
+    except OSError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 2
     return 0 if passed else 1
 
 

@@ -15,15 +15,15 @@ d(Tx, Ty) > 0 puts theta outside its domain and is reported as a
 domain-violation failure for the two theta forms.
 
 One pair pass serves all four operations (the three checks and
-``best_exponent``): it validates s, enumerates and masks the pair set and,
-for the theta forms, builds the theta arrays and exponent ratios.  Each
-operation supplies only its own right-hand side, so one pass can serve a
-check and ``best_exponent`` together.
+``best_exponent``): it validates s, enumerates and masks the pair set, and
+``_with_theta`` adds the theta arrays and exponent ratios for the theta
+forms.  Each operation supplies only its own right-hand side, so one pass
+can serve a check and ``best_exponent`` together.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -301,9 +301,9 @@ class _Pairs:
     d_pre: np.ndarray
     skipped: np.ndarray  # antecedent d(Tx,Ty) > 0 is false
     checked: np.ndarray  # neither skipped nor a domain violation
-    th_img: np.ndarray | None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
-    th_pre: np.ndarray | None  # theta(d(x,y)), valid on checked pairs
-    ratio: np.ndarray | None  # log th_img / log th_pre on checked pairs, else 0
+    th_img: np.ndarray | None = None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
+    th_pre: np.ndarray | None = None  # theta(d(x,y)), valid on checked pairs
+    ratio: np.ndarray | None = None  # log th_img / log th_pre on checked pairs, else 0
 
     def pair(self, k: int) -> tuple:
         """The (x, y) of pair k."""
@@ -319,39 +319,31 @@ class _Pairs:
         return self.pair(int(np.argmax(at))) if at.any() else None
 
 
-def _pair_pass(
-    space, selfmap, s, theta, param, grid_points, random_pairs, seed, reuse: _Pairs | None = None
-) -> _Pairs:
-    """Validate the inputs, then enumerate and mask the pair set once.
-
-    ``param`` is the named r or k that must lie in (0, 1); it is checked
-    after s.  With a theta, a pair with d(x, y) = 0 and a positive image
-    distance leaves theta's domain, and the theta arrays and exponent ratios
-    are built.  ``reuse`` is a pass over the same pair set (same space, map,
-    grid, random pairs and seed) whose pairs and distances are taken as they are.
-    """
-    if s < 1.0:
+def _pair_pass(space, selfmap, s, param, grid_points, random_pairs, seed) -> _Pairs:
+    """Validate s, then ``param``, the named r or k that must lie in (0, 1);
+    then enumerate the pair set once and mask the pairs it skips."""
+    if not s >= 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
     if param is not None and not 0.0 < param[1] < 1.0:
         raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
-    names, xs, ys, d_img, d_pre, source = (
-        _pair_data(space, selfmap, grid_points, random_pairs, seed) if reuse is None
-        else (reuse.names, reuse.xs, reuse.ys, reuse.d_img, reuse.d_pre, reuse.source))
-    skipped = d_img == 0.0
-    checked = ~skipped
-    th_img = th_pre = ratio = None
-    if theta is not None:
-        checked &= d_pre != 0.0  # d(x, y) = 0 < d(Tx, Ty) leaves theta's domain
-        # excluded entries are masked to a safe argument; their values are unused
-        th_img = np.asarray(theta(np.where(checked, s * s * d_img, 1.0)), dtype=np.float64)
-        th_pre = np.asarray(theta(np.where(checked, d_pre, 1.0)), dtype=np.float64)
-        with np.errstate(all="ignore"):
-            num = np.log(th_img)
-            den = np.log(th_pre)
-            ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
-            ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
-    return _Pairs(s, names, xs, ys, source, d_img, d_pre, skipped, checked,
-                  th_img, th_pre, ratio)
+    names, xs, ys, d_img, d_pre, source = _pair_data(
+        space, selfmap, grid_points, random_pairs, seed)
+    return _Pairs(s, names, xs, ys, source, d_img, d_pre, d_img == 0.0, d_img != 0.0)
+
+
+def _with_theta(p: _Pairs, theta: ThetaSpec) -> _Pairs:
+    """``p`` with the theta arrays and exponent ratios.  A pair with d(x, y) = 0
+    and a positive image distance leaves theta's domain and is not checked."""
+    s, checked = p.s, p.checked & (p.d_pre != 0.0)
+    # excluded entries are masked to a safe argument; their values are unused
+    th_img = np.asarray(theta(np.where(checked, s * s * p.d_img, 1.0)), dtype=np.float64)
+    th_pre = np.asarray(theta(np.where(checked, p.d_pre, 1.0)), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        num = np.log(th_img)
+        den = np.log(th_pre)
+        ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
+        ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
+    return replace(p, checked=checked, th_img=th_img, th_pre=th_pre, ratio=ratio)
 
 
 def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
@@ -419,8 +411,8 @@ def check_theta_contraction(
 
     With ``details=True`` also return the per-pair audit ledger.
     """
-    p = _pair_pass(space, selfmap, s, theta, ("exponent r", r), grid_points, random_pairs, seed)
-    return _theta_r(p, theta, r, tol, details)
+    p = _pair_pass(space, selfmap, s, ("exponent r", r), grid_points, random_pairs, seed)
+    return _theta_r(_with_theta(p, theta), theta, r, tol, details)
 
 
 def _theta_r(p: _Pairs, theta: ThetaSpec, r: float, tol: float = DEFAULT_TOL, details=False):
@@ -446,8 +438,8 @@ def check_theta_phi_contraction(
     details: bool = False,
 ):
     """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over the pair set."""
-    p = _pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed)
-    return _theta_phi(p, theta, phi, tol, details)
+    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed)
+    return _theta_phi(_with_theta(p, theta), theta, phi, tol, details)
 
 
 def _theta_phi(p: _Pairs, theta: ThetaSpec, phi: PhiSpec, tol: float = DEFAULT_TOL, details=False):
@@ -471,7 +463,7 @@ def check_linear_contraction(
     details: bool = False,
 ):
     """Certify s^2 d(Tx,Ty) <= k d(x,y) over the pair set."""
-    p = _pair_pass(space, selfmap, s, None, ("factor k", k), grid_points, random_pairs, seed)
+    p = _pair_pass(space, selfmap, s, ("factor k", k), grid_points, random_pairs, seed)
     return _linear(p, k, tol, details)
 
 
@@ -501,7 +493,8 @@ def best_exponent(
     a value >= 1 (or a pair with d(x,y) = 0 and positive image distance) is
     infeasible.  The supremum over an empty admissible set is 0.
     """
-    return _exponent(_pair_pass(space, selfmap, s, theta, None, grid_points, random_pairs, seed))
+    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed)
+    return _exponent(_with_theta(p, theta))
 
 
 def _exponent(p: _Pairs) -> ExponentBound:

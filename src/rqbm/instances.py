@@ -9,7 +9,6 @@ then measured by the space's default formula.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,46 +60,40 @@ def _grid_point_rows(lo: float, hi: float, count: int) -> list[dict]:
     ]
 
 
-def _symmetric_fill(labels: list[str], rows: dict[tuple[str, str], float]):
-    """Unlisted ordered pairs take the listed mirror value, if any."""
-    out = dict(rows)
-    for a, b in itertools.permutations(labels, 2):
-        if (a, b) not in out and (b, a) in out:
-            out[(a, b)] = out[(b, a)]
-    return out
+def _reciprocal_space(ns, table, lo: float, hi: float, grid_points: int) -> Space:
+    """The points 1/n for n in ``ns``, joined with a grid on [lo, hi] measured
+    by the squared-difference default; coefficient 3.  ``table`` lists
+    ``(d, [(a, b), ...])``: d(1/a, 1/b) = d, and an unlisted mirror pair
+    (1/b, 1/a) takes the same value."""
+    rows = {(f"1/{a}", f"1/{b}"): d for d, pairs in table for a, b in pairs}
+    for (a, b), d in list(rows.items()):
+        rows.setdefault((b, a), d)
+    return space_from_dict({
+        "kind": "finite",
+        "points": [{"label": f"1/{n}", "value": float(Fraction(1, n))} for n in ns]
+        + _grid_point_rows(lo, hi, grid_points),
+        "default": "(x - y)^2",
+        "overrides": [{"from": a, "to": b, "d": d} for (a, b), d in sorted(rows.items())],
+        "claimed_s": 3.0,
+    })
 
 
 def build_example_2_3(grid_points: int = 11) -> InstanceBundle:
     """Six reciprocal-labeled points with an asymmetric table, coefficient 3,
     joined with a grid on [1, 2] measured by the squared-difference default."""
-    labels = [f"1/{n}" for n in range(2, 8)]
-    values = {f"1/{n}": float(Fraction(1, n)) for n in range(2, 8)}
-    rows: dict[tuple[str, str], float] = {}
-
-    def put(pairs, d):
-        for a, b in pairs:
-            rows[(f"1/{a}", f"1/{b}")] = d
-
-    put([(2, 3), (4, 5), (6, 7)], 0.05)
-    put([(3, 2), (5, 4), (7, 6)], 0.04)
-    put([(2, 4), (3, 7), (5, 6)], 0.08)
-    put([(4, 2), (7, 3), (6, 5)], 0.05)
-    put([(2, 6), (3, 4), (5, 7)], 0.4)
-    put([(2, 5), (3, 6), (4, 7)], 0.24)
-    put([(2, 7), (3, 5), (4, 6)], 0.15)
-    rows = _symmetric_fill(labels, rows)
-    obj = {
-        "kind": "finite",
-        "points": [{"label": l, "value": values[l]} for l in labels]
-        + _grid_point_rows(1.0, 2.0, grid_points),
-        "default": "(x - y)^2",
-        "overrides": [{"from": a, "to": b, "d": d} for (a, b), d in sorted(rows.items())],
-        "claimed_s": 3.0,
-    }
+    space = _reciprocal_space(range(2, 8), [
+        (0.05, [(2, 3), (4, 5), (6, 7)]),
+        (0.04, [(3, 2), (5, 4), (7, 6)]),
+        (0.08, [(2, 4), (3, 7), (5, 6)]),
+        (0.05, [(4, 2), (7, 3), (6, 5)]),
+        (0.4, [(2, 6), (3, 4), (5, 7)]),
+        (0.24, [(2, 5), (3, 6), (4, 7)]),
+        (0.15, [(2, 7), (3, 5), (4, 6)]),
+    ], 1.0, 2.0, grid_points)
     return InstanceBundle(
         name="example-2-3",
         description="asymmetric 6-point table over a squared-difference default; coefficient 3",
-        space=space_from_dict(obj),
+        space=space,
         s=3.0,
     )
 
@@ -140,30 +133,14 @@ def build_example_sqrt(variant: str = "sqrt") -> InstanceBundle:
 def build_example_final(grid_points: int = 11) -> InstanceBundle:
     """Four reciprocal-labeled points joined with a grid on [1/2, 3/2];
     map sends the labeled part to 1 and the interval through (sqrt(x)+3)/4."""
-    labels = [f"1/{n}" for n in range(3, 7)]
-    values = {f"1/{n}": float(Fraction(1, n)) for n in range(3, 7)}
-    rows: dict[tuple[str, str], float] = {}
-
-    def put(pairs, d):
-        for a, b in pairs:
-            rows[(f"1/{a}", f"1/{b}")] = d
-
-    put([(3, 4), (4, 5)], 0.1)
-    put([(4, 3), (5, 4)], 0.05)
-    put([(3, 5), (4, 6)], 0.05)
-    put([(5, 3), (6, 4)], 0.1)
-    put([(3, 6), (5, 6)], 0.5)
-    rows = _symmetric_fill(labels, rows)
-    obj = {
-        "kind": "finite",
-        "points": [{"label": l, "value": values[l]} for l in labels]
-        + _grid_point_rows(0.5, 1.5, grid_points),
-        "default": "(x - y)^2",
-        "overrides": [{"from": a, "to": b, "d": d} for (a, b), d in sorted(rows.items())],
-        "claimed_s": 3.0,
-    }
-    space = space_from_dict(obj)
-    selfmap = SelfMap.hybrid({l: 1.0 for l in labels}, "(sqrt(x) + 3) / 4")
+    space = _reciprocal_space(range(3, 7), [
+        (0.1, [(3, 4), (4, 5)]),
+        (0.05, [(4, 3), (5, 4)]),
+        (0.05, [(3, 5), (4, 6)]),
+        (0.1, [(5, 3), (6, 4)]),
+        (0.5, [(3, 6), (5, 6)]),
+    ], 0.5, 1.5, grid_points)
+    selfmap = SelfMap.hybrid({f"1/{n}": 1.0 for n in range(3, 7)}, "(sqrt(x) + 3) / 4")
     return InstanceBundle(
         name="example-final",
         description=(

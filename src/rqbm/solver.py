@@ -258,13 +258,10 @@ def picard_iterate(
 
 
 def _diag_series(name: str, seq: tuple[float, ...], tol: float) -> SeriesDiagnostic:
-    first_violation = None
-    for i in range(len(seq) - 1):
-        prev, nxt = seq[i], seq[i + 1]
-        ok = (nxt < prev) if prev > 0.0 else (nxt == 0.0)
-        if not ok:
-            first_violation = i + 1
-            break
+    a = np.asarray(seq, dtype=np.float64)
+    prev, nxt = a[:-1], a[1:]
+    bad = np.where(prev > 0.0, ~(nxt < prev), nxt != 0.0)  # a rise, or a move off 0
+    first_violation = int(np.argmax(bad)) + 1 if bad.any() else None
     tail = seq[-1] if seq else None
     tail_ok = tail is not None and tail < tol
     return SeriesDiagnostic(
@@ -353,7 +350,7 @@ def limit_sandwich_check(
     over the last ``tail_len`` iterates, and symmetrically for d(y, x_n)."""
     if not trace.converged or trace.limit is None:
         raise ValueError("sandwich check needs a converged trace")
-    if s < 1.0:
+    if not s >= 1.0:
         raise ValueError("coefficient s must be >= 1")
     if tail_len < 1 or tail_len > len(trace.values):
         raise ValueError("tail_len must be within the trace length")

@@ -141,7 +141,7 @@ class FiniteSpace:
                              f"share the value {self.points[later].value!r}")
         object.__setattr__(self, "_ascending", ascending)
         object.__setattr__(self, "_order", order)
-        if self.claimed_s is not None and self.claimed_s < 1.0:
+        if self.claimed_s is not None and not self.claimed_s >= 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
         known = set(labels)
         for (a, b), d in self.overrides.items():
@@ -256,7 +256,7 @@ class AnalyticSpace:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise SpaceError("domain must be a finite interval [lo, hi] with lo < hi")
-        if self.claimed_s is not None and self.claimed_s < 1.0:
+        if self.claimed_s is not None and not self.claimed_s >= 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
         # cheap construction probe; full verification is sampling-based
         for v in (self.lo, self.hi, 0.5 * (self.lo + self.hi)):
@@ -474,7 +474,6 @@ def _quadrilateral_pass(
     random_samples: int,
     seed: int,
     exact: bool = True,
-    table: tuple | None = None,
     supremum: bool = True,
 ):
     """The one pass over admissible quadruples behind every quadrilateral operation.
@@ -485,8 +484,7 @@ def _quadrilateral_pass(
     ``checks`` it keeps the first ``keep`` quadruples (all when None) with
     ``lhs > s * rhs + tol`` and counts them all (when ``exact``, else a count
     is only zero or positive).  The supremum of lhs / rhs comes with its first
-    maximiser: rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.  ``table`` is
-    ``_points_of(space, grid_points)`` when the caller has it.
+    maximiser: rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
 
     ``_stage1`` gives every grid row its verdicts and supremum; stage 2 then
     visits, exactly and in order, the first row attaining the supremum and
@@ -498,9 +496,9 @@ def _quadrilateral_pass(
     Without ``supremum`` no ratio is taken, no row is visited for it, and
     ``bound`` carries no value and no witness.
     """
-    if any(s < 0 for s, _, _ in checks):
+    if not all(s >= 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
-    pts, _, D, source = table or _points_of(space, grid_points)
+    pts, _, D, source = _points_of(space, grid_points)
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
     counts = [0] * len(checks)
@@ -612,12 +610,19 @@ def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
 
 def _points_of(space: Space, grid_points: int):
     """The carrier sample every check reads: the point names (labels, or the
-    grid's floats), their values, the distance table and the source."""
+    grid's floats), their values, the distance table and the source.  An
+    analytic space keeps its last sample, read-only and keyed by the grid
+    size, so the checks of one command evaluate its grid once."""
     if isinstance(space, FiniteSpace):
         return list(space.labels), space._values, space.distance_matrix, "exhaustive"
-    g = space.grid(grid_points)
-    D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
-    return g.tolist(), g, D, f"grid:{grid_points}"
+    cached = space.__dict__.get("_sample")
+    if cached is None or cached[0] != grid_points:
+        g = space.grid(grid_points)
+        D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
+        g.flags.writeable = D.flags.writeable = False
+        cached = (grid_points, (g.tolist(), g, D, f"grid:{grid_points}"))
+        object.__setattr__(space, "_sample", cached)
+    return cached[1]
 
 
 def check_b_rectangular(
@@ -638,14 +643,8 @@ def check_b_rectangular(
     uniform quadruples.  ``violation_count`` counts every violation;
     ``violations`` keeps the first ``max_violations`` in scan order.
     """
-    return _rectangular(space, s, None, grid_points, random_samples, seed, tol, max_violations)
-
-
-def _rectangular(space, s, table, grid_points, random_samples, seed, tol, max_violations):
-    """``check_b_rectangular`` over ``_points_of(space, grid_points)`` if given as ``table``."""
     bound, [(count, violations)] = _quadrilateral_pass(
-        space, [(s, tol, max_violations)], grid_points, random_samples, seed,
-        table=table, supremum=False,
+        space, [(s, tol, max_violations)], grid_points, random_samples, seed, supremum=False
     )
     return RectangularReport(
         s=s,
@@ -688,7 +687,7 @@ def classify(
     """Decide every class membership: symmetry, metric, b-metric, rectangular, RQB."""
     if s is None:
         s = space.claimed_s if space.claimed_s is not None else 1.0
-    table = pts, _, D, _ = _points_of(space, grid_points)
+    pts, _, D, _ = _points_of(space, grid_points)
     identity = _identity(pts, D)
     asym = tuple(
         (pts[i], pts[j], float(D[i, j]), float(D[j, i]))
@@ -698,8 +697,7 @@ def classify(
     # the s = 1 check only needs its verdict
     checks = [(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)]
     bound, found = _quadrilateral_pass(
-        space, checks, grid_points, random_samples, seed, exact=False, table=table
-    )
+        space, checks, grid_points, random_samples, seed, exact=False)
     (count_1, _), (count_s, first_s) = found[0], found[-1]
     tri_1 = _first_triangle(pts, D, 1.0, tol)
     # For s >= 1 the rounded s * rhs is at least rhs, so a violation at s is

@@ -200,8 +200,28 @@ def default_phi_grid() -> np.ndarray:
 # Validators
 # --------------------------------------------------------------------------
 
+def _check(name: str, witnesses, defect: float) -> PropertyCheck:
+    witnesses = tuple(witnesses)
+    return PropertyCheck(name, not witnesses, witnesses, defect)
+
+
+def _largest(gaps) -> float:
+    """The largest of ``gaps``, as a running max from 0.0 finds it: numpy's
+    max alone would give -0.0 for a single -0.0 - 0.0 gap."""
+    return max(0.0, float(np.max(gaps, initial=0.0)))
+
+
+def _adjacent(t: np.ndarray, v: np.ndarray, bad: np.ndarray, gap: np.ndarray):
+    """The witnesses (t_i, v_i, t_i+1, v_i+1) of the adjacent pairs i where
+    ``bad`` holds, as a list, and the largest of their ``gap`` entries."""
+    i = np.flatnonzero(bad)
+    witnesses = zip(t[i].tolist(), v[i].tolist(), t[i + 1].tolist(), v[i + 1].tolist())
+    return list(witnesses), _largest(gap[i])
+
+
 def _secant_jumps(grid: np.ndarray, values: np.ndarray, factor: float):
-    """Flag secant slopes larger than ``factor`` times their local median.
+    """Flag secant slopes larger than ``factor`` times their local median:
+    the witnesses (t_i, t_i+1, slope, median) and the largest excess slope.
 
     A slope's window is itself and up to ``half`` slopes on each side; the
     full windows take one median call, the at most 2 * ``half`` truncated
@@ -216,10 +236,9 @@ def _secant_jumps(grid: np.ndarray, values: np.ndarray, factor: float):
         med[half:n - half] = np.median(sliding_window_view(sec, 2 * half + 1), axis=1)
     for i in (*range(min(half, n)), *range(max(half, n - half), n)):
         med[i] = np.median(sec[max(0, i - half): i + half + 1])
-    jumps = np.flatnonzero(sec > factor * med)
-    witnesses = [(float(grid[i]), float(grid[i + 1]), float(sec[i]), float(med[i])) for i in jumps]
-    worst = max([0.0] + [float(sec[i] - factor * med[i]) for i in jumps])
-    return witnesses, worst
+    i = np.flatnonzero(sec > factor * med)
+    witnesses = zip(grid[i].tolist(), grid[i + 1].tolist(), sec[i].tolist(), med[i].tolist())
+    return list(witnesses), _largest(sec[i] - factor * med[i])
 
 
 def validate_theta(
@@ -238,38 +257,23 @@ def validate_theta(
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be nonempty, positive, sorted ascending")
     vals = np.asarray(spec(grid), dtype=np.float64)
+    low = ~(vals > 1.0)
 
-    range_w = [(float(t), float(v)) for t, v in zip(grid, vals) if not v > 1.0]
-    range_defect = max((1.0 - v for _, v in range_w), default=0.0)
-
-    inc_w = []
-    inc_defect = 0.0
-    for i in range(len(grid) - 1):
-        if not vals[i + 1] > vals[i]:
-            inc_w.append((float(grid[i]), float(vals[i]), float(grid[i + 1]), float(vals[i + 1])))
-            inc_defect = max(inc_defect, float(vals[i] - vals[i + 1]))
-
-    t0 = float(grid[0])
-    seq_t = [t0 / 2.0 ** n for n in range(1, vanishing_seq_len + 1)]
-    seq_v = np.asarray(spec(np.array(seq_t)), dtype=np.float64).tolist()
-    lim_w = []
-    lim_defect = 0.0
-    for i in range(len(seq_v) - 1):
-        if seq_v[i + 1] > seq_v[i]:
-            lim_w.append((seq_t[i], seq_v[i], seq_t[i + 1], seq_v[i + 1]))
-            lim_defect = max(lim_defect, seq_v[i + 1] - seq_v[i])
-    final_gap = seq_v[-1] - 1.0
+    seq_t = grid[0] / 2.0 ** np.arange(1, vanishing_seq_len + 1)
+    seq_v = np.asarray(spec(seq_t), dtype=np.float64)
+    lim_w, lim_defect = _adjacent(seq_t, seq_v, seq_v[1:] > seq_v[:-1], seq_v[1:] - seq_v[:-1])
+    final_gap = float(seq_v[-1]) - 1.0
     if not final_gap < _THETA_LIMIT:
-        lim_w.append((seq_t[-1], seq_v[-1]))
+        lim_w.append((float(seq_t[-1]), float(seq_v[-1])))
         lim_defect = max(lim_defect, final_gap - _THETA_LIMIT)
 
-    jump_w, jump_defect = _secant_jumps(grid, vals, _JUMP_FACTOR)
-
     checks = (
-        PropertyCheck("range-above-one", not range_w, tuple(range_w), range_defect),
-        PropertyCheck("strictly-increasing", not inc_w, tuple(inc_w), inc_defect),
-        PropertyCheck("vanishing-limit", not lim_w, tuple(lim_w), lim_defect),
-        PropertyCheck("continuity-proxy", not jump_w, tuple(jump_w), jump_defect),
+        _check("range-above-one", zip(grid[low].tolist(), vals[low].tolist()),
+               _largest(1.0 - vals[low])),
+        _check("strictly-increasing",
+               *_adjacent(grid, vals, ~(vals[1:] > vals[:-1]), vals[:-1] - vals[1:])),
+        _check("vanishing-limit", lim_w, lim_defect),
+        _check("continuity-proxy", *_secant_jumps(grid, vals, _JUMP_FACTOR)),
     )
     desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], vanishing x{vanishing_seq_len}"
     return ValidationReport(spec.name, desc, checks)
@@ -320,46 +324,32 @@ def validate_phi(
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 1.0:
         raise ValueError("grid must be nonempty, within [1, inf), sorted ascending")
     vals = np.asarray(spec(grid), dtype=np.float64)
-
-    mono_w = []
-    mono_defect = 0.0
-    for i in range(len(grid) - 1):
-        if vals[i + 1] < vals[i]:
-            mono_w.append((float(grid[i]), float(vals[i]), float(grid[i + 1]), float(vals[i + 1])))
-            mono_defect = max(mono_defect, float(vals[i] - vals[i + 1]))
-
     at_one = float(spec(1.0))
     fix_w = [] if abs(at_one - 1.0) <= _FIXPOINT_TOL else [(1.0, at_one)]
-
-    below_w = []
-    below_defect = 0.0
-    for t, v in zip(grid, vals):
-        if t > 1.0 and not v < t:
-            below_w.append((float(t), float(v)))
-            below_defect = max(below_defect, float(v - t))
+    above = (grid > 1.0) & ~(vals < grid)
 
     rows = np.stack(_phi_iterates(spec, grid, iterate_depth), axis=1)
-    iter_w = []
-    iter_defect = 0.0
-    for t, seq in zip(grid.tolist(), rows.tolist()):
-        for i in range(len(seq) - 1):
-            if seq[i + 1] > seq[i]:
-                iter_w.append((t, i, seq[i], seq[i + 1]))
-                iter_defect = max(iter_defect, seq[i + 1] - seq[i])
-                break
-        gap = seq[-1] - 1.0
-        if not gap < _PHI_LIMIT:
+    rise = rows[:, 1:] > rows[:, :-1]  # (starts, depth)
+    far = ~(rows[:, -1] - 1.0 < _PHI_LIMIT)
+    iter_w, iter_defect = [], 0.0
+    for k in np.flatnonzero(rise.any(axis=1) | far):  # per start: its first rise, then its limit
+        t, seq = float(grid[k]), rows[k].tolist()
+        if rise[k].any():
+            i = int(np.argmax(rise[k]))
+            iter_w.append((t, i, seq[i], seq[i + 1]))
+            iter_defect = max(iter_defect, seq[i + 1] - seq[i])
+        if far[k]:
             iter_w.append((t, iterate_depth, seq[-1]))
-            iter_defect = max(iter_defect, gap - _PHI_LIMIT)
-
-    jump_w, jump_defect = _secant_jumps(grid, vals, _JUMP_FACTOR)
+            iter_defect = max(iter_defect, seq[-1] - 1.0 - _PHI_LIMIT)
 
     checks = (
-        PropertyCheck("nondecreasing", not mono_w, tuple(mono_w), mono_defect),
-        PropertyCheck("fixes-one", not fix_w, tuple(fix_w), abs(at_one - 1.0) if fix_w else 0.0),
-        PropertyCheck("below-identity", not below_w, tuple(below_w), below_defect),
-        PropertyCheck("iterates-to-one", not iter_w, tuple(iter_w), iter_defect),
-        PropertyCheck("continuity-proxy", not jump_w, tuple(jump_w), jump_defect),
+        _check("nondecreasing",
+               *_adjacent(grid, vals, vals[1:] < vals[:-1], vals[:-1] - vals[1:])),
+        _check("fixes-one", fix_w, abs(at_one - 1.0) if fix_w else 0.0),
+        _check("below-identity", zip(grid[above].tolist(), vals[above].tolist()),
+               _largest(vals[above] - grid[above])),
+        _check("iterates-to-one", iter_w, iter_defect),
+        _check("continuity-proxy", *_secant_jumps(grid, vals, _JUMP_FACTOR)),
     )
     desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], iterate depth {iterate_depth}"
     return ValidationReport(spec.name, desc, checks)

@@ -632,3 +632,29 @@ class TestParserBuildsOnlyTheChosenSubcommand:
         with pytest.raises(SystemExit):
             parser.parse_args(["verify", "--instance", "example-2-3"])
         assert "unrecognized arguments: --instance example-2-3" in capsys.readouterr().err
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--instance", "example-2-3", "--s", "nan"), "coefficient s must be >= 0"),
+        (("classify", "--instance", "example-2-3", "--s", "nan"), "coefficient s must be >= 0"),
+        (("contraction", "--instance", "example-sqrt", "--s", "nan"),
+         "coefficient s must be >= 1, got nan"),
+        (("contraction", "--instance", "example-sqrt", "--map", "²"),
+         "unexpected character '²' (at byte 0)"),
+    ])
+    def test_exit_two(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_nan_claimed_coefficient_in_a_space_file(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"kind": "finite", "points": [{"label": "a", "value": 0}], '
+                        '"claimed_s": NaN}')
+        assert run(capsys, "verify", "--space", str(path)) == (
+            2, "", "error: claimed coefficient must be >= 1\n")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, err = run(capsys, "verify", "--instance", "example-2-3", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"

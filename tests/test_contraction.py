@@ -585,3 +585,15 @@ class TestPairPassOracle:
         else:
             assert (bound.value, bound.witness) == (0.0, None)
         assert bound.feasible == (not domain and bound.value < 1.0)
+
+
+class TestNanCoefficientRefused:
+    def test_pair_pass(self, fourth_bundle):
+        b = fourth_bundle
+        for check in (
+            lambda: check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, math.nan),
+            lambda: check_linear_contraction(b.space, b.selfmap, 0.5, math.nan),
+            lambda: best_exponent(b.space, b.selfmap, b.theta, math.nan),
+        ):
+            with pytest.raises(ValueError, match=r"^coefficient s must be >= 1, got nan$"):
+                check()

@@ -376,3 +376,19 @@ class TestArrayContractPins:
         out = evaluate(parse("x + 1", XY), {"x": g[:, None], "y": g[None, :]})
         assert out.shape == (3, 3)
         assert np.array_equal(out, np.repeat(g[:, None] + 1, 3, axis=1))
+
+
+class TestDecimalDigitsOnly:
+    # str.isdigit() holds for superscript and circled digits, which float() refuses
+    @pytest.mark.parametrize("source", ["²", "x + ²", "1²", "1e²", "①"])
+    def test_other_digits_are_syntax_errors(self, source):
+        with pytest.raises(ExprSyntaxError, match="unexpected character|malformed exponent"):
+            parse(source, XY)
+
+    def test_superscript_message(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("²", XY)
+        assert str(err.value) == "unexpected character '²' (at byte 0)"
+
+    def test_decimal_digits_of_other_scripts_still_parse(self):
+        assert evaluate(parse("١ + x", XY), {"x": 1.0}) == 2.0

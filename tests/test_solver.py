@@ -558,3 +558,10 @@ class TestLockstepOracle:
         assert report.passed
         # one start at a time, the scan makes about 23,000 scalar calls
         assert len(calls) <= 100
+
+
+class TestSandwichNanCoefficient:
+    def test_refused(self, sqrt_bundle):
+        trace = picard_iterate(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, tol=1e-10)
+        with pytest.raises(ValueError, match="coefficient s must be >= 1"):
+            limit_sandwich_check(trace, 2.0, math.nan, 10)

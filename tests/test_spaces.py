@@ -796,3 +796,24 @@ class TestConstructionInvariants:
     def test_claimed_s_below_one_rejected(self):
         with pytest.raises(SpaceError):
             AnalyticSpace.build(0.0, 1.0, "(x - y)^2", claimed_s=0.5)
+
+
+class TestNanCoefficientRefused:
+    # a NaN passes every `x < bound` test, so each bound is written `not x >= bound`
+    def test_claimed_coefficient(self):
+        with pytest.raises(SpaceError, match="claimed coefficient must be >= 1"):
+            FiniteSpace.build([("a", 0.0)], None, claimed_s=math.nan)
+        with pytest.raises(SpaceError, match="claimed coefficient must be >= 1"):
+            AnalyticSpace.build(0.0, 1.0, "(x - y)^2", claimed_s=math.nan)
+        obj = {"kind": "analytic", "domain": {"lo": 0.0, "hi": 1.0},
+               "forward": "(x - y)^2", "claimed_s": math.nan}
+        with pytest.raises(SpaceError, match="claimed coefficient must be >= 1"):
+            space_from_dict(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("op", [
+        lambda space: check_b_rectangular(space, math.nan),
+        lambda space: classify(space, math.nan),
+    ], ids=["check_b_rectangular", "classify"])
+    def test_scan_coefficient(self, op):
+        with pytest.raises(ValueError, match="coefficient s must be >= 0"):
+            op(build_example_2_3().space)

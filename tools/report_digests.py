@@ -2,12 +2,14 @@
 
 The commands are every workload command of ``bench/workloads.py`` at the
 given seeds, each again with ``--format text``, a fixed list of error cases
-(two read a failing analytic space file that the script writes under the
-system temp directory, at a fixed path so that the printed argv is stable),
+(some read a space file that the script writes under the system temp
+directory, at a fixed path so that the printed argv is stable: an analytic
+space whose formula fails, and a space whose claimed coefficient is NaN),
 solver cases that between them reach every Picard ending, and the help and
 usage-error text of the parser (wrapped at ``COLUMNS=80``).  Each runs
-through ``rqbm.cli.main`` in this process, one line per command: exit code,
-stdout digest, stderr digest, argv.
+through ``rqbm.cli.main`` in this process, one line per command: exit code
+(or ``raised`` and the exception a command let escape), stdout digest,
+stderr digest, argv.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -23,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import sys
@@ -37,6 +40,10 @@ import rqbm.cli  # noqa: E402
 # an analytic space whose formula fails where x - y <= -0.5
 FAILING_SPACE = Path(tempfile.gettempdir()) / "rqbm-failing-analytic.json"
 FAILING_FORMULA = "(x - y)^2 + 0 * ln(x - y + 0.5)"
+# a finite space whose claimed coefficient is NaN
+NAN_SPACE = Path(tempfile.gettempdir()) / "rqbm-nan-claimed.json"
+# an --out path in a directory that does not exist
+UNWRITABLE_OUT = Path(tempfile.gettempdir()) / "rqbm-no-such-dir" / "report.json"
 
 ERROR_CASES = [
     ["classify", "--instance", "no-such-instance"],
@@ -50,6 +57,12 @@ ERROR_CASES = [
     ["verify", "--space", str(FAILING_SPACE)],
     ["contraction", "--space", str(FAILING_SPACE), "--kind", "linear", "--k", "0.5",
      "--map", "2 - x/2"],
+    ["verify", "--instance", "example-2-3", "--s", "nan"],
+    ["classify", "--instance", "example-2-3", "--s", "nan"],
+    ["contraction", "--instance", "example-sqrt", "--s", "nan"],
+    ["verify", "--space", str(NAN_SPACE)],
+    ["verify", "--instance", "example-2-3", "--out", str(UNWRITABLE_OUT)],
+    ["contraction", "--instance", "example-sqrt", "--map", "²"],
 ]
 
 SOLVER_CASES = [
@@ -78,7 +91,10 @@ HELP_CASES = [
 def digest_line(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = rqbm.cli.main(argv)
+        try:
+            code = rqbm.cli.main(argv)
+        except Exception as e:  # reported on its line, so the later commands still run
+            code = f"raised {type(e).__name__}"
     sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
     return f"{code} {sha[0]} {sha[1]} {shlex.join(argv)}"
 
@@ -97,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
     text_runs = [run + ["--format", "text"] for run in json_runs]
     FAILING_SPACE.write_text(json.dumps({
         "kind": "analytic", "domain": {"lo": 1.0, "hi": 2.0}, "forward": FAILING_FORMULA,
+    }))
+    NAN_SPACE.write_text(json.dumps({
+        "kind": "finite", "points": [{"label": "a", "value": 0.0}], "claimed_s": math.nan,
     }))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     for run in json_runs + text_runs + ERROR_CASES + SOLVER_CASES + HELP_CASES:
