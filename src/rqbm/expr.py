@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -46,7 +47,6 @@ __all__ = [
     "parse",
     "evaluate",
     "to_source",
-    "free_variables",
 ]
 
 
@@ -124,93 +124,43 @@ class Cond:
 Expr = Union[Num, Var, Neg, BinOp, Call, Cond]
 
 FUNCTION_ARITY = {"sqrt": 1, "abs": 1, "exp": 1, "ln": 1, "min": 2, "max": 2}
-RELOPS = ("<=", ">=", "==", "!=", "<", ">")
 
 
 # --------------------------------------------------------------------------
 # Tokenizer
 # --------------------------------------------------------------------------
 
-_SINGLE = set("+-*/^(),")
+# One alternative per token kind, each after optional whitespace.  In str
+# patterns \s is str.isspace, \d is str.isdecimal and \w is str.isalnum or
+# '_'.  A number that ends in e or E lacks its exponent digits, and a name
+# must start with a letter or '_' (\w also takes '²', '½' and 'Ⅻ').
+_TOKEN = re.compile(
+    r"\s*(?:(?P<op>[-+*/^(),])|(?P<relop>[<>=!]=|[<>])"
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]?\d+)?)?)|(?P<name>\w+))"
+)
 
 
 def _byte_offset(source: str, pos: int) -> int:
     return len(source[:pos].encode("utf-8"))
 
 
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, char pos)
-        self._scan()
-        self.index = 0
-
-    def _scan(self) -> None:
-        src = self.source
-        i = 0
-        n = len(src)
-        while i < n:
-            c = src[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in _SINGLE:
-                self.tokens.append(("op", c, i))
-                i += 1
-                continue
-            two = src[i : i + 2]
-            if two in ("<=", ">=", "==", "!="):
-                self.tokens.append(("relop", two, i))
-                i += 2
-                continue
-            if c in "<>":
-                self.tokens.append(("relop", c, i))
-                i += 1
-                continue
-            if c.isdecimal() or (c == "." and i + 1 < n and src[i + 1].isdecimal()):
-                j = i
-                while j < n and src[j].isdecimal():
-                    j += 1
-                if j < n and src[j] == ".":
-                    j += 1
-                    while j < n and src[j].isdecimal():
-                        j += 1
-                if j < n and src[j] in "eE":
-                    k = j + 1
-                    if k < n and src[k] in "+-":
-                        k += 1
-                    if k < n and src[k].isdecimal():
-                        j = k
-                        while j < n and src[j].isdecimal():
-                            j += 1
-                    else:
-                        raise ExprSyntaxError(
-                            "malformed exponent", _byte_offset(src, j)
-                        )
-                self.tokens.append(("number", src[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", src[i:j], i))
-                i = j
-                continue
-            raise ExprSyntaxError(
-                f"unexpected character {c!r}", _byte_offset(src, i)
-            )
-        self.tokens.append(("eof", "", n))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
+def _tokens(src: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, char pos) tokens of ``src``, then an eof token."""
+    tokens = []
+    pos, end = 0, len(src.rstrip())
+    while pos < end:
+        m = _TOKEN.match(src, pos)
+        kind = m and m.lastgroup
+        start = m.start(kind) if m else len(src) - len(src[pos:].lstrip())
+        text = m[kind] if m else src[start]
+        if kind == "number" and text[-1] in "eE":
+            raise ExprSyntaxError("malformed exponent", _byte_offset(src, m.end() - 1))
+        if not kind or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", _byte_offset(src, start))
+        tokens.append((kind, text, start))
+        pos = m.end()
+    tokens.append(("eof", "end of input", len(src)))
+    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +171,17 @@ class _Parser:
     def __init__(self, source: str, allowed_vars: frozenset[str]):
         self.source = source
         self.allowed = allowed_vars
-        self.toks = _Tokenizer(source)
+        self.tokens = _tokens(source)
+        self.index = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.index]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        if tok[0] != "eof":
+            self.index += 1
+        return tok
 
     def _offset(self, pos: int) -> int:
         return _byte_offset(self.source, pos)
@@ -230,14 +190,13 @@ class _Parser:
         return ExprSyntaxError(message, self._offset(pos))
 
     def _expect(self, text: str) -> None:
-        kind, tok, pos = self.toks.next()
+        kind, tok, pos = self.next()
         if tok != text:
-            shown = tok if tok else "end of input"
-            raise self._error(f"expected {text!r}, found {shown}", pos)
+            raise self._error(f"expected {text!r}, found {tok}", pos)
 
     def parse(self) -> Expr:
         node = self.expr()
-        kind, tok, pos = self.toks.peek()
+        kind, tok, pos = self.peek()
         if kind != "eof":
             raise self._error(f"unexpected trailing input {tok!r}", pos)
         return node
@@ -245,9 +204,9 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while True:
-            kind, tok, _ = self.toks.peek()
+            kind, tok, _ = self.peek()
             if kind == "op" and tok in "+-":
-                self.toks.next()
+                self.next()
                 node = BinOp(tok, node, self.term())
             else:
                 return node
@@ -255,30 +214,30 @@ class _Parser:
     def term(self) -> Expr:
         node = self.factor()
         while True:
-            kind, tok, _ = self.toks.peek()
+            kind, tok, _ = self.peek()
             if kind == "op" and tok in "*/":
-                self.toks.next()
+                self.next()
                 node = BinOp(tok, node, self.factor())
             else:
                 return node
 
     def factor(self) -> Expr:
-        kind, tok, _ = self.toks.peek()
+        kind, tok, _ = self.peek()
         if kind == "op" and tok == "-":
-            self.toks.next()
+            self.next()
             return Neg(self.factor())
         return self.power()
 
     def power(self) -> Expr:
         node = self.primary()
-        kind, tok, _ = self.toks.peek()
+        kind, tok, _ = self.peek()
         if kind == "op" and tok == "^":
-            self.toks.next()
+            self.next()
             return BinOp("^", node, self.factor())
         return node
 
     def primary(self) -> Expr:
-        kind, tok, pos = self.toks.next()
+        kind, tok, pos = self.next()
         if kind == "number":
             return Num(float(tok))
         if kind == "op" and tok == "(":
@@ -286,7 +245,7 @@ class _Parser:
             self._expect(")")
             return node
         if kind == "name":
-            nxt_kind, nxt_tok, _ = self.toks.peek()
+            nxt_kind, nxt_tok, _ = self.peek()
             if nxt_kind == "op" and nxt_tok == "(":
                 return self._call(tok, pos)
             if tok not in self.allowed:
@@ -296,20 +255,16 @@ class _Parser:
                     self._offset(pos),
                 )
             return Var(tok)
-        shown = tok if tok else "end of input"
-        raise self._error(f"unexpected {shown}", pos)
+        raise self._error(f"unexpected {tok}", pos)
 
     def _call(self, func: str, pos: int) -> Expr:
         self._expect("(")
         if func == "if":
             cond_lhs = self.expr()
-            kind, tok, rpos = self.toks.next()
+            kind, tok, rpos = self.next()
             if kind != "relop":
-                shown = tok if tok else "end of input"
-                raise self._error(
-                    f"expected a relational operator in if(...), found {shown}",
-                    rpos,
-                )
+                raise self._error(f"expected a relational operator in if(...), found {tok}",
+                                  rpos)
             cond_rhs = self.expr()
             self._expect(",")
             then = self.expr()
@@ -318,17 +273,11 @@ class _Parser:
             self._expect(")")
             return Cond(tok, cond_lhs, cond_rhs, then, orelse)
         if func not in FUNCTION_ARITY:
-            raise UnknownFunctionError(
-                f"unknown function {func!r}", self._offset(pos)
-            )
+            raise UnknownFunctionError(f"unknown function {func!r}", self._offset(pos))
         args = [self.expr()]
-        while True:
-            kind, tok, _ = self.toks.peek()
-            if kind == "op" and tok == ",":
-                self.toks.next()
-                args.append(self.expr())
-            else:
-                break
+        while self.peek()[:2] == ("op", ","):
+            self.next()
+            args.append(self.expr())
         self._expect(")")
         expected = FUNCTION_ARITY[func]
         if len(args) != expected:
@@ -393,26 +342,6 @@ def _render(node: Expr, parent_level: int) -> str:
 def to_source(node: Expr) -> str:
     """Render the AST back to source; ``parse(to_source(e))`` is structurally ``e``."""
     return _render(node, 0)
-
-
-def free_variables(node: Expr) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Num):
-        return frozenset()
-    if isinstance(node, Neg):
-        return free_variables(node.operand)
-    if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for a in node.args:
-            out |= free_variables(a)
-        return out
-    out = frozenset()
-    for part in (node.lhs, node.rhs, node.then, node.orelse):
-        out |= free_variables(part)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ then measured by the space's default formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def _reciprocal_space(ns, table, lo: float, hi: float, grid_points: int) -> Spac
         rows.setdefault((b, a), d)
     return space_from_dict({
         "kind": "finite",
-        "points": [{"label": f"1/{n}", "value": float(Fraction(1, n))} for n in ns]
+        "points": [{"label": f"1/{n}", "value": 1 / n} for n in ns]
         + _grid_point_rows(lo, hi, grid_points),
         "default": "(x - y)^2",
         "overrides": [{"from": a, "to": b, "d": d} for (a, b), d in sorted(rows.items())],

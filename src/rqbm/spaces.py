@@ -579,7 +579,7 @@ def _quadrilateral_pass(
 # Operations
 # --------------------------------------------------------------------------
 
-def check_identity_axiom(space: Space, grid_points: int = 50) -> IdentityReport:
+def check_identity_axiom(space: Space, grid_points: int = DEFAULT_GRID_POINTS) -> IdentityReport:
     """Check d(a, b) = 0 exactly when a = b, over all pairs or a sampling grid."""
     pts, _, D, _ = _points_of(space, grid_points)
     return _identity(pts, D)

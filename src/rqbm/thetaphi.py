@@ -256,6 +256,8 @@ def validate_theta(
     grid = np.asarray(default_theta_grid() if grid is None else grid, dtype=np.float64)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be nonempty, positive, sorted ascending")
+    if vanishing_seq_len < 1:
+        raise ValueError(f"vanishing_seq_len must be >= 1, got {vanishing_seq_len}")
     vals = np.asarray(spec(grid), dtype=np.float64)
     low = ~(vals > 1.0)
 
@@ -275,7 +277,8 @@ def validate_theta(
         _check("vanishing-limit", lim_w, lim_defect),
         _check("continuity-proxy", *_secant_jumps(grid, vals, _JUMP_FACTOR)),
     )
-    desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], vanishing x{vanishing_seq_len}"
+    desc = (f"{len(grid)} points in [{float(grid[0])!r}, {float(grid[-1])!r}], "
+            f"vanishing x{vanishing_seq_len}")
     return ValidationReport(spec.name, desc, checks)
 
 
@@ -323,6 +326,8 @@ def validate_phi(
     grid = np.asarray(default_phi_grid() if grid is None else grid, dtype=np.float64)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 1.0:
         raise ValueError("grid must be nonempty, within [1, inf), sorted ascending")
+    if iterate_depth < 0:
+        raise ValueError(f"iterate_depth must be >= 0, got {iterate_depth}")
     vals = np.asarray(spec(grid), dtype=np.float64)
     at_one = float(spec(1.0))
     fix_w = [] if abs(at_one - 1.0) <= _FIXPOINT_TOL else [(1.0, at_one)]
@@ -351,5 +356,6 @@ def validate_phi(
         _check("iterates-to-one", iter_w, iter_defect),
         _check("continuity-proxy", *_secant_jumps(grid, vals, _JUMP_FACTOR)),
     )
-    desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], iterate depth {iterate_depth}"
+    desc = (f"{len(grid)} points in [{float(grid[0])!r}, {float(grid[-1])!r}], "
+            f"iterate depth {iterate_depth}")
     return ValidationReport(spec.name, desc, checks)

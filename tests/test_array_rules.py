@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rqbm.expr
 from rqbm.instances import build_example_sqrt
 from rqbm.solver import SeriesDiagnostic, _diag_series
-from rqbm.spaces import _points_of
+from rqbm.spaces import _points_of, check_b_rectangular, check_identity_axiom
 from rqbm.thetaphi import (
     _FIXPOINT_TOL,
     _JUMP_FACTOR,
@@ -75,7 +75,7 @@ def reference_validate_theta(spec, grid, vanishing_seq_len):
         PropertyCheck("vanishing-limit", not lim_w, tuple(lim_w), lim_defect),
         PropertyCheck("continuity-proxy", not jump_w, tuple(jump_w), jump_defect),
     )
-    desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], vanishing x{vanishing_seq_len}"
+    desc = f"{len(grid)} points in [{float(grid[0])!r}, {float(grid[-1])!r}], vanishing x{vanishing_seq_len}"
     return ValidationReport(spec.name, desc, checks)
 
 
@@ -124,7 +124,7 @@ def reference_validate_phi(spec, grid, iterate_depth):
         PropertyCheck("iterates-to-one", not iter_w, tuple(iter_w), iter_defect),
         PropertyCheck("continuity-proxy", not jump_w, tuple(jump_w), jump_defect),
     )
-    desc = f"{len(grid)} points in [{grid[0]!r}, {grid[-1]!r}], iterate depth {iterate_depth}"
+    desc = f"{len(grid)} points in [{float(grid[0])!r}, {float(grid[-1])!r}], iterate depth {iterate_depth}"
     return ValidationReport(spec.name, desc, checks)
 
 
@@ -201,6 +201,11 @@ class TestValidateThetaRules:
         check = report.check("strictly-increasing")
         assert not check.passed and repr(check.defect) == "0.0"
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_bad_depth_refused_before_any_call(self, depth):
+        with pytest.raises(ValueError, match=f"^vanishing_seq_len must be >= 1, got {depth}$"):
+            validate_theta(Scripted("c", []), [1.0, 2.0], depth)
+
 
 class TestValidatePhiRules:
     @given(phi_cases())
@@ -217,6 +222,11 @@ class TestValidatePhiRules:
     def test_depth_zero(self):
         report = validate_phi(Scripted("c", [np.array([1.0, 1.5]), 1.0]), [1.0, 2.0], 0)
         assert report.check("iterates-to-one").witnesses == ((2.0, 0, 2.0),)
+
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_depth_refused_before_any_call(self, depth):
+        with pytest.raises(ValueError, match=f"^iterate_depth must be >= 0, got {depth}$"):
+            validate_phi(Scripted("c", []), [1.0, 2.0], depth)
 
     def test_first_rise_then_limit_per_start(self):
         steps = [[1.0, 2.0], [1.5, 1.5], [1.0, 2.0]]
@@ -256,3 +266,17 @@ class TestAnalyticGridTable:
         for array in again[1:3]:
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_identity_and_rectangular_checks_share_one_grid(self, monkeypatch):
+        space = build_example_sqrt().space
+        shapes = []
+        evaluate = rqbm.expr.evaluate
+
+        def recording(node, bindings):
+            shapes.append(np.broadcast(*bindings.values()).shape)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", recording)
+        check_identity_axiom(space)
+        check_b_rectangular(space, 2.0)
+        assert [shape for shape in shapes if len(shape) == 2] == [(40, 40)]

@@ -206,6 +206,16 @@ class TestSolve:
         assert report["diagnostics"]["passed"] is True
         assert abs(report["trace"]["limit"] - 1.0) < 1e-8
 
+    def test_diagnostics_on_a_short_trace(self, capsys):
+        code, report, _ = run_json(
+            capsys, "solve", "--instance", "example-sqrt", "--start", "1", "--diagnostics",
+        )
+        assert code == 0 and report["passed"] is True
+        assert report["trace"]["steps"] == 1
+        assert report["diagnostics"] == {
+            "passed": True, "note": "trace too short for skip-distance diagnostics",
+        }
+
     def test_uniqueness_starts_all(self, capsys):
         code, report, _ = run_json(
             capsys, "solve", "--instance", "example-final", "--start", "1/3",

@@ -1,8 +1,10 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rqbm.expr import (
@@ -17,8 +19,8 @@ from rqbm.expr import (
     UnknownFunctionError,
     UnknownVariableError,
     Var,
+    _tokens,
     evaluate,
-    free_variables,
     parse,
     to_source,
 )
@@ -245,11 +247,6 @@ def test_round_trip_fixed_corpus():
         assert parse(to_source(ast), set(VARS)) == ast
 
 
-def test_free_variables():
-    e = parse("if(x >= y, t, x)", set(VARS))
-    assert free_variables(e) == {"x", "y", "t"}
-
-
 # -- one evaluation contract -------------------------------------------------
 
 def _per_element(e, bindings, n):
@@ -392,3 +389,98 @@ class TestDecimalDigitsOnly:
 
     def test_decimal_digits_of_other_scripts_still_parse(self):
         assert evaluate(parse("١ + x", XY), {"x": 1.0}) == 2.0
+
+
+# -- the token pattern against the character loop it replaced -----------------
+
+def reference_tokens(src):
+    """The lexer as a loop over characters; its eof token carries the text
+    ``end of input``, as the pattern's does."""
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^(),":
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        two = src[i : i + 2]
+        if two in ("<=", ">=", "==", "!="):
+            tokens.append(("relop", two, i))
+            i += 2
+            continue
+        if c in "<>":
+            tokens.append(("relop", c, i))
+            i += 1
+            continue
+        if c.isdecimal() or (c == "." and i + 1 < n and src[i + 1].isdecimal()):
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            if j < n and src[j] == ".":
+                j += 1
+                while j < n and src[j].isdecimal():
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdecimal():
+                    j = k
+                    while j < n and src[j].isdecimal():
+                        j += 1
+                else:
+                    raise ExprSyntaxError("malformed exponent", len(src[:j].encode()))
+            tokens.append(("number", src[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", len(src[:i].encode()))
+    tokens.append(("eof", "end of input", n))
+    return tokens
+
+
+def _lexed(lexer, src):
+    """The token list, or the error's type, message and byte offset."""
+    try:
+        return lexer(src)
+    except ExprSyntaxError as e:
+        return type(e), str(e), e.byte_offset
+
+
+# superscript, vulgar fraction, Roman numeral, Arabic-Indic digit, fraction
+# slash and no-break space, beside the characters of the grammar
+LEXER_ALPHABET = list("²½Ⅻ١⁄\u00a0eE.+-!=<>_xyéq0159 \t(),*/^")
+
+
+@settings(max_examples=1000)
+@given(st.text(st.sampled_from(LEXER_ALPHABET), max_size=14))
+@example("1e+")
+@example(".5e")
+@example("x ! 2")
+@example("x²")
+@example("1e²")
+@example("2.e-3 <= _a1 ")
+def test_token_pattern_matches_the_character_loop(src):
+    assert _lexed(_tokens, src) == _lexed(reference_tokens, src)
+
+
+@pytest.mark.parametrize("cls, predicate", [
+    (r"\s", str.isspace),
+    (r"\d", str.isdecimal),
+    (r"\w", lambda c: c.isalnum() or c == "_"),
+])
+def test_pattern_class_is_the_str_predicate(cls, predicate):
+    # the token pattern's classes stand for these predicates on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(cls, every)) ^ set(filter(predicate, every)) == set()

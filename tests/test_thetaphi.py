@@ -155,6 +155,10 @@ class TestValidatePhi:
         assert check.witnesses == ((1.0, 2.0, 2.0, 1.5), (2.0, 1.5, 4.0, 1.25))
         assert check.defect == 0.5
 
+    def test_grid_text_holds_plain_floats(self):
+        report = validate_phi(builtin_phi("midpoint"))
+        assert report.grid_description == "193 points in [1.0, 1000.0], iterate depth 256"
+
     def test_wrong_value_at_one(self):
         report = validate_phi(PhiSpec.from_source("off", "t / 2 + 1"))
         assert not report.check("fixes-one").passed

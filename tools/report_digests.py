@@ -63,6 +63,10 @@ ERROR_CASES = [
     ["verify", "--space", str(NAN_SPACE)],
     ["verify", "--instance", "example-2-3", "--out", str(UNWRITABLE_OUT)],
     ["contraction", "--instance", "example-sqrt", "--map", "²"],
+    # the lexer's and parser's messages
+    *(["contraction", "--instance", "example-sqrt", "--map", source]
+      for source in ["1e+", ".5e", "x ! 2", "(x", "2 x", "x²", "sqrt(x, 2)"]),
+    ["validate-theta", "--theta", "t ⁄ 2"],
 ]
 
 SOLVER_CASES = [
@@ -76,6 +80,8 @@ SOLVER_CASES = [
     ["solve", "--instance", "example-final", "--start", "1/3", "--uniqueness-starts", "all",
      "--max-iter", "2"],
     ["solve", "--instance", "example-sqrt", "--start", "2.0", "--max-iter", "3", "--diagnostics"],
+    # a trace too short for the skip-distance diagnostics
+    ["solve", "--instance", "example-sqrt", "--start", "1", "--diagnostics"],
 ]
 
 SUBCOMMANDS = ["verify", "classify", "min-s", "validate-theta", "validate-phi", "contraction",
