@@ -14,16 +14,12 @@ import sys
 from . import __version__
 from ._report import plain
 from .contraction import (
-    DEFAULT_PAIR_GRID,
-    DEFAULT_RANDOM_PAIRS,
     MapError,
     SelfMap,
-    _exponent,
-    _linear,
-    _pair_pass,
-    _theta_phi,
-    _theta_r,
-    _with_theta,
+    best_exponent,
+    check_linear_contraction,
+    check_theta_contraction,
+    check_theta_phi_contraction,
 )
 from .expr import ExprError
 from .instances import INSTANCE_NAMES, _broken_tables, get_instance
@@ -156,8 +152,8 @@ def _resolve_space(args) -> tuple:
     return bundle.space, bundle, {"instance": args.instance}
 
 
-def _scan_grid(args, default: int = DEFAULT_GRID_POINTS) -> int:
-    return args.grid if args.grid else default
+def _scan_grid(args) -> int:
+    return args.grid if args.grid else DEFAULT_GRID_POINTS
 
 
 def _parse_start(space, text: str):
@@ -229,7 +225,7 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     s = args.s if args.s is not None else (
         bundle.s if bundle and bundle.s else space.claimed_s or 1.0
     )
-    grid = _scan_grid(args, DEFAULT_PAIR_GRID)
+    sampling = {"grid_points": _scan_grid(args), "seed": args.seed}
     theta = None
     if args.theta:
         theta = theta_spec(args.theta)
@@ -237,18 +233,13 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         theta = bundle.theta
     config = {**src, "kind": args.kind, "s": s, "seed": args.seed,
               "map": selfmap.describe()}
-
-    def pairs(param):  # one pair set, shared with --best-exponent
-        return _pair_pass(space, selfmap, s, param, grid, DEFAULT_RANDOM_PAIRS, args.seed)
-
     if args.kind == "theta_r":
         if theta is None:
             raise UsageError("theta_r needs --theta")
         r = args.exponent if args.exponent is not None else (bundle.r if bundle else None)
         if r is None:
             raise UsageError("theta_r needs --exponent")
-        p = _with_theta(pairs(("exponent r", r)), theta)
-        cert = _theta_r(p, theta, r)
+        cert = check_theta_contraction(space, selfmap, theta, r, s, **sampling)
         config["theta"], config["exponent"] = theta.name, r
     elif args.kind == "theta_phi":
         if theta is None:
@@ -256,20 +247,18 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         phi = phi_spec(args.phi) if args.phi else (bundle.phi if bundle else None)
         if phi is None:
             raise UsageError("theta_phi needs --phi")
-        p = _with_theta(pairs(None), theta)
-        cert = _theta_phi(p, theta, phi)
+        cert = check_theta_phi_contraction(space, selfmap, theta, phi, s, **sampling)
         config["theta"], config["phi"] = theta.name, phi.name
     elif args.kind == "linear":
         if args.k is None:
             raise UsageError("linear needs --k")
-        p = pairs(("factor k", args.k))
-        cert = _linear(p, args.k)
+        cert = check_linear_contraction(space, selfmap, args.k, s, **sampling)
         config["k"] = args.k
     else:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
     sections = {"certificate": cert}
-    if args.best_exponent and theta is not None:  # the linear pass left theta out
-        sections["best_exponent"] = _exponent(_with_theta(p, theta) if p.th_img is None else p)
+    if args.best_exponent and theta is not None:  # the check's pair set, kept on the map
+        sections["best_exponent"] = best_exponent(space, selfmap, theta, s, **sampling)
     return cert.passed, config, sections
 
 

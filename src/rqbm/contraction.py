@@ -14,11 +14,12 @@ vacuous certificate is visually distinct.  A pair with d(x, y) = 0 but
 d(Tx, Ty) > 0 puts theta outside its domain and is reported as a
 domain-violation failure for the two theta forms.
 
-One pair pass serves all four operations (the three checks and
-``best_exponent``): it validates s, enumerates and masks the pair set, and
-``_with_theta`` adds the theta arrays and exponent ratios for the theta
-forms.  Each operation supplies only its own right-hand side, so one pass
-can serve a check and ``best_exponent`` together.
+The four public operations (the three checks and ``best_exponent``) are
+the only way into the pair pass: it validates s, enumerates and masks the
+pair set, and ``_with_theta`` adds the theta arrays and exponent ratios for
+the theta forms.  The map keeps its last pass, read-only, so a check and
+``best_exponent`` on the same space and sampling share one pass; each
+operation supplies only its own right-hand side.
 """
 from __future__ import annotations
 
@@ -31,7 +32,15 @@ import numpy as np
 
 from . import expr as ex
 from ._report import Result
-from .spaces import DEFAULT_TOL, AnalyticSpace, FiniteSpace, Space, _points_of
+from .spaces import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_RANDOM_SAMPLES,
+    DEFAULT_TOL,
+    AnalyticSpace,
+    FiniteSpace,
+    Space,
+    _points_of,
+)
 from .thetaphi import PhiSpec, ThetaSpec
 
 __all__ = [
@@ -46,12 +55,7 @@ __all__ = [
     "check_theta_phi_contraction",
     "check_linear_contraction",
     "best_exponent",
-    "DEFAULT_PAIR_GRID",
-    "DEFAULT_RANDOM_PAIRS",
 ]
-
-DEFAULT_PAIR_GRID = 40
-DEFAULT_RANDOM_PAIRS = 10_000
 
 
 class MapError(Exception):
@@ -256,43 +260,11 @@ class ExponentBound(Result):
 # The pair pass
 # --------------------------------------------------------------------------
 
-def _pair_data(
-    space: Space,
-    selfmap: SelfMap,
-    grid_points: int,
-    random_pairs: int,
-    seed: int,
-):
-    """Every ordered pair of ``_points_of(space, grid_points)`` in row-major
-    order, then on an analytic space the seeded random pairs ``zip(xs, ys)``,
-    with image and preimage distances: ``(names, xs, ys, d_img, d_pre, source)``.
-    """
-    selfmap.check_total(space)
-    names, values, D, carrier = _points_of(space, grid_points)
-    n = len(names)
-    image = selfmap.apply_array(space, values)
-    # the table's rows and columns follow the names, so ravel() is in pair order
-    d_img = space.distance_value(image[:, None], image[None, :]).ravel()
-    d_pre = D.ravel()
-    source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
-    xs = ys = np.empty(0)
-    if isinstance(space, AnalyticSpace) and random_pairs > 0:
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(space.lo, space.hi, random_pairs)
-        ys = rng.uniform(space.lo, space.hi, random_pairs)
-        Txs = selfmap.apply_array(space, xs)
-        Tys = selfmap.apply_array(space, ys)
-        d_img = np.concatenate([d_img, space.distance_value(Txs, Tys)])
-        d_pre = np.concatenate([d_pre, space.distance_value(xs, ys)])
-        source += f"+random:{random_pairs}(seed={seed})"
-    return names, xs, ys, d_img, d_pre, source
-
-
 @dataclass(frozen=True)
 class _Pairs:
-    """The pair set of one contraction operation, masked and (with theta) mapped."""
+    """The pair set of one contraction operation, masked and (with theta) mapped.
+    Every array is read-only: a pass is kept on its map and shared."""
 
-    s: float
     names: list  # the carrier points; pair k < len(names)^2 is a carrier pair
     xs: np.ndarray  # the random pairs, after the carrier pairs
     ys: np.ndarray
@@ -319,22 +291,61 @@ class _Pairs:
         return self.pair(int(np.argmax(at))) if at.any() else None
 
 
-def _pair_pass(space, selfmap, s, param, grid_points, random_pairs, seed) -> _Pairs:
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _pair_pass(space, selfmap, s, param, grid_points, random_pairs, seed, theta=None) -> _Pairs:
     """Validate s, then ``param``, the named r or k that must lie in (0, 1);
-    then enumerate the pair set once and mask the pairs it skips."""
+    then the masked pair set: every ordered pair of ``_points_of(space,
+    grid_points)`` in row-major order, then on an analytic space the seeded
+    random pairs ``zip(xs, ys)``.  With ``theta``, the set carries its arrays
+    (see ``_with_theta``).
+
+    The map keeps its last pass, keyed by the space and the sampling, and the
+    theta view of it for the last theta object, so a check and
+    ``best_exponent`` on one sampling evaluate the map and theta once.  A call
+    that raises keeps nothing.
+    """
     if not s >= 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
     if param is not None and not 0.0 < param[1] < 1.0:
         raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
-    names, xs, ys, d_img, d_pre, source = _pair_data(
-        space, selfmap, grid_points, random_pairs, seed)
-    return _Pairs(s, names, xs, ys, source, d_img, d_pre, d_img == 0.0, d_img != 0.0)
+    key = (space, s, grid_points, random_pairs, seed)  # a space equals only itself
+    kept = selfmap.__dict__.get("_pairs")
+    if kept is None or kept[0] != key:
+        selfmap.check_total(space)
+        names, values, D, carrier = _points_of(space, grid_points)
+        n = len(names)
+        image = selfmap.apply_array(space, values)
+        # the table's rows and columns follow the names, so ravel() is in pair order
+        d_img = space.distance_value(image[:, None], image[None, :]).ravel()
+        d_pre = D.ravel()
+        source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
+        xs = ys = np.empty(0)
+        if isinstance(space, AnalyticSpace) and random_pairs > 0:
+            rng = np.random.default_rng(seed)
+            xs = rng.uniform(space.lo, space.hi, random_pairs)
+            ys = rng.uniform(space.lo, space.hi, random_pairs)
+            # no local keeps the images: they are freed before theta runs
+            d_img = np.concatenate([d_img, space.distance_value(
+                selfmap.apply_array(space, xs), selfmap.apply_array(space, ys))])
+            d_pre = np.concatenate([d_pre, space.distance_value(xs, ys)])
+            source += f"+random:{random_pairs}(seed={seed})"
+        p = _Pairs(names, xs, ys, source, d_img, d_pre, d_img == 0.0, d_img != 0.0)
+        _read_only(xs, ys, d_img, d_pre, p.skipped, p.checked)
+        kept = (key, p, None, None)
+    if theta is not None and kept[2] is not theta:
+        kept = (*kept[:2], theta, _with_theta(kept[1], theta, s))
+    object.__setattr__(selfmap, "_pairs", kept)
+    return kept[1] if theta is None else kept[3]
 
 
-def _with_theta(p: _Pairs, theta: ThetaSpec) -> _Pairs:
+def _with_theta(p: _Pairs, theta: ThetaSpec, s: float) -> _Pairs:
     """``p`` with the theta arrays and exponent ratios.  A pair with d(x, y) = 0
     and a positive image distance leaves theta's domain and is not checked."""
-    s, checked = p.s, p.checked & (p.d_pre != 0.0)
+    checked = p.checked & (p.d_pre != 0.0)
     # excluded entries are masked to a safe argument; their values are unused
     th_img = np.asarray(theta(np.where(checked, s * s * p.d_img, 1.0)), dtype=np.float64)
     th_pre = np.asarray(theta(np.where(checked, p.d_pre, 1.0)), dtype=np.float64)
@@ -343,10 +354,11 @@ def _with_theta(p: _Pairs, theta: ThetaSpec) -> _Pairs:
         den = np.log(th_pre)
         ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
         ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
+    _read_only(checked, th_img, th_pre, ratio)
     return replace(p, checked=checked, th_img=th_img, th_pre=th_pre, ratio=ratio)
 
 
-def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
+def _certificate(p: _Pairs, kind, params, s, tol, lhs, rhs, ratio, details):
     """The certificate for ``lhs <= rhs`` on the checked pairs, and the ledger."""
     checked = p.checked
     n_checked = int(checked.sum())
@@ -362,7 +374,7 @@ def _certificate(p: _Pairs, kind, params, tol, lhs, rhs, ratio, details):
     cert = ContractionCertificate(
         kind=kind,
         params=params,
-        s=p.s,
+        s=s,
         tol=tol,
         pair_source=p.source,
         verdict="fail" if (n_viol or p.domain is not None) else "pass",
@@ -401,8 +413,8 @@ def check_theta_contraction(
     r: float,
     s: float,
     *,
-    grid_points: int = DEFAULT_PAIR_GRID,
-    random_pairs: int = DEFAULT_RANDOM_PAIRS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     details: bool = False,
@@ -411,16 +423,12 @@ def check_theta_contraction(
 
     With ``details=True`` also return the per-pair audit ledger.
     """
-    p = _pair_pass(space, selfmap, s, ("exponent r", r), grid_points, random_pairs, seed)
-    return _theta_r(_with_theta(p, theta), theta, r, tol, details)
-
-
-def _theta_r(p: _Pairs, theta: ThetaSpec, r: float, tol: float = DEFAULT_TOL, details=False):
+    p = _pair_pass(space, selfmap, s, ("exponent r", r), grid_points, random_pairs, seed, theta)
     # np.power, not **: ndarray.__pow__ takes a sqrt fast path at r = 0.5,
     # which would drift one ulp from the power-family phi evaluation
     rhs = np.power(p.th_pre, r)
     return _certificate(
-        p, "theta_r", {"theta": theta.name, "r": r}, tol, p.th_img, rhs, p.ratio, details
+        p, "theta_r", {"theta": theta.name, "r": r}, s, tol, p.th_img, rhs, p.ratio, details
     )
 
 
@@ -431,21 +439,17 @@ def check_theta_phi_contraction(
     phi: PhiSpec,
     s: float,
     *,
-    grid_points: int = DEFAULT_PAIR_GRID,
-    random_pairs: int = DEFAULT_RANDOM_PAIRS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     details: bool = False,
 ):
     """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over the pair set."""
-    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed)
-    return _theta_phi(_with_theta(p, theta), theta, phi, tol, details)
-
-
-def _theta_phi(p: _Pairs, theta: ThetaSpec, phi: PhiSpec, tol: float = DEFAULT_TOL, details=False):
+    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed, theta)
     rhs = np.asarray(phi(p.th_pre), dtype=np.float64)
     return _certificate(
-        p, "theta_phi", {"theta": theta.name, "phi": phi.name}, tol,
+        p, "theta_phi", {"theta": theta.name, "phi": phi.name}, s, tol,
         p.th_img, rhs, p.ratio, details,
     )
 
@@ -456,25 +460,21 @@ def check_linear_contraction(
     k: float,
     s: float,
     *,
-    grid_points: int = DEFAULT_PAIR_GRID,
-    random_pairs: int = DEFAULT_RANDOM_PAIRS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     details: bool = False,
 ):
     """Certify s^2 d(Tx,Ty) <= k d(x,y) over the pair set."""
     p = _pair_pass(space, selfmap, s, ("factor k", k), grid_points, random_pairs, seed)
-    return _linear(p, k, tol, details)
-
-
-def _linear(p: _Pairs, k: float, tol: float = DEFAULT_TOL, details=False):
-    s, checked, d_img, d_pre = p.s, p.checked, p.d_img, p.d_pre
+    checked, d_img, d_pre = p.checked, p.d_img, p.d_pre
     lhs = np.where(checked, s * s * d_img, 0.0)
     rhs = np.where(checked, k * d_pre, 0.0)
     with np.errstate(all="ignore"):
         ratio = np.where(checked & (rhs > 0), (s * s * d_img) / d_pre, 0.0)
         ratio = np.where(checked & (d_pre == 0.0), math.inf, ratio)
-    return _certificate(p, "linear_k", {"k": k}, tol, lhs, rhs, ratio, details)
+    return _certificate(p, "linear_k", {"k": k}, s, tol, lhs, rhs, ratio, details)
 
 
 def best_exponent(
@@ -483,8 +483,8 @@ def best_exponent(
     theta: ThetaSpec,
     s: float,
     *,
-    grid_points: int = DEFAULT_PAIR_GRID,
-    random_pairs: int = DEFAULT_RANDOM_PAIRS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
 ) -> ExponentBound:
     """Tightest exponent certifying the theta contraction on this pair set.
@@ -493,11 +493,7 @@ def best_exponent(
     a value >= 1 (or a pair with d(x,y) = 0 and positive image distance) is
     infeasible.  The supremum over an empty admissible set is 0.
     """
-    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed)
-    return _exponent(_with_theta(p, theta))
-
-
-def _exponent(p: _Pairs) -> ExponentBound:
+    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed, theta)
     n_checked, n_skipped = int(p.checked.sum()), int(p.skipped.sum())
     if not n_checked:
         return ExponentBound(0.0, p.domain is None, None, 0, n_skipped, p.domain)

@@ -186,6 +186,25 @@ class TestContraction:
         want = best_exponent(bundle.space, bundle.selfmap, bundle.theta, bundle.s, grid_points=11)
         assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
 
+    @pytest.mark.parametrize("kind, check", [
+        (("--kind", "theta_r", "--exponent", "0.5"), "check_theta_contraction"),
+        (("--kind", "theta_phi"), "check_theta_phi_contraction"),
+        (("--kind", "linear", "--k", "0.5"), "check_linear_contraction"),
+    ], ids=["theta_r", "theta_phi", "linear"])
+    def test_runs_the_public_checks(self, capsys, monkeypatch, kind, check):
+        calls = []
+        names = ["check_theta_contraction", "check_theta_phi_contraction",
+                 "check_linear_contraction", "best_exponent"]
+        for name in names:
+            def recording(*args, _name=name, _fn=getattr(rqbm.cli, name), **kwargs):
+                calls.append((_name, kwargs))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(rqbm.cli, name, recording)
+        run_json(capsys, "contraction", "--instance", "example-final", "--grid", "11",
+                 *kind, "--best-exponent")
+        sampling = {"grid_points": 11, "seed": 0}
+        assert calls == [(check, sampling), ("best_exponent", sampling)]
+
 
 class TestSolve:
     def test_final_example_from_table_label(self, capsys):

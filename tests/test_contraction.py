@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rqbm.expr
 from rqbm.contraction import (
     MapError,
     MapRangeError,
@@ -23,7 +24,7 @@ from rqbm.instances import (
     random_space,
 )
 from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError
-from rqbm.thetaphi import builtin_phi, builtin_theta
+from rqbm.thetaphi import ThetaSpec, builtin_phi, builtin_theta
 
 # closed forms of the builtin thetas and phis, on numpy scalars: numpy's
 # elementary functions agree bit for bit between scalars and arrays, where
@@ -325,6 +326,18 @@ class TestBestExponent:
         assert bound.value == 0.497134902334961  # just under the claimed 1/2
         assert bound.value < 0.5
 
+    @pytest.mark.parametrize("variant, limit", [("fourth_root", 0.75), ("sqrt", 1.5)])
+    def test_exponent_at_the_true_coefficient(self, variant, limit):
+        # at s = 3 the supremum is s times the map's slope at 1, approached by
+        # ever closer pairs near 1: the finer grid comes closer from below
+        b = build_example_sqrt(variant)
+        coarse, fine = (
+            best_exponent(b.space, b.selfmap, b.theta, 3.0, grid_points=g).value
+            for g in (40, 200)
+        )
+        assert coarse < fine < limit
+        assert math.isclose(fine, limit, rel_tol=0.01)
+
     def test_bracketing_property(self, fourth_bundle):
         kw = dict(grid_points=50)
         bound = best_exponent(
@@ -468,6 +481,69 @@ class TestPairPassPrecedence:
         assert str(err.value) == (
             "no override for ('b', 'a') and the space has no default formula"
         )
+
+
+class TestKeptPairPass:
+    """A map keeps its last pair pass, so a check and ``best_exponent`` on one
+    space and sampling evaluate the map and theta once."""
+
+    SAMPLE = {"grid_points": 11, "random_pairs": 50, "seed": 3}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        nodes = []
+        evaluate = rqbm.expr.evaluate
+
+        def recording(node, bindings):
+            nodes.append(node)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", recording)
+        return nodes
+
+    def test_a_check_and_best_exponent_share_one_pass(self, calls):
+        b = build_example_sqrt("sqrt")
+        check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, 2.0, **self.SAMPLE)
+        assert b.selfmap.expr in calls and b.theta.expr in calls
+        before = len(calls)
+        best_exponent(b.space, b.selfmap, b.theta, 2.0, **self.SAMPLE)
+        assert len(calls) == before
+        # a new theta object gets its own arrays on the same pass
+        other = ThetaSpec.from_source("again", b.theta.source)
+        best_exponent(b.space, b.selfmap, other, 2.0, **self.SAMPLE)
+        assert b.selfmap.expr not in calls[before:] and other.expr in calls[before:]
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4}, {"grid_points": 12}, {"random_pairs": 51}, {"s": 3.0}, {"space": None},
+    ], ids=lambda change: next(iter(change)))
+    def test_a_new_sampling_rebuilds_the_pass(self, calls, change):
+        b = build_example_sqrt("sqrt")
+        best_exponent(b.space, b.selfmap, b.theta, 2.0, **self.SAMPLE)
+        before = len(calls)
+        call = {"space": b.space, "s": 2.0, **self.SAMPLE, **change}
+        if call["space"] is None:
+            call["space"] = build_example_sqrt("sqrt").space
+        best_exponent(selfmap=b.selfmap, theta=b.theta, **call)
+        assert b.selfmap.expr in calls[before:]
+
+    def test_a_call_that_raises_keeps_nothing(self, calls):
+        b = build_example_sqrt("sqrt")
+        failing = ThetaSpec.from_source("ln(t - 1)", "ln(t - 1)")
+        with pytest.raises(EvalError):
+            best_exponent(b.space, b.selfmap, failing, 2.0, **self.SAMPLE)
+        before = len(calls)
+        check_linear_contraction(b.space, b.selfmap, 0.5, 2.0, **self.SAMPLE)
+        assert b.selfmap.expr in calls[before:]
+
+    def test_the_ledger_is_read_only(self):
+        b = build_example_sqrt("sqrt")
+        cert, ledger = check_theta_contraction(
+            b.space, b.selfmap, b.theta, 0.5, 2.0, details=True, **self.SAMPLE)
+        for array in (ledger.d_img, ledger.d_pre, ledger.skipped):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        again = check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, 2.0, **self.SAMPLE)
+        assert again == cert
 
 
 def oracle_pairs(labels, dist, image, s, theta, rhs_of):

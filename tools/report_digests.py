@@ -5,8 +5,9 @@ given seeds, each again with ``--format text``, a fixed list of error cases
 (some read a space file that the script writes under the system temp
 directory, at a fixed path so that the printed argv is stable: an analytic
 space whose formula fails, and a space whose claimed coefficient is NaN),
-solver cases that between them reach every Picard ending, and the help and
-usage-error text of the parser (wrapped at ``COLUMNS=80``).  Each runs
+solver cases that between them reach every Picard ending, contraction cases
+whose ``--best-exponent`` reads the pair set of the check before it, and the
+help and usage-error text of the parser (wrapped at ``COLUMNS=80``).  Each runs
 through ``rqbm.cli.main`` in this process, one line per command: exit code
 (or ``raised`` and the exception a command let escape), stdout digest,
 stderr digest, argv.
@@ -84,6 +85,15 @@ SOLVER_CASES = [
     ["solve", "--instance", "example-sqrt", "--start", "1", "--diagnostics"],
 ]
 
+# theta added to a linear pass, a theta pass reused, and a theta that fails
+# after a linear pass
+PAIR_PASS_CASES = [
+    ["contraction", "--instance", "example-final", "--grid", "11", *kind, "--best-exponent"]
+    for kind in (["--kind", "linear", "--k", "0.5"],
+                 ["--kind", "theta_phi"],
+                 ["--kind", "linear", "--k", "0.5", "--theta", "ln(t - 1)"])
+]
+
 SUBCOMMANDS = ["verify", "classify", "min-s", "validate-theta", "validate-phi", "contraction",
                "solve", "falsify", "instances"]
 HELP_CASES = [
@@ -124,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         "kind": "finite", "points": [{"label": "a", "value": 0.0}], "claimed_s": math.nan,
     }))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
-    for run in json_runs + text_runs + ERROR_CASES + SOLVER_CASES + HELP_CASES:
+    for run in json_runs + text_runs + ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES:
         print(digest_line(run), flush=True)
     return 0
 
