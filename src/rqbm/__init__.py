@@ -21,7 +21,6 @@ from .spaces import (
     AnalyticSpace,
     Classification,
     FiniteSpace,
-    Point,
     QuadrupleViolation,
     SpaceError,
     UnknownLabelError,
@@ -84,7 +83,6 @@ __all__ = [
     "AnalyticSpace",
     "Classification",
     "FiniteSpace",
-    "Point",
     "QuadrupleViolation",
     "SpaceError",
     "UnknownLabelError",

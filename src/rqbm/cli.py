@@ -222,15 +222,11 @@ def _resolve_map(args, bundle) -> SelfMap:
 def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     selfmap = _resolve_map(args, bundle)
-    s = args.s if args.s is not None else (
-        bundle.s if bundle and bundle.s else space.claimed_s or 1.0
-    )
+    s = args.s if args.s is not None else (space.claimed_s or 1.0)
     sampling = {"grid_points": _scan_grid(args), "seed": args.seed}
     theta = None
-    if args.theta:
-        theta = theta_spec(args.theta)
-    elif bundle is not None and bundle.theta is not None:
-        theta = bundle.theta
+    if args.kind != "linear" or args.best_exponent:  # the commands that read theta
+        theta = theta_spec(args.theta) if args.theta else (bundle.theta if bundle else None)
     config = {**src, "kind": args.kind, "s": s, "seed": args.seed,
               "map": selfmap.describe()}
     if args.kind == "theta_r":
@@ -259,6 +255,7 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     sections = {"certificate": cert}
     if args.best_exponent and theta is not None:  # the check's pair set, kept on the map
         sections["best_exponent"] = best_exponent(space, selfmap, theta, s, **sampling)
+        config["theta"] = theta.name
     return cert.passed, config, sections
 
 

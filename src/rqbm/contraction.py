@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class SelfMap:
         once for the last space the map was applied to."""
         cached = self.__dict__.get("_images")
         if cached is None or cached[0] is not space:
-            image, rule = np.zeros(len(space.points)), np.zeros(len(space.points), np.int8)
+            image, rule = np.zeros(len(space.labels)), np.zeros(len(space.labels), np.int8)
             for label, target in self.table.items():
                 k = space._index_of.get(label)
                 if k is None or target is None:
@@ -142,7 +142,7 @@ class SelfMap:
                     if j is None:
                         rule[k] = -1
                         continue
-                    target = space.points[j].value
+                    target = space.values[j]
                 image[k], rule[k] = target, 1
             cached = (space, image, rule)
             object.__setattr__(self, "_images", cached)
@@ -157,7 +157,7 @@ class SelfMap:
         rest = np.ones(xs.shape, dtype=bool)  # the values the expression maps
         if isinstance(space, FiniteSpace):
             at = space._indices(xs)
-            raw, xs = xs, np.where(at >= 0, space._values[at], xs)
+            raw, xs = xs, np.where(at >= 0, space.values[at], xs)
             if self.table:
                 image, rule = self._label_images(space)
                 ruled = np.where(at >= 0, rule[at], 0)
@@ -170,6 +170,8 @@ class SelfMap:
                 if at[k] >= 0:
                     raise MapError(f"map has no rule for label {space.labels[at[k]]!r}")
                 raise MapError(f"map has no rule for value {float(raw[k])!r}")
+        elif self.expr is None and rest.any():
+            raise MapError("an analytic space needs an expression map")
         if rest.any():
             try:
                 out[rest] = ex.evaluate(self.expr, {"x": xs[rest]})
@@ -265,7 +267,7 @@ class _Pairs:
     """The pair set of one contraction operation, masked and (with theta) mapped.
     Every array is read-only: a pass is kept on its map and shared."""
 
-    names: list  # the carrier points; pair k < len(names)^2 is a carrier pair
+    names: Sequence  # the carrier points; pair k < len(names)^2 is a carrier pair
     xs: np.ndarray  # the random pairs, after the carrier pairs
     ys: np.ndarray
     source: str

@@ -47,7 +47,6 @@ class InstanceBundle:
     theta: ThetaSpec | None = None
     phi: PhiSpec | None = None
     r: float | None = None
-    s: float | None = None
     expected_fixed_point: float | None = None
     note: str = ""
 
@@ -93,7 +92,6 @@ def build_example_2_3(grid_points: int = 11) -> InstanceBundle:
         name="example-2-3",
         description="asymmetric 6-point table over a squared-difference default; coefficient 3",
         space=space,
-        s=3.0,
     )
 
 
@@ -120,7 +118,6 @@ def build_example_sqrt(variant: str = "sqrt") -> InstanceBundle:
         selfmap=SelfMap.from_expression("sqrt(x)" if variant == "sqrt" else "x ^ 0.25"),
         theta=builtin_theta("exp-sqrt"),
         r=0.5,
-        s=2.0,
         expected_fixed_point=1.0,
         note=(
             "the stated fixed point 1/3 is outside [1, 2]; x = T(x) forces 1.0, "
@@ -150,7 +147,6 @@ def build_example_final(grid_points: int = 11) -> InstanceBundle:
         selfmap=selfmap,
         theta=builtin_theta("sqrt-plus-1"),
         phi=builtin_phi("midpoint"),
-        s=3.0,
         expected_fixed_point=1.0,
     )
 
@@ -223,12 +219,10 @@ def random_space(n: int, seed: int, profile: str = "metric") -> FiniteSpace:
     generator that ``falsify`` runs over all its seeds at once.
     """
     (D,), (values,), claimed = _random_tables(n, [seed], profile)
-    labels = [f"p{i}" for i in range(n)]
+    labels = tuple(f"p{i}" for i in range(n))
     I, J = _sorted_pairs(n)
     keys = zip([labels[i] for i in I], [labels[j] for j in J])
-    return FiniteSpace.build(
-        zip(labels, values.tolist()), None, dict(zip(keys, D[I, J].tolist())), claimed
-    )
+    return FiniteSpace(labels, values, None, None, dict(zip(keys, D[I, J].tolist())), claimed)
 
 
 def _zeroed_entries(D: np.ndarray, rngs) -> np.ndarray:
@@ -283,9 +277,8 @@ def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) ->
         raise ValueError(f"unknown perturbation {kind!r}")
     overrides = dict(space.overrides)
     overrides[(labels[i], labels[j])] = float(d)
-    return FiniteSpace(
-        space.points, space.default_formula, space.default_source, overrides, space.claimed_s,
-    )
+    return FiniteSpace(labels, space.values, space.default_formula, space.default_source,
+                       overrides, space.claimed_s)
 
 
 def _broken_tables(n: int, seeds, profile: str, kinds):
@@ -335,9 +328,7 @@ def affine_toward(space: FiniteSpace, target: str, ratio: float = 0.5) -> SelfMa
     if not 0.0 <= ratio < 1.0:
         raise ValueError("ratio must lie in [0, 1)")
     t = space.value_of(target)
-    table = {}
-    for p in space.points:
-        desired = t + ratio * (p.value - t)
-        best = min(space.points, key=lambda q: (abs(q.value - desired), space.labels.index(q.label)))
-        table[p.label] = best.label
-    return SelfMap.from_table(table)
+    with np.errstate(all="ignore"):  # float arithmetic, as on Python floats
+        desired = t + ratio * (space.values - t)
+        nearest = np.argmin(np.abs(space.values - desired[:, None]), axis=1).tolist()
+    return SelfMap.from_table({a: space.labels[k] for a, k in zip(space.labels, nearest)})

@@ -177,7 +177,7 @@ def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: 
     if finite:
         # a start revisits a label its row of ``visited`` holds; its unlabeled
         # iterates (only a default formula makes them) go to its own set
-        visited = np.zeros((m, len(space.points)), dtype=bool)
+        visited = np.zeros((m, len(space.labels)), dtype=bool)
         visited[live[at >= 0], at[at >= 0]] = True
         loose = [{v} if a < 0 else set() for a, v in zip(at.tolist(), x.tolist())]
     for _ in range(max_iter):

@@ -25,8 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from . import expr as ex
 from ._report import Result
 
 __all__ = [
-    "Point",
     "FiniteSpace",
     "AnalyticSpace",
     "Space",
@@ -82,16 +80,6 @@ def format_value(v: float) -> str:
     return f"{v:.12g}"
 
 
-@dataclass(frozen=True)
-class Point:
-    label: str
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise SpaceError(f"point {self.label!r} has non-finite value")
-
-
 # --------------------------------------------------------------------------
 # Spaces
 # --------------------------------------------------------------------------
@@ -100,13 +88,15 @@ class Point:
 class FiniteSpace:
     """Labeled points with explicit distance overrides over a formula default.
 
-    Point values are distinct, so a value names at most one label.  Every
-    distance is resolved once, at construction, into a read-only table; a
-    pair with no override and no default formula stays undefined there and
-    raises ``SpaceError`` when it is read.
+    The carrier is ``labels`` and ``values``, in label order.  The values
+    are distinct, so a value names at most one label.  Every distance is
+    resolved once, at construction, into a read-only table; a pair with no
+    override and no default formula stays undefined there and raises
+    ``SpaceError`` when it is read.
     """
 
-    points: tuple[Point, ...]
+    labels: tuple[str, ...]
+    values: np.ndarray  # float64 and read-only: the space keeps its own copy
     default_formula: ex.Expr | None
     default_source: str | None
     overrides: dict[tuple[str, str], float]
@@ -120,17 +110,23 @@ class FiniteSpace:
         overrides: dict[tuple[str, str], float] | None = None,
         claimed_s: float | None = None,
     ) -> "FiniteSpace":
-        pts = tuple(Point(label, float(value)) for label, value in points)
+        rows = [(label, float(value)) for label, value in points]
         formula = ex.parse(default, {"x", "y"}) if default is not None else None
-        return cls(pts, formula, default, dict(overrides or {}), claimed_s)
+        return cls(tuple(label for label, _ in rows), [value for _, value in rows],
+                   formula, default, dict(overrides or {}), claimed_s)
 
     def __post_init__(self):
-        labels = [p.label for p in self.points]
-        if len(set(labels)) != len(labels):
+        labels, values = tuple(self.labels), np.array(self.values, dtype=np.float64)
+        if values.shape != (len(labels),):
+            raise SpaceError("a finite space needs one value per label")
+        nonfinite = ~np.isfinite(values)
+        if nonfinite.any():
+            raise SpaceError(f"point {labels[int(np.argmax(nonfinite))]!r} has non-finite value")
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) != len(labels):
             raise SpaceError("point labels must be unique")
         if len(labels) == 0:
             raise SpaceError("a finite space needs at least one point")
-        values = self._values
         order = np.argsort(values, kind="stable")  # equal values stay in label order
         ascending = values[order]
         shared = np.flatnonzero(ascending[1:] == ascending[:-1]) + 1
@@ -138,39 +134,29 @@ class FiniteSpace:
             later = int(order[shared].min())
             first = int(order[np.searchsorted(ascending, values[later])])
             raise SpaceError(f"points {labels[first]!r} and {labels[later]!r} "
-                             f"share the value {self.points[later].value!r}")
-        object.__setattr__(self, "_ascending", ascending)
-        object.__setattr__(self, "_order", order)
+                             f"share the value {float(values[later])!r}")
         if self.claimed_s is not None and not self.claimed_s >= 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
-        known = set(labels)
-        for (a, b), d in self.overrides.items():
-            if a not in known or b not in known:
-                raise UnknownLabelError(f"override ({a!r}, {b!r}) names unknown label")
-            if not (math.isfinite(d) and d >= 0.0):
-                raise SpaceError(f"override ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
-            if a == b and d != 0.0:
-                raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
         # a pair resolves to its override, else 0 on the diagonal, else the
         # default formula; NaN marks a pair with none of these
         table = np.full((len(labels), len(labels)), math.nan)
         np.fill_diagonal(table, 0.0)
         for (a, b), d in self.overrides.items():
-            table[self._index_of[a], self._index_of[b]] = d
+            if a not in index or b not in index:
+                raise UnknownLabelError(f"override ({a!r}, {b!r}) names unknown label")
+            if not (math.isfinite(d) and d >= 0.0):
+                raise SpaceError(f"override ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+            if a == b and d != 0.0:
+                raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
+            table[index[a], index[b]] = d
         if self.default_formula is not None:
             i, j = np.nonzero(np.isnan(table))  # pairs named by index until one fails
             table[i, j] = _formula_distance(self.default_formula, values[i], values[j],
                                             i, j, labels)
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
-
-    @cached_property
-    def _index_of(self) -> dict[str, int]:
-        return {p.label: i for i, p in enumerate(self.points)}
+        values.flags.writeable = table.flags.writeable = False
+        for name, field in (("labels", labels), ("values", values), ("_index_of", index),
+                            ("_ascending", ascending), ("_order", order), ("_table", table)):
+            object.__setattr__(self, name, field)
 
     def _index(self, label: str) -> int:
         try:
@@ -179,7 +165,7 @@ class FiniteSpace:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def value_of(self, label: str) -> float:
-        return self.points[self._index(label)].value
+        return float(self.values[self._index(label)])
 
     def label_for_value(self, value: float) -> str | None:
         k = int(self._indices(value))
@@ -193,11 +179,6 @@ class FiniteSpace:
                 f"no override for ({a!r}, {b!r}) and the space has no default formula"
             )
         return d
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        """The point values, in label order."""
-        return np.array([p.value for p in self.points])
 
     def _indices(self, values) -> np.ndarray:
         """The label index of every value (any shape), -1 where the value names
@@ -450,7 +431,7 @@ def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL
     return bad.reshape(len(tables), -1).any(axis=1)
 
 
-def _first_triangle(pts: list, D: np.ndarray, s: float, tol: float) -> tuple | None:
+def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple | None:
     """The first (x, z, y, lhs, rhs) in (x, z, y) order, x, z, y distinct, with
     d(x, y) > s * (d(x, z) + d(z, y)) + tol, or None.  Blocks of x rows of at
     most max(``_BLOCK``, n^2) elements, up to the first block that holds one."""
@@ -585,7 +566,7 @@ def check_identity_axiom(space: Space, grid_points: int = DEFAULT_GRID_POINTS) -
     return _identity(pts, D)
 
 
-def _identity(pts: list, D: np.ndarray) -> IdentityReport:
+def _identity(pts: Sequence, D: np.ndarray) -> IdentityReport:
     bad = _identity_breaks(D)
     zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(bad) if i != j]
     nonzero_diag = [(pts[i], float(D[i, i])) for i in np.flatnonzero(bad.diagonal())]
@@ -614,7 +595,7 @@ def _points_of(space: Space, grid_points: int):
     analytic space keeps its last sample, read-only and keyed by the grid
     size, so the checks of one command evaluate its grid once."""
     if isinstance(space, FiniteSpace):
-        return list(space.labels), space._values, space.distance_matrix, "exhaustive"
+        return space.labels, space.values, space.distance_matrix, "exhaustive"
     cached = space.__dict__.get("_sample")
     if cached is None or cached[0] != grid_points:
         g = space.grid(grid_points)
@@ -728,7 +709,8 @@ def space_to_dict(space: Space) -> dict:
     if isinstance(space, FiniteSpace):
         return {
             "kind": "finite",
-            "points": [{"label": p.label, "value": p.value} for p in space.points],
+            "points": [{"label": label, "value": value}
+                       for label, value in zip(space.labels, space.values.tolist())],
             "default": space.default_source,
             "overrides": [
                 {"from": a, "to": b, "d": d}

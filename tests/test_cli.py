@@ -183,8 +183,28 @@ class TestContraction:
         bundle = get_instance("example-final", 11)
         _, report, _ = run_json(capsys, "contraction", "--instance", "example-final",
                                 "--grid", "11", *kind, "--best-exponent")
-        want = best_exponent(bundle.space, bundle.selfmap, bundle.theta, bundle.s, grid_points=11)
+        want = best_exponent(bundle.space, bundle.selfmap, bundle.theta, bundle.space.claimed_s,
+                             grid_points=11)
         assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
+
+    def test_theta_is_parsed_only_where_it_is_read(self, capsys):
+        argv = ["contraction", "--instance", "example-final", "--grid", "11",
+                "--kind", "linear", "--k", "0.5"]
+        code, plain, _ = run_json(capsys, *argv)
+        code_bad, report, _ = run_json(capsys, *argv, "--theta", "((")
+        assert code_bad == code == 1 and report == plain
+        code, out, err = run(capsys, *argv, "--theta", "((", "--best-exponent")
+        assert (code, out, err) == (2, "", "error: unexpected end of input (at byte 2)\n")
+
+    @pytest.mark.parametrize("theta, name", [((), "sqrt-plus-1"), (("--theta", "t + 1"), "t + 1")],
+                             ids=["instance", "flag"])
+    def test_linear_best_exponent_names_its_theta(self, capsys, theta, name):
+        argv = ["contraction", "--instance", "example-final", "--grid", "11",
+                "--kind", "linear", "--k", "0.5", *theta]
+        _, plain, _ = run_json(capsys, *argv)
+        _, report, _ = run_json(capsys, *argv, "--best-exponent")
+        assert "theta" not in plain["config"]
+        assert report["config"] == {**plain["config"], "theta": name}
 
     @pytest.mark.parametrize("kind, check", [
         (("--kind", "theta_r", "--exponent", "0.5"), "check_theta_contraction"),

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rqbm.cli
@@ -104,7 +104,7 @@ class TestExampleFinal:
 
     def test_parameters(self):
         b = build_example_final()
-        assert b.s == 3.0 and b.expected_fixed_point == 1.0
+        assert b.space.claimed_s == 3.0 and b.expected_fixed_point == 1.0
         assert b.theta.source == "sqrt(t) + 1"
         assert b.phi.source == "(t + 1) / 2"
 
@@ -252,6 +252,31 @@ class TestPerturb:
         assert np.array_equal(base.distance_matrix, before)
 
 
+@st.composite
+def affine_cases(draw):
+    """1 to 12 distinct values (small integers make exact ties), a ratio in
+    [0, 1) and a target index."""
+    value = st.one_of(st.integers(-6, 6).map(float), st.floats(-1e3, 1e3),
+                      st.sampled_from([1e308, -1e308, 5e-324]))
+    values = draw(st.lists(value, min_size=1, max_size=12, unique=True))
+    ratio = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                           st.floats(0.0, 1.0, exclude_max=True)))
+    return values, ratio, draw(st.integers(0, len(values) - 1))
+
+
+def old_affine_table(space, target, ratio):
+    """The per-point loop ``affine_toward`` ran before its one ``argmin``,
+    over (label, value) pairs."""
+    points = list(zip(space.labels, space.values.tolist()))
+    t = space.value_of(target)
+    table = {}
+    for label, value in points:
+        desired = t + ratio * (value - t)
+        best = min(points, key=lambda q: (abs(q[1] - desired), space.labels.index(q[0])))
+        table[label] = best[0]
+    return table
+
+
 class TestAffineToward:
     def test_target_is_fixed(self):
         space = random_space(6, 3, "quasi")
@@ -268,6 +293,15 @@ class TestAffineToward:
         space = random_space(4, 0, "metric")
         with pytest.raises(ValueError):
             affine_toward(space, "p0", 1.0)
+
+    @given(affine_cases())
+    @example(([2.0, 0.0, 5.0], 0.5, 1))  # p0's desired value 1.0 is as near p1 as p0
+    @example(([1e308, -1e308, 0.0], 0.0, 1))  # value - t overflows, and 0 * inf is NaN
+    def test_matches_the_per_point_loop(self, case):
+        values, ratio, target = case
+        space = FiniteSpace.build([(f"p{i}", v) for i, v in enumerate(values)])
+        want = old_affine_table(space, f"p{target}", ratio)
+        assert affine_toward(space, f"p{target}", ratio).table == want
 
 
 # -- falsify's batched trials against the per-trial public path ---------------
@@ -316,7 +350,7 @@ def reference_perturb(space, kind, seed):
         cheapest = min((d(x, u) + d(u, v)) + d(v, y)
                        for u in labels for v in labels if len({x, y, u, v}) == 4)
         overrides[(x, y)] = space.claimed_s * cheapest + max(1.0, cheapest)
-    return FiniteSpace(space.points, None, None, overrides, space.claimed_s)
+    return FiniteSpace(space.labels, space.values, None, None, overrides, space.claimed_s)
 
 
 def per_trial_reference(n, seeds, profile, kinds):

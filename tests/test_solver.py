@@ -285,7 +285,7 @@ class TestCertifiedContractionConsequences:
 def ref_label(space, v):
     if isinstance(space, AnalyticSpace):
         return None
-    return {p.value: p.label for p in space.points}.get(v)
+    return dict(zip(space.values.tolist(), space.labels)).get(v)
 
 
 def ref_distance(space, a, b):

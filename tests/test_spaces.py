@@ -307,7 +307,7 @@ class TestAnalyticDistance:
 class TestCarrierSample:
     def test_finite_labels_values_and_table(self, table_space):
         names, values, D, source = rqbm.spaces._points_of(table_space, 7)
-        assert names == list(table_space.labels)
+        assert names is table_space.labels  # the space's own tuple, not a copy
         assert values.tolist() == [table_space.value_of(a) for a in names]
         assert D is table_space.distance_matrix and source == "exhaustive"
 
@@ -784,6 +784,28 @@ class TestConstructionInvariants:
         # a shared value would make label_for_value and map images alias
         with pytest.raises(SpaceError, match="'a' and 'c' share the value 0.5"):
             FiniteSpace.build([("a", 0.5), ("b", 1.0), ("c", 0.5)], "(x - y)^2")
+
+    @pytest.mark.parametrize("points, message", [
+        # a non-finite value is refused before a shared label or value
+        ([("a", 0.0), ("b", 1.0), ("c", 1.0), ("a", np.inf), ("d", np.nan)],
+         "point 'a' has non-finite value"),
+        ([("a", 0.0), ("b", 1.0), ("a", 1.0)], "point labels must be unique"),
+        ([("a", 0.5), ("b", 1.0), ("c", 0.5), ("d", 1.0)], "points 'a' and 'c' share the value 0.5"),
+        ([], "a finite space needs at least one point"),
+    ], ids=["non-finite", "duplicate label", "shared value", "empty"])
+    def test_carrier_refusals_and_their_order(self, points, message):
+        with pytest.raises(SpaceError) as raised:
+            FiniteSpace.build(points, "(x - y)^2")
+        assert type(raised.value) is SpaceError and str(raised.value) == message
+
+    def test_values_are_the_space_own_read_only_copy(self):
+        values = np.array([0.5, 1.0])
+        space = FiniteSpace(("a", "b"), values, None, None, {("a", "b"): 1.0}, None)
+        values[0] = 2.0
+        assert space.values.tolist() == [0.5, 1.0] and space.value_of("a") == 0.5
+        assert space.values.dtype == np.float64 and not space.values.flags.writeable
+        with pytest.raises(SpaceError, match="a finite space needs one value per label"):
+            FiniteSpace(("a", "b"), [0.5], None, None, {}, None)
 
     def test_override_unknown_label_rejected(self):
         with pytest.raises(UnknownLabelError):

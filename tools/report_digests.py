@@ -7,7 +7,11 @@ directory, at a fixed path so that the printed argv is stable: an analytic
 space whose formula fails, and a space whose claimed coefficient is NaN),
 solver cases that between them reach every Picard ending, contraction cases
 whose ``--best-exponent`` reads the pair set of the check before it, and the
-help and usage-error text of the parser (wrapped at ``COLUMNS=80``).  Each runs
+help and usage-error text of the parser (wrapped at ``COLUMNS=80``), and the
+carrier cases: two instance exports (each to a fixed temp path), three space
+files whose carrier is refused (a NaN value, a value two labels share, a
+duplicated label), and a linear contraction given a theta that does not
+parse, with and without ``--best-exponent``.  Each runs
 through ``rqbm.cli.main`` in this process, one line per command: exit code
 (or ``raised`` and the exception a command let escape), stdout digest,
 stderr digest, argv.
@@ -45,6 +49,16 @@ FAILING_FORMULA = "(x - y)^2 + 0 * ln(x - y + 0.5)"
 NAN_SPACE = Path(tempfile.gettempdir()) / "rqbm-nan-claimed.json"
 # an --out path in a directory that does not exist
 UNWRITABLE_OUT = Path(tempfile.gettempdir()) / "rqbm-no-such-dir" / "report.json"
+# finite spaces whose carrier is refused
+REFUSED_CARRIERS = {
+    Path(tempfile.gettempdir()) / f"rqbm-{name}.json": {
+        "kind": "finite", "default": "(x - y)^2",
+        "points": [{"label": label, "value": value} for label, value in points],
+    }
+    for name, points in [("nan-value", [("a", 0.0), ("b", math.nan)]),
+                         ("shared-value", [("a", 0.5), ("b", 1.0), ("c", 0.5)]),
+                         ("duplicate-label", [("a", 0.0), ("b", 1.0), ("a", 2.0)])]
+}
 
 ERROR_CASES = [
     ["classify", "--instance", "no-such-instance"],
@@ -103,6 +117,16 @@ HELP_CASES = [
     ["solve", "--no-such-option"],
 ]
 
+CARRIER_CASES = [
+    ["instances", "export", "--name", "example-2-3",
+     "--out", str(Path(tempfile.gettempdir()) / "rqbm-export-2-3.json")],
+    ["instances", "export", "--name", "example-final", "--grid", "5",
+     "--out", str(Path(tempfile.gettempdir()) / "rqbm-export-final-5.json")],
+    *(["verify", "--space", str(path)] for path in REFUSED_CARRIERS),
+    *(["contraction", "--instance", "example-final", "--grid", "11", "--kind", "linear",
+       "--k", "0.5", "--theta", "((", *flag] for flag in ([], ["--best-exponent"])),
+]
+
 
 def digest_line(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -133,8 +157,11 @@ def main(argv: list[str] | None = None) -> int:
     NAN_SPACE.write_text(json.dumps({
         "kind": "finite", "points": [{"label": "a", "value": 0.0}], "claimed_s": math.nan,
     }))
+    for path, obj in REFUSED_CARRIERS.items():
+        path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
-    for run in json_runs + text_runs + ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES:
+    cases = ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
+    for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     return 0
 
