@@ -386,6 +386,14 @@ def _three_hop_min(A: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return B.min(axis=2)
 
 
+def _ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs / rhs, +inf where rhs = 0 < lhs, and -inf where rhs = lhs = 0 (skipped)."""
+    ratio = lhs / rhs
+    np.copyto(ratio, math.inf, where=(rhs == 0.0) & (lhs > 0.0))
+    np.copyto(ratio, -math.inf, where=np.isnan(ratio))
+    return ratio
+
+
 def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: bool = False):
     """Stage 1 of the tropical pass over the (table, x) rows of a (T, n, n)
     stack, in blocks of at most max(``_BLOCK``, n^2) elements.
@@ -393,12 +401,11 @@ def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: boo
     M(x, y) = ``_three_hop_min`` is the least rhs = d(x, u) + d(u, v) + d(v, y)
     over admissible (u, v).  Rounded addition, lhs / rhs and ``s * rhs + tol``
     (s >= 0) are monotone, so M gives each row its exact verdicts and
-    supremum.  An entry with lhs = M = 0 is skipped (-inf): row suprema only
-    choose the row stage 2 visits, and if none is above 0 (n >= 4), every
-    off-diagonal distance is 0, so no admissible sum is positive.  Returns
-    ``bad`` (T * n, len(checks)): does the row hold a quadruple with
-    lhs > s * rhs + tol, per ``(s, tol)``; and, with ``supremum``, each row's
-    supremum (-inf for no ratio), else None.
+    supremum.  An entry with lhs = M = 0 is skipped (-inf): if no row
+    supremum is above 0 (n >= 4), every off-diagonal distance is 0, so no
+    admissible sum is positive.  Returns ``bad`` (T * n, len(checks)): does
+    the row hold a quadruple with lhs > s * rhs + tol, per ``(s, tol)``; and,
+    with ``supremum``, each row's supremum (-inf for no ratio), else None.
     """
     T, n = tables.shape[0], tables.shape[-1]
     bad = np.zeros((T * n, len(checks)), dtype=bool)
@@ -416,9 +423,7 @@ def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: boo
                 bad[rows, c] = (L > s * M + tol).any(axis=1)
             if not supremum:
                 continue
-            ratio = L / M
-            np.copyto(ratio, math.inf, where=(M == 0.0) & (L > 0.0))
-            np.copyto(ratio, -math.inf, where=np.isnan(ratio))  # lhs = M = 0
+            ratio = _ratio(L, M)
             ratio[r, X] = -math.inf
             row_sup[rows] = ratio.max(axis=1)
     return bad, row_sup
@@ -429,6 +434,79 @@ def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL
     does some admissible quadruple have lhs > s * rhs + tol?"""
     bad, _ = _stage1(tables, [(s, tol)])
     return bad.reshape(len(tables), -1).any(axis=1)
+
+
+def _violation_counts(D: np.ndarray, X: np.ndarray,
+                      checks: list[tuple[float, float]]) -> np.ndarray:
+    """counts[i, c]: how many admissible quadruples (x, u, v, y) of table D,
+    x = X[i], have lhs > s * rhs + tol, per ``(s, tol)`` in ``checks``.
+
+    For row x, the sums A[u, v] = d(x, u) + d(u, v), masked as in
+    ``_triangle_sums``, are held transposed, each column v sorted over u.  The test
+    d(x, y) > s * (a + d(v, y)) + tol is monotone in a (rounded addition and
+    a product with s >= 0 are), and fails at a = inf, also at s = 0, where
+    0 * inf is NaN.  So for each (v, y) it holds on a prefix of the sorted
+    column, and a binary search on the exact test counts its u.  The u = y
+    term is taken off, and y = x and y = v count nothing.  O(n^3 log n) for
+    all rows, in blocks of at most max(``_BLOCK``, n^2) elements per array.
+    """
+    n = D.shape[-1]
+    counts = np.zeros((len(X), len(checks)), dtype=np.int64)
+    idx = np.arange(n)
+    step = max(1, _BLOCK // (n * n))
+    with np.errstate(all="ignore"):  # s = 0 meets the inf of a masked sum
+        for lo in range(0, len(X), step):
+            x = X[lo:lo + step]
+            r = np.arange(len(x))
+            At = D[x, None, :] + D.T  # At[r, v, u] = A[u, v] of row x[r]
+            At[r, :, x] = At[:, idx, idx] = At[r, x, :] = math.inf  # u = x, u = v, v = x
+            lhs = D[x, None, :]  # d(x, y) over (v, y)
+            # the u = y term: At[r, v, y] is A[y, v]
+            own = [lhs > s * (At + D) + tol for s, tol in checks]
+            At.sort(axis=2)  # every column holds inf at u = x, so its last entry fails
+            for c, (s, tol) in enumerate(checks):
+                k = np.zeros(At.shape, dtype=np.intp)  # u known to pass, per (v, y)
+                for bit in reversed(range((n - 1).bit_length())):
+                    probe = np.minimum(k + ((1 << bit) - 1), n - 1)
+                    k += (lhs > s * (np.take_along_axis(At, probe, axis=2) + D) + tol) << bit
+                k -= own[c]
+                k[:, idx, idx] = k[r, :, x] = 0  # y = v, y = x
+                counts[lo:lo + len(x), c] = k.sum(axis=(1, 2))
+    return counts
+
+
+def _supremum_witness(D: np.ndarray, x: int):
+    """The first maximiser (u, v, y) of lhs / rhs in (u, v, y) order among
+    row x's admissible quadruples, with its lhs, rhs and ratio, which is the
+    row's stage-1 supremum (above -inf).
+
+    lhs / rhs <= L[y] / M[y] for every (u, v), as M[y] is the least rhs, and
+    some (u, v) attains M[y] bit for bit.  So only Y*, the y where
+    L[y] / M[y] is the row supremum, can attain it (and, when that is 0, the
+    y with L[y] = 0, which ``_ratio`` skips at M[y] = 0).  The search runs over
+    (u, v, y in Y*), O(|Y*| n^2), in blocks of u of at most
+    max(``_BLOCK``, n^2) elements, up to the first block that attains it.
+    """
+    n, X, L = len(D), np.array([x]), D[x]
+    idx = np.arange(n)
+    with np.errstate(all="ignore"):
+        ratio = _ratio(L, _three_hop_min(_triangle_sums(D[None], X), D[None], X)[0])
+        ratio[x] = -math.inf
+        sup = ratio.max()
+        # at sup = 0 a y with lhs = 0 also reaches it, through any positive rhs
+        Y = np.flatnonzero((ratio == sup) | ((sup == 0.0) & (L == 0.0)))
+        Y = Y[Y != x][None, None, :]
+        V = idx[None, :, None]
+        step = max(1, _BLOCK // (n * Y.size))
+        for lo in range(0, n, step):
+            u = idx[lo:lo + step, None, None]
+            rhs = D[x, u] + D[u, V] + D[V, Y]
+            hit = _ratio(np.broadcast_to(L[Y], rhs.shape), rhs) == sup
+            hit &= (u != x) & (u != V) & (V != x) & (u != Y) & (V != Y)
+            if hit.any():
+                a, v, b = np.unravel_index(int(np.argmax(hit)), hit.shape)
+                y = int(Y[0, 0, b])
+                return int(lo + a), int(v), y, float(L[y]), float(rhs[a, v, b]), float(sup)
 
 
 def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple | None:
@@ -467,71 +545,68 @@ def _quadrilateral_pass(
     is only zero or positive).  The supremum of lhs / rhs comes with its first
     maximiser: rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
 
-    ``_stage1`` gives every grid row its verdicts and supremum; stage 2 then
-    visits, exactly and in order, the first row attaining the supremum and
-    the violating rows a check still needs, in (x, u) slices of at most
-    max(``_BLOCK``, n^2) elements.
+    ``_stage1`` gives every grid row its verdicts and supremum.
+    ``_violation_counts`` counts the violating rows, and ``_supremum_witness``
+    finds the maximiser in the first row attaining the supremum.  Stage 2
+    only builds the witnesses the checks keep: it visits the violating rows
+    in order, in (x, u) slices of at most max(``_BLOCK``, n^2) elements, and
+    stops once every check holds its ``keep``.
 
     Returns ``(bound, [(count, witnesses) per check])``; ``bound.value`` is
     None without admissible quadruples, 0 when every one has rhs = lhs = 0.
-    Without ``supremum`` no ratio is taken, no row is visited for it, and
-    ``bound`` carries no value and no witness.
+    Without ``supremum`` no ratio is taken and ``bound`` carries no value and
+    no witness.
     """
     if not all(s >= 0 for s, _, _ in checks):
         raise ValueError("coefficient s must be >= 0")
+    if not all(keep is None or keep >= 0 for _, _, keep in checks):
+        raise ValueError("max_violations must be >= 0")
     pts, _, D, source = _points_of(space, grid_points)
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
-    counts = [0] * len(checks)
     kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
     sup, sup_at = -math.inf, None
 
-    def visit(lhs, rhs, adm, at, find_sup=True):
-        # lhs, rhs, adm are arrays of one shape; at(k) names the points at index k
-        nonlocal sup, sup_at
-        if find_sup:
-            ratio = lhs / rhs  # NaN where rhs = lhs = 0
-            np.copyto(ratio, math.inf, where=(rhs == 0.0) & (lhs > 0.0))
-            np.copyto(ratio, -math.inf, where=~adm | np.isnan(ratio))
-            k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-            if ratio[k] > sup:
-                sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
-        for c, (s, tol, keep) in enumerate(checks):
-            viol = adm & (lhs > s * rhs + tol)
-            found = int(np.count_nonzero(viol))
-            counts[c] += found
-            room = (sys.maxsize if keep is None else keep) - len(kept[c])
-            if found and room > 0:
-                for row in np.argwhere(viol)[:room]:
-                    q = tuple(row)
-                    a, b = float(lhs[q]), float(rhs[q])
-                    r = math.inf if b == 0.0 else a / b
-                    kept[c].append(QuadrupleViolation(*at(q), a, b, r))
+    def room(c):
+        keep = checks[c][2]
+        return (sys.maxsize if keep is None else keep) - len(kept[c])
 
-    bad, row_sup = _stage1(D[None], [(s, tol) for s, tol, _ in checks], supremum)
+    def keep_first(c, viol, lhs, rhs, at):
+        # the first violations in C order that check c still has room for;
+        # at(k) names the points at index k
+        for q in map(tuple, np.argwhere(viol)[:max(room(c), 0)]):
+            a, b = float(lhs[q]), float(rhs[q])
+            kept[c].append(QuadrupleViolation(*at(q), a, b, math.inf if b == 0.0 else a / b))
+
+    tests = [(s, tol) for s, tol, _ in checks]
+    bad, row_sup = _stage1(D[None], tests, supremum)
+    if exact:
+        counts = _violation_counts(D, np.flatnonzero(bad.any(axis=1)), tests).sum(axis=0).tolist()
+    else:  # a positive count is all the verdict needs
+        counts = np.count_nonzero(bad, axis=0).tolist()
+    if supremum:  # the first row attaining the supremum
+        top = int(np.argmax(row_sup))
+        if row_sup[top] > -math.inf:
+            u, v, y, lhs, rhs, sup = _supremum_witness(D, top)
+            sup_at = (pts[top], pts[u], pts[v], pts[y], lhs, rhs)
+    # the rows holding a violation of a check that keeps witnesses
+    rows = np.flatnonzero(bad[:, [keep != 0 for _, _, keep in checks]].any(axis=1))
     idx = np.arange(n)
     V, J = idx[None, :, None], idx[None, None, :]
     step = max(1, _BLOCK // (n * n))
-    rows = np.zeros(n, dtype=bool)
-    if supremum:  # the first row attaining the supremum
-        top = int(np.argmax(row_sup))
-        rows[top] = row_sup[top] > -math.inf
-    for c, (_, _, keep) in enumerate(checks):
-        hit = np.flatnonzero(bad[:, c])
-        rows[hit if exact else hit[:keep]] = True
-        if not exact:  # a positive count is all the verdict needs
-            counts[c] += len(hit)
     with np.errstate(all="ignore"):
-        xu = np.argwhere(np.broadcast_to(rows[:, None], (n, n)))
-        for lo in range(0, len(xu), step):  # stage 2, in (x, u) slices
-            x, u = (xu[lo:lo + step, w, None, None] for w in (0, 1))
-            visit(
-                np.broadcast_to(D[x, J], (len(x), n, n)),
-                D[x, u] + D[u, V] + D[None],
-                ((x != u) & (u != V) & (x != V)) & ((u != J) & (x != J)) & (V != J),
-                lambda k: (*(pts[w] for w in xu[lo + k[0]]), pts[k[1]], pts[k[2]]),
-                supremum and top in x,
-            )
+        for lo in range(0, len(rows) * n, step):  # stage 2, in (x, u) slices
+            if all(room(c) <= 0 for c in range(len(checks))):
+                break
+            x, u = np.divmod(np.arange(lo, min(lo + step, len(rows) * n)), n)
+            x, u = rows[x][:, None, None], u[:, None, None]
+            lhs = np.broadcast_to(D[x, J], (len(x), n, n))
+            rhs = D[x, u] + D[u, V] + D[None]
+            adm = ((x != u) & (u != V) & (x != V)) & ((u != J) & (x != J)) & (V != J)
+            at = lambda k: (  # noqa: E731
+                pts[x[k[0], 0, 0]], pts[u[k[0], 0, 0]], pts[k[1]], pts[k[2]])
+            for c, (s, tol, _) in enumerate(checks):
+                keep_first(c, adm & (lhs > s * rhs + tol), lhs, rhs, at)
         if checked and sup == -math.inf:
             sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
         if isinstance(space, AnalyticSpace) and random_samples > 0:
@@ -540,13 +615,19 @@ def _quadrilateral_pass(
             d = space.distance_value
             adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
             checked += int(np.count_nonzero(adm))
-            visit(
-                np.asarray(d(xs, ys)),
-                np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys)),
-                adm,
-                lambda k: (float(xs[k]), float(us[k]), float(vs[k]), float(ys[k])),
-                supremum,
-            )
+            lhs = np.asarray(d(xs, ys))
+            rhs = np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys))
+            at = lambda k: tuple(float(w[k]) for w in (xs, us, vs, ys))  # noqa: E731
+            if supremum:
+                ratio = _ratio(lhs, rhs)
+                ratio[~adm] = -math.inf
+                k = int(np.argmax(ratio))
+                if ratio[k] > sup:
+                    sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
+            for c, (s, tol, _) in enumerate(checks):
+                viol = adm & (lhs > s * rhs + tol)
+                counts[c] += int(np.count_nonzero(viol))
+                keep_first(c, viol, lhs, rhs, at)
             source += f"+random:{random_samples}(seed={seed})"
     if not (checked and supremum):
         sup = None
@@ -622,7 +703,8 @@ def check_b_rectangular(
     points is reported as a vacuous pass.  Analytic spaces are scanned
     exhaustively over the grid quadruples plus ``random_samples`` seeded
     uniform quadruples.  ``violation_count`` counts every violation;
-    ``violations`` keeps the first ``max_violations`` in scan order.
+    ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
+    in scan order.
     """
     bound, [(count, violations)] = _quadrilateral_pass(
         space, [(s, tol, max_violations)], grid_points, random_samples, seed, supremum=False

@@ -14,6 +14,7 @@ from rqbm.spaces import (
     SpaceError,
     SpaceFormatError,
     UnknownLabelError,
+    check_b_rectangular,
     space_from_dict,
 )
 from rqbm.thetaphi import builtin_phi, iterate_phi, log_grid, validate_phi
@@ -59,6 +60,9 @@ REFUSALS = {
                                           {("a", "b"): 0.0, ("b", "a"): 0.0}),
                         "break_identity", 0),
         SpaceError, "every off-diagonal distance is already zero"),
+    "negative max_violations": (
+        lambda: check_b_rectangular(sqrt_space(), 2.0, max_violations=-1),
+        ValueError, "max_violations must be >= 0"),
     "label start on an interval": (
         lambda: picard_iterate(sqrt_space(), SelfMap.from_expression("sqrt(x)"), "a"),
         UnknownLabelError, "analytic spaces take numeric starts"),

@@ -708,6 +708,67 @@ class TestQuadrilateralPassOracle:
             assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
             assert classify(space, s).triangle_witness == oracle_triangle(labels, dist, s)
 
+    @example(table=[0] * 16, checks=[(0.0, 0.0)], unit=1.0, block=1, order=[3, 0, 2, 1])
+    # row p0 is all 0, so its supremum is 0; its first maximiser (p1, p2, p3)
+    # ends at p3, whose cheapest sum, through (p2, p1), is 0 as well
+    @example(table=[0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0], checks=[(1.0, 0.0)],
+             unit=1.0, block=1, order=list(range(8)))
+    @given(
+        st.integers(min_value=4, max_value=8).flatmap(
+            lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
+        ),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                           st.sampled_from([0.0, 1e-9])), min_size=1, max_size=2),
+        st.sampled_from([1.0, 0.1, 1 / 3]),
+        st.sampled_from([1, 100, rqbm.spaces._BLOCK]),
+        st.permutations(range(8)),
+    )
+    def test_row_counts_and_witnesses_match_brute_force(self, table, checks, unit, block, order):
+        # per-row violation counts, and each row's first maximiser, on tie-heavy
+        # tables with zeros; rows go in a shuffled order, split across blocks
+        n = math.isqrt(len(table))
+        D = np.array(table, dtype=np.float64).reshape(n, n) * unit
+        np.fill_diagonal(D, 0.0)
+        X = np.array([x for x in order if x < n])
+        want = np.zeros((n, len(checks)), dtype=np.int64)
+        best = {}
+        for x, u, v, y in itertools.permutations(range(n), 4):
+            lhs, rhs = D[x, y], D[x, u] + D[u, v] + D[v, y]
+            for c, (s, tol) in enumerate(checks):
+                want[x, c] += lhs > s * rhs + tol
+            ratio = (math.inf if lhs > 0 else None) if rhs == 0 else lhs / rhs
+            if ratio is not None and (x not in best or ratio > best[x][-1]):
+                best[x] = (u, v, y, lhs, rhs, ratio)
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            got = rqbm.spaces._violation_counts(D, X, checks)
+            assert got.tolist() == want[X].tolist()
+            for x, witness in best.items():
+                assert rqbm.spaces._supremum_witness(D, x) == witness
+
+    @pytest.mark.parametrize("block", [1, rqbm.spaces._BLOCK])
+    def test_supremum_ties_take_the_first_quadruple(self, block):
+        # the first row attaining the supremum 3/4, p1, attains it at y in
+        # {p0, p2}, through (u, v) = (p3, p0), (p3, p4) and (p4, p0); the first
+        # in (u, v, y) order wins, which is not the least y
+        labels = ["p0", "p1", "p2", "p3", "p4"]
+        rows = [[0, 2, 1, 2, 2], [3, 0, 3, 1, 1], [1, 2, 0, 2, 2], [2, 3, 3, 0, 1],
+                [2, 3, 3, 2, 0]]
+        overrides = {
+            (a, b): float(rows[i][j])
+            for i, a in enumerate(labels) for j, b in enumerate(labels) if i != j
+        }
+        dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
+        maximisers = [q for q in itertools.permutations(labels, 4)
+                      if dist(q[0], q[3]) == 0.75 * sum(dist(*p) for p in zip(q, q[1:]))]
+        assert maximisers == [("p1", "p3", "p0", "p2"), ("p1", "p3", "p4", "p0"),
+                              ("p1", "p4", "p0", "p2"), ("p3", "p4", "p0", "p2")]
+        sup, _, first_max = oracle_quad_scan(labels, dist, 1.0)
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            bound = minimal_rectangular_coefficient(table_space_of(labels, overrides))
+        assert bound.value == sup == 0.75
+        assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
+        assert first_max == maximisers[0]
+
     def test_truncated_list_is_prefix_on_grid_then_random(self):
         space = build_example_sqrt().space
         scan = dict(grid_points=6, random_samples=300, seed=0)
@@ -720,6 +781,43 @@ class TestQuadrilateralPassOracle:
             assert cut.violation_count == full.violation_count
 
 
+def space_of_table(D):
+    """A finite space whose distance table is D, its points named p0, p1, ..."""
+    labels = [f"p{i}" for i in range(len(D))]
+    return table_space_of(labels, {(a, b): float(D[i, j]) for i, a in enumerate(labels)
+                                   for j, b in enumerate(labels) if i != j})
+
+
+class TestMetamorphicRelations:
+    # relations between scans, at sizes brute force cannot reach
+    S = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+    def profile(self, space, **scan):
+        """min-s and the violation count at each s, in increasing s."""
+        counts = [check_b_rectangular(space, s, max_violations=0, **scan).violation_count
+                  for s in self.S]
+        return minimal_rectangular_coefficient(space, **scan).value, counts
+
+    def test_relabeling_transposing_and_growing_s(self):
+        sqrt = build_example_sqrt().space
+        g = sqrt.grid(120)
+        grid_table = sqrt.distance_value(g[:, None], g[None, :])
+        rng = np.random.default_rng(7)
+        integer = rng.integers(0, 6, (60, 60)).astype(np.float64)
+        np.fill_diagonal(integer, 0.0)
+        on_grid = self.profile(sqrt, grid_points=120, random_samples=0)
+        assert self.profile(space_of_table(grid_table)) == on_grid
+        for D in (grid_table, integer):
+            want = self.profile(space_of_table(D))
+            perm = rng.permutation(len(D))
+            assert self.profile(space_of_table(D[perm][:, perm])) == want
+            assert want[1] == sorted(want[1], reverse=True)  # counts fall as s grows
+            assert want[1][0] > want[1][-1]
+        # (x, u, v, y) in D is (y, v, u, x) in D.T, its rhs summed in reverse,
+        # which is exact on integers
+        assert self.profile(space_of_table(integer.T)) == self.profile(space_of_table(integer))
+
+
 class TestScanMemory:
     # the pass works in blocks; one (n, n, n) float array per x would be 64 MB here
     BOUND_MIB = 8
@@ -727,7 +825,10 @@ class TestScanMemory:
     @pytest.mark.parametrize("operation", [
         lambda space: minimal_rectangular_coefficient(space, grid_points=200, random_samples=0),
         lambda space: check_b_rectangular(space, 4.0, grid_points=200, random_samples=0),
-    ], ids=["min-s", "no-violating-row"])
+        # every row violates at s = 2: counts for all 200 rows, witnesses from one
+        lambda space: check_b_rectangular(space, 2.0, grid_points=200, random_samples=0,
+                                          max_violations=100),
+    ], ids=["min-s", "no-violating-row", "violating-rows"])
     def test_grid_200_peak_below_bound(self, operation):
         space = build_example_sqrt().space
         tracemalloc.start()
