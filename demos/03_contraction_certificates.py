@@ -10,6 +10,8 @@ d(Tx, Ty) > 0:
 
 A certificate either passes with the worst observed slack or carries a
 replayable witness pair.  Skipped pairs are counted, never silently passed.
+Each check reads a pair set built once by ``pair_set``; a check and
+``best_exponent`` on the same space, map, s and sampling can share one.
 
 Run: python demos/03_contraction_certificates.py
 """
@@ -21,6 +23,7 @@ from rqbm import (
     check_linear_contraction,
     check_theta_contraction,
     check_theta_phi_contraction,
+    pair_set,
 )
 
 BAR = "-" * 72
@@ -43,17 +46,18 @@ def show(cert):
 print(BAR)
 print("exponent form on the piecewise-squared interval, r = 1/2, s = 2")
 print(BAR)
+passes = {}
 for variant in ("sqrt", "fourth_root"):
     b = build_example_sqrt(variant)
-    cert = check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, 2.0, grid_points=50)
+    passes[variant] = pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=50)
+    cert = check_theta_contraction(passes[variant], 0.5)
     print(f"map {variant}:")
     show(cert)
 
 print()
 print("tightest exponent for each variant (feasible when below 1):")
-for variant in ("sqrt", "fourth_root"):
-    b = build_example_sqrt(variant)
-    bound = best_exponent(b.space, b.selfmap, b.theta, 2.0, grid_points=50)
+for variant, pairs in passes.items():
+    bound = best_exponent(pairs)
     print(f"  {variant:<12} r* = {bound.value!r}  feasible={bound.feasible}")
 
 # The composed condition on the final table space fails honestly: near the
@@ -64,7 +68,7 @@ print(BAR)
 print("composed form on the 4-point table over [1/2, 3/2], s = 3")
 print(BAR)
 b = build_example_final()
-cert = check_theta_phi_contraction(b.space, b.selfmap, b.theta, b.phi, 3.0)
+cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
 show(cert)
 
 # The linear form with k = 0.9 fails for nearly equal arguments, where
@@ -74,7 +78,7 @@ print(BAR)
 print("linear form on the interval, k = 0.9, s = 2")
 print(BAR)
 b = build_example_sqrt("sqrt")
-cert = check_linear_contraction(b.space, b.selfmap, 0.9, 2.0, grid_points=50)
+cert = check_linear_contraction(pair_set(b.space, b.selfmap, 2.0, grid_points=50), 0.9)
 show(cert)
 
 # With the power family phi(t) = t^r the composed form reduces to the
@@ -84,10 +88,9 @@ print(BAR)
 print("reduction identity: composed with t^r equals exponent with r")
 print(BAR)
 b = build_example_sqrt("fourth_root")
+pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=30)
 for r in (0.3, 0.5, 0.8):
-    a = check_theta_contraction(b.space, b.selfmap, b.theta, r, 2.0, grid_points=30)
-    c = check_theta_phi_contraction(
-        b.space, b.selfmap, b.theta, builtin_phi(f"pow-{r}"), 2.0, grid_points=30
-    )
+    a = check_theta_contraction(pairs, r)
+    c = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
     same = a.verdict == c.verdict and a.worst_pair == c.worst_pair
     print(f"  r = {r}: verdicts {a.verdict}/{c.verdict}, worst pairs identical: {same}")

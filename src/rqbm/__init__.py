@@ -48,11 +48,13 @@ from .contraction import (
     ContractionCertificate,
     MapError,
     MapRangeError,
+    PairSet,
     SelfMap,
     best_exponent,
     check_linear_contraction,
     check_theta_contraction,
     check_theta_phi_contraction,
+    pair_set,
 )
 from .solver import (
     PicardTrace,
@@ -106,11 +108,13 @@ __all__ = [
     "ContractionCertificate",
     "MapError",
     "MapRangeError",
+    "PairSet",
     "SelfMap",
     "best_exponent",
     "check_linear_contraction",
     "check_theta_contraction",
     "check_theta_phi_contraction",
+    "pair_set",
     "PicardTrace",
     "cauchy_diagnostics",
     "limit_sandwich_check",

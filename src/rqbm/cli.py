@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import __version__
 from ._report import plain
@@ -20,6 +21,7 @@ from .contraction import (
     check_linear_contraction,
     check_theta_contraction,
     check_theta_phi_contraction,
+    pair_set,
 )
 from .expr import ExprError
 from .instances import INSTANCE_NAMES, _broken_tables, get_instance
@@ -223,7 +225,6 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     selfmap = _resolve_map(args, bundle)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
-    sampling = {"grid_points": _scan_grid(args), "seed": args.seed}
     theta = None
     if args.kind != "linear" or args.best_exponent:  # the commands that read theta
         theta = theta_spec(args.theta) if args.theta else (bundle.theta if bundle else None)
@@ -235,7 +236,7 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         r = args.exponent if args.exponent is not None else (bundle.r if bundle else None)
         if r is None:
             raise UsageError("theta_r needs --exponent")
-        cert = check_theta_contraction(space, selfmap, theta, r, s, **sampling)
+        check = partial(check_theta_contraction, r=r)
         config["theta"], config["exponent"] = theta.name, r
     elif args.kind == "theta_phi":
         if theta is None:
@@ -243,18 +244,23 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         phi = phi_spec(args.phi) if args.phi else (bundle.phi if bundle else None)
         if phi is None:
             raise UsageError("theta_phi needs --phi")
-        cert = check_theta_phi_contraction(space, selfmap, theta, phi, s, **sampling)
+        check = partial(check_theta_phi_contraction, phi=phi)
         config["theta"], config["phi"] = theta.name, phi.name
     elif args.kind == "linear":
         if args.k is None:
             raise UsageError("linear needs --k")
-        cert = check_linear_contraction(space, selfmap, args.k, s, **sampling)
+        check = partial(check_linear_contraction, k=args.k)
         config["k"] = args.k
     else:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
+    if args.best_exponent and theta is None:
+        raise UsageError("--best-exponent needs --theta (the space or instance carries none)")
+    # one pair set for the check and --best-exponent
+    pairs = pair_set(space, selfmap, s, theta, grid_points=_scan_grid(args), seed=args.seed)
+    cert = check(pairs)
     sections = {"certificate": cert}
-    if args.best_exponent and theta is not None:  # the check's pair set, kept on the map
-        sections["best_exponent"] = best_exponent(space, selfmap, theta, s, **sampling)
+    if args.best_exponent:
+        sections["best_exponent"] = best_exponent(pairs)
         config["theta"] = theta.name
     return cert.passed, config, sections
 
@@ -344,6 +350,9 @@ def _cmd_instances(args) -> tuple[bool, dict, dict]:
         if not args.name or not args.out_file:
             raise UsageError("export needs --name and --out")
         bundle = get_instance(args.name, args.grid)
+        if args.grid is not None and not isinstance(bundle.space, FiniteSpace):
+            raise UsageError(f"--grid sets a finite carrier; {args.name!r} is an interval, "
+                             "exported as its formula")
         dump_space(bundle.space, args.out_file)
         return (True, {"action": "export", "name": args.name, "out": args.out_file},
                 {"space": space_to_dict(bundle.space)})

@@ -14,19 +14,18 @@ vacuous certificate is visually distinct.  A pair with d(x, y) = 0 but
 d(Tx, Ty) > 0 puts theta outside its domain and is reported as a
 domain-violation failure for the two theta forms.
 
-The four public operations (the three checks and ``best_exponent``) are
-the only way into the pair pass: it validates s, enumerates and masks the
-pair set, and ``_with_theta`` adds the theta arrays and exponent ratios for
-the theta forms.  The map keeps its last pass, read-only, so a check and
-``best_exponent`` on the same space and sampling share one pass; each
-operation supplies only its own right-hand side.
+``pair_set`` is the one pass over the pairs: it validates s, enumerates
+and masks the pair set, and evaluates the map and (when given) theta.  The
+three checks and ``best_exponent`` read a set the caller built, and each
+supplies only its own right-hand side, so one command builds one set and
+passes it to every operation it runs.  Nothing is kept on the space or the
+map after a call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -49,8 +48,9 @@ __all__ = [
     "MapRangeError",
     "PairWitness",
     "ContractionCertificate",
-    "PairLedger",
     "ExponentBound",
+    "PairSet",
+    "pair_set",
     "check_theta_contraction",
     "check_theta_phi_contraction",
     "check_linear_contraction",
@@ -128,25 +128,20 @@ class SelfMap:
 
     def _label_images(self, space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
         """The table image of every label of ``space``, and per label 1 for an
-        image, 0 for no rule and -1 for a target label the space lacks.  Built
-        once for the last space the map was applied to."""
-        cached = self.__dict__.get("_images")
-        if cached is None or cached[0] is not space:
-            image, rule = np.zeros(len(space.labels)), np.zeros(len(space.labels), np.int8)
-            for label, target in self.table.items():
-                k = space._index_of.get(label)
-                if k is None or target is None:
+        image, 0 for no rule and -1 for a target label the space lacks."""
+        image, rule = np.zeros(len(space.labels)), np.zeros(len(space.labels), np.int8)
+        for label, target in self.table.items():
+            k = space._index_of.get(label)
+            if k is None or target is None:
+                continue
+            if isinstance(target, str):
+                j = space._index_of.get(target)
+                if j is None:
+                    rule[k] = -1
                     continue
-                if isinstance(target, str):
-                    j = space._index_of.get(target)
-                    if j is None:
-                        rule[k] = -1
-                        continue
-                    target = space.values[j]
-                image[k], rule[k] = target, 1
-            cached = (space, image, rule)
-            object.__setattr__(self, "_images", cached)
-        return cached[1:]
+                target = space.values[j]
+            image[k], rule[k] = target, 1
+        return image, rule
 
     def apply_array(self, space: Space, xs: np.ndarray) -> np.ndarray:
         """The image of every value in the 1-D array ``xs``, with one expression
@@ -226,27 +221,6 @@ class ContractionCertificate(Result):
 
 
 @dataclass(frozen=True)
-class PairLedger:
-    """Per-pair audit trail of a contraction check (for oracle comparison)."""
-
-    ids: tuple
-    d_img: np.ndarray
-    d_pre: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    skipped: np.ndarray  # bool: antecedent d(Tx,Ty) > 0 is false
-    domain: np.ndarray   # bool: d(x,y) = 0 with positive image distance
-    violated: np.ndarray  # bool: checked pair breaking the inequality
-
-    def verdict(self, k: int) -> str:
-        if self.skipped[k]:
-            return "skipped"
-        if self.domain[k]:
-            return "domain"
-        return "violation" if self.violated[k] else "satisfied"
-
-
-@dataclass(frozen=True)
 class ExponentBound(Result):
     """Supremum of log theta(s^2 d(Tx,Ty)) / log theta(d(x,y)) over the pair set."""
 
@@ -259,25 +233,28 @@ class ExponentBound(Result):
 
 
 # --------------------------------------------------------------------------
-# The pair pass
+# The pair set
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Pairs:
-    """The pair set of one contraction operation, masked and (with theta) mapped.
-    Every array is read-only: a pass is kept on its map and shared."""
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """The pairs a contraction operation reads, masked and (with theta) mapped,
+    at coefficient ``s``.  Built by ``pair_set``; every array is read-only, so
+    one set serves any number of checks."""
 
-    names: Sequence  # the carrier points; pair k < len(names)^2 is a carrier pair
+    s: float
+    theta: ThetaSpec | None
+    names: tuple  # the carrier points; pair k < len(names)^2 is a carrier pair
     xs: np.ndarray  # the random pairs, after the carrier pairs
     ys: np.ndarray
     source: str
     d_img: np.ndarray
     d_pre: np.ndarray
     skipped: np.ndarray  # antecedent d(Tx,Ty) > 0 is false
-    checked: np.ndarray  # neither skipped nor a domain violation
-    th_img: np.ndarray | None = None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
-    th_pre: np.ndarray | None = None  # theta(d(x,y)), valid on checked pairs
-    ratio: np.ndarray | None = None  # log th_img / log th_pre on checked pairs, else 0
+    checked: np.ndarray  # not skipped and, with theta, not a domain violation
+    th_img: np.ndarray | None  # theta(s^2 d(Tx,Ty)), valid on checked pairs
+    th_pre: np.ndarray | None  # theta(d(x,y)), valid on checked pairs
+    ratio: np.ndarray | None  # log th_img / log th_pre on checked pairs, else 0
 
     def pair(self, k: int) -> tuple:
         """The (x, y) of pair k."""
@@ -286,84 +263,86 @@ class _Pairs:
             return self.names[k // n], self.names[k % n]
         return float(self.xs[k - n * n]), float(self.ys[k - n * n])
 
-    @cached_property
-    def domain(self) -> tuple | None:
-        """The first pair with d(x,y) = 0 < d(Tx,Ty) (theta forms), or None."""
-        at = ~self.skipped & ~self.checked
+    def first(self, at: np.ndarray) -> tuple | None:
+        """The (x, y) of the first pair where ``at`` holds, or None."""
         return self.pair(int(np.argmax(at))) if at.any() else None
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
+def pair_set(
+    space: Space,
+    selfmap: SelfMap,
+    s: float,
+    theta: ThetaSpec | None = None,
+    *,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
+    seed: int = 0,
+) -> PairSet:
+    """The pair set of ``selfmap`` on ``space`` at coefficient s >= 1.
 
-
-def _pair_pass(space, selfmap, s, param, grid_points, random_pairs, seed, theta=None) -> _Pairs:
-    """Validate s, then ``param``, the named r or k that must lie in (0, 1);
-    then the masked pair set: every ordered pair of ``_points_of(space,
-    grid_points)`` in row-major order, then on an analytic space the seeded
-    random pairs ``zip(xs, ys)``.  With ``theta``, the set carries its arrays
-    (see ``_with_theta``).
-
-    The map keeps its last pass, keyed by the space and the sampling, and the
-    theta view of it for the last theta object, so a check and
-    ``best_exponent`` on one sampling evaluate the map and theta once.  A call
-    that raises keeps nothing.
+    Its pairs are every ordered pair of the carrier sample (all labels, or a
+    grid of ``grid_points``) in row-major order, then on an analytic space
+    ``random_pairs`` seeded uniform pairs ``zip(xs, ys)``; a pair with image
+    distance 0 is skipped.  With ``theta`` the set also holds theta at
+    s^2 d(Tx,Ty) and at d(x,y) and the exponent ratios, and a pair with
+    d(x,y) = 0 and a positive image distance leaves theta's domain and is not
+    checked.  The map and theta are evaluated here only: the theta forms and
+    ``best_exponent`` need a set built with theta, the linear form reads any.
     """
     if not s >= 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
-    if param is not None and not 0.0 < param[1] < 1.0:
-        raise ValueError(f"{param[0]} must lie in (0, 1), got {param[1]}")
-    key = (space, s, grid_points, random_pairs, seed)  # a space equals only itself
-    kept = selfmap.__dict__.get("_pairs")
-    if kept is None or kept[0] != key:
-        selfmap.check_total(space)
-        names, values, D, carrier = _points_of(space, grid_points)
-        n = len(names)
-        image = selfmap.apply_array(space, values)
-        # the table's rows and columns follow the names, so ravel() is in pair order
-        d_img = space.distance_value(image[:, None], image[None, :]).ravel()
-        d_pre = D.ravel()
-        source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
-        xs = ys = np.empty(0)
-        if isinstance(space, AnalyticSpace) and random_pairs > 0:
-            rng = np.random.default_rng(seed)
-            xs = rng.uniform(space.lo, space.hi, random_pairs)
-            ys = rng.uniform(space.lo, space.hi, random_pairs)
-            # no local keeps the images: they are freed before theta runs
-            d_img = np.concatenate([d_img, space.distance_value(
-                selfmap.apply_array(space, xs), selfmap.apply_array(space, ys))])
-            d_pre = np.concatenate([d_pre, space.distance_value(xs, ys)])
-            source += f"+random:{random_pairs}(seed={seed})"
-        p = _Pairs(names, xs, ys, source, d_img, d_pre, d_img == 0.0, d_img != 0.0)
-        _read_only(xs, ys, d_img, d_pre, p.skipped, p.checked)
-        kept = (key, p, None, None)
-    if theta is not None and kept[2] is not theta:
-        kept = (*kept[:2], theta, _with_theta(kept[1], theta, s))
-    object.__setattr__(selfmap, "_pairs", kept)
-    return kept[1] if theta is None else kept[3]
+    selfmap.check_total(space)
+    names, values, D, carrier = _points_of(space, grid_points)
+    n = len(names)
+    image = selfmap.apply_array(space, values)
+    # the table's rows and columns follow the names, so ravel() is in pair order
+    d_img = space.distance_value(image[:, None], image[None, :]).ravel()
+    d_pre = D.ravel()
+    source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
+    xs = ys = np.empty(0)
+    if isinstance(space, AnalyticSpace) and random_pairs > 0:
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(space.lo, space.hi, random_pairs)
+        ys = rng.uniform(space.lo, space.hi, random_pairs)
+        # no local keeps the images: they are freed before theta runs
+        d_img = np.concatenate([d_img, space.distance_value(
+            selfmap.apply_array(space, xs), selfmap.apply_array(space, ys))])
+        d_pre = np.concatenate([d_pre, space.distance_value(xs, ys)])
+        source += f"+random:{random_pairs}(seed={seed})"
+    skipped, checked = d_img == 0.0, d_img != 0.0
+    th_img = th_pre = ratio = None
+    if theta is not None:
+        checked &= d_pre != 0.0
+        # excluded entries are masked to a safe argument; their values are unused
+        th_img = np.asarray(theta(np.where(checked, s * s * d_img, 1.0)), dtype=np.float64)
+        th_pre = np.asarray(theta(np.where(checked, d_pre, 1.0)), dtype=np.float64)
+        with np.errstate(all="ignore"):
+            num, den = np.log(th_img), np.log(th_pre)
+            ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
+            ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
+    for array in (xs, ys, d_img, d_pre, skipped, checked, th_img, th_pre, ratio):
+        if array is not None:
+            array.flags.writeable = False
+    return PairSet(s, theta, tuple(names), xs, ys, source, d_img, d_pre, skipped, checked,
+                   th_img, th_pre, ratio)
 
 
-def _with_theta(p: _Pairs, theta: ThetaSpec, s: float) -> _Pairs:
-    """``p`` with the theta arrays and exponent ratios.  A pair with d(x, y) = 0
-    and a positive image distance leaves theta's domain and is not checked."""
-    checked = p.checked & (p.d_pre != 0.0)
-    # excluded entries are masked to a safe argument; their values are unused
-    th_img = np.asarray(theta(np.where(checked, s * s * p.d_img, 1.0)), dtype=np.float64)
-    th_pre = np.asarray(theta(np.where(checked, p.d_pre, 1.0)), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        num = np.log(th_img)
-        den = np.log(th_pre)
-        ratio = np.where(checked & (num > 0) & (den > 0), num / den, 0.0)
-        ratio = np.where(checked & (num > 0) & (den <= 0), math.inf, ratio)
-    _read_only(checked, th_img, th_pre, ratio)
-    return replace(p, checked=checked, th_img=th_img, th_pre=th_pre, ratio=ratio)
+def _in_unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
-def _certificate(p: _Pairs, kind, params, s, tol, lhs, rhs, ratio, details):
-    """The certificate for ``lhs <= rhs`` on the checked pairs, and the ledger."""
-    checked = p.checked
+def _theta_of(p: PairSet, operation: str) -> ThetaSpec:
+    if p.theta is None:
+        raise ValueError(f"{operation} needs a pair set built with a theta")
+    return p.theta
+
+
+def _certificate(p: PairSet, checked, kind, params, tol, lhs, rhs, ratio):
+    """The certificate for ``lhs <= rhs`` on the ``checked`` pairs; an unchecked
+    pair that is not skipped is a domain violation."""
     n_checked = int(checked.sum())
+    domain = p.first(~p.skipped & ~checked)
     with np.errstate(all="ignore"):
         slack = np.where(checked, rhs - lhs, math.inf)
         violated = checked & (lhs > rhs + tol)
@@ -373,134 +352,77 @@ def _certificate(p: _Pairs, kind, params, s, tol, lhs, rhs, ratio, details):
         k = int(np.argmin(slack))
         x, y = p.pair(k)
         worst = PairWitness(x, y, float(lhs[k]), float(rhs[k]), float(slack[k]))
-    cert = ContractionCertificate(
+    return ContractionCertificate(
         kind=kind,
         params=params,
-        s=s,
+        s=p.s,
         tol=tol,
         pair_source=p.source,
-        verdict="fail" if (n_viol or p.domain is not None) else "pass",
-        vacuous=n_checked == 0 and p.domain is None,
+        verdict="fail" if (n_viol or domain is not None) else "pass",
+        vacuous=n_checked == 0 and domain is None,
         pairs_total=p.d_img.size,
         pairs_checked=n_checked,
         pairs_skipped=int(p.skipped.sum()),
         violation_count=n_viol,
         worst_pair=worst,
-        domain_violation=p.domain,
+        domain_violation=domain,
         max_ratio=float(ratio.max()) if p.d_img.size else 0.0,
     )
-    if not details:
-        return cert
-    ledger = PairLedger(
-        ids=tuple(map(p.pair, range(p.d_img.size))),
-        d_img=p.d_img,
-        d_pre=p.d_pre,
-        lhs=np.where(checked, lhs, np.nan),
-        rhs=np.where(checked, rhs, np.nan),
-        skipped=p.skipped,
-        domain=(~p.skipped) & (~checked),
-        violated=violated,
-    )
-    return cert, ledger
 
 
 # --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
 
-def check_theta_contraction(
-    space: Space,
-    selfmap: SelfMap,
-    theta: ThetaSpec,
-    r: float,
-    s: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    details: bool = False,
-):
-    """Certify theta(s^2 d(Tx,Ty)) <= theta(d(x,y))^r over the pair set.
-
-    With ``details=True`` also return the per-pair audit ledger.
-    """
-    p = _pair_pass(space, selfmap, s, ("exponent r", r), grid_points, random_pairs, seed, theta)
+def check_theta_contraction(pairs: PairSet, r: float, *, tol: float = DEFAULT_TOL):
+    """Certify theta(s^2 d(Tx,Ty)) <= theta(d(x,y))^r, 0 < r < 1, over a pair
+    set built with theta."""
+    _in_unit_interval("exponent r", r)
+    theta = _theta_of(pairs, "the exponent form")
     # np.power, not **: ndarray.__pow__ takes a sqrt fast path at r = 0.5,
     # which would drift one ulp from the power-family phi evaluation
-    rhs = np.power(p.th_pre, r)
-    return _certificate(
-        p, "theta_r", {"theta": theta.name, "r": r}, s, tol, p.th_img, rhs, p.ratio, details
-    )
+    rhs = np.power(pairs.th_pre, r)
+    return _certificate(pairs, pairs.checked, "theta_r", {"theta": theta.name, "r": r}, tol,
+                        pairs.th_img, rhs, pairs.ratio)
 
 
-def check_theta_phi_contraction(
-    space: Space,
-    selfmap: SelfMap,
-    theta: ThetaSpec,
-    phi: PhiSpec,
-    s: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    details: bool = False,
-):
-    """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over the pair set."""
-    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed, theta)
-    rhs = np.asarray(phi(p.th_pre), dtype=np.float64)
-    return _certificate(
-        p, "theta_phi", {"theta": theta.name, "phi": phi.name}, s, tol,
-        p.th_img, rhs, p.ratio, details,
-    )
+def check_theta_phi_contraction(pairs: PairSet, phi: PhiSpec, *, tol: float = DEFAULT_TOL):
+    """Certify theta(s^2 d(Tx,Ty)) <= phi(theta(d(x,y))) over a pair set built
+    with theta."""
+    theta = _theta_of(pairs, "the composed form")
+    rhs = np.asarray(phi(pairs.th_pre), dtype=np.float64)
+    return _certificate(pairs, pairs.checked, "theta_phi", {"theta": theta.name, "phi": phi.name},
+                        tol, pairs.th_img, rhs, pairs.ratio)
 
 
-def check_linear_contraction(
-    space: Space,
-    selfmap: SelfMap,
-    k: float,
-    s: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    details: bool = False,
-):
-    """Certify s^2 d(Tx,Ty) <= k d(x,y) over the pair set."""
-    p = _pair_pass(space, selfmap, s, ("factor k", k), grid_points, random_pairs, seed)
-    checked, d_img, d_pre = p.checked, p.d_img, p.d_pre
+def check_linear_contraction(pairs: PairSet, k: float, *, tol: float = DEFAULT_TOL):
+    """Certify s^2 d(Tx,Ty) <= k d(x,y), 0 < k < 1, over the pair set."""
+    _in_unit_interval("factor k", k)
+    s, d_img, d_pre = pairs.s, pairs.d_img, pairs.d_pre
+    checked = ~pairs.skipped  # d(x, y) = 0 leaves no domain here, whatever theta the set holds
     lhs = np.where(checked, s * s * d_img, 0.0)
     rhs = np.where(checked, k * d_pre, 0.0)
     with np.errstate(all="ignore"):
         ratio = np.where(checked & (rhs > 0), (s * s * d_img) / d_pre, 0.0)
         ratio = np.where(checked & (d_pre == 0.0), math.inf, ratio)
-    return _certificate(p, "linear_k", {"k": k}, s, tol, lhs, rhs, ratio, details)
+    return _certificate(pairs, checked, "linear_k", {"k": k}, tol, lhs, rhs, ratio)
 
 
-def best_exponent(
-    space: Space,
-    selfmap: SelfMap,
-    theta: ThetaSpec,
-    s: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    random_pairs: int = DEFAULT_RANDOM_SAMPLES,
-    seed: int = 0,
-) -> ExponentBound:
-    """Tightest exponent certifying the theta contraction on this pair set.
+def best_exponent(pairs: PairSet) -> ExponentBound:
+    """Tightest exponent certifying the theta contraction on a pair set built
+    with theta.
 
     A value below 1 means the exponent check passes at any r in [value, 1);
     a value >= 1 (or a pair with d(x,y) = 0 and positive image distance) is
     infeasible.  The supremum over an empty admissible set is 0.
     """
-    p = _pair_pass(space, selfmap, s, None, grid_points, random_pairs, seed, theta)
-    n_checked, n_skipped = int(p.checked.sum()), int(p.skipped.sum())
+    _theta_of(pairs, "best_exponent")
+    n_checked, n_skipped = int(pairs.checked.sum()), int(pairs.skipped.sum())
+    domain = pairs.first(~pairs.skipped & ~pairs.checked)
     if not n_checked:
-        return ExponentBound(0.0, p.domain is None, None, 0, n_skipped, p.domain)
-    k = int(np.argmax(p.ratio))
-    value = float(p.ratio[k])
-    witness = p.pair(k) if p.checked[k] else None
-    feasible = p.domain is None and value < 1.0
-    return ExponentBound(value, feasible, witness, n_checked, n_skipped, p.domain)
+        return ExponentBound(0.0, domain is None, None, 0, n_skipped, domain)
+    k = int(np.argmax(pairs.ratio))
+    value = float(pairs.ratio[k])
+    witness = pairs.pair(k) if pairs.checked[k] else None
+    feasible = domain is None and value < 1.0
+    return ExponentBound(value, feasible, witness, n_checked, n_skipped, domain)

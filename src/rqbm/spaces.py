@@ -526,10 +526,19 @@ def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple
     return None
 
 
+def _scan_checks(checks: list[tuple[float, float, int | None]]) -> list:
+    """``checks`` for ``_quadrilateral_pass``, each s >= 0 and keep >= 0 or None."""
+    if not all(s >= 0 for s, _, _ in checks):
+        raise ValueError("coefficient s must be >= 0")
+    if not all(keep is None or keep >= 0 for _, _, keep in checks):
+        raise ValueError("max_violations must be >= 0")
+    return checks
+
+
 def _quadrilateral_pass(
     space: Space,
+    sample: tuple,
     checks: list[tuple[float, float, int | None]],
-    grid_points: int,
     random_samples: int,
     seed: int,
     exact: bool = True,
@@ -538,7 +547,7 @@ def _quadrilateral_pass(
     """The one pass over admissible quadruples behind every quadrilateral operation.
 
     Quadruples come in lexicographic (x, u, v, y) point-index order over the
-    exhaustive (finite) or grid (analytic) points, then, for analytic spaces,
+    carrier ``sample`` of ``_points_of``, then, for analytic spaces,
     ``random_samples`` seeded uniform ones.  Per ``(s, tol, keep)`` in
     ``checks`` it keeps the first ``keep`` quadruples (all when None) with
     ``lhs > s * rhs + tol`` and counts them all (when ``exact``, else a count
@@ -557,11 +566,7 @@ def _quadrilateral_pass(
     Without ``supremum`` no ratio is taken and ``bound`` carries no value and
     no witness.
     """
-    if not all(s >= 0 for s, _, _ in checks):
-        raise ValueError("coefficient s must be >= 0")
-    if not all(keep is None or keep >= 0 for _, _, keep in checks):
-        raise ValueError("max_violations must be >= 0")
-    pts, _, D, source = _points_of(space, grid_points)
+    pts, _, D, source = sample
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
     kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
@@ -673,18 +678,12 @@ def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
 def _points_of(space: Space, grid_points: int):
     """The carrier sample every check reads: the point names (labels, or the
     grid's floats), their values, the distance table and the source.  An
-    analytic space keeps its last sample, read-only and keyed by the grid
-    size, so the checks of one command evaluate its grid once."""
+    analytic space evaluates its grid on every call; nothing is kept."""
     if isinstance(space, FiniteSpace):
         return space.labels, space.values, space.distance_matrix, "exhaustive"
-    cached = space.__dict__.get("_sample")
-    if cached is None or cached[0] != grid_points:
-        g = space.grid(grid_points)
-        D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
-        g.flags.writeable = D.flags.writeable = False
-        cached = (grid_points, (g.tolist(), g, D, f"grid:{grid_points}"))
-        object.__setattr__(space, "_sample", cached)
-    return cached[1]
+    g = space.grid(grid_points)
+    D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
+    return g.tolist(), g, D, f"grid:{grid_points}"
 
 
 def check_b_rectangular(
@@ -706,8 +705,9 @@ def check_b_rectangular(
     ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
     in scan order.
     """
+    checks = _scan_checks([(s, tol, max_violations)])  # refused before the grid is evaluated
     bound, [(count, violations)] = _quadrilateral_pass(
-        space, [(s, tol, max_violations)], grid_points, random_samples, seed, supremum=False
+        space, _points_of(space, grid_points), checks, random_samples, seed, supremum=False
     )
     return RectangularReport(
         s=s,
@@ -734,7 +734,7 @@ def minimal_rectangular_coefficient(
     makes the result infinite.  Returns value ``None`` when no admissible
     quadruple exists.  The witness is the first maximiser in scan order.
     """
-    bound, _ = _quadrilateral_pass(space, [], grid_points, random_samples, seed)
+    bound, _ = _quadrilateral_pass(space, _points_of(space, grid_points), [], random_samples, seed)
     return bound
 
 
@@ -750,7 +750,8 @@ def classify(
     """Decide every class membership: symmetry, metric, b-metric, rectangular, RQB."""
     if s is None:
         s = space.claimed_s if space.claimed_s is not None else 1.0
-    pts, _, D, _ = _points_of(space, grid_points)
+    sample = _points_of(space, grid_points)  # one grid for every check below
+    pts, _, D, _ = sample
     identity = _identity(pts, D)
     asym = tuple(
         (pts[i], pts[j], float(D[i, j]), float(D[j, i]))
@@ -758,9 +759,8 @@ def classify(
     )
     is_symmetric = not asym
     # the s = 1 check only needs its verdict
-    checks = [(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)]
-    bound, found = _quadrilateral_pass(
-        space, checks, grid_points, random_samples, seed, exact=False)
+    checks = _scan_checks([(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)])
+    bound, found = _quadrilateral_pass(space, sample, checks, random_samples, seed, exact=False)
     (count_1, _), (count_s, first_s) = found[0], found[-1]
     tri_1 = _first_triangle(pts, D, 1.0, tol)
     # For s >= 1 the rounded s * rhs is at least rhs, so a violation at s is

@@ -17,6 +17,7 @@ from rqbm.cli import main
 from rqbm.contraction import (
     check_theta_contraction,
     check_theta_phi_contraction,
+    pair_set,
 )
 from rqbm.instances import (
     affine_toward,
@@ -155,9 +156,9 @@ def test_criterion_5_final_example_end_to_end():
     all_at_one = scan.passed and abs(scan.representative - 1.0) < 1e-8
 
     wide = build_example_final(grid_points=50)
-    cert, ledger = check_theta_phi_contraction(
-        wide.space, wide.selfmap, wide.theta, wide.phi, 3.0, details=True
-    )
+    pairs = pair_set(wide.space, wide.selfmap, 3.0, wide.theta)
+    cert = check_theta_phi_contraction(pairs, wide.phi)
+    phi_pre = wide.phi(pairs.th_pre)
     # independent oracle: direct re-evaluation of the composed inequality
     # at every pair, from the raw definition dict
     obj = space_to_dict(wide.space)
@@ -176,7 +177,8 @@ def test_criterion_5_final_example_end_to_end():
         return 0.0 if u == v else abs(u - v) ** 2
 
     agree = 0
-    for k, (x, y) in enumerate(ledger.ids):
+    for k in range(pairs.d_img.size):
+        x, y = pairs.pair(k)
         tx = 1.0 if x in in_table else (math.sqrt(values[x]) + 3.0) / 4.0
         ty = 1.0 if y in in_table else (math.sqrt(values[y]) + 3.0) / 4.0
         d_img = dist_v(tx, ty)
@@ -186,10 +188,13 @@ def test_criterion_5_final_example_end_to_end():
             lhs = math.sqrt(9.0 * d_img) + 1.0
             rhs = ((math.sqrt(dist(x, y)) + 1.0) + 1.0) / 2.0
             want = "violation" if lhs > rhs + 1e-9 else "satisfied"
-        if ledger.verdict(k) == want:
+        # the checker's verdict, read from the pass's arrays
+        got = ("skipped" if pairs.skipped[k] else "domain" if not pairs.checked[k]
+               else "violation" if pairs.th_img[k] > phi_pre[k] + 1e-9 else "satisfied")
+        if got == want:
             agree += 1
     elapsed = time.perf_counter() - t0
-    total = len(ledger.ids)
+    total = pairs.d_img.size
     ok = all_at_one and agree == total and elapsed < 5.0
     announce(
         "5", ok,
@@ -213,10 +218,9 @@ def test_criterion_6_reduction_identity():
         target = space.labels[int(rng.integers(len(space.labels)))]
         selfmap = affine_toward(space, target, 0.5)
         for r in (0.3, 0.5, 0.8):
-            a = check_theta_contraction(space, selfmap, theta, r, 4.0)
-            b = check_theta_phi_contraction(
-                space, selfmap, theta, builtin_phi(f"pow-{r}"), 4.0
-            )
+            pairs = pair_set(space, selfmap, 4.0, theta)
+            a = check_theta_contraction(pairs, r)
+            b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
             assert a.verdict == b.verdict, (seed, r)
             assert a.worst_pair == b.worst_pair, (seed, r)
             assert a.pairs_checked == b.pairs_checked

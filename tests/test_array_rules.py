@@ -1,6 +1,6 @@
 """Oracle tests for the array rules of the theta/phi validators and the series
 diagnostics, against the per-element loops they replaced, and for the grid
-table an analytic space keeps."""
+table an analytic space evaluates on each call."""
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rqbm.expr
 from rqbm.instances import build_example_sqrt
 from rqbm.solver import SeriesDiagnostic, _diag_series
-from rqbm.spaces import _points_of, check_b_rectangular, check_identity_axiom
+from rqbm.spaces import _points_of, classify
 from rqbm.thetaphi import (
     _FIXPOINT_TOL,
     _JUMP_FACTOR,
@@ -248,7 +248,8 @@ class TestDiagSeriesRule:
 
 
 class TestAnalyticGridTable:
-    def test_one_evaluation_per_size(self, monkeypatch):
+    @pytest.fixture
+    def shapes(self, monkeypatch):
         shapes = []
         evaluate = rqbm.expr.evaluate
 
@@ -257,26 +258,16 @@ class TestAnalyticGridTable:
             return evaluate(node, bindings)
 
         monkeypatch.setattr(rqbm.expr, "evaluate", recording)
+        return shapes
+
+    def test_each_call_evaluates_its_grid(self, shapes):
         space = build_example_sqrt().space
         first = _points_of(space, 5)
-        assert _points_of(space, 5)[2] is first[2] and shapes.count((5, 5)) == 1
-        assert _points_of(space, 7)[2].shape == (7, 7) and shapes.count((7, 7)) == 1
-        again = _points_of(space, 5)  # one size is kept: 5 is evaluated again
-        assert shapes.count((5, 5)) == 2 and again[2].tolist() == first[2].tolist()
-        for array in again[1:3]:
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        again = _points_of(space, 5)  # nothing is kept on the space
+        assert shapes.count((5, 5)) == 2 and again[2] is not first[2]
+        assert again[2].tolist() == first[2].tolist() and again[0] == first[0]
+        assert "_sample" not in vars(space)
 
-    def test_identity_and_rectangular_checks_share_one_grid(self, monkeypatch):
-        space = build_example_sqrt().space
-        shapes = []
-        evaluate = rqbm.expr.evaluate
-
-        def recording(node, bindings):
-            shapes.append(np.broadcast(*bindings.values()).shape)
-            return evaluate(node, bindings)
-
-        monkeypatch.setattr(rqbm.expr, "evaluate", recording)
-        check_identity_axiom(space)
-        check_b_rectangular(space, 2.0)
+    def test_classify_evaluates_one_grid(self, shapes):
+        classify(build_example_sqrt().space)
         assert [shape for shape in shapes if len(shape) == 2] == [(40, 40)]

@@ -174,17 +174,17 @@ class TestContraction:
     @pytest.mark.parametrize("kind", [
         ("--kind", "theta_r", "--exponent", "0.5"),
         ("--kind", "theta_phi"),
-        ("--kind", "linear", "--k", "0.5"),  # its pass leaves theta out
+        ("--kind", "linear", "--k", "0.5"),  # its set holds theta for --best-exponent only
     ], ids=lambda k: k[1])
     def test_best_exponent_matches_the_library_call(self, capsys, kind):
-        from rqbm.contraction import best_exponent
+        from rqbm.contraction import best_exponent, pair_set
         from rqbm.instances import get_instance
 
         bundle = get_instance("example-final", 11)
         _, report, _ = run_json(capsys, "contraction", "--instance", "example-final",
                                 "--grid", "11", *kind, "--best-exponent")
-        want = best_exponent(bundle.space, bundle.selfmap, bundle.theta, bundle.space.claimed_s,
-                             grid_points=11)
+        want = best_exponent(pair_set(bundle.space, bundle.selfmap, bundle.space.claimed_s,
+                                      bundle.theta, grid_points=11))
         assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
 
     def test_theta_is_parsed_only_where_it_is_read(self, capsys):
@@ -211,19 +211,35 @@ class TestContraction:
         (("--kind", "theta_phi"), "check_theta_phi_contraction"),
         (("--kind", "linear", "--k", "0.5"), "check_linear_contraction"),
     ], ids=["theta_r", "theta_phi", "linear"])
-    def test_runs_the_public_checks(self, capsys, monkeypatch, kind, check):
+    def test_runs_the_public_checks_on_one_pair_set(self, capsys, monkeypatch, kind, check):
         calls = []
-        names = ["check_theta_contraction", "check_theta_phi_contraction",
+        names = ["pair_set", "check_theta_contraction", "check_theta_phi_contraction",
                  "check_linear_contraction", "best_exponent"]
         for name in names:
             def recording(*args, _name=name, _fn=getattr(rqbm.cli, name), **kwargs):
-                calls.append((_name, kwargs))
-                return _fn(*args, **kwargs)
+                result = _fn(*args, **kwargs)
+                calls.append((_name, args, result))
+                return result
             monkeypatch.setattr(rqbm.cli, name, recording)
         run_json(capsys, "contraction", "--instance", "example-final", "--grid", "11",
                  *kind, "--best-exponent")
-        sampling = {"grid_points": 11, "seed": 0}
-        assert calls == [(check, sampling), ("best_exponent", sampling)]
+        assert [name for name, _, _ in calls] == ["pair_set", check, "best_exponent"]
+        pairs = calls[0][2]
+        assert pairs.source == "exhaustive:15x15" and pairs.theta is not None
+        assert calls[1][1] == calls[2][1] == (pairs,)
+
+    @pytest.mark.parametrize("source", ["space", "instance"])
+    def test_best_exponent_without_a_theta_is_refused(self, capsys, tmp_path, source):
+        # example-2-3 carries no theta, and an exported space file carries none either
+        where = ["--instance", "example-2-3"]
+        if source == "space":
+            path = tmp_path / "space.json"
+            run(capsys, "instances", "export", "--name", "example-2-3", "--out", str(path))
+            where = ["--space", str(path)]
+        argv = ["contraction", *where, "--kind", "linear", "--k", "0.5", "--map", "x/2"]
+        assert run_json(capsys, *argv)[0] == 1
+        assert run(capsys, *argv, "--best-exponent") == (
+            2, "", "error: --best-exponent needs --theta (the space or instance carries none)\n")
 
 
 class TestSolve:
@@ -321,6 +337,15 @@ class TestInstances:
     def test_export_needs_name(self, capsys):
         code, _, _ = run(capsys, "instances", "export")
         assert code == 2
+
+    def test_export_refuses_grid_on_an_interval(self, capsys, tmp_path):
+        path = tmp_path / "sqrt.json"
+        argv = ["instances", "export", "--name", "example-sqrt", "--out", str(path)]
+        assert run(capsys, *argv, "--grid", "50") == (
+            2, "", "error: --grid sets a finite carrier; 'example-sqrt' is an interval, "
+            "exported as its formula\n")
+        assert not path.exists()
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestErrorPaths:
@@ -492,8 +517,8 @@ class TestErrorPaths:
         assert "domain" in err
 
 
-class TestVerifySharesOneTable:
-    def test_one_grid_evaluation(self, capsys, monkeypatch):
+class TestVerifyGridEvaluations:
+    def test_one_grid_evaluation_per_check(self, capsys, monkeypatch):
         import rqbm.expr
 
         shapes = []
@@ -506,7 +531,8 @@ class TestVerifySharesOneTable:
         monkeypatch.setattr(rqbm.expr, "evaluate", recording)
         code, report, _ = run_json(capsys, "verify", "--instance", "example-sqrt", "--grid", "5")
         assert code in (0, 1) and report["identity"]["pairs_checked"] == 25
-        assert shapes.count((5, 5)) == 1
+        # the identity and quadrilateral checks each evaluate their own grid
+        assert shapes.count((5, 5)) == 2
 
 
 class TestVerifySkipsTheSupremum:
@@ -691,6 +717,13 @@ class TestRefusedInputs:
          "coefficient s must be >= 1, got nan"),
         (("contraction", "--instance", "example-sqrt", "--map", "²"),
          "unexpected character '²' (at byte 0)"),
+        (("contraction", "--instance", "example-sqrt", "--exponent", "2"),
+         "exponent r must lie in (0, 1), got 2.0"),
+        (("contraction", "--instance", "example-sqrt", "--kind", "linear", "--k", "0"),
+         "factor k must lie in (0, 1), got 0.0"),
+        # the pair set is built before the check reads r
+        (("contraction", "--instance", "example-sqrt", "--map", "x - 5", "--exponent", "2"),
+         "map image -4.0 of 1.0 leaves [1.0, 2.0]"),
     ])
     def test_exit_two(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")

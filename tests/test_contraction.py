@@ -15,6 +15,7 @@ from rqbm.contraction import (
     check_linear_contraction,
     check_theta_contraction,
     check_theta_phi_contraction,
+    pair_set,
 )
 from rqbm.expr import EvalError
 from rqbm.instances import (
@@ -24,7 +25,7 @@ from rqbm.instances import (
     random_space,
 )
 from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError
-from rqbm.thetaphi import ThetaSpec, builtin_phi, builtin_theta
+from rqbm.thetaphi import builtin_phi, builtin_theta
 
 # closed forms of the builtin thetas and phis, on numpy scalars: numpy's
 # elementary functions agree bit for bit between scalars and arrays, where
@@ -115,7 +116,7 @@ class TestHybridMapImages:
         with pytest.raises(EvalError) as want:
             selfmap.apply_label(bundle.space, failing[0])
         with pytest.raises(EvalError) as got:
-            check_linear_contraction(bundle.space, selfmap, 0.5, 3.0)
+            pair_set(bundle.space, selfmap, 3.0)
         assert str(got.value) == str(want.value)
 
 
@@ -123,7 +124,7 @@ class TestThetaPhiContraction:
     def test_two_point_swap_fails_with_exact_witness(self):
         space, swap = two_point_swap()
         cert = check_theta_phi_contraction(
-            space, swap, builtin_theta("sqrt-plus-1"), builtin_phi("midpoint"), 1.0
+            pair_set(space, swap, 1.0, builtin_theta("sqrt-plus-1")), builtin_phi("midpoint")
         )
         assert cert.verdict == "fail"
         w = cert.worst_pair
@@ -133,14 +134,14 @@ class TestThetaPhiContraction:
     def test_diagonal_pairs_skipped(self):
         space, swap = two_point_swap()
         cert = check_theta_phi_contraction(
-            space, swap, builtin_theta("sqrt-plus-1"), builtin_phi("midpoint"), 1.0
+            pair_set(space, swap, 1.0, builtin_theta("sqrt-plus-1")), builtin_phi("midpoint")
         )
         assert cert.pairs_total == 4
         assert cert.pairs_skipped == 2  # (a,a) and (b,b)
 
     def test_final_example_certificate(self):
         b = build_example_final()
-        cert = check_theta_phi_contraction(b.space, b.selfmap, b.theta, b.phi, 3.0)
+        cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
         # the composed condition genuinely fails near the lower interval end
         assert cert.verdict == "fail"
         assert cert.violation_count == 12
@@ -149,16 +150,18 @@ class TestThetaPhiContraction:
         assert w.lhs == 1.2196699141100895
         assert w.rhs == 1.0833333333333335
 
-    def test_final_example_ledger_against_oracle(self):
+    def test_final_example_pairs_against_oracle(self):
         b = build_example_final()
-        cert, ledger = check_theta_phi_contraction(
-            b.space, b.selfmap, b.theta, b.phi, 3.0, details=True
-        )
+        pairs = pair_set(b.space, b.selfmap, 3.0, b.theta)
+        cert = check_theta_phi_contraction(pairs, b.phi)
         table = {(x, y): b.space.distance(x, y) for x in b.space.labels for y in b.space.labels}
         values = {l: b.space.value_of(l) for l in b.space.labels}
         in_table = {f"1/{n}" for n in range(3, 7)}
         mism = 0
-        for k, (x, y) in enumerate(ledger.ids):
+        got = pair_verdicts(pairs, b.phi(pairs.th_pre))
+        assert got.count("violation") == cert.violation_count == 12
+        for k in range(pairs.d_img.size):
+            x, y = pairs.pair(k)
             tx = 1.0 if x in in_table else (math.sqrt(values[x]) + 3.0) / 4.0
             ty = 1.0 if y in in_table else (math.sqrt(values[y]) + 3.0) / 4.0
             d_img = 0.0 if tx == ty else abs(tx - ty) ** 2
@@ -168,14 +171,14 @@ class TestThetaPhiContraction:
                 lhs = math.sqrt(9.0 * d_img) + 1.0
                 rhs = ((math.sqrt(table[(x, y)]) + 1.0) + 1.0) / 2.0
                 want = "violation" if lhs > rhs + 1e-9 else "satisfied"
-            if ledger.verdict(k) != want:
+            if got[k] != want:
                 mism += 1
         assert mism == 0
 
     def test_constant_map_vacuous(self):
         b = build_example_final()
         const = SelfMap.from_table({l: 1.0 for l in b.space.labels})
-        cert = check_theta_phi_contraction(b.space, const, b.theta, b.phi, 3.0)
+        cert = check_theta_phi_contraction(pair_set(b.space, const, 3.0, b.theta), b.phi)
         assert cert.verdict == "pass" and cert.vacuous
         assert cert.pairs_checked == 0
         assert cert.pairs_skipped == cert.pairs_total
@@ -185,16 +188,16 @@ class TestThetaContraction:
     def test_identity_map_vacuous(self, sqrt_bundle):
         ident = SelfMap.from_expression("x")
         cert = check_theta_contraction(
-            sqrt_bundle.space, ident, sqrt_bundle.theta, 0.5, 2.0,
-            grid_points=10, random_pairs=100,
+            pair_set(sqrt_bundle.space, ident, 2.0, sqrt_bundle.theta,
+                     grid_points=10, random_pairs=100), 0.5,
         )
         # d(Tx, Ty) = d(x, y) so only diagonal pairs lack a positive image
         assert cert.verdict == "fail" or cert.pairs_checked > 0
 
     def test_sqrt_variant_fails_everywhere(self, sqrt_bundle):
         cert = check_theta_contraction(
-            sqrt_bundle.space, sqrt_bundle.selfmap, sqrt_bundle.theta,
-            0.5, 2.0, grid_points=50,
+            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, sqrt_bundle.theta,
+                     grid_points=50), 0.5,
         )
         assert cert.verdict == "fail"
         assert cert.violation_count == cert.pairs_checked == 12450
@@ -205,8 +208,8 @@ class TestThetaContraction:
 
     def test_fourth_root_variant_passes(self, fourth_bundle):
         cert = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta,
-            0.5, 2.0, grid_points=50,
+            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                     grid_points=50), 0.5,
         )
         assert cert.verdict == "pass"
         assert cert.violation_count == 0
@@ -234,30 +237,24 @@ class TestThetaContraction:
             },
         )
         broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
-        cert = check_theta_contraction(
-            space, broken, builtin_theta("exp-sqrt"), 0.5, 1.0
-        )
+        cert = check_theta_contraction(pair_set(space, broken, 1.0, builtin_theta("exp-sqrt")), 0.5)
         assert cert.verdict == "fail"
         assert cert.domain_violation == ("a", "b")
 
     def test_monotone_in_r(self, fourth_bundle):
-        base = dict(grid_points=25, random_pairs=500)
-        c1 = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta, 0.5, 2.0, **base
-        )
-        c2 = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta, 0.8, 2.0, **base
-        )
+        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                         grid_points=25, random_pairs=500)
+        c1 = check_theta_contraction(pairs, 0.5)
+        c2 = check_theta_contraction(pairs, 0.8)
         assert c1.verdict == "pass" and c2.verdict == "pass"
         assert c2.worst_pair.slack >= c1.worst_pair.slack
 
     def test_monotone_in_s(self, sqrt_bundle):
-        base = dict(grid_points=25, random_pairs=500)
-        at2 = check_theta_contraction(
-            sqrt_bundle.space, sqrt_bundle.selfmap, sqrt_bundle.theta, 0.5, 2.0, **base
-        )
-        at3 = check_theta_contraction(
-            sqrt_bundle.space, sqrt_bundle.selfmap, sqrt_bundle.theta, 0.5, 3.0, **base
+        at2, at3 = (
+            check_theta_contraction(pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, s,
+                                             sqrt_bundle.theta, grid_points=25,
+                                             random_pairs=500), 0.5)
+            for s in (2.0, 3.0)
         )
         assert at2.verdict == "fail"
         assert at3.verdict == "fail"
@@ -265,25 +262,23 @@ class TestThetaContraction:
     def test_parameter_validation(self, sqrt_bundle):
         with pytest.raises(ValueError):
             check_theta_contraction(
-                sqrt_bundle.space, sqrt_bundle.selfmap, sqrt_bundle.theta, 1.5, 2.0
+                pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, sqrt_bundle.theta), 1.5
             )
         with pytest.raises(ValueError):
-            check_theta_contraction(
-                sqrt_bundle.space, sqrt_bundle.selfmap, sqrt_bundle.theta, 0.5, 0.5
-            )
+            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 0.5, sqrt_bundle.theta)
 
 
 class TestLinearContraction:
     def test_constant_map_vacuous(self, sqrt_bundle):
         const = SelfMap.from_expression("x * 0 + 1.5")
         cert = check_linear_contraction(
-            sqrt_bundle.space, const, 0.5, 2.0, grid_points=10, random_pairs=50
+            pair_set(sqrt_bundle.space, const, 2.0, grid_points=10, random_pairs=50), 0.5
         )
         assert cert.verdict == "pass" and cert.vacuous
 
     def test_two_point_swap_witness(self):
         space, swap = two_point_swap()
-        cert = check_linear_contraction(space, swap, 0.5, 1.0)
+        cert = check_linear_contraction(pair_set(space, swap, 1.0), 0.5)
         assert cert.verdict == "fail"
         w = cert.worst_pair
         assert w.lhs == 1.0 and w.rhs == 0.5
@@ -291,8 +286,8 @@ class TestLinearContraction:
 
     def test_sqrt_map_k09_matches_oracle(self, sqrt_bundle):
         cert = check_linear_contraction(
-            sqrt_bundle.space, sqrt_bundle.selfmap, 0.9, 2.0,
-            grid_points=50, random_pairs=0,
+            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, grid_points=50, random_pairs=0),
+            0.9,
         )
         # near-diagonal pairs break the linear bound: 4*(sqrt(x)-sqrt(y))^2
         # approaches (x-y)^2 from above-0.9 scale as x,y -> 1
@@ -306,21 +301,21 @@ class TestBestExponent:
     def test_constant_map_zero(self, sqrt_bundle):
         const = SelfMap.from_expression("x * 0 + 1.5")
         bound = best_exponent(
-            sqrt_bundle.space, const, sqrt_bundle.theta, 2.0,
-            grid_points=10, random_pairs=50,
+            pair_set(sqrt_bundle.space, const, 2.0, sqrt_bundle.theta,
+                     grid_points=10, random_pairs=50)
         )
         assert bound.value == 0.0 and bound.feasible
 
     def test_two_point_swap_infeasible(self):
         space, swap = two_point_swap()
-        bound = best_exponent(space, swap, builtin_theta("exp-sqrt"), 1.0)
+        bound = best_exponent(pair_set(space, swap, 1.0, builtin_theta("exp-sqrt")))
         assert bound.value == 1.0
         assert not bound.feasible
 
     def test_fourth_root_frozen_value(self, fourth_bundle):
         bound = best_exponent(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta, 2.0,
-            grid_points=50,
+            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                     grid_points=50)
         )
         assert bound.feasible
         assert bound.value == 0.497134902334961  # just under the claimed 1/2
@@ -332,25 +327,18 @@ class TestBestExponent:
         # ever closer pairs near 1: the finer grid comes closer from below
         b = build_example_sqrt(variant)
         coarse, fine = (
-            best_exponent(b.space, b.selfmap, b.theta, 3.0, grid_points=g).value
+            best_exponent(pair_set(b.space, b.selfmap, 3.0, b.theta, grid_points=g)).value
             for g in (40, 200)
         )
         assert coarse < fine < limit
         assert math.isclose(fine, limit, rel_tol=0.01)
 
     def test_bracketing_property(self, fourth_bundle):
-        kw = dict(grid_points=50)
-        bound = best_exponent(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta, 2.0, **kw
-        )
-        above = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta,
-            bound.value + 1e-9, 2.0, **kw,
-        )
-        below = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta,
-            bound.value - 1e-3, 2.0, **kw,
-        )
+        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                         grid_points=50)
+        bound = best_exponent(pairs)
+        above = check_theta_contraction(pairs, bound.value + 1e-9)
+        below = check_theta_contraction(pairs, bound.value - 1e-3)
         assert above.verdict == "pass"
         assert below.verdict == "fail"
 
@@ -365,7 +353,7 @@ class TestBestExponent:
             },
         )
         broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
-        bound = best_exponent(space, broken, builtin_theta("exp-sqrt"), 1.0)
+        bound = best_exponent(pair_set(space, broken, 1.0, builtin_theta("exp-sqrt")))
         assert not bound.feasible
         assert bound.domain_violation == ("a", "b")
 
@@ -375,14 +363,10 @@ class TestReductionIdentity:
 
     @pytest.mark.parametrize("r", [0.3, 0.5, 0.8])
     def test_on_analytic_instance(self, fourth_bundle, r):
-        kw = dict(grid_points=30, random_pairs=2000)
-        a = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta, r, 2.0, **kw
-        )
-        b = check_theta_phi_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta,
-            builtin_phi(f"pow-{r}"), 2.0, **kw,
-        )
+        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                         grid_points=30, random_pairs=2000)
+        a = check_theta_contraction(pairs, r)
+        b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
         assert a.verdict == b.verdict
         assert a.worst_pair == b.worst_pair
         assert a.pairs_checked == b.pairs_checked
@@ -394,9 +378,9 @@ class TestReductionIdentity:
         rng = np.random.default_rng([7, seed])
         target = space.labels[int(rng.integers(len(space.labels)))]
         selfmap = affine_toward(space, target, 0.5)
-        theta = builtin_theta("exp-sqrt")
-        a = check_theta_contraction(space, selfmap, theta, r, 4.0)
-        b = check_theta_phi_contraction(space, selfmap, theta, builtin_phi(f"pow-{r}"), 4.0)
+        pairs = pair_set(space, selfmap, 4.0, builtin_theta("exp-sqrt"))
+        a = check_theta_contraction(pairs, r)
+        b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
         assert a.verdict == b.verdict
         assert a.worst_pair == b.worst_pair
 
@@ -404,8 +388,8 @@ class TestReductionIdentity:
 class TestCertificateReplay:
     def test_worst_pair_replays_bit_exactly(self, fourth_bundle):
         cert = check_theta_contraction(
-            fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta,
-            0.5, 2.0, grid_points=50,
+            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
+                     grid_points=50), 0.5,
         )
         w = cert.worst_pair
         space, selfmap, theta = fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta
@@ -418,7 +402,7 @@ class TestCertificateReplay:
 
     def test_worst_pair_replay_finite(self):
         b = build_example_final()
-        cert = check_theta_phi_contraction(b.space, b.selfmap, b.theta, b.phi, 3.0)
+        cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
         w = cert.worst_pair
         tx = b.selfmap.apply_label(b.space, w.x)
         ty = b.selfmap.apply_label(b.space, w.y)
@@ -442,26 +426,24 @@ class TestPairNaming:
         xs, ys = rng.uniform(1.0, 2.0, 50), rng.uniform(1.0, 2.0, 50)
         want = [(x, y) for x in (1.0, 2.0) for y in (1.0, 2.0)]
         want += list(zip(xs.tolist(), ys.tolist()))
-        cert, ledger = check_theta_contraction(
-            space, selfmap, theta, 0.5, 1.0, details=True, **self.SAMPLE
-        )
-        assert ledger.ids == tuple(want) and cert.pairs_total == 54
+        pairs = pair_set(space, selfmap, 1.0, theta, **self.SAMPLE)
+        cert = check_theta_contraction(pairs, 0.5)
+        assert [pairs.pair(k) for k in range(54)] == want and cert.pairs_total == 54
         image = {v: selfmap.apply_value(space, v) for pair in want for v in pair}
-        assert ledger.d_pre.tolist() == [space.distance(x, y) for x, y in want]
-        assert ledger.d_img.tolist() == [space.distance(image[x], image[y]) for x, y in want]
+        assert pairs.d_pre.tolist() == [space.distance(x, y) for x, y in want]
+        assert pairs.d_img.tolist() == [space.distance(image[x], image[y]) for x, y in want]
 
-        verdicts = [ledger.verdict(k) for k in range(len(want))]
+        verdicts = pair_verdicts(pairs, np.power(pairs.th_pre, 0.5))
         assert verdicts[:4] == ["skipped"] * 4
         assert cert.domain_violation == want[verdicts.index("domain")]
-        slack = np.where(np.isnan(ledger.lhs), np.inf, ledger.rhs - ledger.lhs)
+        slack = np.where(pairs.checked, np.power(pairs.th_pre, 0.5) - pairs.th_img, np.inf)
         w = cert.worst_pair
         assert (w.x, w.y) == want[int(np.argmin(slack))]
 
-        bound = best_exponent(space, selfmap, theta, 1.0, **self.SAMPLE)
-        checked = np.array([v in ("satisfied", "violation") for v in verdicts])
+        bound = best_exponent(pairs)
         with np.errstate(all="ignore"):  # unchecked pairs may give 0 / 0
-            ratio = np.log(theta(ledger.d_img)) / np.log(theta(ledger.d_pre))
-        ratio = np.where(checked, ratio, 0.0)
+            ratio = np.log(theta(pairs.d_img)) / np.log(theta(pairs.d_pre))
+        ratio = np.where(pairs.checked, ratio, 0.0)
         assert bound.witness == want[int(np.argmax(ratio))]
         assert bound.domain_violation == cert.domain_violation
 
@@ -471,21 +453,21 @@ class TestPairPassPrecedence:
     def test_analytic_table_error_before_a_map_leaving_the_domain(self):
         space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2 + 0 * ln(x - y + 0.5)")
         with pytest.raises(EvalError) as err:
-            check_linear_contraction(space, SelfMap.from_expression("x - 5"), 0.5, 1.0)
+            pair_set(space, SelfMap.from_expression("x - 5"), 1.0)
         assert str(err.value) == "ln of a non-positive value in 'ln(x - y + 0.5)'"
 
     def test_finite_undefined_pair_before_a_failing_map(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0})
         with pytest.raises(SpaceError) as err:
-            check_linear_contraction(space, SelfMap.from_expression("sqrt(0.5 - x)"), 0.5, 1.0)
+            pair_set(space, SelfMap.from_expression("sqrt(0.5 - x)"), 1.0)
         assert str(err.value) == (
             "no override for ('b', 'a') and the space has no default formula"
         )
 
 
-class TestKeptPairPass:
-    """A map keeps its last pair pass, so a check and ``best_exponent`` on one
-    space and sampling evaluate the map and theta once."""
+class TestSharedPairSet:
+    """A pair set is built once and read by any number of operations: the map
+    and theta are evaluated by ``pair_set`` only."""
 
     SAMPLE = {"grid_points": 11, "random_pairs": 50, "seed": 3}
 
@@ -501,49 +483,54 @@ class TestKeptPairPass:
         monkeypatch.setattr(rqbm.expr, "evaluate", recording)
         return nodes
 
-    def test_a_check_and_best_exponent_share_one_pass(self, calls):
+    def test_the_operations_evaluate_nothing_again(self, calls):
         b = build_example_sqrt("sqrt")
-        check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, 2.0, **self.SAMPLE)
+        pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, **self.SAMPLE)
         assert b.selfmap.expr in calls and b.theta.expr in calls
         before = len(calls)
-        best_exponent(b.space, b.selfmap, b.theta, 2.0, **self.SAMPLE)
+        check_theta_contraction(pairs, 0.5)
+        best_exponent(pairs)
+        check_linear_contraction(pairs, 0.5)
         assert len(calls) == before
-        # a new theta object gets its own arrays on the same pass
-        other = ThetaSpec.from_source("again", b.theta.source)
-        best_exponent(b.space, b.selfmap, other, 2.0, **self.SAMPLE)
-        assert b.selfmap.expr not in calls[before:] and other.expr in calls[before:]
 
-    @pytest.mark.parametrize("change", [
-        {"seed": 4}, {"grid_points": 12}, {"random_pairs": 51}, {"s": 3.0}, {"space": None},
-    ], ids=lambda change: next(iter(change)))
-    def test_a_new_sampling_rebuilds_the_pass(self, calls, change):
+    def test_the_set_is_read_only(self):
         b = build_example_sqrt("sqrt")
-        best_exponent(b.space, b.selfmap, b.theta, 2.0, **self.SAMPLE)
-        before = len(calls)
-        call = {"space": b.space, "s": 2.0, **self.SAMPLE, **change}
-        if call["space"] is None:
-            call["space"] = build_example_sqrt("sqrt").space
-        best_exponent(selfmap=b.selfmap, theta=b.theta, **call)
-        assert b.selfmap.expr in calls[before:]
-
-    def test_a_call_that_raises_keeps_nothing(self, calls):
-        b = build_example_sqrt("sqrt")
-        failing = ThetaSpec.from_source("ln(t - 1)", "ln(t - 1)")
-        with pytest.raises(EvalError):
-            best_exponent(b.space, b.selfmap, failing, 2.0, **self.SAMPLE)
-        before = len(calls)
-        check_linear_contraction(b.space, b.selfmap, 0.5, 2.0, **self.SAMPLE)
-        assert b.selfmap.expr in calls[before:]
-
-    def test_the_ledger_is_read_only(self):
-        b = build_example_sqrt("sqrt")
-        cert, ledger = check_theta_contraction(
-            b.space, b.selfmap, b.theta, 0.5, 2.0, details=True, **self.SAMPLE)
-        for array in (ledger.d_img, ledger.d_pre, ledger.skipped):
+        pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, **self.SAMPLE)
+        cert = check_theta_contraction(pairs, 0.5)
+        for name in ("xs", "ys", "d_img", "d_pre", "skipped", "checked", "th_img", "th_pre",
+                     "ratio"):
             with pytest.raises(ValueError):
-                array[0] = 0
-        again = check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, 2.0, **self.SAMPLE)
-        assert again == cert
+                getattr(pairs, name)[0] = 0
+        with pytest.raises(AttributeError):
+            pairs.s = 3.0
+        assert check_theta_contraction(pairs, 0.5) == cert
+
+    def test_a_linear_check_ignores_the_theta_mask(self):
+        # d(a, b) = 0 < d(Ta, Tb): a domain violation for theta, not for the linear form
+        space = FiniteSpace.build(
+            [("a", 0.0), ("b", 1.0), ("c", 2.0)],
+            None,
+            {
+                ("a", "b"): 0.0, ("b", "a"): 0.0,
+                ("a", "c"): 1.0, ("c", "a"): 1.0,
+                ("b", "c"): 1.0, ("c", "b"): 1.0,
+            },
+        )
+        broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
+        with_theta = pair_set(space, broken, 1.0, builtin_theta("exp-sqrt"))
+        assert best_exponent(with_theta).domain_violation == ("a", "b")
+        cert = check_linear_contraction(with_theta, 0.5)
+        plain = check_linear_contraction(pair_set(space, broken, 1.0), 0.5)
+        assert cert.domain_violation is None and cert.max_ratio == math.inf
+        assert json.dumps(cert.to_dict()) == json.dumps(plain.to_dict())
+
+
+def pair_verdicts(pairs, rhs, tol=1e-9):
+    """Per pair of a set built with theta, read from its arrays: skipped,
+    domain, violation (th_img above ``rhs`` + tol) or satisfied."""
+    return ["skipped" if pairs.skipped[k] else "domain" if not pairs.checked[k]
+            else "violation" if pairs.th_img[k] > rhs[k] + tol else "satisfied"
+            for k in range(pairs.d_img.size)]
 
 
 def oracle_pairs(labels, dist, image, s, theta, rhs_of):
@@ -574,8 +561,9 @@ def oracle_pairs(labels, dist, image, s, theta, rhs_of):
     return rows
 
 
-def assert_matches_oracle(result, rows, tol=1e-9):
-    cert, ledger = result
+def assert_matches_oracle(cert, pairs, lhs, rhs, rows, tol=1e-9):
+    """``cert``, and pair by pair the set's names, masks and the form's sides
+    ``lhs`` and ``rhs`` (computed from the set's arrays), against the oracle."""
     checked = [r for r in rows if r[1] == "checked"]
     violated = [r for r in checked if r[2] > r[3] + tol]
     domain = [r[0] for r in rows if r[1] == "domain"]
@@ -594,9 +582,11 @@ def assert_matches_oracle(result, rows, tol=1e-9):
         )
     else:
         assert cert.worst_pair is None
-    want = ["violation" if r in violated else r[1].replace("checked", "satisfied")
-            for r in rows]
-    assert [ledger.verdict(k) for k in range(len(rows))] == want
+    for k, (pair, status, want_lhs, want_rhs, _) in enumerate(rows):
+        assert pairs.pair(k) == pair
+        assert (pairs.skipped[k], pairs.checked[k]) == (status == "skipped", status == "checked")
+        if status == "checked":
+            assert (lhs[k], rhs[k]) == (want_lhs, want_rhs)
 
 
 class TestPairPassOracle:
@@ -635,20 +625,23 @@ class TestPairPassOracle:
         def oracle(form, rhs_of):
             return oracle_pairs(labels, dist, image, s, form, rhs_of)
 
+        pairs, plain = pair_set(space, selfmap, s, theta), pair_set(space, selfmap, s)
         theta_rows = oracle(theta_form, lambda th: np.power(th, r))
         assert_matches_oracle(
-            check_theta_contraction(space, selfmap, theta, r, s, details=True), theta_rows
+            check_theta_contraction(pairs, r),
+            pairs, pairs.th_img, np.power(pairs.th_pre, r), theta_rows,
         )
         assert_matches_oracle(
-            check_theta_phi_contraction(space, selfmap, theta, phi, s, details=True),
-            oracle(theta_form, phi_form),
+            check_theta_phi_contraction(pairs, phi),
+            pairs, pairs.th_img, phi(pairs.th_pre), oracle(theta_form, phi_form),
         )
+        linear = check_linear_contraction(plain, r)
         assert_matches_oracle(
-            check_linear_contraction(space, selfmap, r, s, details=True),
-            oracle(None, lambda d: r * d),
+            linear, plain, s * s * plain.d_img, r * plain.d_pre, oracle(None, lambda d: r * d),
         )
+        assert check_linear_contraction(pairs, r) == linear  # theta's mask is not the linear one
 
-        bound = best_exponent(space, selfmap, theta, s)
+        bound = best_exponent(pairs)
         checked = [row for row in theta_rows if row[1] == "checked"]
         domain = [row[0] for row in theta_rows if row[1] == "domain"]
         assert bound.pairs_checked == len(checked)
@@ -666,10 +659,6 @@ class TestPairPassOracle:
 class TestNanCoefficientRefused:
     def test_pair_pass(self, fourth_bundle):
         b = fourth_bundle
-        for check in (
-            lambda: check_theta_contraction(b.space, b.selfmap, b.theta, 0.5, math.nan),
-            lambda: check_linear_contraction(b.space, b.selfmap, 0.5, math.nan),
-            lambda: best_exponent(b.space, b.selfmap, b.theta, math.nan),
-        ):
+        for theta in (None, b.theta):
             with pytest.raises(ValueError, match=r"^coefficient s must be >= 1, got nan$"):
-                check()
+                pair_set(b.space, b.selfmap, math.nan, theta)

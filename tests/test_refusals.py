@@ -2,10 +2,20 @@
 
 One row per refusal: the call, the error type, and the exact message.
 """
+import math
+
 import numpy as np
 import pytest
 
-from rqbm.contraction import MapError, SelfMap, check_linear_contraction
+from rqbm.contraction import (
+    MapError,
+    SelfMap,
+    best_exponent,
+    check_linear_contraction,
+    check_theta_contraction,
+    check_theta_phi_contraction,
+    pair_set,
+)
 from rqbm.instances import build_example_sqrt, perturb
 from rqbm.solver import limit_sandwich_check, picard_iterate, verify_fixed_point
 from rqbm.spaces import (
@@ -26,6 +36,12 @@ def sqrt_space():
 
 def sqrt_trace():
     return picard_iterate(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 2.0)
+
+
+def sqrt_pairs(with_theta=True):
+    b = build_example_sqrt()
+    return pair_set(b.space, b.selfmap, 2.0, b.theta if with_theta else None,
+                    grid_points=5, random_pairs=10)
 
 
 def two_points():
@@ -95,8 +111,26 @@ REFUSALS = {
         lambda: validate_phi(builtin_phi("midpoint")).check("nope"),
         KeyError, "nope"),
     "table map checked on an interval": (
-        lambda: check_linear_contraction(sqrt_space(), SelfMap.from_table({"a": "a"}), 0.5, 2.0),
+        lambda: pair_set(sqrt_space(), SelfMap.from_table({"a": "a"}), 2.0),
         MapError, "an analytic space needs an expression map"),
+    "pair set below coefficient 1": (
+        lambda: pair_set(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 0.5),
+        ValueError, "coefficient s must be >= 1, got 0.5"),
+    **{f"exponent r of {r}": (
+        lambda r=r: check_theta_contraction(sqrt_pairs(), r),
+        ValueError, f"exponent r must lie in (0, 1), got {r}") for r in (0.0, 1.0, math.nan)},
+    **{f"factor k of {k}": (
+        lambda k=k: check_linear_contraction(sqrt_pairs(), k),
+        ValueError, f"factor k must lie in (0, 1), got {k}") for k in (0.0, 1.5)},
+    "exponent form on a pair set without theta": (
+        lambda: check_theta_contraction(sqrt_pairs(with_theta=False), 0.5),
+        ValueError, "the exponent form needs a pair set built with a theta"),
+    "composed form on a pair set without theta": (
+        lambda: check_theta_phi_contraction(sqrt_pairs(with_theta=False), builtin_phi("midpoint")),
+        ValueError, "the composed form needs a pair set built with a theta"),
+    "best exponent on a pair set without theta": (
+        lambda: best_exponent(sqrt_pairs(with_theta=False)),
+        ValueError, "best_exponent needs a pair set built with a theta"),
     "table map applied on an interval": (
         lambda: verify_fixed_point(sqrt_space(), SelfMap.from_table({"a": "a"}), 1.0),
         MapError, "an analytic space needs an expression map"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqbm.expr as ex
-from rqbm.contraction import MapError, MapRangeError, SelfMap, check_theta_contraction
+from rqbm.contraction import MapError, MapRangeError, SelfMap, check_theta_contraction, pair_set
 from rqbm.expr import EvalError
 from rqbm.instances import build_example_final, build_example_sqrt
 from rqbm.solver import (
@@ -253,7 +253,7 @@ class TestCertifiedContractionConsequences:
     def test_certified_map_converges_and_verifies(self):
         b = build_example_sqrt("fourth_root")
         cert = check_theta_contraction(
-            b.space, b.selfmap, b.theta, 0.5, 2.0, grid_points=30, random_pairs=1000
+            pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=30, random_pairs=1000), 0.5
         )
         assert cert.verdict == "pass"
         tol = 1e-10

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rqbm.spaces
-from rqbm.contraction import SelfMap, check_linear_contraction
+from rqbm.contraction import SelfMap, pair_set
 from rqbm.expr import EvalError
 from rqbm.instances import (
     build_example_2_3,
@@ -235,10 +235,11 @@ class TestDistanceTable:
     def test_image_distances_match_distance_value(self):
         bundle = build_example_final(5)
         space = bundle.space
-        _, ledger = check_linear_contraction(space, bundle.selfmap, 0.5, 3.0, details=True)
+        pairs = pair_set(space, bundle.selfmap, 3.0)
         image = {l: bundle.selfmap.apply_label(space, l) for l in space.labels}
-        want = [space.distance_value(image[a], image[b]) for a, b in ledger.ids]
-        assert ledger.d_img.tolist() == want
+        want = [space.distance_value(image[a], image[b])
+                for a, b in map(pairs.pair, range(pairs.d_img.size))]
+        assert pairs.d_img.tolist() == want
 
     def test_first_undefined_pair_in_c_order_raises(self):
         # no default formula, and neither ('b', 'a') nor ('c', 'b') has an override
@@ -256,7 +257,7 @@ class TestDistanceTable:
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0, ("b", "a"): 1.0})
         selfmap = SelfMap.hybrid({"a": "b"}, "x / 2")
         with pytest.raises(SpaceError, match="outside the labeled carrier"):
-            check_linear_contraction(space, selfmap, 0.5, 1.0)
+            pair_set(space, selfmap, 1.0)
 
 
 class TestNegativeAnalyticDistance:

@@ -11,10 +11,14 @@ help and usage-error text of the parser (wrapped at ``COLUMNS=80``), and the
 carrier cases: two instance exports (each to a fixed temp path), three space
 files whose carrier is refused (a NaN value, a value two labels share, a
 duplicated label), and a linear contraction given a theta that does not
-parse, with and without ``--best-exponent``.  Each runs
-through ``rqbm.cli.main`` in this process, one line per command: exit code
-(or ``raised`` and the exception a command let escape), stdout digest,
-stderr digest, argv.
+parse, with and without ``--best-exponent``; then the range refusals of r
+and k, ``--best-exponent`` with no theta to read, and ``--grid`` on an
+interval's export.  Each runs through ``rqbm.cli.main`` in this process, one
+line per command: exit code (or ``raised`` and the exception a command let
+escape), stdout digest, stderr digest, argv.  Last comes one line per demo
+under ``demos/``, run in this process as ``__main__``, in the same form with
+the demo's path for argv, so that a change to the library API shows in its
+public examples.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -32,12 +36,14 @@ import io
 import json
 import math
 import os
+import runpy
 import shlex
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 import rqbm.cli  # noqa: E402
@@ -127,16 +133,42 @@ CARRIER_CASES = [
        "--k", "0.5", "--theta", "((", *flag] for flag in ([], ["--best-exponent"])),
 ]
 
+# r and k outside (0, 1); r with a map that leaves the interval, where the pair
+# set is built first and the map's error is reported; --best-exponent where no
+# theta is given or carried; and --grid on an interval's export
+RANGE_CASES = [
+    ["contraction", "--instance", "example-sqrt", "--exponent", "2"],
+    ["contraction", "--instance", "example-sqrt", "--kind", "linear", "--k", "0"],
+    ["contraction", "--instance", "example-sqrt", "--map", "x - 5", "--exponent", "2"],
+    ["contraction", "--instance", "example-2-3", "--kind", "linear", "--k", "0.5",
+     "--map", "x/2", "--best-exponent"],
+    ["instances", "export", "--name", "example-sqrt", "--grid", "50",
+     "--out", str(Path(tempfile.gettempdir()) / "rqbm-export-sqrt-50.json")],
+]
 
-def digest_line(argv: list[str]) -> str:
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _digest(run, name: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = rqbm.cli.main(argv)
+            code = run()
         except Exception as e:  # reported on its line, so the later commands still run
             code = f"raised {type(e).__name__}"
     sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
-    return f"{code} {sha[0]} {sha[1]} {shlex.join(argv)}"
+    return f"{code} {sha[0]} {sha[1]} {name}"
+
+
+def digest_line(argv: list[str]) -> str:
+    return _digest(lambda: rqbm.cli.main(argv), shlex.join(argv))
+
+
+def demo_line(path: Path) -> str:
+    def run() -> int:
+        runpy.run_path(str(path), run_name="__main__")
+        return 0
+    return _digest(run, str(path.relative_to(ROOT)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,9 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     for path, obj in REFUSED_CARRIERS.items():
         path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
-    cases = ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
+    cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
+             + RANGE_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
+    for path in DEMOS:
+        print(demo_line(path), flush=True)
     return 0
 
 
