@@ -221,7 +221,16 @@ def _resolve_map(args, bundle) -> SelfMap:
     raise UsageError("--map is required (the instance carries none)")
 
 
+# the one parameter flag each kind reads; --theta is left out, as --best-exponent
+# reads it under every kind
+_KIND_READS = {"theta_r": "exponent", "theta_phi": "phi", "linear": "k"}
+
+
 def _cmd_contraction(args) -> tuple[bool, dict, dict]:
+    unread = [f"--{flag}" for flag in ("exponent", "phi", "k")
+              if getattr(args, flag) is not None and _KIND_READS.get(args.kind) != flag]
+    if unread:
+        raise UsageError(f"--kind {args.kind} does not read {', '.join(unread)}")
     space, bundle, src = _resolve_space(args)
     selfmap = _resolve_map(args, bundle)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
@@ -336,6 +345,10 @@ def _cmd_falsify(args) -> tuple[bool, dict, dict]:
 
 def _cmd_instances(args) -> tuple[bool, dict, dict]:
     if args.action == "list":
+        given = [flag for flag, value in (("--name", args.name), ("--grid", args.grid),
+                                          ("--out", args.out_file)) if value is not None]
+        if given:
+            raise UsageError(f"instances list does not read {', '.join(given)}")
         entries = []
         for name in INSTANCE_NAMES:
             b = get_instance(name)
@@ -405,8 +418,7 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     if p := command("contraction", "certify a contraction condition", _cmd_contraction):
         _add_space_args(p)
-        p.add_argument("--kind", choices=("theta_r", "theta_phi", "linear"),
-                       default="theta_r")
+        p.add_argument("--kind", choices=tuple(_KIND_READS), default="theta_r")
         p.add_argument("--map", help="self-map expression in x")
         p.add_argument("--theta")
         p.add_argument("--phi")

@@ -219,6 +219,19 @@ def _adjacent(t: np.ndarray, v: np.ndarray, bad: np.ndarray, gap: np.ndarray):
     return list(witnesses), _largest(gap[i])
 
 
+def _median(w: np.ndarray) -> np.ndarray:
+    """``np.median(w, axis=-1)`` bit for bit: the mean of the middle one or two
+    entries of each sorted window (an ``np.add`` reduction, as ``np.mean``
+    takes it, so -0.0 gives 0.0), and the window's NaN where it holds one.
+    ``np.median`` imports ``numpy.ma`` for that NaN check."""
+    w = np.sort(w, axis=-1)  # NaNs sort last
+    k = w.shape[-1]
+    lo, hi = (k - 1) // 2, k // 2 + 1
+    mid = np.sum(w[..., lo:hi], axis=-1) / (hi - lo)
+    last = w[..., -1]
+    return np.where(np.isnan(last), last, mid)
+
+
 def _secant_jumps(grid: np.ndarray, values: np.ndarray, factor: float):
     """Flag secant slopes larger than ``factor`` times their local median:
     the witnesses (t_i, t_i+1, slope, median) and the largest excess slope.
@@ -233,9 +246,9 @@ def _secant_jumps(grid: np.ndarray, values: np.ndarray, factor: float):
     half, n = 5, len(sec)
     med = np.empty(n)
     if n > 2 * half:
-        med[half:n - half] = np.median(sliding_window_view(sec, 2 * half + 1), axis=1)
+        med[half:n - half] = _median(sliding_window_view(sec, 2 * half + 1))
     for i in (*range(min(half, n)), *range(max(half, n - half), n)):
-        med[i] = np.median(sec[max(0, i - half): i + half + 1])
+        med[i] = _median(sec[max(0, i - half): i + half + 1])
     i = np.flatnonzero(sec > factor * med)
     witnesses = zip(grid[i].tolist(), grid[i + 1].tolist(), sec[i].tolist(), med[i].tolist())
     return list(witnesses), _largest(sec[i] - factor * med[i])
@@ -284,7 +297,12 @@ def validate_theta(
 
 def _phi_iterates(spec: PhiSpec, t, n: int) -> list:
     """t, phi(t), ..., phi^n(t) for a float start, or for a 1-D array of starts
-    with one array call per step; the first start to leave [1, inf) raises."""
+    with one array call per step; the first start to leave [1, inf) raises.
+
+    A step that returns its own input has every start at a fixed point, so the
+    remaining entries are that same value (the same object) and phi is not
+    called again: evaluation is elementwise and deterministic, and a kept
+    value is >= 1, so ``==`` is bit equality (NaN never compares equal)."""
     seq = [t]
     try:
         for _ in range(n):
@@ -293,6 +311,9 @@ def _phi_iterates(spec: PhiSpec, t, n: int) -> list:
                 raise IterateEscapeError(
                     f"iterate of {spec.name!r} left [1, inf): phi({seq[-1]!r}) = {v!r}"
                 )
+            if np.all(v == seq[-1]):
+                seq += [v] * (n + 1 - len(seq))
+                break
             seq.append(v)
     except (IterateEscapeError, ex.EvalError):
         if np.ndim(t):

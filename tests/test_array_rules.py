@@ -15,6 +15,8 @@ from rqbm.thetaphi import (
     _JUMP_FACTOR,
     _PHI_LIMIT,
     _THETA_LIMIT,
+    IterateEscapeError,
+    PhiSpec,
     PropertyCheck,
     ValidationReport,
     _phi_iterates,
@@ -234,6 +236,53 @@ class TestValidatePhiRules:
                       [np.array([1.0, 1.5]), 1.0, *map(np.array, steps)], 3)
         assert report.check("iterates-to-one").witnesses == (
             (1.0, 1, 1.0, 1.5), (3.0, 2, 1.5, 2.0), (3.0, 3, 2.0))
+
+
+def reference_phi_iterates(spec, t, n):
+    """t and n iterates, one call per step whatever the values; the escape
+    error names the first start, in order, that escapes on its own."""
+    seq = [t]
+    for _ in range(n):
+        v = spec(seq[-1])
+        if np.any(v < 1.0):
+            for start in np.ravel(t) if np.ndim(t) else ():
+                reference_phi_iterates(spec, float(start), n)
+            raise IterateEscapeError(
+                f"iterate of {spec.name!r} left [1, inf): phi({seq[-1]!r}) = {v!r}")
+        seq.append(v)
+    return seq
+
+
+PHI_ITERATE_FORMULAS = [
+    "if(t > 1.25, t - 0.1, t)",  # starts settle at different steps
+    "t ^ 0.999",  # no start but 1 settles within the depth
+    "2 * t - 1",  # the iterates rise
+    "if(t > 1.25, t - 0.3, t)",  # a start in (1.25, 1.3) escapes
+]
+PHI_STARTS = [1.0, 1.05, 1.25, 1.27, 1.3, 1.57, 2.0, 3.0, 7.5]
+
+
+class TestPhiIterates:
+    @staticmethod
+    def outcome(iterates, spec, t, n):
+        """Each entry's type and bytes, or the escape error's text."""
+        try:
+            seq = iterates(spec, t, n)
+        except IterateEscapeError as e:
+            return str(e)
+        return [(type(v), np.asarray(v).tobytes()) for v in seq]
+
+    @given(st.sampled_from(PHI_ITERATE_FORMULAS),
+           st.lists(st.sampled_from(PHI_STARTS), min_size=1, max_size=6, unique=True),
+           st.integers(0, 80), st.booleans())
+    @example(PHI_ITERATE_FORMULAS[0], [1.0, 1.3, 2.0, 3.0], 40, True)  # all settle by step 18
+    @example(PHI_ITERATE_FORMULAS[0], [2.0], 40, False)
+    @example(PHI_ITERATE_FORMULAS[3], [1.0, 1.57, 2.0], 40, True)
+    def test_matches_the_n_step_loop(self, formula, starts, n, as_array):
+        spec = PhiSpec.from_source(formula, formula)
+        t = np.array(sorted(starts)) if as_array else starts[0]
+        assert (self.outcome(_phi_iterates, spec, t, n)
+                == self.outcome(reference_phi_iterates, spec, t, n))
 
 
 class TestDiagSeriesRule:

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,23 @@ class TestContraction:
         assert pairs.source == "exhaustive:15x15" and pairs.theta is not None
         assert calls[1][1] == calls[2][1] == (pairs,)
 
+    @pytest.mark.parametrize("kind, unread, message", [
+        (("--kind", "linear", "--k", "0.5"), ("--exponent", "0.3", "--phi", "builtin:midpoint"),
+         "--kind linear does not read --exponent, --phi"),
+        (("--kind", "theta_r", "--exponent", "0.5"), ("--k", "0.5"),
+         "--kind theta_r does not read --k"),
+        (("--kind", "theta_r", "--exponent", "0.5"), ("--phi", "builtin:midpoint"),
+         "--kind theta_r does not read --phi"),
+        (("--kind", "theta_phi"), ("--exponent", "0.5", "--k", "0.5"),
+         "--kind theta_phi does not read --exponent, --k"),
+        (("--exponent", "0.5"), ("--k", "0.5"), "--kind theta_r does not read --k"),  # default
+    ], ids=["linear", "theta_r-k", "theta_r-phi", "theta_phi", "default"])
+    def test_flags_the_kind_does_not_read_are_refused(self, capsys, kind, unread, message):
+        argv = ["contraction", "--instance", "example-final", "--grid", "11", *kind]
+        assert run_json(capsys, *argv)[0] in (0, 1)
+        assert run(capsys, *argv, *unread) == (2, "", f"error: {message}\n")
+        assert run(capsys, *argv, *unread, "--best-exponent")[0] == 2
+
     @pytest.mark.parametrize("source", ["space", "instance"])
     def test_best_exponent_without_a_theta_is_refused(self, capsys, tmp_path, source):
         # example-2-3 carries no theta, and an exported space file carries none either
@@ -322,6 +343,16 @@ class TestInstances:
         assert code == 0
         names = [e["name"] for e in report["instances"]]
         assert "example-2-3" in names and "example-final" in names
+
+    @pytest.mark.parametrize("unread, flags", [
+        (("--grid", "50", "--name", "example-sqrt"), "--name, --grid"),
+        (("--out", "list.json"), "--out"),
+    ], ids=["grid-name", "out"])
+    def test_list_refuses_the_export_flags(self, capsys, tmp_path, monkeypatch, unread, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "instances", "list", *unread) == (
+            2, "", f"error: instances list does not read {flags}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_export_round_trip(self, capsys, tmp_path):
         from rqbm.spaces import load_space
@@ -740,3 +771,35 @@ class TestRefusedInputs:
         code, stdout, err = run(capsys, "verify", "--instance", "example-2-3", "--out", str(out))
         assert (code, stdout) == (2, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+# Runs the fixed-point workload's commands in one fresh process, the validate
+# commands first, and prints which lazily imported numpy subpackages each left
+# loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from rqbm.cli import main
+argvs = sorted((c["argv"] for c in workloads.commands("fixed-point", 0)),
+               key=lambda argv: not argv[0].startswith("validate-"))
+rows = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    rows.append([argv[0], code, [m for m in ("numpy.ma", "numpy.random") if m in sys.modules]])
+print(json.dumps(rows))
+"""
+
+
+def test_fixed_point_commands_import_no_numpy_ma():
+    # numpy imports both on first use, and each import is a large share of a validate command
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(root / "bench")], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    rows = json.loads(done.stdout)
+    assert len(rows) == 9 and all(code in (0, 1) for _, code, _ in rows)
+    assert [row for row in rows if row[0].startswith("validate-")] == [
+        ["validate-phi", 0, []], ["validate-phi", 0, []], ["validate-theta", 0, []]]
+    assert not any("numpy.ma" in loaded for _, _, loaded in rows)

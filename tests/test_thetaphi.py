@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm.expr
 from rqbm.expr import EvalError
 from rqbm.thetaphi import (
+    _median,
     _secant_jumps,
     IterateEscapeError,
     PhiSpec,
@@ -128,7 +130,48 @@ class TestSecantJumps:
         assert defect == 91.0
 
 
+# ties, signed zeros, sums of two middle entries that overflow, inf and NaN
+MEDIAN_VALUES = [-np.inf, -1e308, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308, np.inf, np.nan]
+
+
+@st.composite
+def median_windows(draw):
+    """One window (1-D) or up to 4 of them (2-D), 1 to 12 wide."""
+    width, rows = draw(st.integers(1, 12)), draw(st.integers(0, 4))
+    shape = (width,) if rows == 0 else (rows, width)
+    values = draw(st.lists(st.sampled_from(MEDIAN_VALUES), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return np.array(values).reshape(shape)
+
+
+class TestMedian:
+    @given(median_windows())
+    @example(np.array([1e308, 1e308]))
+    @example(np.array([[-np.inf, np.inf], [np.nan, 1.0], [-0.0, -0.0]]))
+    @example(np.array([[2.0, 1.0, 2.0, np.nan, 1.0], [0.5, 0.5, 0.5, 0.5, 0.5]]))
+    def test_matches_np_median_bit_for_bit(self, w):
+        with np.errstate(all="ignore"):  # -inf + inf and 1e308 + 1e308 signal
+            got, want = _median(w), np.median(w, axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestValidatePhi:
+    @pytest.mark.parametrize("name, calls", [("midpoint", 66), ("pow-0.5", 58)])
+    def test_iterates_stop_at_the_fixed_point(self, monkeypatch, name, calls):
+        # the grid, phi(1), then one call per step up to the first step that
+        # returns its input (64 for the midpoint, 56 for the square root), not 256
+        count = []
+        evaluate = rqbm.expr.evaluate
+
+        def counting(node, bindings):
+            count.append(node)
+            return evaluate(node, bindings)
+
+        monkeypatch.setattr(rqbm.expr, "evaluate", counting)
+        assert validate_phi(builtin_phi(name)).passed
+        assert len(count) == calls
+
     def test_midpoint_passes(self):
         report = validate_phi(builtin_phi("midpoint"))
         assert report.passed, report.to_dict()

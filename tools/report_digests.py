@@ -13,9 +13,12 @@ files whose carrier is refused (a NaN value, a value two labels share, a
 duplicated label), and a linear contraction given a theta that does not
 parse, with and without ``--best-exponent``; then the range refusals of r
 and k, ``--best-exponent`` with no theta to read, and ``--grid`` on an
-interval's export.  Each runs through ``rqbm.cli.main`` in this process, one
-line per command: exit code (or ``raised`` and the exception a command let
-escape), stdout digest, stderr digest, argv.  Last comes one line per demo
+interval's export; then validate cases whose phi iterates settle at
+different steps, never settle, rise or escape, and thetas with a jump; and
+the flags a contraction kind or ``instances list`` does not read.  Each runs
+through ``rqbm.cli.main`` in this process, one line per command: exit code
+(or ``raised`` and the exception a command let escape), stdout digest,
+stderr digest, argv.  Last comes one line per demo
 under ``demos/``, run in this process as ``__main__``, in the same form with
 the demo's path for argv, so that a change to the library API shows in its
 public examples.
@@ -146,6 +149,25 @@ RANGE_CASES = [
      "--out", str(Path(tempfile.gettempdir()) / "rqbm-export-sqrt-50.json")],
 ]
 
+# phi iterates that settle at different steps, never settle, rise, or escape;
+# thetas whose slopes jump at t = 2 (a full median window) and at t = 900 (the
+# truncated windows at the grid's end)
+VALIDATE_CASES = [
+    *(["validate-phi", "--phi", phi] for phi in ["if(t > 1.25, t - 0.1, t)", "t^0.999",
+                                                 "2*t - 1", "if(t > 1.25, t - 0.3, t)"]),
+    *(["validate-theta", "--theta", f"if(t > {at}, 100 * t, t) + 1"] for at in (2, 900)),
+]
+
+# flags the chosen contraction kind, or instances list, does not read
+UNREAD_FLAG_CASES = [
+    ["contraction", "--instance", "example-final", "--grid", "11", "--kind", "linear",
+     "--k", "0.5", "--exponent", "0.3", "--phi", "builtin:midpoint"],
+    ["contraction", "--instance", "example-sqrt", "--k", "0.5"],
+    ["contraction", "--instance", "example-final", "--kind", "theta_phi", "--exponent", "0.5"],
+    ["instances", "list", "--grid", "50", "--name", "example-sqrt"],
+    ["instances", "list", "--out", str(Path(tempfile.gettempdir()) / "rqbm-list.json")],
+]
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -193,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
-             + RANGE_CASES)
+             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     for path in DEMOS:
