@@ -182,30 +182,36 @@ def _sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order[i], order[j]
 
 
+def _streams(seeds, salt: int | None = None):
+    """``np.random.default_rng(seed)``, or ``default_rng([salt, seed])``, for
+    every seed at once (``_pcg.Streams``), imported only by the generators."""
+    from ._pcg import Streams
+
+    return Streams(seeds, salt)
+
+
 def _random_tables(n: int, seeds, profile: str):
     """``random_space(n, seed, profile)`` for every seed, as arrays: the
     (T, n, n) distance tables, the (T, n) point values and the claimed
-    coefficient.  Each seed's rng makes the draws ``random_space`` documents,
-    in the same order."""
+    coefficient.  Each seed's stream makes the draws ``random_space``
+    documents, in the same order."""
     if n < 2:
         raise ValueError("need at least 2 points")
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; known: {', '.join(_PROFILES)}")
-    I, J = _sorted_pairs(n)
-    D, values = np.empty((len(seeds), n, n)), np.empty((len(seeds), n))
-    # filled trial by trial, with no temporary stack; a non-finite draw shows
-    # as a non-finite table, which the caller refuses
+    rng = _streams(seeds)
+    x, y = np.moveaxis(rng.uniform(0.0, 10.0, 2 * n).reshape(-1, n, 2), -1, 0)
+    # a non-finite draw shows as a non-finite table, which the caller refuses
     with np.errstate(invalid="ignore"):
-        for t, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            x, y = rng.uniform(0.0, 10.0, size=(n, 2)).T
-            D[t], values[t] = np.hypot(x[:, None] - x, y[:, None] - y), x
-            if profile != "metric":  # one scale per ordered pair, in sorted label order
-                D[t, I, J] *= rng.uniform(0.5, 2.0, size=len(I))
-            if profile == "adversarial":
-                k = rng.integers(len(I))
-                D[t, I[k], J[k]] *= rng.uniform(5.0, 50.0)
-    return D, values, 1.0 if profile == "metric" else 4.0
+        D = x[:, :, None] - x[:, None, :]
+        D = np.hypot(D, y[:, :, None] - y[:, None, :], out=D)
+        if profile != "metric":  # one scale per ordered pair, in sorted label order
+            I, J = _sorted_pairs(n)
+            D[:, I, J] *= rng.uniform(0.5, 2.0, len(I))
+        if profile == "adversarial":
+            k = rng.integers(len(I))
+            D[np.arange(len(D)), I[k], J[k]] *= rng.uniform(5.0, 50.0, 1)[:, 0]
+    return D, x, 1.0 if profile == "metric" else 4.0
 
 
 def random_space(n: int, seed: int, profile: str = "metric") -> FiniteSpace:
@@ -225,25 +231,24 @@ def random_space(n: int, seed: int, profile: str = "metric") -> FiniteSpace:
     return FiniteSpace(labels, values, None, None, dict(zip(keys, D[I, J].tolist())), claimed)
 
 
-def _zeroed_entries(D: np.ndarray, rngs) -> np.ndarray:
+def _zeroed_entries(D: np.ndarray, rng) -> np.ndarray:
     """``break_identity`` over a (T, n, n) stack: the row-major index of the
     entry each trial zeroes, or -1 where no off-diagonal entry is positive.
-    The k-th positive entry is zeroed, k drawn from the trial's rng."""
+    The k-th positive entry is zeroed, k drawn from the trial's stream."""
     positive = ((D > 0.0) & ~np.eye(D.shape[-1], dtype=bool)).reshape(len(D), -1)
-    count = positive.sum(axis=1).tolist()
-    return np.array([
-        np.flatnonzero(row)[rng.integers(c)] if c else -1
-        for rng, row, c in zip(rngs, positive, count)
-    ], dtype=np.intp)
+    count = positive.sum(axis=1)
+    k = rng.integers(np.maximum(count, 1))  # a bound of 1 draws nothing
+    at = (np.cumsum(positive, axis=1, dtype=np.int32) > k[:, None]).argmax(axis=1)
+    return np.where(count > 0, at, -1)
 
 
-def _inflated_entries(D: np.ndarray, rngs, s: float):
+def _inflated_entries(D: np.ndarray, rng, s: float):
     """``break_quadrilateral`` over a (T, n, n) stack, n >= 4: per trial the
-    entry (i, j) drawn from its rng and its new value s * c + max(1, c), c
+    entry (i, j) drawn from its stream and its new value s * c + max(1, c), c
     being the cheapest three-hop sum (d(i,u) + d(u,v)) + d(v,j) over u, v
     distinct and apart from i, j."""
     n = D.shape[-1]
-    i, j = np.array([(rng.integers(n), rng.integers(n - 1)) for rng in rngs], dtype=np.intp).T
+    i, j = rng.integers(n), rng.integers(n - 1)
     j += j >= i  # the j-th column apart from i
     cheapest = _three_hop_min(_triangle_sums(D, i), D, i)[np.arange(len(D)), j]
     with np.errstate(all="ignore"):  # float arithmetic, as on Python floats
@@ -260,10 +265,10 @@ def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) ->
     ``falsify`` applies to all its tables at once.
     """
     labels = space.labels
-    rng = np.random.default_rng([_SALTS.get(kind, 0), seed])
+    rng = _streams([seed], _SALTS.get(kind, 0))
     n = len(labels)
     if kind == "break_identity":
-        (at,) = _zeroed_entries(space.distance_matrix[None], [rng])
+        (at,) = _zeroed_entries(space.distance_matrix[None], rng)
         if at < 0:
             raise SpaceError("every off-diagonal distance is already zero")
         (i, j), d = divmod(int(at), n), 0.0
@@ -272,7 +277,7 @@ def perturb(space: FiniteSpace, kind: str, seed: int, s: float | None = None) ->
             raise SpaceError("breaking the quadrilateral inequality needs >= 4 points")
         if s is None:
             s = space.claimed_s if space.claimed_s is not None else 1.0
-        (i,), (j,), (d,) = _inflated_entries(space.distance_matrix[None], [rng], s)
+        (i,), (j,), (d,) = _inflated_entries(space.distance_matrix[None], rng, s)
     else:
         raise ValueError(f"unknown perturbation {kind!r}")
     overrides = dict(space.overrides)
@@ -295,15 +300,15 @@ def _broken_tables(n: int, seeds, profile: str, kinds):
     ok &= (np.isfinite(D) & (D >= 0.0)).all(axis=(1, 2))
     entries = {}
     for kind in kinds:
-        rngs = (np.random.default_rng([_SALTS[kind], seed]) for seed in seeds)  # one at a time
+        rng = _streams(seeds, _SALTS[kind])
         if kind == "break_identity":
-            at = _zeroed_entries(D, rngs)
+            at = _zeroed_entries(D, rng)
             ok &= at >= 0
             entries[kind] = np.divmod(at, n), 0.0
         elif n < 4:
             ok[:] = False
         else:
-            i, j, d = _inflated_entries(D, rngs, claimed)
+            i, j, d = _inflated_entries(D, rng, claimed)
             ok &= np.isfinite(d)
             entries[kind] = (i, j), d
     if not ok.all():

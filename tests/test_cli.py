@@ -773,15 +773,17 @@ class TestRefusedInputs:
         assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
-# Runs the fixed-point workload's commands in one fresh process, the validate
-# commands first, and prints which lazily imported numpy subpackages each left
-# loaded.
+# Runs a workload's commands whose name is given (all when none is) in one
+# fresh process, the validate commands first, and prints which lazily imported
+# numpy subpackages each left loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
 from rqbm.cli import main
-argvs = sorted((c["argv"] for c in workloads.commands("fixed-point", 0)),
+names = sys.argv[3:]
+argvs = sorted((c["argv"] for c in workloads.commands(sys.argv[2], 0)
+                if not names or c["argv"][0] in names),
                key=lambda argv: not argv[0].startswith("validate-"))
 rows = []
 for argv in argvs:
@@ -792,14 +794,25 @@ print(json.dumps(rows))
 """
 
 
-def test_fixed_point_commands_import_no_numpy_ma():
-    # numpy imports both on first use, and each import is a large share of a validate command
+def probe_imports(workload, *names):
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(root / "bench")], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    rows = json.loads(done.stdout)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(root / "bench"), workload,
+                           *names], env=env, capture_output=True, text=True, timeout=300,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def test_fixed_point_commands_import_no_numpy_ma():
+    # numpy imports both on first use, and each import is a large share of a validate command
+    rows = probe_imports("fixed-point")
     assert len(rows) == 9 and all(code in (0, 1) for _, code, _ in rows)
     assert [row for row in rows if row[0].startswith("validate-")] == [
         ["validate-phi", 0, []], ["validate-phi", 0, []], ["validate-theta", 0, []]]
     assert not any("numpy.ma" in loaded for _, _, loaded in rows)
+
+
+def test_falsify_commands_import_no_numpy_random():
+    # falsify draws its seeded streams through rqbm._pcg; numpy.random costs
+    # about 14 ms to import, a large share of each falsify command
+    assert probe_imports("falsify-small", "falsify") == [["falsify", 0, []]] * 3

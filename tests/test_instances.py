@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rqbm._pcg
 import rqbm.cli
 import rqbm.spaces
 from rqbm.cli import main
@@ -491,9 +492,39 @@ class TestFalsifyChunks:
         assert run_falsify(*self.ARGV) == whole
 
 
+class TestDrawMemory:
+    def test_a_large_trial_draws_its_stream_in_blocks(self):
+        # one 1000-point quasi trial draws 1,001,000 uniforms; their 128-bit
+        # states come in blocks of spaces._BLOCK, where all at once they take
+        # several 8 MB arrays.  Drawn through np.random.default_rng, the same
+        # call peaked at 45.8 MiB.
+        tracemalloc.start()
+        try:
+            _broken_tables(1000, range(3, 4), "quasi", ["break_identity"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 2**20
+
+
 def spoil_coordinates(monkeypatch, spoil):
-    """Let ``spoil(seed, coords)`` edit the point coordinates drawn for each
-    integer seed; every other draw is the real one."""
+    """Let ``spoil(seed, coords)`` edit the (n, 2) point coordinates drawn for
+    each integer seed: in the generators' (trials, n, 2) coordinate draw, the
+    ``(0, 10)`` uniforms of a ``Streams`` without salt, and in the reference's
+    ``default_rng(seed)``; every other draw is the real one."""
+
+    class SpoiledStreams(rqbm._pcg.Streams):
+        def __init__(self, seeds, salt=None):
+            super().__init__(seeds, salt)
+            self.seeds = None if salt is not None else list(seeds)
+
+        def uniform(self, lo, hi, count):
+            out = super().uniform(lo, hi, count)
+            if self.seeds is not None and (lo, hi) == (0.0, 10.0):
+                for seed, coords in zip(self.seeds, out.reshape(len(out), -1, 2)):
+                    spoil(seed, coords)
+            return out
+
     real = np.random.default_rng
 
     class Spoiled:
@@ -509,6 +540,7 @@ def spoil_coordinates(monkeypatch, spoil):
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
+    monkeypatch.setattr(rqbm._pcg, "Streams", SpoiledStreams)
     monkeypatch.setattr(
         np.random, "default_rng",
         lambda seed=None: Spoiled(seed) if isinstance(seed, int) else real(seed),

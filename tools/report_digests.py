@@ -18,10 +18,13 @@ different steps, never settle, rise or escape, and thetas with a jump; and
 the flags a contraction kind or ``instances list`` does not read.  Each runs
 through ``rqbm.cli.main`` in this process, one line per command: exit code
 (or ``raised`` and the exception a command let escape), stdout digest,
-stderr digest, argv.  Last comes one line per demo
+stderr digest, argv.  Then comes one line per demo
 under ``demos/``, run in this process as ``__main__``, in the same form with
 the demo's path for argv, so that a change to the library API shows in its
-public examples.
+public examples.  Last come falsify cases whose seeded draws take different
+paths: seeds of one to five 32-bit words in one stack, a negative seed, the
+two-point table, the adversarial profile's integer draw, and trials over
+three chunks.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -168,6 +171,19 @@ UNREAD_FLAG_CASES = [
     ["instances", "list", "--out", str(Path(tempfile.gettempdir()) / "rqbm-list.json")],
 ]
 
+# seeds of one and two words, and of four and five (2^128 - 3 on), in one
+# stack; a negative seed; two points, so break_identity draws among two
+# entries; the adversarial integer draw; and 150 trials of 60 points, in
+# three chunks of trials
+FALSIFY_CASES = [
+    ["falsify", "--seed", "4294967290", "--trials", "12"],
+    ["falsify", "--seed", str(2**128 - 3), "--trials", "6"],
+    ["falsify", "--seed", "-1"],
+    ["falsify", "--size", "2", "--kind", "break_identity"],
+    ["falsify", "--profile", "adversarial", "--size", "4"],
+    ["falsify", "--profile", "quasi", "--size", "60", "--trials", "150"],
+]
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -220,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         print(digest_line(run), flush=True)
     for path in DEMOS:
         print(demo_line(path), flush=True)
+    for run in FALSIFY_CASES:
+        print(digest_line(run), flush=True)
     return 0
 
 
