@@ -1,6 +1,6 @@
 """NumPy's seeded PCG64 streams for many seeds at once, without ``numpy.random``.
 
-``Streams(seeds)`` draws what ``np.random.default_rng(seed)`` draws for each
+``Streams(seeds)`` draws what NumPy's ``default_rng(seed)`` draws for each
 seed, and ``Streams(seeds, salt)`` what ``default_rng([salt, seed])`` draws,
 bit for bit: the seed goes through NumPy's ``SeedSequence`` mixing and PCG64
 seeding, and each method makes the draw of the ``Generator`` method of its

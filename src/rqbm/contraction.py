@@ -39,6 +39,7 @@ from .spaces import (
     FiniteSpace,
     Space,
     _points_of,
+    _streams,
 )
 from .thetaphi import PhiSpec, ThetaSpec
 
@@ -301,9 +302,8 @@ def pair_set(
     source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
     xs = ys = np.empty(0)
     if isinstance(space, AnalyticSpace) and random_pairs > 0:
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(space.lo, space.hi, random_pairs)
-        ys = rng.uniform(space.lo, space.hi, random_pairs)
+        rng = _streams([seed])
+        xs, ys = (rng.uniform(space.lo, space.hi, random_pairs)[0] for _ in range(2))
         # no local keeps the images: they are freed before theta runs
         d_img = np.concatenate([d_img, space.distance_value(
             selfmap.apply_array(space, xs), selfmap.apply_array(space, ys))])

@@ -18,8 +18,8 @@ from .spaces import (
     FiniteSpace,
     Space,
     SpaceError,
+    _streams,
     _three_hop_min,
-    _triangle_sums,
     format_value,
     space_from_dict,
 )
@@ -182,14 +182,6 @@ def _sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order[i], order[j]
 
 
-def _streams(seeds, salt: int | None = None):
-    """``np.random.default_rng(seed)``, or ``default_rng([salt, seed])``, for
-    every seed at once (``_pcg.Streams``), imported only by the generators."""
-    from ._pcg import Streams
-
-    return Streams(seeds, salt)
-
-
 def _random_tables(n: int, seeds, profile: str):
     """``random_space(n, seed, profile)`` for every seed, as arrays: the
     (T, n, n) distance tables, the (T, n) point values and the claimed
@@ -250,7 +242,7 @@ def _inflated_entries(D: np.ndarray, rng, s: float):
     n = D.shape[-1]
     i, j = rng.integers(n), rng.integers(n - 1)
     j += j >= i  # the j-th column apart from i
-    cheapest = _three_hop_min(_triangle_sums(D, i), D, i)[np.arange(len(D)), j]
+    cheapest = _three_hop_min(D, i)[np.arange(len(D)), j]
     with np.errstate(all="ignore"):  # float arithmetic, as on Python floats
         return i, j, s * cheapest + np.maximum(1.0, cheapest)
 

@@ -13,11 +13,14 @@ Finite spaces are scanned exhaustively; analytic spaces are sampled on a
 uniform grid (exhaustive over grid quadruples) plus seeded random quadruples.
 One pass over those quadruples serves all three quadrilateral operations
 (``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
-``classify``): it counts every violation, builds only the witnesses a report
-keeps, and tracks the supremum ratio with its first maximiser.  Its stage 1
-is the same min-plus kernel that checks a whole stack of tables at once
-(``_rectangular_verdicts``); only ``classify`` searches for a triangle
-violation.  All scans are pure and deterministic for fixed inputs.
+``classify``): it counts every violation and tracks the supremum ratio.  Its
+stage 1 is the same min-plus kernel that checks a whole stack of tables at
+once (``_rectangular_verdicts``).  One row search (``_row_search``) builds
+every grid witness, the supremum's first maximiser and the violations a
+report keeps, over the columns each row's three-hop minimum admits.  The
+random quadruples are NumPy's seeded PCG64 draws, taken through ``_pcg``.
+Only ``classify`` searches for a triangle violation.  All scans are pure and
+deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -369,12 +372,13 @@ def _triangle_sums(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return A
 
 
-def _three_hop_min(A: np.ndarray, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M[r, y] = min over u, v of A[r, u, v] + d(v, y), with u and v apart from
-    y, and inf at y = x; ``A`` is ``_triangle_sums(D, X)`` and is overwritten.
-    The two cheapest u per (x, v) give it: the second stands in where the
-    cheapest is y."""
+def _three_hop_min(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M[r, y] = min over u, v of d(x, u) + d(u, v) + d(v, y) in row r's table
+    D[r], x = X[r], with x, u and v distinct and u and v apart from y, and inf
+    at y = x.  The two cheapest u of the sums A = ``_triangle_sums(D, X)`` per
+    (x, v) give it: the second stands in where the cheapest is y."""
     r, idx = np.arange(len(X)), np.arange(D.shape[-1])
+    A = _triangle_sums(D, X)
     bu = A.argmin(axis=1)[:, None, :]
     best = np.take_along_axis(A, bu, axis=1)
     np.put_along_axis(A, bu, math.inf, axis=1)
@@ -418,7 +422,7 @@ def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: boo
             # a block inside one table reads it through a view, not a copy
             D = np.broadcast_to(tables[t[0]], (len(r), n, n)) if t[0] == t[-1] else tables[t]
             L = D[r, X]
-            M = _three_hop_min(_triangle_sums(D, X), D, X)
+            M = _three_hop_min(D, X)
             for c, (s, tol) in enumerate(checks):
                 bad[rows, c] = (L > s * M + tol).any(axis=1)
             if not supremum:
@@ -475,38 +479,33 @@ def _violation_counts(D: np.ndarray, X: np.ndarray,
     return counts
 
 
-def _supremum_witness(D: np.ndarray, x: int):
-    """The first maximiser (u, v, y) of lhs / rhs in (u, v, y) order among
-    row x's admissible quadruples, with its lhs, rhs and ratio, which is the
-    row's stage-1 supremum (above -inf).
+def _row_search(D: np.ndarray, x: int, Y: np.ndarray, test, limit: int) -> list[tuple]:
+    """The first ``limit`` admissible (u, v, y) of row x of table D in (u, v, y)
+    order, y in the sorted columns Y (x not among them), where
+    ``test(lhs, rhs)`` holds, with lhs = d(x, y) and
+    rhs = d(x, u) + d(u, v) + d(v, y): as (u, v, y, lhs, rhs).
 
-    lhs / rhs <= L[y] / M[y] for every (u, v), as M[y] is the least rhs, and
-    some (u, v) attains M[y] bit for bit.  So only Y*, the y where
-    L[y] / M[y] is the row supremum, can attain it (and, when that is 0, the
-    y with L[y] = 0, which ``_ratio`` skips at M[y] = 0).  The search runs over
-    (u, v, y in Y*), O(|Y*| n^2), in blocks of u of at most
-    max(``_BLOCK``, n^2) elements, up to the first block that attains it.
+    The caller picks Y by the row's three-hop minimum M (``_three_hop_min``):
+    every rhs at y is at least M[y], and both lhs > s * rhs + tol and
+    lhs / rhs can only fall as rhs grows (s >= 0), so a y whose M[y] fails
+    the test holds no hit.  O(|Y| n^2), in blocks of u of at most
+    max(``_BLOCK``, n |Y|) elements, up to the block that fills ``limit``.
     """
-    n, X, L = len(D), np.array([x]), D[x]
-    idx = np.arange(n)
-    with np.errstate(all="ignore"):
-        ratio = _ratio(L, _three_hop_min(_triangle_sums(D[None], X), D[None], X)[0])
-        ratio[x] = -math.inf
-        sup = ratio.max()
-        # at sup = 0 a y with lhs = 0 also reaches it, through any positive rhs
-        Y = np.flatnonzero((ratio == sup) | ((sup == 0.0) & (L == 0.0)))
-        Y = Y[Y != x][None, None, :]
-        V = idx[None, :, None]
-        step = max(1, _BLOCK // (n * Y.size))
-        for lo in range(0, n, step):
-            u = idx[lo:lo + step, None, None]
-            rhs = D[x, u] + D[u, V] + D[V, Y]
-            hit = _ratio(np.broadcast_to(L[Y], rhs.shape), rhs) == sup
-            hit &= (u != x) & (u != V) & (V != x) & (u != Y) & (V != Y)
-            if hit.any():
-                a, v, b = np.unravel_index(int(np.argmax(hit)), hit.shape)
-                y = int(Y[0, 0, b])
-                return int(lo + a), int(v), y, float(L[y]), float(rhs[a, v, b]), float(sup)
+    n, idx = len(D), np.arange(len(D))
+    Y, V = Y[None, None, :], idx[None, :, None]
+    found: list[tuple] = []
+    step = max(1, _BLOCK // (n * max(Y.size, 1)))
+    for lo in range(0, n, step):
+        if len(found) >= limit:
+            break
+        u = idx[lo:lo + step, None, None]
+        rhs = D[x, u] + D[u, V] + D[V, Y]
+        hit = test(np.broadcast_to(D[x, Y], rhs.shape), rhs)
+        hit &= (u != x) & (u != V) & (V != x) & (u != Y) & (V != Y)
+        for a, v, b in np.argwhere(hit)[:limit - len(found)].tolist():
+            y = int(Y[0, 0, b])
+            found.append((lo + a, v, y, float(D[x, y]), float(rhs[a, v, b])))
+    return found
 
 
 def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple | None:
@@ -526,19 +525,29 @@ def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple
     return None
 
 
-def _scan_checks(checks: list[tuple[float, float, int | None]]) -> list:
-    """``checks`` for ``_quadrilateral_pass``, each s >= 0 and keep >= 0 or None."""
-    if not all(s >= 0 for s, _, _ in checks):
+def _scan_checks(checks: list[tuple[float, float]], keep: int | None) -> list:
+    """``checks`` for ``_quadrilateral_pass``, each s >= 0, and keep >= 0 or None."""
+    if not all(s >= 0 for s, _ in checks):
         raise ValueError("coefficient s must be >= 0")
-    if not all(keep is None or keep >= 0 for _, _, keep in checks):
+    if keep is not None and keep < 0:
         raise ValueError("max_violations must be >= 0")
     return checks
+
+
+def _streams(seeds, salt: int | None = None):
+    """NumPy's ``default_rng(seed)``, or ``default_rng([salt, seed])``, for
+    every seed at once (``_pcg.Streams``).  ``_pcg`` is imported at the first
+    draw, so a command that draws nothing never loads it."""
+    from ._pcg import Streams
+
+    return Streams(seeds, salt)
 
 
 def _quadrilateral_pass(
     space: Space,
     sample: tuple,
-    checks: list[tuple[float, float, int | None]],
+    checks: list[tuple[float, float]],
+    keep: int | None,
     random_samples: int,
     seed: int,
     exact: bool = True,
@@ -548,75 +557,64 @@ def _quadrilateral_pass(
 
     Quadruples come in lexicographic (x, u, v, y) point-index order over the
     carrier ``sample`` of ``_points_of``, then, for analytic spaces,
-    ``random_samples`` seeded uniform ones.  Per ``(s, tol, keep)`` in
-    ``checks`` it keeps the first ``keep`` quadruples (all when None) with
-    ``lhs > s * rhs + tol`` and counts them all (when ``exact``, else a count
-    is only zero or positive).  The supremum of lhs / rhs comes with its first
-    maximiser: rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
+    ``random_samples`` seeded uniform ones.  Per ``(s, tol)`` in ``checks`` it
+    counts the quadruples with ``lhs > s * rhs + tol`` (when ``exact``, else a
+    count is only zero or positive), and it keeps the first ``keep``
+    violations of the last check (all when None, and 0 without checks).  The
+    supremum of lhs / rhs comes with its first maximiser: rhs = lhs = 0 is
+    skipped, rhs = 0 < lhs is +inf.
 
-    ``_stage1`` gives every grid row its verdicts and supremum.
-    ``_violation_counts`` counts the violating rows, and ``_supremum_witness``
-    finds the maximiser in the first row attaining the supremum.  Stage 2
-    only builds the witnesses the checks keep: it visits the violating rows
-    in order, in (x, u) slices of at most max(``_BLOCK``, n^2) elements, and
-    stops once every check holds its ``keep``.
+    ``_stage1`` gives every grid row its verdicts and supremum, and
+    ``_violation_counts`` counts the violating rows.  ``_row_search`` builds
+    every grid witness from a row's lhs L and three-hop minimum M: the
+    maximiser in the first row attaining the supremum, over the y where
+    L / M is that supremum, and the kept violations, row by row over the
+    violating rows, over the y where L > s * M + tol, until ``keep`` are found.
 
-    Returns ``(bound, [(count, witnesses) per check])``; ``bound.value`` is
-    None without admissible quadruples, 0 when every one has rhs = lhs = 0.
-    Without ``supremum`` no ratio is taken and ``bound`` carries no value and
-    no witness.
+    Returns ``(bound, counts, kept)``; ``bound.value`` is None without
+    admissible quadruples, 0 when every one has rhs = lhs = 0.  Without
+    ``supremum`` no ratio is taken and ``bound`` carries no value and no
+    witness.
     """
     pts, _, D, source = sample
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
-    kept: list[list[QuadrupleViolation]] = [[] for _ in checks]
+    room = sys.maxsize if keep is None else keep
+    kept: list[QuadrupleViolation] = []
     sup, sup_at = -math.inf, None
 
-    def room(c):
-        keep = checks[c][2]
-        return (sys.maxsize if keep is None else keep) - len(kept[c])
+    def keep_violation(at, lhs, rhs):
+        kept.append(QuadrupleViolation(*at, lhs, rhs, math.inf if rhs == 0.0 else lhs / rhs))
 
-    def keep_first(c, viol, lhs, rhs, at):
-        # the first violations in C order that check c still has room for;
-        # at(k) names the points at index k
-        for q in map(tuple, np.argwhere(viol)[:max(room(c), 0)]):
-            a, b = float(lhs[q]), float(rhs[q])
-            kept[c].append(QuadrupleViolation(*at(q), a, b, math.inf if b == 0.0 else a / b))
-
-    tests = [(s, tol) for s, tol, _ in checks]
-    bad, row_sup = _stage1(D[None], tests, supremum)
+    bad, row_sup = _stage1(D[None], checks, supremum)
     if exact:
-        counts = _violation_counts(D, np.flatnonzero(bad.any(axis=1)), tests).sum(axis=0).tolist()
+        counts = _violation_counts(D, np.flatnonzero(bad.any(axis=1)), checks).sum(axis=0).tolist()
     else:  # a positive count is all the verdict needs
         counts = np.count_nonzero(bad, axis=0).tolist()
-    if supremum:  # the first row attaining the supremum
-        top = int(np.argmax(row_sup))
-        if row_sup[top] > -math.inf:
-            u, v, y, lhs, rhs, sup = _supremum_witness(D, top)
+    with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
+        if supremum and row_sup.max() > -math.inf:
+            top = int(np.argmax(row_sup))  # the first row attaining the supremum
+            L = D[top]
+            ratio = _ratio(L, _three_hop_min(D[None], np.array([top]))[0])
+            ratio[top] = -math.inf
+            sup = float(ratio.max())  # above 0 (``_stage1``): a y with lhs = 0 cannot attain it
+            Y = np.flatnonzero(ratio == sup)
+            [(u, v, y, lhs, rhs)] = _row_search(D, top, Y, lambda a, b: _ratio(a, b) == sup, 1)
             sup_at = (pts[top], pts[u], pts[v], pts[y], lhs, rhs)
-    # the rows holding a violation of a check that keeps witnesses
-    rows = np.flatnonzero(bad[:, [keep != 0 for _, _, keep in checks]].any(axis=1))
-    idx = np.arange(n)
-    V, J = idx[None, :, None], idx[None, None, :]
-    step = max(1, _BLOCK // (n * n))
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(rows) * n, step):  # stage 2, in (x, u) slices
-            if all(room(c) <= 0 for c in range(len(checks))):
-                break
-            x, u = np.divmod(np.arange(lo, min(lo + step, len(rows) * n)), n)
-            x, u = rows[x][:, None, None], u[:, None, None]
-            lhs = np.broadcast_to(D[x, J], (len(x), n, n))
-            rhs = D[x, u] + D[u, V] + D[None]
-            adm = ((x != u) & (u != V) & (x != V)) & ((u != J) & (x != J)) & (V != J)
-            at = lambda k: (  # noqa: E731
-                pts[x[k[0], 0, 0]], pts[u[k[0], 0, 0]], pts[k[1]], pts[k[2]])
-            for c, (s, tol, _) in enumerate(checks):
-                keep_first(c, adm & (lhs > s * rhs + tol), lhs, rhs, at)
+        if room:
+            s, tol = checks[-1]
+            violates = lambda a, b: a > s * b + tol  # noqa: E731
+            for x in np.flatnonzero(bad[:, -1]).tolist():
+                if len(kept) == room:
+                    break
+                Y = np.flatnonzero(violates(D[x], _three_hop_min(D[None], np.array([x]))[0]))
+                for u, v, y, lhs, rhs in _row_search(D, x, Y, violates, room - len(kept)):
+                    keep_violation((pts[x], pts[u], pts[v], pts[y]), lhs, rhs)
         if checked and sup == -math.inf:
             sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
         if isinstance(space, AnalyticSpace) and random_samples > 0:
-            rng = np.random.default_rng(seed)
-            xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples) for _ in range(4))
+            rng = _streams([seed])
+            xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples)[0] for _ in range(4))
             d = space.distance_value
             adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
             checked += int(np.count_nonzero(adm))
@@ -629,17 +627,18 @@ def _quadrilateral_pass(
                 k = int(np.argmax(ratio))
                 if ratio[k] > sup:
                     sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
-            for c, (s, tol, _) in enumerate(checks):
-                viol = adm & (lhs > s * rhs + tol)
-                counts[c] += int(np.count_nonzero(viol))
-                keep_first(c, viol, lhs, rhs, at)
+            viol = [adm & (lhs > s * rhs + tol) for s, tol in checks]
+            counts = [count + int(np.count_nonzero(v)) for count, v in zip(counts, viol)]
+            if room:
+                for k in np.flatnonzero(viol[-1])[:room - len(kept)].tolist():
+                    keep_violation(at(k), float(lhs[k]), float(rhs[k]))
             source += f"+random:{random_samples}(seed={seed})"
     if not (checked and supremum):
         sup = None
     elif sup == -math.inf:
         sup = 0.0
     witness = None if sup_at is None else QuadrupleViolation(*sup_at, sup)
-    return CoefficientBound(sup, witness, checked, source), list(zip(counts, kept))
+    return CoefficientBound(sup, witness, checked, source), counts, kept
 
 
 # --------------------------------------------------------------------------
@@ -705,9 +704,10 @@ def check_b_rectangular(
     ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
     in scan order.
     """
-    checks = _scan_checks([(s, tol, max_violations)])  # refused before the grid is evaluated
-    bound, [(count, violations)] = _quadrilateral_pass(
-        space, _points_of(space, grid_points), checks, random_samples, seed, supremum=False
+    checks = _scan_checks([(s, tol)], max_violations)  # refused before the grid is evaluated
+    bound, [count], violations = _quadrilateral_pass(
+        space, _points_of(space, grid_points), checks, max_violations, random_samples, seed,
+        supremum=False,
     )
     return RectangularReport(
         s=s,
@@ -734,7 +734,8 @@ def minimal_rectangular_coefficient(
     makes the result infinite.  Returns value ``None`` when no admissible
     quadruple exists.  The witness is the first maximiser in scan order.
     """
-    bound, _ = _quadrilateral_pass(space, _points_of(space, grid_points), [], random_samples, seed)
+    bound, _, _ = _quadrilateral_pass(space, _points_of(space, grid_points), [], 0,
+                                      random_samples, seed)
     return bound
 
 
@@ -758,10 +759,11 @@ def classify(
         for i, j in np.argwhere(np.triu(np.abs(D - D.T), k=1) > tol)
     )
     is_symmetric = not asym
-    # the s = 1 check only needs its verdict
-    checks = _scan_checks([(1.0, tol, 1)] if s == 1.0 else [(1.0, tol, 0), (s, tol, 1)])
-    bound, found = _quadrilateral_pass(space, sample, checks, random_samples, seed, exact=False)
-    (count_1, _), (count_s, first_s) = found[0], found[-1]
+    # the s = 1 check only needs its verdict; the last check, at s, keeps one witness
+    checks = _scan_checks([(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)], 1)
+    bound, counts, first_s = _quadrilateral_pass(space, sample, checks, 1, random_samples, seed,
+                                                 exact=False)
+    count_1, count_s = counts[0], counts[-1]
     tri_1 = _first_triangle(pts, D, 1.0, tol)
     # For s >= 1 the rounded s * rhs is at least rhs, so a violation at s is
     # one at 1 too: with none at 1 there is nothing to search for at s.

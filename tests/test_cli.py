@@ -812,7 +812,10 @@ def test_fixed_point_commands_import_no_numpy_ma():
     assert not any("numpy.ma" in loaded for _, _, loaded in rows)
 
 
-def test_falsify_commands_import_no_numpy_random():
-    # falsify draws its seeded streams through rqbm._pcg; numpy.random costs
-    # about 14 ms to import, a large share of each falsify command
-    assert probe_imports("falsify-small", "falsify") == [["falsify", 0, []]] * 3
+@pytest.mark.parametrize("workload", ["quad-scan", "falsify-small", "fixed-point"])
+def test_workload_commands_import_no_numpy_random(workload):
+    # every seeded draw goes through rqbm._pcg; numpy.random costs about 14 ms
+    # to import, a large share of each command
+    rows = probe_imports(workload)
+    assert rows and all(code in (0, 1) for _, code, _ in rows)
+    assert [row for row in rows if "numpy.random" in row[2]] == []

@@ -595,12 +595,16 @@ class TestQuadrilateralPassOracle:
 
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
             report = check_b_rectangular(space, s, tol=tol, max_violations=k)
+            every = check_b_rectangular(space, s, tol=tol, max_violations=None)
             bound = minimal_rectangular_coefficient(space)
             result = classify(space, s, tol=tol)
             at_s = check_b_rectangular(space, s, tol=tol, max_violations=1)
             at_1 = check_b_rectangular(space, 1.0, tol=tol)
         assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want[:k]
         assert report.violation_count == len(want)
+        # the whole list, which spans several rows and, under a small block, several blocks
+        assert [(v.x, v.u, v.v, v.y) for v in every.violations] == want
+        assert every.violation_count == len(want)
 
         if sup is None:  # no quadruple, or every one has rhs = lhs = 0: 0, no witness
             assert bound.value == (0.0 if n >= 4 else None) and bound.witness is None
@@ -714,6 +718,10 @@ class TestQuadrilateralPassOracle:
     # ends at p3, whose cheapest sum, through (p2, p1), is 0 as well
     @example(table=[0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0], checks=[(1.0, 0.0)],
              unit=1.0, block=1, order=list(range(8)))
+    # only d(p3, p2) is positive: row p0's supremum is 0, through (p3, p2), yet
+    # every three-hop minimum of the row is 0
+    @example(table=[0] * 14 + [1, 0], checks=[(0.0, 0.0)], unit=1.0, block=1,
+             order=list(range(8)))
     @given(
         st.integers(min_value=4, max_value=8).flatmap(
             lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
@@ -725,26 +733,52 @@ class TestQuadrilateralPassOracle:
         st.permutations(range(8)),
     )
     def test_row_counts_and_witnesses_match_brute_force(self, table, checks, unit, block, order):
-        # per-row violation counts, and each row's first maximiser, on tie-heavy
-        # tables with zeros; rows go in a shuffled order, split across blocks
+        # per-row violation counts, each row's first maximiser and its violations
+        # in order, on tie-heavy tables with zeros; rows go in a shuffled order,
+        # split across blocks.  The row search reads only the columns the row's
+        # three-hop minimum M admits, as the quadrilateral pass picks them.
         n = math.isqrt(len(table))
         D = np.array(table, dtype=np.float64).reshape(n, n) * unit
         np.fill_diagonal(D, 0.0)
         X = np.array([x for x in order if x < n])
         want = np.zeros((n, len(checks)), dtype=np.int64)
-        best = {}
+        best, violations = {}, {}
         for x, u, v, y in itertools.permutations(range(n), 4):
             lhs, rhs = D[x, y], D[x, u] + D[u, v] + D[v, y]
             for c, (s, tol) in enumerate(checks):
                 want[x, c] += lhs > s * rhs + tol
+                if lhs > s * rhs + tol:
+                    violations.setdefault((x, c), []).append((u, v, y, lhs, rhs))
             ratio = (math.inf if lhs > 0 else None) if rhs == 0 else lhs / rhs
             if ratio is not None and (x not in best or ratio > best[x][-1]):
                 best[x] = (u, v, y, lhs, rhs, ratio)
-        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+        search = rqbm.spaces._row_search
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block), np.errstate(all="ignore"):
             got = rqbm.spaces._violation_counts(D, X, checks)
             assert got.tolist() == want[X].tolist()
-            for x, witness in best.items():
-                assert rqbm.spaces._supremum_witness(D, x) == witness
+            for x in X.tolist():
+                L, M = D[x], rqbm.spaces._three_hop_min(D[None], np.array([x]))[0]
+                ratio = rqbm.spaces._ratio(L, M)
+                ratio[x] = -math.inf
+                sup = ratio.max()
+                if x in best:
+                    # a positive supremum, the only kind a top row has, is attained
+                    # only at the y where L / M attains it.  A row of zeros has
+                    # supremum 0 where some sum is positive, which M hides where
+                    # it is 0 too (the pass skips lhs = M = 0), and any y may hold it
+                    row_sup = best[x][-1]
+                    assert sup == row_sup or (row_sup == 0.0 and sup == -math.inf)
+                    Y = np.flatnonzero(ratio == sup) if row_sup > 0 else np.delete(np.arange(n), x)
+                    hit = lambda a, b: rqbm.spaces._ratio(a, b) == row_sup  # noqa: E731
+                    assert search(D, x, Y, hit, 1) == [best[x][:5]]
+                else:
+                    assert sup == -math.inf
+                for c, (s, tol) in enumerate(checks):
+                    violates = lambda a, b: a > s * b + tol  # noqa: E731
+                    Y = np.flatnonzero(violates(L, M))
+                    every = violations.get((x, c), [])
+                    assert search(D, x, Y, violates, n**4) == every
+                    assert search(D, x, Y, violates, 2) == every[:2]
 
     @pytest.mark.parametrize("block", [1, rqbm.spaces._BLOCK])
     def test_supremum_ties_take_the_first_quadruple(self, block):

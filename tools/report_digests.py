@@ -15,12 +15,14 @@ parse, with and without ``--best-exponent``; then the range refusals of r
 and k, ``--best-exponent`` with no theta to read, and ``--grid`` on an
 interval's export; then validate cases whose phi iterates settle at
 different steps, never settle, rise or escape, and thetas with a jump; and
-the flags a contraction kind or ``instances list`` does not read.  Each runs
-through ``rqbm.cli.main`` in this process, one line per command: exit code
-(or ``raised`` and the exception a command let escape), stdout digest,
-stderr digest, argv.  Then comes one line per demo
-under ``demos/``, run in this process as ``__main__``, in the same form with
-the demo's path for argv, so that a change to the library API shows in its
+the flags a contraction kind or ``instances list`` does not read; then scan
+cases whose kept witnesses span many rows, or rows with one violating column,
+and analytic random phases at seeds of two and five words and a negative one.
+Each runs through ``rqbm.cli.main`` in this process, one line per command:
+exit code (or ``raised`` and the exception a command let escape), stdout
+digest, stderr digest, argv.  Then comes one line per demo under
+``demos/``, run in this process as ``__main__``, in the same form with the
+demo's path for argv, so that a change to the library API shows in its
 public examples.  Last come falsify cases whose seeded draws take different
 paths: seeds of one to five 32-bit words in one stack, a negative seed, the
 two-point table, the adversarial profile's integer draw, and trials over
@@ -184,6 +186,19 @@ FALSIFY_CASES = [
     ["falsify", "--profile", "quasi", "--size", "60", "--trials", "150"],
 ]
 
+# kept witnesses over many rows (100 across 16) and in rows where one column
+# violates; classify's one witness at s; the supremum's witness; and the
+# analytic random phases at seeds of two and five 32-bit words, and a negative one
+SCAN_CASES = [
+    ["verify", "--instance", "example-2-3", "--s", "2.8"],
+    ["verify", "--instance", "example-final", "--grid", "40", "--s", "3"],
+    ["classify", "--instance", "example-2-3", "--s", "0.5"],
+    ["min-s", "--instance", "example-final"],
+    *([command, "--instance", "example-sqrt", "--seed", seed]
+      for seed in (str(2**40), str(2**130), "-1")
+      for command in ("verify", "min-s", "contraction")),
+]
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -231,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
-             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES)
+             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     for path in DEMOS:
