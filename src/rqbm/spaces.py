@@ -488,13 +488,14 @@ def _row_search(D: np.ndarray, x: int, Y: np.ndarray, test, limit: int) -> list[
     The caller picks Y by the row's three-hop minimum M (``_three_hop_min``):
     every rhs at y is at least M[y], and both lhs > s * rhs + tol and
     lhs / rhs can only fall as rhs grows (s >= 0), so a y whose M[y] fails
-    the test holds no hit.  O(|Y| n^2), in blocks of u of at most
-    max(``_BLOCK``, n |Y|) elements, up to the block that fills ``limit``.
+    the test holds no hit.  Y is not empty: the callers search only rows
+    with a hit.  O(|Y| n^2), in blocks of u of at most max(``_BLOCK``, n |Y|)
+    elements, up to the block that fills ``limit``.
     """
     n, idx = len(D), np.arange(len(D))
     Y, V = Y[None, None, :], idx[None, :, None]
     found: list[tuple] = []
-    step = max(1, _BLOCK // (n * max(Y.size, 1)))
+    step = max(1, _BLOCK // (n * Y.size))
     for lo in range(0, n, step):
         if len(found) >= limit:
             break
@@ -525,12 +526,10 @@ def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple
     return None
 
 
-def _scan_checks(checks: list[tuple[float, float]], keep: int | None) -> list:
-    """``checks`` for ``_quadrilateral_pass``, each s >= 0, and keep >= 0 or None."""
+def _scan_checks(checks: list[tuple[float, float]]) -> list:
+    """``checks`` for ``_quadrilateral_pass``, each s >= 0."""
     if not all(s >= 0 for s, _ in checks):
         raise ValueError("coefficient s must be >= 0")
-    if keep is not None and keep < 0:
-        raise ValueError("max_violations must be >= 0")
     return checks
 
 
@@ -559,10 +558,10 @@ def _quadrilateral_pass(
     carrier ``sample`` of ``_points_of``, then, for analytic spaces,
     ``random_samples`` seeded uniform ones.  Per ``(s, tol)`` in ``checks`` it
     counts the quadruples with ``lhs > s * rhs + tol`` (when ``exact``, else a
-    count is only zero or positive), and it keeps the first ``keep``
-    violations of the last check (all when None, and 0 without checks).  The
-    supremum of lhs / rhs comes with its first maximiser: rhs = lhs = 0 is
-    skipped, rhs = 0 < lhs is +inf.
+    count is only zero or positive).  With checks, it keeps the first
+    ``keep`` violations of the last one (all when None); without, ``keep``
+    must be 0.  The supremum of lhs / rhs comes with its first maximiser:
+    rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
 
     ``_stage1`` gives every grid row its verdicts and supremum, and
     ``_violation_counts`` counts the violating rows.  ``_row_search`` builds
@@ -704,7 +703,10 @@ def check_b_rectangular(
     ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
     in scan order.
     """
-    checks = _scan_checks([(s, tol)], max_violations)  # refused before the grid is evaluated
+    # s, then max_violations, refused before the grid is evaluated
+    checks = _scan_checks([(s, tol)])
+    if max_violations is not None and max_violations < 0:
+        raise ValueError("max_violations must be >= 0")
     bound, [count], violations = _quadrilateral_pass(
         space, _points_of(space, grid_points), checks, max_violations, random_samples, seed,
         supremum=False,
@@ -760,7 +762,7 @@ def classify(
     )
     is_symmetric = not asym
     # the s = 1 check only needs its verdict; the last check, at s, keeps one witness
-    checks = _scan_checks([(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)], 1)
+    checks = _scan_checks([(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)])
     bound, counts, first_s = _quadrilateral_pass(space, sample, checks, 1, random_samples, seed,
                                                  exact=False)
     count_1, count_s = counts[0], counts[-1]

@@ -812,10 +812,22 @@ def test_fixed_point_commands_import_no_numpy_ma():
     assert not any("numpy.ma" in loaded for _, _, loaded in rows)
 
 
-@pytest.mark.parametrize("workload", ["quad-scan", "falsify-small", "fixed-point"])
+def test_falsify_commands_import_no_numpy_random():
+    # falsify draws its seeded streams through rqbm._pcg; numpy.random costs
+    # about 14 ms to import, a large share of each falsify command
+    assert probe_imports("falsify-small", "falsify") == [["falsify", 0, []]] * 3
+
+
+# each command of the other two workloads, in probe order, with its exit code
+_WORKLOAD_EXITS = {
+    "quad-scan": [("classify", 1), ("classify", 1), ("verify", 1), ("min-s", 0)],
+    "fixed-point": [("validate-phi", 0), ("validate-phi", 0), ("validate-theta", 0)]
+    + [("contraction", 1)] * 4 + [("solve", 0)] * 2,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOAD_EXITS))
 def test_workload_commands_import_no_numpy_random(workload):
-    # every seeded draw goes through rqbm._pcg; numpy.random costs about 14 ms
-    # to import, a large share of each command
-    rows = probe_imports(workload)
-    assert rows and all(code in (0, 1) for _, code, _ in rows)
-    assert [row for row in rows if "numpy.random" in row[2]] == []
+    # the analytic random phases draw through rqbm._pcg too, so no command
+    # loads numpy.random (or numpy.ma)
+    assert probe_imports(workload) == [[name, code, []] for name, code in _WORKLOAD_EXITS[workload]]
