@@ -292,6 +292,8 @@ def pair_set(
     """
     if not s >= 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
+    if s == math.inf:
+        raise ValueError(f"coefficient s must be finite, got {s}")
     selfmap.check_total(space)
     names, values, D, carrier = _points_of(space, grid_points)
     n = len(names)
@@ -341,6 +343,8 @@ def _theta_of(p: PairSet, operation: str) -> ThetaSpec:
 def _certificate(p: PairSet, checked, kind, params, tol, lhs, rhs, ratio):
     """The certificate for ``lhs <= rhs`` on the ``checked`` pairs; an unchecked
     pair that is not skipped is a domain violation."""
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     n_checked = int(checked.sum())
     domain = p.first(~p.skipped & ~checked)
     with np.errstate(all="ignore"):

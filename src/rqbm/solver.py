@@ -236,6 +236,8 @@ def _iterate(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: f
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if tol == np.inf:
+        raise ValueError("tol must be finite")
     selfmap.check_total(space)
     try:
         return _lockstep(space, selfmap, starts, max_iter, tol)
@@ -352,6 +354,8 @@ def limit_sandwich_check(
         raise ValueError("sandwich check needs a converged trace")
     if not s >= 1.0:
         raise ValueError("coefficient s must be >= 1")
+    if s == np.inf:
+        raise ValueError("coefficient s must be finite")
     if tail_len < 1 or tail_len > len(trace.values):
         raise ValueError("tail_len must be within the trace length")
     space = trace.space

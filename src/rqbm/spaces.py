@@ -95,7 +95,9 @@ class FiniteSpace:
     are distinct, so a value names at most one label.  Every distance is
     resolved once, at construction, into a read-only table; a pair with no
     override and no default formula stays undefined there and raises
-    ``SpaceError`` when it is read.
+    ``SpaceError`` when it is read.  The default formula fills the table in row
+    blocks of at most max(``_BLOCK``, n) pairs, one broadcast call each (at
+    n = 1,004 the build peaks at 1.1 times the 8 MB table).
     """
 
     labels: tuple[str, ...]
@@ -140,6 +142,8 @@ class FiniteSpace:
                              f"share the value {float(values[later])!r}")
         if self.claimed_s is not None and not self.claimed_s >= 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
+        if self.claimed_s == math.inf:
+            raise SpaceError("claimed coefficient must be finite")
         # a pair resolves to its override, else 0 on the diagonal, else the
         # default formula; NaN marks a pair with none of these
         table = np.full((len(labels), len(labels)), math.nan)
@@ -153,9 +157,19 @@ class FiniteSpace:
                 raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
             table[index[a], index[b]] = d
         if self.default_formula is not None:
-            i, j = np.nonzero(np.isnan(table))  # pairs named by index until one fails
-            table[i, j] = _formula_distance(self.default_formula, values[i], values[j],
-                                            i, j, labels)
+            step = max(1, _BLOCK // len(labels))
+            for lo in range(0, len(labels), step):  # row blocks, in C order
+                rows, need = table[lo:lo + step], np.isnan(table[lo:lo + step])
+                try:  # one broadcast call, kept on the block's undefined pairs
+                    np.copyto(rows, ex.evaluate(self.default_formula, {
+                        "x": values[lo:lo + step, None], "y": values[None, :]}), where=need)
+                    if not (rows < 0.0).any():
+                        continue
+                except ex.EvalError:
+                    pass
+                i, j = np.nonzero(need)  # pair by pair: the first failing one raises its error
+                rows[i, j] = _formula_distance(self.default_formula, values[i + lo],
+                                               values[j], i + lo, j, labels)
         values.flags.writeable = table.flags.writeable = False
         for name, field in (("labels", labels), ("values", values), ("_index_of", index),
                             ("_ascending", ascending), ("_order", order), ("_table", table)):
@@ -242,6 +256,8 @@ class AnalyticSpace:
             raise SpaceError("domain must be a finite interval [lo, hi] with lo < hi")
         if self.claimed_s is not None and not self.claimed_s >= 1.0:
             raise SpaceError("claimed coefficient must be >= 1")
+        if self.claimed_s == math.inf:
+            raise SpaceError("claimed coefficient must be finite")
         # cheap construction probe; full verification is sampling-based
         for v in (self.lo, self.hi, 0.5 * (self.lo + self.hi)):
             if self.distance(v, v) != 0.0:
@@ -527,9 +543,13 @@ def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple
 
 
 def _scan_checks(checks: list[tuple[float, float]]) -> list:
-    """``checks`` for ``_quadrilateral_pass``, each s >= 0."""
+    """``checks`` for ``_quadrilateral_pass``, each s finite and >= 0, each tol finite."""
     if not all(s >= 0 for s, _ in checks):
         raise ValueError("coefficient s must be >= 0")
+    if math.inf in (s for s, _ in checks):
+        raise ValueError("coefficient s must be finite")
+    if not all(math.isfinite(tol) for _, tol in checks):
+        raise ValueError("tol must be finite")
     return checks
 
 

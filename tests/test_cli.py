@@ -406,6 +406,23 @@ class TestErrorPaths:
         assert out == ""
         assert "s must be >= 0" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--instance", "example-2-3", "--s", "inf"], "coefficient s must be finite"),
+        (["contraction", "--instance", "example-final", "--kind", "linear", "--k", "0.5",
+          "--s", "inf"], "coefficient s must be finite, got inf"),
+        (["solve", "--instance", "example-final", "--start", "1/3", "--tol", "inf"],
+         "tol must be finite"),
+    ])
+    def test_infinite_coefficient_or_tolerance(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_infinite_claimed_coefficient(self, capsys, tmp_path):
+        path = tmp_path / "claimed.json"
+        path.write_text('{"kind": "finite", "points": [{"label": "a", "value": 0.0}], '
+                        '"claimed_s": Infinity}')
+        assert run(capsys, "verify", "--space", str(path)) == (
+            2, "", "error: claimed coefficient must be finite\n")
+
     def test_duplicate_point_value(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(json.dumps({

@@ -198,10 +198,10 @@ class TestArrayEvaluation:
 VARS = ("x", "y", "t")
 
 
-def _exprs():
+def _exprs(names=VARS):
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(abs).map(Num),
-        st.sampled_from(VARS).map(Var),
+        st.sampled_from(names).map(Var),
     )
 
     def extend(children):
@@ -249,27 +249,29 @@ def test_round_trip_fixed_corpus():
 
 # -- one evaluation contract -------------------------------------------------
 
-def _per_element(e, bindings, n):
-    """The scalar evaluation of each element, or the array call's error message."""
+def _per_element(e, bindings, shape):
+    """The scalar evaluation of each element of the broadcast ``shape``, in C
+    order, or the array call's error message."""
     out = []
-    for k in range(n):
-        sample = {v: float(b[k]) if isinstance(b, np.ndarray) else b for v, b in bindings.items()}
+    for k in np.ndindex(shape):
+        sample = {v: float(np.broadcast_to(b, shape)[k]) if isinstance(b, np.ndarray) else b
+                  for v, b in bindings.items()}
         try:
             out.append(evaluate(e, sample))
         except EvalError as err:
-            return None, f"{err} at sample index ({k},)"
-    return np.array(out), None
+            return None, f"{err} at sample index {k}"
+    return np.array(out).reshape(shape), None
 
 
-def assert_array_call_matches_scalar_calls(e, bindings, n):
-    want, error = _per_element(e, bindings, n)
+def assert_array_call_matches_scalar_calls(e, bindings, shape):
+    want, error = _per_element(e, bindings, shape)
     if error is not None:
         with pytest.raises(EvalError) as err:
             evaluate(e, bindings)
         assert str(err.value) == error
         return
     got = evaluate(e, bindings)
-    assert got.shape == (n,)
+    assert got.shape == shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -286,7 +288,19 @@ def test_array_call_is_the_scalar_call_per_element(e, data):
     n = data.draw(st.integers(min_value=1, max_value=4))
     column = st.lists(_SAMPLES, min_size=n, max_size=n).map(np.array)
     bindings = {"x": data.draw(column), "y": data.draw(column), "t": data.draw(_SAMPLES)}
-    assert_array_call_matches_scalar_calls(e, bindings, n)
+    assert_array_call_matches_scalar_calls(e, bindings, (n,))
+
+
+@settings(max_examples=400)
+@given(_exprs(), st.data())
+def test_broadcast_call_is_the_scalar_call_per_element(e, data):
+    # x down the rows and y along the columns, as a distance table's row block
+    # binds them: every element, and the first failing one's (i, j), in C order
+    n, m = (data.draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
+    x = data.draw(st.lists(_SAMPLES, min_size=n, max_size=n).map(np.array))
+    y = data.draw(st.lists(_SAMPLES, min_size=m, max_size=m).map(np.array))
+    bindings = {"x": x[:, None], "y": y[None, :], "t": data.draw(_SAMPLES)}
+    assert_array_call_matches_scalar_calls(e, bindings, (n, m))
 
 
 class TestArrayContractPins:
@@ -304,7 +318,15 @@ class TestArrayContractPins:
         ("if(y > 0, 1, 2)", [1.0, 2.0]),           # y unbound in a condition
     ])
     def test_pinned(self, source, xs):
-        assert_array_call_matches_scalar_calls(parse(source, XY), {"x": np.array(xs)}, 2)
+        assert_array_call_matches_scalar_calls(parse(source, XY), {"x": np.array(xs)}, (2,))
+
+    def test_broadcast_error_names_its_row_and_column(self):
+        x, y = np.array([3.0, 1.0]), np.array([0.0, 2.0, 1.0])
+        bindings = {"x": x[:, None], "y": y[None, :]}
+        assert_array_call_matches_scalar_calls(parse("sqrt(x - y)", XY), bindings, (2, 3))
+        with pytest.raises(EvalError) as err:
+            evaluate(parse("sqrt(x - y)", XY), bindings)
+        assert str(err.value) == "sqrt of a negative value in 'sqrt(x - y)' at sample index (1, 1)"
 
     def test_untaken_failing_branch_does_not_raise(self):
         got = evaluate(parse("if(x > 0, ln(x), 0)", {"x"}), {"x": np.array([0.0])})

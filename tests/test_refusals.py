@@ -79,6 +79,18 @@ REFUSALS = {
     "negative max_violations": (
         lambda: check_b_rectangular(sqrt_space(), 2.0, max_violations=-1),
         ValueError, "max_violations must be >= 0"),
+    "infinite coefficient in a scan": (
+        lambda: check_b_rectangular(sqrt_space(), math.inf),
+        ValueError, "coefficient s must be finite"),
+    **{f"scan tol of {tol}": (
+        lambda tol=tol: check_b_rectangular(sqrt_space(), 2.0, tol=tol),
+        ValueError, "tol must be finite") for tol in (math.inf, math.nan)},
+    "infinite claimed coefficient on a table": (
+        lambda: FiniteSpace.build([("a", 0.0)], claimed_s=math.inf),
+        SpaceError, "claimed coefficient must be finite"),
+    "infinite claimed coefficient on an interval": (
+        lambda: AnalyticSpace.build(1.0, 2.0, "(x - y)^2", claimed_s=math.inf),
+        SpaceError, "claimed coefficient must be finite"),
     "label start on an interval": (
         lambda: picard_iterate(sqrt_space(), SelfMap.from_expression("sqrt(x)"), "a"),
         UnknownLabelError, "analytic spaces take numeric starts"),
@@ -89,6 +101,13 @@ REFUSALS = {
     "picard tol 0": (
         lambda: picard_iterate(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 2.0, tol=0.0),
         ValueError, "tol must be > 0"),
+    "picard tol inf": (
+        lambda: picard_iterate(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 2.0,
+                               tol=math.inf),
+        ValueError, "tol must be finite"),
+    "sandwich at an infinite coefficient": (
+        lambda: limit_sandwich_check(sqrt_trace(), 2.0, math.inf, 1),
+        ValueError, "coefficient s must be finite"),
     "sandwich tail 0": (
         lambda: limit_sandwich_check(sqrt_trace(), 2.0, 2.0, 0),
         ValueError, "tail_len must be within the trace length"),
@@ -116,12 +135,18 @@ REFUSALS = {
     "pair set below coefficient 1": (
         lambda: pair_set(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 0.5),
         ValueError, "coefficient s must be >= 1, got 0.5"),
+    "pair set at an infinite coefficient": (
+        lambda: pair_set(sqrt_space(), SelfMap.from_expression("sqrt(x)"), math.inf),
+        ValueError, "coefficient s must be finite, got inf"),
     **{f"exponent r of {r}": (
         lambda r=r: check_theta_contraction(sqrt_pairs(), r),
         ValueError, f"exponent r must lie in (0, 1), got {r}") for r in (0.0, 1.0, math.nan)},
     **{f"factor k of {k}": (
         lambda k=k: check_linear_contraction(sqrt_pairs(), k),
         ValueError, f"factor k must lie in (0, 1), got {k}") for k in (0.0, 1.5)},
+    **{f"contraction tol of {tol}": (
+        lambda tol=tol: check_linear_contraction(sqrt_pairs(), 0.5, tol=tol),
+        ValueError, "tol must be finite") for tol in (math.inf, math.nan)},
     "exponent form on a pair set without theta": (
         lambda: check_theta_contraction(sqrt_pairs(with_theta=False), 0.5),
         ValueError, "the exponent form needs a pair set built with a theta"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import rqbm.spaces
 from rqbm.contraction import SelfMap, pair_set
-from rqbm.expr import EvalError
+from rqbm.expr import EvalError, evaluate, parse, to_source
 from rqbm.instances import (
     build_example_2_3,
     build_example_final,
@@ -31,6 +31,7 @@ from rqbm.spaces import (
     space_from_dict,
     space_to_dict,
 )
+from test_expr import _exprs
 
 
 # --------------------------------------------------------------------------
@@ -209,13 +210,15 @@ class TestDistanceTable:
         monkeypatch.setattr(rqbm.expr, "evaluate", counting)
         points = [("a", 0.0), ("b", 1.0), ("c", 2.5), ("d", 4.0)]
         space = FiniteSpace.build(points, "(x - y)^2", {("a", "b"): 3.0, ("c", "a"): 0.5})
+        # construction evaluates every carrier pair once, in row-major order, in
+        # row blocks that also cover the diagonal and the overridden pairs
+        assert calls == [(x, y) for _, x in points for _, y in points]
+        calls.clear()
         D = space.distance_matrix
         for i, a in enumerate(space.labels):
             for j, b in enumerate(space.labels):
                 assert space.distance(a, b) == D[i, j]
-        overridden = {(0.0, 1.0), (2.5, 0.0)}
-        want = [(x, y) for _, x in points for _, y in points if x != y and (x, y) not in overridden]
-        assert calls == want
+        assert calls == []
 
 
     @pytest.mark.parametrize("values, default, message", [
@@ -231,6 +234,18 @@ class TestDistanceTable:
         with pytest.raises((SpaceError, EvalError)) as err:
             FiniteSpace.build(zip("abcd", values), default)
         assert str(err.value) == message
+
+    def test_construction_peak_below_twice_the_table(self):
+        # the formula's temporaries and the undefined-pair mask are block-sized,
+        # so the build peaks near the table's own bytes
+        points = [(f"p{i}", i / 999) for i in range(1000)]
+        tracemalloc.start()
+        try:
+            space = FiniteSpace.build(points, "(x - y)^2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * space.distance_matrix.nbytes
 
     def test_image_distances_match_distance_value(self):
         bundle = build_example_final(5)
@@ -258,6 +273,64 @@ class TestDistanceTable:
         selfmap = SelfMap.hybrid({"a": "b"}, "x / 2")
         with pytest.raises(SpaceError, match="outside the labeled carrier"):
             pair_set(space, selfmap, 1.0)
+
+
+def reference_table(labels, values, source, overrides):
+    """The table pair by pair in row-major order: an override, else 0 on the
+    diagonal, else one scalar walk of the formula; the first pair that fails
+    or is negative raises."""
+    formula = parse(source, {"x", "y"})
+    table = np.empty((len(labels), len(labels)))
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if (a, b) in overrides or i == j:
+                table[i, j] = overrides.get((a, b), 0.0)
+                continue
+            d = evaluate(formula, {"x": values[i], "y": values[j]})
+            if d < 0.0:
+                raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+            table[i, j] = d
+    return table
+
+
+@st.composite
+def table_cases(draw):
+    values = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
+                                     st.floats(min_value=-50.0, max_value=50.0)),
+                           min_size=1, max_size=7, unique=True))
+    n = len(values)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    overrides = {(f"p{i}", f"p{j}"): 0.0 if i == j else draw(st.sampled_from([0.0, 0.5, 3.0]))
+                 for i, j in sorted(pairs)}
+    block = draw(st.sampled_from([1, n, 2 * n, rqbm.spaces._BLOCK]))
+    return values, to_source(draw(_exprs(("x", "y")))), overrides, block
+
+
+class TestTableConstructionOracle:
+    @example(case=([0.0, 1.0, 2.0], "sqrt(x - y)",  # every failing pair is overridden
+                   {("p0", "p1"): 1.0, ("p0", "p2"): 1.0, ("p1", "p2"): 1.0}, 1))
+    @example(case=([0.0, 1.0, 2.0], "sqrt(x - y)",
+                   {("p0", "p1"): 1.0, ("p0", "p2"): 1.0, ("p1", "p2"): 1.0}, 2 ** 14))
+    # ('p1', 'p0') is negative before ('p2', 'p0') fails, in one block or in three
+    @example(case=([0.0, 1.0, 10.0], "if(x > 5, sqrt(0 - x), y - x)", {}, 1))
+    @example(case=([0.0, 1.0, 10.0], "if(x > 5, sqrt(0 - x), y - x)", {}, 2 ** 14))
+    # the diagonal fails in the first block, the needed ('p1', 'p0') is negative in the second
+    @example(case=([0.0, 1.0, 2.0], "y - x + 0 * ln(abs(x - y))", {}, 1))
+    @given(table_cases())
+    def test_table_matches_pair_by_pair_reference(self, case):
+        values, source, overrides, block = case
+        labels = [f"p{i}" for i in range(len(values))]
+        try:
+            want = reference_table(labels, values, source, overrides).tobytes()
+        except (SpaceError, EvalError) as err:
+            want = (type(err), str(err))
+        try:
+            with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+                space = FiniteSpace.build(zip(labels, values), source, overrides)
+            got = space.distance_matrix.tobytes()
+        except (SpaceError, EvalError) as err:
+            got = (type(err), str(err))
+        assert got == want
 
 
 class TestNegativeAnalyticDistance:
