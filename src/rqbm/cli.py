@@ -1,19 +1,21 @@
 """Batch command-line front door with deterministic machine-readable reports.
 
 A report holds ``schema``, ``command``, ``config`` and ``passed``, then the
-command's sections.  Exit codes: 0 passed; 1 a check failed (witnesses are
-in the report); 2 usage or input error.  Reports are JSON (default) or
-aligned text; identical configurations produce byte-identical JSON.
+command's sections, which may be result objects.  Exit codes: 0 passed; 1 a
+check failed (witnesses are in the report); 2 usage or input error.  Reports
+are JSON (default), written straight from the result objects by
+``_report.to_json``, or aligned text, rendered from their ``plain`` copy;
+identical configurations produce byte-identical JSON.  Only the subcommand
+that argv names gets a parser of its own.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 
 from . import __version__
-from ._report import plain
+from ._report import plain, to_json
 from .contraction import (
     MapError,
     SelfMap,
@@ -68,10 +70,11 @@ class UsageError(Exception):
 # --------------------------------------------------------------------------
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
+    """Write ``report`` (results and all) to stdout, and to ``out`` when given."""
     if fmt == "json":
-        payload = json.dumps(report, indent=2, ensure_ascii=True) + "\n"
+        payload = to_json(report) + "\n"
     else:
-        payload = _render_text(report)
+        payload = _render_text(plain(report))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -378,21 +381,32 @@ def _cmd_instances(args) -> tuple[bool, dict, dict]:
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand; given ``argv``, only the subcommand it
-    names gets its arguments (the top-level help shows the others by name)."""
+    names gets a parser of its own (the top-level help shows the others by name)."""
     top = argparse.ArgumentParser(
         prog="rqbm",
         description="verify axioms, certify contractions, and solve fixed points "
         "on asymmetric generalized metric spaces",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+    # Each subcommand argv does not name keeps its name and summary in the
+    # choices and the top-level help, but one parser with no arguments stands
+    # in for all of them: their arguments end in argparse's own error.
+    stand_in = argparse.ArgumentParser(add_help=False)
+
+    def parser_class(*, unbuilt: bool = False, **kwargs) -> argparse.ArgumentParser:
+        return stand_in if unbuilt else argparse.ArgumentParser(**kwargs)
+
+    sub = top.add_subparsers(dest="command", required=True, parser_class=parser_class)
     # the top level takes no option values, so its first positional names the subcommand
     chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
     def command(name: str, summary: str, run, **defaults):
+        if chosen not in (None, name):
+            sub.add_parser(name, help=summary, unbuilt=True)
+            return None
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run, **defaults)
-        return p if chosen in (None, name) else None
+        return p
 
     if p := command("verify", "identity + quadrilateral axioms at a coefficient", _cmd_verify):
         _add_space_args(p)
@@ -476,8 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         msg = e.args[0] if (isinstance(e, KeyError) and e.args) else str(e)
         sys.stderr.write(f"error: {msg}\n")
         return 2
-    report = plain({"schema": SCHEMA, "command": args.command, "config": config,
-                    "passed": passed, **sections})
+    report = {"schema": SCHEMA, "command": args.command, "config": config,
+              "passed": passed, **sections}
     try:
         _emit(report, args.format, args.out)  # opens --out before stdout is written
     except OSError as e:

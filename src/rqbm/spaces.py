@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import expr as ex
-from ._report import Result
+from ._report import Result, to_json
 
 __all__ = [
     "FiniteSpace",
@@ -889,6 +889,6 @@ def load_space(path: str) -> Space:
 
 
 def dump_space(space: Space, path: str) -> None:
+    text = to_json(space_to_dict(space)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_dict(space), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

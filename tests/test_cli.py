@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 import rqbm.cli
 import rqbm.spaces
+from rqbm._report import Result, plain
 from rqbm.cli import MAX_POINTS, _grid_size, main
 
 
@@ -682,7 +684,10 @@ class TestReportShape:
 
     @staticmethod
     def plain_types(value) -> set:
-        """The exact types anywhere in a report tree."""
+        """The exact types anywhere in a report tree, each result expanded to
+        its report as the JSON writer expands it."""
+        if isinstance(value, Result):
+            return TestReportShape.plain_types(value.to_dict())
         if isinstance(value, dict):
             return {dict}.union(*map(TestReportShape.plain_types, value.values()))
         if isinstance(value, (list, tuple)):
@@ -755,6 +760,41 @@ class TestParserBuildsOnlyTheChosenSubcommand:
         with pytest.raises(SystemExit):
             parser.parse_args(["verify", "--instance", "example-2-3"])
         assert "unrecognized arguments: --instance example-2-3" in capsys.readouterr().err
+
+
+def _workload_commands() -> list[list[str]]:
+    """Every command of the three benchmark workloads at seed 0."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [c["argv"] for w in workloads.WORKLOADS for c in workloads.commands(w, 0)]
+
+
+class TestOneJsonWriter:
+    COMMANDS = _workload_commands()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:3]) for a in COMMANDS])
+    def test_reports_skip_json_and_the_plain_copy(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report went through the json module's encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+        copies = []
+        monkeypatch.setattr(rqbm.cli, "plain", lambda tree: copies.append(tree) or plain(tree))
+        # instances list refuses --out
+        out = [] if argv[:2] == ["instances", "list"] else ["--out", str(tmp_path / "report")]
+        code, report, err = run(capsys, *argv, *out)
+        assert copies == [] and err == ""
+        text_code, text, _ = run(capsys, *argv, "--format", "text")
+        assert len(copies) == 1 and text_code == code
+        # the text renders the tree the JSON holds
+        assert text == rqbm.cli._render_text(json.loads(report))
+        if out:
+            assert (tmp_path / "report").read_text() == report
+            run(capsys, *argv, "--format", "text", *out)
+            assert (tmp_path / "report").read_text() == text
 
 
 class TestRefusedInputs:

@@ -26,7 +26,11 @@ demo's path for argv, so that a change to the library API shows in its
 public examples.  Last come falsify cases whose seeded draws take different
 paths: seeds of one to five 32-bit words in one stack, a negative seed, the
 two-point table, the adversarial profile's integer draw, and trials over
-three chunks.
+three chunks, each again with ``--format text``.  Last of all come the
+commands that write a file, each to a fixed temp path that is removed
+first: reports written with ``--out`` (JSON and text) and instance exports.
+Their lines add the file's digest (``-`` when none was written) before the
+argv.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -199,6 +203,21 @@ SCAN_CASES = [
       for command in ("verify", "min-s", "contraction")),
 ]
 
+# commands that write a file at their last argument: reports also written
+# with --out, in both formats and with one of the large falsify reports, and
+# the instance exports of a formula and of two finite carriers
+OUT_FILE = str(Path(tempfile.gettempdir()) / "rqbm-out.txt")
+FILE_CASES = [
+    *([*argv, *fmt, "--out", OUT_FILE] for fmt in ([], ["--format", "text"]) for argv in [
+        ["verify", "--instance", "example-2-3", "--s", "2.8"],
+        ["solve", "--instance", "example-final", "--start", "1/3", "--uniqueness-starts", "all"],
+        ["falsify", "--profile", "metric", "--size", "8", "--trials", "600"],
+    ]),
+    *(["instances", "export", "--name", name, *grid, "--out", OUT_FILE]
+      for name, grid in [("example-sqrt", []), ("example-2-3", []),
+                         ("example-final", ["--grid", "5"])]),
+]
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -215,6 +234,15 @@ def _digest(run, name: str) -> str:
 
 def digest_line(argv: list[str]) -> str:
     return _digest(lambda: rqbm.cli.main(argv), shlex.join(argv))
+
+
+def file_line(argv: list[str]) -> str:
+    """``digest_line`` with the digest of the file written at ``argv[-1]`` before the argv."""
+    path = Path(argv[-1])
+    path.unlink(missing_ok=True)
+    code, out, err, name = digest_line(argv).split(" ", 3)
+    written = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+    return f"{code} {out} {err} {written} {name}"
 
 
 def demo_line(path: Path) -> str:
@@ -251,8 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         print(digest_line(run), flush=True)
     for path in DEMOS:
         print(demo_line(path), flush=True)
-    for run in FALSIFY_CASES:
+    for run in FALSIFY_CASES + [run + ["--format", "text"] for run in FALSIFY_CASES]:
         print(digest_line(run), flush=True)
+    for run in FILE_CASES:
+        print(file_line(run), flush=True)
     return 0
 
 
