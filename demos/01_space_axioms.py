@@ -13,6 +13,7 @@ Run: python demos/01_space_axioms.py
 """
 from rqbm import (
     build_example_2_3,
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -47,14 +48,17 @@ print("d(a, b) =", tiny.distance("a", "b"), " (table)")
 print("d(b, a) =", tiny.distance("b", "a"), " (table, other direction)")
 print("d(a, c) =", tiny.distance("a", "c"), " (formula default)")
 
-identity = check_identity_axiom(tiny)
+# Every check reads a carrier sample, built once per space and passed to
+# each check: all labels of a finite space, or a grid on an interval.
+sample = carrier_sample(tiny)
+identity = check_identity_axiom(sample)
 print("identity axiom:", "pass" if identity.passed else "fail")
 
-quad = check_b_rectangular(tiny, 3.0)
+quad = check_b_rectangular(sample, 3.0)
 print(f"quadrilateral at s=3: {'pass' if quad.passed else 'fail'} "
       f"({quad.quadruples_checked} quadruples)")
 
-bound = minimal_rectangular_coefficient(tiny)
+bound = minimal_rectangular_coefficient(sample)
 print("tightest coefficient on this space:", bound.value)
 print("attained at:", bound.witness.to_dict())
 
@@ -69,16 +73,17 @@ print("rho(1/2, 1/3) =", space.distance("1/2", "1/3"))
 print("rho(1/3, 1/2) =", space.distance("1/3", "1/2"))
 print("rho(1, 2)     =", space.distance("1", "2"), " (default formula)")
 
-report = check_b_rectangular(space, 3.0)
+sample = carrier_sample(space)
+report = check_b_rectangular(sample, 3.0)
 print(f"claimed coefficient 3: {'holds' if report.passed else 'falsified'} "
       f"over {report.quadruples_checked} quadruples")
 
-bound = minimal_rectangular_coefficient(space)
+bound = minimal_rectangular_coefficient(sample)
 print("tightest coefficient:", bound.value)
 
 # Classification runs every scan at once: symmetry, metric and b-metric
 # triangles, the s = 1 quadrilateral, and the quadrilateral at claimed s.
-result = classify(space)
+result = classify(sample)
 print()
 print("classification:")
 for key, val in result.to_dict().items():
@@ -95,6 +100,6 @@ small = space_from_dict({
     "overrides": [],
     "claimed_s": None,
 })
-vac = check_b_rectangular(small, 1.0)
+vac = check_b_rectangular(carrier_sample(small), 1.0)
 print()
 print(f"3-point space: passed={vac.passed}, vacuous={vac.vacuous}")

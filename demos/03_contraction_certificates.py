@@ -10,8 +10,9 @@ d(Tx, Ty) > 0:
 
 A certificate either passes with the worst observed slack or carries a
 replayable witness pair.  Skipped pairs are counted, never silently passed.
-Each check reads a pair set built once by ``pair_set``; a check and
-``best_exponent`` on the same space, map, s and sampling can share one.
+Each check reads a pair set built once by ``pair_set`` from a carrier
+sample (``carrier_sample``: all labels, or a grid on an interval); a check
+and ``best_exponent`` on the same sample, map, s and seed can share one.
 
 Run: python demos/03_contraction_certificates.py
 """
@@ -20,6 +21,7 @@ from rqbm import (
     build_example_final,
     build_example_sqrt,
     builtin_phi,
+    carrier_sample,
     check_linear_contraction,
     check_theta_contraction,
     check_theta_phi_contraction,
@@ -49,7 +51,7 @@ print(BAR)
 passes = {}
 for variant in ("sqrt", "fourth_root"):
     b = build_example_sqrt(variant)
-    passes[variant] = pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=50)
+    passes[variant] = pair_set(carrier_sample(b.space, 50), b.selfmap, 2.0, b.theta)
     cert = check_theta_contraction(passes[variant], 0.5)
     print(f"map {variant}:")
     show(cert)
@@ -68,7 +70,8 @@ print(BAR)
 print("composed form on the 4-point table over [1/2, 3/2], s = 3")
 print(BAR)
 b = build_example_final()
-cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
+cert = check_theta_phi_contraction(pair_set(carrier_sample(b.space), b.selfmap, 3.0, b.theta),
+                                   b.phi)
 show(cert)
 
 # The linear form with k = 0.9 fails for nearly equal arguments, where
@@ -78,7 +81,7 @@ print(BAR)
 print("linear form on the interval, k = 0.9, s = 2")
 print(BAR)
 b = build_example_sqrt("sqrt")
-cert = check_linear_contraction(pair_set(b.space, b.selfmap, 2.0, grid_points=50), 0.9)
+cert = check_linear_contraction(pair_set(carrier_sample(b.space, 50), b.selfmap, 2.0), 0.9)
 show(cert)
 
 # With the power family phi(t) = t^r the composed form reduces to the
@@ -88,7 +91,7 @@ print(BAR)
 print("reduction identity: composed with t^r equals exponent with r")
 print(BAR)
 b = build_example_sqrt("fourth_root")
-pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=30)
+pairs = pair_set(carrier_sample(b.space, 30), b.selfmap, 2.0, b.theta)
 for r in (0.3, 0.5, 0.8):
     a = check_theta_contraction(pairs, r)
     c = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))

@@ -15,6 +15,7 @@ the quadrilateral inequality.
 Run: python demos/05_falsification.py
 """
 from rqbm import (
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -29,9 +30,9 @@ print(BAR)
 print("what the three profiles look like (seed 1, n = 5)")
 print(BAR)
 for profile in ("metric", "quasi", "adversarial"):
-    space = random_space(5, 1, profile)
-    result = classify(space)
-    bound = minimal_rectangular_coefficient(space)
+    sample = carrier_sample(random_space(5, 1, profile))  # one sample for both checks
+    result = classify(sample)
+    bound = minimal_rectangular_coefficient(sample)
     print(f"  {profile:<12} symmetric={str(result.is_symmetric):<5} "
           f"metric={str(result.is_metric):<5} "
           f"holds at claimed s={result.is_rqb_at_s}  "
@@ -49,11 +50,11 @@ for seed in range(trials):
     base = random_space(5, seed, profile)
 
     broken = perturb(base, "break_identity", seed)
-    if not check_identity_axiom(broken).passed:
+    if not check_identity_axiom(carrier_sample(broken)).passed:
         caught_identity += 1
 
     broken = perturb(base, "break_quadrilateral", seed)
-    if not check_b_rectangular(broken, base.claimed_s, max_violations=1).passed:
+    if not check_b_rectangular(carrier_sample(broken), base.claimed_s, max_violations=1).passed:
         caught_quadrilateral += 1
 
 print(f"  identity defects caught:      {caught_identity}/{trials}")
@@ -65,7 +66,7 @@ print("one defect in detail (seed 7, quasi)")
 print(BAR)
 base = random_space(5, 7, "quasi")
 broken = perturb(base, "break_quadrilateral", 7)
-report = check_b_rectangular(broken, base.claimed_s, max_violations=3)
+report = check_b_rectangular(carrier_sample(broken), base.claimed_s, max_violations=3)
 print(f"check at claimed coefficient {base.claimed_s}: "
       f"{report.violation_count} violations")
 witness = report.violations[0]

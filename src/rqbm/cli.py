@@ -41,6 +41,7 @@ from .spaces import (
     SpaceError,
     _identity_verdicts,
     _rectangular_verdicts,
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -157,8 +158,9 @@ def _resolve_space(args) -> tuple:
     return bundle.space, bundle, {"instance": args.instance}
 
 
-def _scan_grid(args) -> int:
-    return args.grid if args.grid else DEFAULT_GRID_POINTS
+def _sample(space, args):
+    """The one carrier sample a command reads (``--grid`` sets its density)."""
+    return carrier_sample(space, args.grid or DEFAULT_GRID_POINTS)
 
 
 def _parse_start(space, text: str):
@@ -178,31 +180,23 @@ def _parse_start(space, text: str):
 def _cmd_verify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
     s = args.s if args.s is not None else (space.claimed_s or 1.0)
-    grid = _scan_grid(args)
-    identity = check_identity_axiom(space, grid)
-    rect = check_b_rectangular(space, s, grid_points=grid, seed=args.seed, max_violations=100)
+    sample = _sample(space, args)  # one grid for both checks
+    identity = check_identity_axiom(sample)
+    rect = check_b_rectangular(sample, s, seed=args.seed, max_violations=100)
     return (identity.passed and rect.passed, {**src, "s": s, "seed": args.seed},
             {"identity": identity, "quadrilateral": rect})
 
 
 def _cmd_classify(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
-    result = classify(
-        space, args.s, grid_points=_scan_grid(args), seed=args.seed
-    )
-    clean = (
-        result.is_quasi_identity
-        and result.is_symmetric
-        and result.is_rqb_at_s
-    )
+    result = classify(_sample(space, args), args.s, seed=args.seed)
+    clean = result.is_quasi_identity and result.is_symmetric and result.is_rqb_at_s
     return clean, {**src, "s": result.s, "seed": args.seed}, {"classification": result}
 
 
 def _cmd_min_s(args) -> tuple[bool, dict, dict]:
     space, bundle, src = _resolve_space(args)
-    bound = minimal_rectangular_coefficient(
-        space, grid_points=_scan_grid(args), seed=args.seed
-    )
+    bound = minimal_rectangular_coefficient(_sample(space, args), seed=args.seed)
     return True, {**src, "seed": args.seed}, {"minimal_coefficient": bound}
 
 
@@ -267,8 +261,8 @@ def _cmd_contraction(args) -> tuple[bool, dict, dict]:
         raise UsageError(f"unknown contraction kind {args.kind!r}")
     if args.best_exponent and theta is None:
         raise UsageError("--best-exponent needs --theta (the space or instance carries none)")
-    # one pair set for the check and --best-exponent
-    pairs = pair_set(space, selfmap, s, theta, grid_points=_scan_grid(args), seed=args.seed)
+    # one pair set for the check and --best-exponent, its sample built after every usage check
+    pairs = pair_set(_sample(space, args), selfmap, s, theta, seed=args.seed)
     cert = check(pairs)
     sections = {"certificate": cert}
     if args.best_exponent:

@@ -1,9 +1,8 @@
 """Self-maps and contraction-condition certificates.
 
-Three conditions are decided over a pair set (every ordered pair of the
-carrier sample the axiom checks read, plus seeded random pairs on analytic
-spaces), each as an implication
-whose antecedent is a positive image distance d(Tx, Ty) > 0:
+Three conditions are decided over a pair set (every ordered pair of a
+carrier sample, plus seeded random pairs on analytic spaces), each as an
+implication whose antecedent is a positive image distance d(Tx, Ty) > 0:
 
 * exponent form:   theta(s^2 * d(Tx, Ty)) <= theta(d(x, y)) ** r,  0 < r < 1;
 * composed form:   theta(s^2 * d(Tx, Ty)) <= phi(theta(d(x, y)));
@@ -14,12 +13,13 @@ vacuous certificate is visually distinct.  A pair with d(x, y) = 0 but
 d(Tx, Ty) > 0 puts theta outside its domain and is reported as a
 domain-violation failure for the two theta forms.
 
-``pair_set`` is the one pass over the pairs: it validates s, enumerates
-and masks the pair set, and evaluates the map and (when given) theta.  The
-three checks and ``best_exponent`` read a set the caller built, and each
-supplies only its own right-hand side, so one command builds one set and
-passes it to every operation it runs.  Nothing is kept on the space or the
-map after a call.
+``pair_set`` is the one pass over the pairs of a carrier sample
+(``spaces.carrier_sample``, the sample the axiom checks read): it validates
+s, enumerates and masks the pair set, and evaluates the map and (when given)
+theta.  The three checks and ``best_exponent`` read a set the caller built,
+and each supplies only its own right-hand side, so one command builds one
+sample and one set and passes them to every operation it runs.  Nothing is
+kept on the space or the map after a call.
 """
 from __future__ import annotations
 
@@ -32,14 +32,12 @@ import numpy as np
 from . import expr as ex
 from ._report import Result
 from .spaces import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_RANDOM_SAMPLES,
     DEFAULT_TOL,
     AnalyticSpace,
     FiniteSpace,
+    Sample,
     Space,
-    _points_of,
-    _streams,
 )
 from .thetaphi import PhiSpec, ThetaSpec
 
@@ -270,41 +268,40 @@ class PairSet:
 
 
 def pair_set(
-    space: Space,
+    sample: Sample,
     selfmap: SelfMap,
     s: float,
     theta: ThetaSpec | None = None,
     *,
-    grid_points: int = DEFAULT_GRID_POINTS,
     random_pairs: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
 ) -> PairSet:
-    """The pair set of ``selfmap`` on ``space`` at coefficient s >= 1.
+    """The pair set of ``selfmap`` on the sample's space at coefficient s >= 1.
 
-    Its pairs are every ordered pair of the carrier sample (all labels, or a
-    grid of ``grid_points``) in row-major order, then on an analytic space
-    ``random_pairs`` seeded uniform pairs ``zip(xs, ys)``; a pair with image
-    distance 0 is skipped.  With ``theta`` the set also holds theta at
-    s^2 d(Tx,Ty) and at d(x,y) and the exponent ratios, and a pair with
-    d(x,y) = 0 and a positive image distance leaves theta's domain and is not
-    checked.  The map and theta are evaluated here only: the theta forms and
-    ``best_exponent`` need a set built with theta, the linear form reads any.
+    Its pairs are every ordered pair of the carrier ``sample`` in row-major
+    order, then on an analytic space ``random_pairs`` seeded uniform pairs
+    ``zip(xs, ys)``; a pair with image distance 0 is skipped.  With ``theta``
+    the set also holds theta at s^2 d(Tx,Ty) and at d(x,y) and the exponent
+    ratios, and a pair with d(x,y) = 0 and a positive image distance leaves
+    theta's domain and is not checked.  The map and theta are evaluated here
+    only: the theta forms and ``best_exponent`` need a set built with theta,
+    the linear form reads any.
     """
     if not s >= 1.0:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
     if s == math.inf:
         raise ValueError(f"coefficient s must be finite, got {s}")
+    space, n = sample.space, len(sample.names)
     selfmap.check_total(space)
-    names, values, D, carrier = _points_of(space, grid_points)
-    n = len(names)
-    image = selfmap.apply_array(space, values)
+    image = selfmap.apply_array(space, sample.values)
     # the table's rows and columns follow the names, so ravel() is in pair order
     d_img = space.distance_value(image[:, None], image[None, :]).ravel()
-    d_pre = D.ravel()
-    source = f"{carrier.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
+    d_pre = sample.table.ravel()
+    source = f"{sample.source.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
     xs = ys = np.empty(0)
     if isinstance(space, AnalyticSpace) and random_pairs > 0:
-        rng = _streams([seed])
+        from ._pcg import Streams  # loaded at the first draw, as ``spaces`` loads it
+        rng = Streams([seed])
         xs, ys = (rng.uniform(space.lo, space.hi, random_pairs)[0] for _ in range(2))
         # no local keeps the images: they are freed before theta runs
         d_img = np.concatenate([d_img, space.distance_value(
@@ -325,7 +322,7 @@ def pair_set(
     for array in (xs, ys, d_img, d_pre, skipped, checked, th_img, th_pre, ratio):
         if array is not None:
             array.flags.writeable = False
-    return PairSet(s, theta, tuple(names), xs, ys, source, d_img, d_pre, skipped, checked,
+    return PairSet(s, theta, sample.names, xs, ys, source, d_img, d_pre, skipped, checked,
                    th_img, th_pre, ratio)
 
 

@@ -9,9 +9,11 @@ checkers decide which axioms hold:
   quadruple (``u``, ``v`` distinct and each different from ``x`` and ``y``);
 * the classical symmetry / triangle variants used by the classifier.
 
-Finite spaces are scanned exhaustively; analytic spaces are sampled on a
-uniform grid (exhaustive over grid quadruples) plus seeded random quadruples.
-One pass over those quadruples serves all three quadrilateral operations
+Every check reads a carrier sample, which the caller builds once with
+``carrier_sample`` and passes to each check it runs: every label of a finite
+space, or a uniform grid of an analytic one.  Each scan is exhaustive over
+the sample's quadruples, plus seeded random ones on an analytic space.  One
+pass over those quadruples serves all three quadrilateral operations
 (``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
 ``classify``): it counts every violation and tracks the supremum ratio.  Its
 stage 1 is the same min-plus kernel that checks a whole stack of tables at
@@ -47,6 +49,8 @@ __all__ = [
     "RectangularReport",
     "CoefficientBound",
     "Classification",
+    "Sample",
+    "carrier_sample",
     "check_identity_axiom",
     "check_b_rectangular",
     "minimal_rectangular_coefficient",
@@ -312,6 +316,30 @@ def _refuse_negative(d, a, b, names=None) -> None:
 Space = FiniteSpace | AnalyticSpace
 
 
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """The carrier the checks read: point names (labels, or the grid's floats),
+    their values and the table, in name order.  Built by ``carrier_sample``;
+    its arrays are read-only, so one sample serves any number of checks."""
+
+    space: Space
+    names: tuple
+    values: np.ndarray
+    table: np.ndarray
+    source: str  # "exhaustive" or "grid:G"
+
+
+def carrier_sample(space: Space, grid_points: int = DEFAULT_GRID_POINTS) -> Sample:
+    """Every label of a finite space, with the space's own arrays, or the grid
+    of ``grid_points`` of an analytic space, its table evaluated here once."""
+    if isinstance(space, FiniteSpace):
+        return Sample(space, space.labels, space.values, space.distance_matrix, "exhaustive")
+    g = space.grid(grid_points)
+    D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
+    g.flags.writeable = D.flags.writeable = False
+    return Sample(space, tuple(g.tolist()), g, D, f"grid:{grid_points}")
+
+
 # --------------------------------------------------------------------------
 # Reports (``to_dict`` is the shared ``Result`` report form)
 # --------------------------------------------------------------------------
@@ -563,8 +591,7 @@ def _streams(seeds, salt: int | None = None):
 
 
 def _quadrilateral_pass(
-    space: Space,
-    sample: tuple,
+    sample: Sample,
     checks: list[tuple[float, float]],
     keep: int | None,
     random_samples: int,
@@ -575,10 +602,10 @@ def _quadrilateral_pass(
     """The one pass over admissible quadruples behind every quadrilateral operation.
 
     Quadruples come in lexicographic (x, u, v, y) point-index order over the
-    carrier ``sample`` of ``_points_of``, then, for analytic spaces,
-    ``random_samples`` seeded uniform ones.  Per ``(s, tol)`` in ``checks`` it
-    counts the quadruples with ``lhs > s * rhs + tol`` (when ``exact``, else a
-    count is only zero or positive).  With checks, it keeps the first
+    carrier ``sample``, then, for an analytic space, ``random_samples``
+    seeded uniform ones.  Per ``(s, tol)`` in ``checks`` it counts the
+    quadruples with ``lhs > s * rhs + tol`` (when ``exact``, else a count is
+    only zero or positive).  With checks, it keeps the first
     ``keep`` violations of the last one (all when None); without, ``keep``
     must be 0.  The supremum of lhs / rhs comes with its first maximiser:
     rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
@@ -595,7 +622,7 @@ def _quadrilateral_pass(
     ``supremum`` no ratio is taken and ``bound`` carries no value and no
     witness.
     """
-    pts, _, D, source = sample
+    pts, D, source, space = sample.names, sample.table, sample.source, sample.space
     n = len(pts)
     checked = n * (n - 1) * (n - 2) * (n - 3)
     room = sys.maxsize if keep is None else keep
@@ -664,13 +691,9 @@ def _quadrilateral_pass(
 # Operations
 # --------------------------------------------------------------------------
 
-def check_identity_axiom(space: Space, grid_points: int = DEFAULT_GRID_POINTS) -> IdentityReport:
-    """Check d(a, b) = 0 exactly when a = b, over all pairs or a sampling grid."""
-    pts, _, D, _ = _points_of(space, grid_points)
-    return _identity(pts, D)
-
-
-def _identity(pts: Sequence, D: np.ndarray) -> IdentityReport:
+def check_identity_axiom(sample: Sample) -> IdentityReport:
+    """Check d(a, b) = 0 exactly when a = b, over every pair of the sample."""
+    pts, D = sample.names, sample.table
     bad = _identity_breaks(D)
     zero_off = [(pts[i], pts[j]) for i, j in np.argwhere(bad) if i != j]
     nonzero_diag = [(pts[i], float(D[i, i])) for i in np.flatnonzero(bad.diagonal())]
@@ -693,22 +716,10 @@ def _identity_verdicts(tables: np.ndarray) -> np.ndarray:
     return _identity_breaks(tables).any(axis=(1, 2))
 
 
-def _points_of(space: Space, grid_points: int):
-    """The carrier sample every check reads: the point names (labels, or the
-    grid's floats), their values, the distance table and the source.  An
-    analytic space evaluates its grid on every call; nothing is kept."""
-    if isinstance(space, FiniteSpace):
-        return space.labels, space.values, space.distance_matrix, "exhaustive"
-    g = space.grid(grid_points)
-    D = np.asarray(space.distance_value(g[:, None], g[None, :]), dtype=np.float64)
-    return g.tolist(), g, D, f"grid:{grid_points}"
-
-
 def check_b_rectangular(
-    space: Space,
+    sample: Sample,
     s: float,
     *,
-    grid_points: int = DEFAULT_GRID_POINTS,
     random_samples: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -716,21 +727,17 @@ def check_b_rectangular(
 ) -> RectangularReport:
     """Check the quadrilateral inequality at coefficient ``s``.
 
-    Finite spaces are scanned over every admissible quadruple; fewer than four
-    points is reported as a vacuous pass.  Analytic spaces are scanned
-    exhaustively over the grid quadruples plus ``random_samples`` seeded
-    uniform quadruples.  ``violation_count`` counts every violation;
+    Every admissible quadruple of the sample is scanned, then on an analytic
+    space ``random_samples`` seeded uniform ones; fewer than four points is
+    reported as a vacuous pass.  ``violation_count`` counts every violation;
     ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
     in scan order.
     """
-    # s, then max_violations, refused before the grid is evaluated
     checks = _scan_checks([(s, tol)])
     if max_violations is not None and max_violations < 0:
         raise ValueError("max_violations must be >= 0")
     bound, [count], violations = _quadrilateral_pass(
-        space, _points_of(space, grid_points), checks, max_violations, random_samples, seed,
-        supremum=False,
-    )
+        sample, checks, max_violations, random_samples, seed, supremum=False)
     return RectangularReport(
         s=s,
         tol=tol,
@@ -744,9 +751,8 @@ def check_b_rectangular(
 
 
 def minimal_rectangular_coefficient(
-    space: Space,
+    sample: Sample,
     *,
-    grid_points: int = DEFAULT_GRID_POINTS,
     random_samples: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
 ) -> CoefficientBound:
@@ -756,26 +762,23 @@ def minimal_rectangular_coefficient(
     makes the result infinite.  Returns value ``None`` when no admissible
     quadruple exists.  The witness is the first maximiser in scan order.
     """
-    bound, _, _ = _quadrilateral_pass(space, _points_of(space, grid_points), [], 0,
-                                      random_samples, seed)
+    bound, _, _ = _quadrilateral_pass(sample, [], 0, random_samples, seed)
     return bound
 
 
 def classify(
-    space: Space,
+    sample: Sample,
     s: float | None = None,
     *,
-    grid_points: int = DEFAULT_GRID_POINTS,
     random_samples: int = DEFAULT_RANDOM_SAMPLES,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> Classification:
     """Decide every class membership: symmetry, metric, b-metric, rectangular, RQB."""
     if s is None:
-        s = space.claimed_s if space.claimed_s is not None else 1.0
-    sample = _points_of(space, grid_points)  # one grid for every check below
-    pts, _, D, _ = sample
-    identity = _identity(pts, D)
+        s = 1.0 if sample.space.claimed_s is None else sample.space.claimed_s
+    pts, D = sample.names, sample.table
+    identity = check_identity_axiom(sample)
     asym = tuple(
         (pts[i], pts[j], float(D[i, j]), float(D[j, i]))
         for i, j in np.argwhere(np.triu(np.abs(D - D.T), k=1) > tol)
@@ -783,7 +786,7 @@ def classify(
     is_symmetric = not asym
     # the s = 1 check only needs its verdict; the last check, at s, keeps one witness
     checks = _scan_checks([(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)])
-    bound, counts, first_s = _quadrilateral_pass(space, sample, checks, 1, random_samples, seed,
+    bound, counts, first_s = _quadrilateral_pass(sample, checks, 1, random_samples, seed,
                                                  exact=False)
     count_1, count_s = counts[0], counts[-1]
     tri_1 = _first_triangle(pts, D, 1.0, tol)

@@ -28,6 +28,7 @@ from rqbm.instances import (
 )
 from rqbm.solver import cauchy_diagnostics, picard_iterate, uniqueness_scan
 from rqbm.spaces import (
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     space_to_dict,
@@ -97,7 +98,7 @@ def test_criterion_2_minimal_coefficient(capsys):
 def test_criterion_3_sampled_verification_at_two():
     space = build_example_sqrt("sqrt").space
     report = check_b_rectangular(
-        space, 2.0, grid_points=40, random_samples=10_000, seed=0, tol=1e-9,
+        carrier_sample(space, 40), 2.0, random_samples=10_000, seed=0, tol=1e-9,
         max_violations=1,
     )
     announce("3a", report.violation_count == 0,
@@ -109,11 +110,11 @@ def test_criterion_3_coefficient_one_and_true_bound():
     t0 = time.perf_counter()
     space = build_example_sqrt("sqrt").space
     at_one = check_b_rectangular(
-        space, 1.0, grid_points=40, random_samples=10_000, seed=0, tol=1e-9,
+        carrier_sample(space, 40), 1.0, random_samples=10_000, seed=0, tol=1e-9,
         max_violations=1,
     )
     at_three = check_b_rectangular(
-        space, 3.0, grid_points=40, random_samples=10_000, seed=0, tol=1e-9,
+        carrier_sample(space, 40), 3.0, random_samples=10_000, seed=0, tol=1e-9,
         max_violations=1,
     )
     elapsed = time.perf_counter() - t0
@@ -156,7 +157,7 @@ def test_criterion_5_final_example_end_to_end():
     all_at_one = scan.passed and abs(scan.representative - 1.0) < 1e-8
 
     wide = build_example_final(grid_points=50)
-    pairs = pair_set(wide.space, wide.selfmap, 3.0, wide.theta)
+    pairs = pair_set(carrier_sample(wide.space), wide.selfmap, 3.0, wide.theta)
     cert = check_theta_phi_contraction(pairs, wide.phi)
     phi_pre = wide.phi(pairs.th_pre)
     # independent oracle: direct re-evaluation of the composed inequality
@@ -218,7 +219,7 @@ def test_criterion_6_reduction_identity():
         target = space.labels[int(rng.integers(len(space.labels)))]
         selfmap = affine_toward(space, target, 0.5)
         for r in (0.3, 0.5, 0.8):
-            pairs = pair_set(space, selfmap, 4.0, theta)
+            pairs = pair_set(carrier_sample(space), selfmap, 4.0, theta)
             a = check_theta_contraction(pairs, r)
             b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
             assert a.verdict == b.verdict, (seed, r)
@@ -241,10 +242,10 @@ def test_criterion_7_falsification_suite():
         base = random_space(5, seed, profile)
         s = base.claimed_s
         broken_id = perturb(base, "break_identity", seed)
-        if not check_identity_axiom(broken_id).passed:
+        if not check_identity_axiom(carrier_sample(broken_id)).passed:
             detected_identity += 1
         broken_quad = perturb(base, "break_quadrilateral", seed)
-        if not check_b_rectangular(broken_quad, s, max_violations=1).passed:
+        if not check_b_rectangular(carrier_sample(broken_quad), s, max_violations=1).passed:
             detected_quad += 1
     elapsed = time.perf_counter() - t0
     ok = detected_identity == 100 and detected_quad == 100 and elapsed < 30.0

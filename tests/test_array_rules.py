@@ -1,15 +1,16 @@
 """Oracle tests for the array rules of the theta/phi validators and the series
 diagnostics, against the per-element loops they replaced, and for the grid
-table an analytic space evaluates on each call."""
+table an analytic carrier sample evaluates once, for every check that reads it."""
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm.cli
 import rqbm.expr
 from rqbm.instances import build_example_sqrt
 from rqbm.solver import SeriesDiagnostic, _diag_series
-from rqbm.spaces import _points_of, classify
+from rqbm.spaces import carrier_sample, classify
 from rqbm.thetaphi import (
     _FIXPOINT_TOL,
     _JUMP_FACTOR,
@@ -311,12 +312,17 @@ class TestAnalyticGridTable:
 
     def test_each_call_evaluates_its_grid(self, shapes):
         space = build_example_sqrt().space
-        first = _points_of(space, 5)
-        again = _points_of(space, 5)  # nothing is kept on the space
-        assert shapes.count((5, 5)) == 2 and again[2] is not first[2]
-        assert again[2].tolist() == first[2].tolist() and again[0] == first[0]
+        first = carrier_sample(space, 5)
+        again = carrier_sample(space, 5)  # nothing is kept on the space
+        assert shapes.count((5, 5)) == 2 and again.table is not first.table
+        assert again.table.tolist() == first.table.tolist() and again.names == first.names
         assert "_sample" not in vars(space)
 
     def test_classify_evaluates_one_grid(self, shapes):
-        classify(build_example_sqrt().space)
+        classify(carrier_sample(build_example_sqrt().space))
+        assert [shape for shape in shapes if len(shape) == 2] == [(40, 40)]
+
+    def test_verify_evaluates_one_grid(self, shapes, capsys):
+        # the identity and quadrilateral checks read one carrier sample
+        assert rqbm.cli.main(["verify", "--instance", "example-sqrt"]) == 1
         assert [shape for shape in shapes if len(shape) == 2] == [(40, 40)]

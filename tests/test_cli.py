@@ -184,13 +184,14 @@ class TestContraction:
     ], ids=lambda k: k[1])
     def test_best_exponent_matches_the_library_call(self, capsys, kind):
         from rqbm.contraction import best_exponent, pair_set
+        from rqbm.spaces import carrier_sample
         from rqbm.instances import get_instance
 
         bundle = get_instance("example-final", 11)
         _, report, _ = run_json(capsys, "contraction", "--instance", "example-final",
                                 "--grid", "11", *kind, "--best-exponent")
-        want = best_exponent(pair_set(bundle.space, bundle.selfmap, bundle.space.claimed_s,
-                                      bundle.theta, grid_points=11))
+        want = best_exponent(pair_set(carrier_sample(bundle.space, 11), bundle.selfmap,
+                                      bundle.space.claimed_s, bundle.theta))
         assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
 
     def test_theta_is_parsed_only_where_it_is_read(self, capsys):
@@ -568,7 +569,7 @@ class TestErrorPaths:
 
 
 class TestVerifyGridEvaluations:
-    def test_one_grid_evaluation_per_check(self, capsys, monkeypatch):
+    def test_one_grid_evaluation_for_both_checks(self, capsys, monkeypatch):
         import rqbm.expr
 
         shapes = []
@@ -581,8 +582,8 @@ class TestVerifyGridEvaluations:
         monkeypatch.setattr(rqbm.expr, "evaluate", recording)
         code, report, _ = run_json(capsys, "verify", "--instance", "example-sqrt", "--grid", "5")
         assert code in (0, 1) and report["identity"]["pairs_checked"] == 25
-        # the identity and quadrilateral checks each evaluate their own grid
-        assert shapes.count((5, 5)) == 2
+        # the identity and quadrilateral checks read one carrier sample
+        assert shapes.count((5, 5)) == 1
 
 
 class TestVerifySkipsTheSupremum:

@@ -24,7 +24,7 @@ from rqbm.instances import (
     build_example_sqrt,
     random_space,
 )
-from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError
+from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError, carrier_sample
 from rqbm.thetaphi import builtin_phi, builtin_theta
 
 # closed forms of the builtin thetas and phis, on numpy scalars: numpy's
@@ -116,7 +116,7 @@ class TestHybridMapImages:
         with pytest.raises(EvalError) as want:
             selfmap.apply_label(bundle.space, failing[0])
         with pytest.raises(EvalError) as got:
-            pair_set(bundle.space, selfmap, 3.0)
+            pair_set(carrier_sample(bundle.space), selfmap, 3.0)
         assert str(got.value) == str(want.value)
 
 
@@ -124,7 +124,8 @@ class TestThetaPhiContraction:
     def test_two_point_swap_fails_with_exact_witness(self):
         space, swap = two_point_swap()
         cert = check_theta_phi_contraction(
-            pair_set(space, swap, 1.0, builtin_theta("sqrt-plus-1")), builtin_phi("midpoint")
+            pair_set(carrier_sample(space), swap, 1.0, builtin_theta("sqrt-plus-1")),
+            builtin_phi("midpoint"),
         )
         assert cert.verdict == "fail"
         w = cert.worst_pair
@@ -134,14 +135,16 @@ class TestThetaPhiContraction:
     def test_diagonal_pairs_skipped(self):
         space, swap = two_point_swap()
         cert = check_theta_phi_contraction(
-            pair_set(space, swap, 1.0, builtin_theta("sqrt-plus-1")), builtin_phi("midpoint")
+            pair_set(carrier_sample(space), swap, 1.0, builtin_theta("sqrt-plus-1")),
+            builtin_phi("midpoint"),
         )
         assert cert.pairs_total == 4
         assert cert.pairs_skipped == 2  # (a,a) and (b,b)
 
     def test_final_example_certificate(self):
         b = build_example_final()
-        cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
+        cert = check_theta_phi_contraction(
+            pair_set(carrier_sample(b.space), b.selfmap, 3.0, b.theta), b.phi)
         # the composed condition genuinely fails near the lower interval end
         assert cert.verdict == "fail"
         assert cert.violation_count == 12
@@ -152,7 +155,7 @@ class TestThetaPhiContraction:
 
     def test_final_example_pairs_against_oracle(self):
         b = build_example_final()
-        pairs = pair_set(b.space, b.selfmap, 3.0, b.theta)
+        pairs = pair_set(carrier_sample(b.space), b.selfmap, 3.0, b.theta)
         cert = check_theta_phi_contraction(pairs, b.phi)
         table = {(x, y): b.space.distance(x, y) for x in b.space.labels for y in b.space.labels}
         values = {l: b.space.value_of(l) for l in b.space.labels}
@@ -178,7 +181,8 @@ class TestThetaPhiContraction:
     def test_constant_map_vacuous(self):
         b = build_example_final()
         const = SelfMap.from_table({l: 1.0 for l in b.space.labels})
-        cert = check_theta_phi_contraction(pair_set(b.space, const, 3.0, b.theta), b.phi)
+        cert = check_theta_phi_contraction(
+            pair_set(carrier_sample(b.space), const, 3.0, b.theta), b.phi)
         assert cert.verdict == "pass" and cert.vacuous
         assert cert.pairs_checked == 0
         assert cert.pairs_skipped == cert.pairs_total
@@ -188,16 +192,16 @@ class TestThetaContraction:
     def test_identity_map_vacuous(self, sqrt_bundle):
         ident = SelfMap.from_expression("x")
         cert = check_theta_contraction(
-            pair_set(sqrt_bundle.space, ident, 2.0, sqrt_bundle.theta,
-                     grid_points=10, random_pairs=100), 0.5,
+            pair_set(carrier_sample(sqrt_bundle.space, 10), ident, 2.0, sqrt_bundle.theta,
+                     random_pairs=100), 0.5,
         )
         # d(Tx, Ty) = d(x, y) so only diagonal pairs lack a positive image
         assert cert.verdict == "fail" or cert.pairs_checked > 0
 
     def test_sqrt_variant_fails_everywhere(self, sqrt_bundle):
         cert = check_theta_contraction(
-            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, sqrt_bundle.theta,
-                     grid_points=50), 0.5,
+            pair_set(carrier_sample(sqrt_bundle.space, 50), sqrt_bundle.selfmap, 2.0,
+                     sqrt_bundle.theta), 0.5,
         )
         assert cert.verdict == "fail"
         assert cert.violation_count == cert.pairs_checked == 12450
@@ -208,8 +212,8 @@ class TestThetaContraction:
 
     def test_fourth_root_variant_passes(self, fourth_bundle):
         cert = check_theta_contraction(
-            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                     grid_points=50), 0.5,
+            pair_set(carrier_sample(fourth_bundle.space, 50), fourth_bundle.selfmap, 2.0,
+                     fourth_bundle.theta), 0.5,
         )
         assert cert.verdict == "pass"
         assert cert.violation_count == 0
@@ -237,13 +241,14 @@ class TestThetaContraction:
             },
         )
         broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
-        cert = check_theta_contraction(pair_set(space, broken, 1.0, builtin_theta("exp-sqrt")), 0.5)
+        cert = check_theta_contraction(
+            pair_set(carrier_sample(space), broken, 1.0, builtin_theta("exp-sqrt")), 0.5)
         assert cert.verdict == "fail"
         assert cert.domain_violation == ("a", "b")
 
     def test_monotone_in_r(self, fourth_bundle):
-        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                         grid_points=25, random_pairs=500)
+        pairs = pair_set(carrier_sample(fourth_bundle.space, 25), fourth_bundle.selfmap, 2.0,
+                         fourth_bundle.theta, random_pairs=500)
         c1 = check_theta_contraction(pairs, 0.5)
         c2 = check_theta_contraction(pairs, 0.8)
         assert c1.verdict == "pass" and c2.verdict == "pass"
@@ -251,8 +256,8 @@ class TestThetaContraction:
 
     def test_monotone_in_s(self, sqrt_bundle):
         at2, at3 = (
-            check_theta_contraction(pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, s,
-                                             sqrt_bundle.theta, grid_points=25,
+            check_theta_contraction(pair_set(carrier_sample(sqrt_bundle.space, 25),
+                                             sqrt_bundle.selfmap, s, sqrt_bundle.theta,
                                              random_pairs=500), 0.5)
             for s in (2.0, 3.0)
         )
@@ -262,23 +267,24 @@ class TestThetaContraction:
     def test_parameter_validation(self, sqrt_bundle):
         with pytest.raises(ValueError):
             check_theta_contraction(
-                pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, sqrt_bundle.theta), 1.5
+                pair_set(carrier_sample(sqrt_bundle.space), sqrt_bundle.selfmap, 2.0,
+                         sqrt_bundle.theta), 1.5
             )
         with pytest.raises(ValueError):
-            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 0.5, sqrt_bundle.theta)
+            pair_set(carrier_sample(sqrt_bundle.space), sqrt_bundle.selfmap, 0.5, sqrt_bundle.theta)
 
 
 class TestLinearContraction:
     def test_constant_map_vacuous(self, sqrt_bundle):
         const = SelfMap.from_expression("x * 0 + 1.5")
         cert = check_linear_contraction(
-            pair_set(sqrt_bundle.space, const, 2.0, grid_points=10, random_pairs=50), 0.5
+            pair_set(carrier_sample(sqrt_bundle.space, 10), const, 2.0, random_pairs=50), 0.5
         )
         assert cert.verdict == "pass" and cert.vacuous
 
     def test_two_point_swap_witness(self):
         space, swap = two_point_swap()
-        cert = check_linear_contraction(pair_set(space, swap, 1.0), 0.5)
+        cert = check_linear_contraction(pair_set(carrier_sample(space), swap, 1.0), 0.5)
         assert cert.verdict == "fail"
         w = cert.worst_pair
         assert w.lhs == 1.0 and w.rhs == 0.5
@@ -286,7 +292,8 @@ class TestLinearContraction:
 
     def test_sqrt_map_k09_matches_oracle(self, sqrt_bundle):
         cert = check_linear_contraction(
-            pair_set(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, grid_points=50, random_pairs=0),
+            pair_set(carrier_sample(sqrt_bundle.space, 50), sqrt_bundle.selfmap, 2.0,
+                     random_pairs=0),
             0.9,
         )
         # near-diagonal pairs break the linear bound: 4*(sqrt(x)-sqrt(y))^2
@@ -301,21 +308,21 @@ class TestBestExponent:
     def test_constant_map_zero(self, sqrt_bundle):
         const = SelfMap.from_expression("x * 0 + 1.5")
         bound = best_exponent(
-            pair_set(sqrt_bundle.space, const, 2.0, sqrt_bundle.theta,
-                     grid_points=10, random_pairs=50)
+            pair_set(carrier_sample(sqrt_bundle.space, 10), const, 2.0, sqrt_bundle.theta,
+                     random_pairs=50)
         )
         assert bound.value == 0.0 and bound.feasible
 
     def test_two_point_swap_infeasible(self):
         space, swap = two_point_swap()
-        bound = best_exponent(pair_set(space, swap, 1.0, builtin_theta("exp-sqrt")))
+        bound = best_exponent(pair_set(carrier_sample(space), swap, 1.0, builtin_theta("exp-sqrt")))
         assert bound.value == 1.0
         assert not bound.feasible
 
     def test_fourth_root_frozen_value(self, fourth_bundle):
         bound = best_exponent(
-            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                     grid_points=50)
+            pair_set(carrier_sample(fourth_bundle.space, 50), fourth_bundle.selfmap, 2.0,
+                     fourth_bundle.theta)
         )
         assert bound.feasible
         assert bound.value == 0.497134902334961  # just under the claimed 1/2
@@ -327,15 +334,15 @@ class TestBestExponent:
         # ever closer pairs near 1: the finer grid comes closer from below
         b = build_example_sqrt(variant)
         coarse, fine = (
-            best_exponent(pair_set(b.space, b.selfmap, 3.0, b.theta, grid_points=g)).value
+            best_exponent(pair_set(carrier_sample(b.space, g), b.selfmap, 3.0, b.theta)).value
             for g in (40, 200)
         )
         assert coarse < fine < limit
         assert math.isclose(fine, limit, rel_tol=0.01)
 
     def test_bracketing_property(self, fourth_bundle):
-        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                         grid_points=50)
+        pairs = pair_set(carrier_sample(fourth_bundle.space, 50), fourth_bundle.selfmap, 2.0,
+                         fourth_bundle.theta)
         bound = best_exponent(pairs)
         above = check_theta_contraction(pairs, bound.value + 1e-9)
         below = check_theta_contraction(pairs, bound.value - 1e-3)
@@ -353,7 +360,8 @@ class TestBestExponent:
             },
         )
         broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
-        bound = best_exponent(pair_set(space, broken, 1.0, builtin_theta("exp-sqrt")))
+        bound = best_exponent(
+            pair_set(carrier_sample(space), broken, 1.0, builtin_theta("exp-sqrt")))
         assert not bound.feasible
         assert bound.domain_violation == ("a", "b")
 
@@ -363,8 +371,8 @@ class TestReductionIdentity:
 
     @pytest.mark.parametrize("r", [0.3, 0.5, 0.8])
     def test_on_analytic_instance(self, fourth_bundle, r):
-        pairs = pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                         grid_points=30, random_pairs=2000)
+        pairs = pair_set(carrier_sample(fourth_bundle.space, 30), fourth_bundle.selfmap, 2.0,
+                         fourth_bundle.theta, random_pairs=2000)
         a = check_theta_contraction(pairs, r)
         b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
         assert a.verdict == b.verdict
@@ -378,7 +386,7 @@ class TestReductionIdentity:
         rng = np.random.default_rng([7, seed])
         target = space.labels[int(rng.integers(len(space.labels)))]
         selfmap = affine_toward(space, target, 0.5)
-        pairs = pair_set(space, selfmap, 4.0, builtin_theta("exp-sqrt"))
+        pairs = pair_set(carrier_sample(space), selfmap, 4.0, builtin_theta("exp-sqrt"))
         a = check_theta_contraction(pairs, r)
         b = check_theta_phi_contraction(pairs, builtin_phi(f"pow-{r}"))
         assert a.verdict == b.verdict
@@ -388,8 +396,8 @@ class TestReductionIdentity:
 class TestCertificateReplay:
     def test_worst_pair_replays_bit_exactly(self, fourth_bundle):
         cert = check_theta_contraction(
-            pair_set(fourth_bundle.space, fourth_bundle.selfmap, 2.0, fourth_bundle.theta,
-                     grid_points=50), 0.5,
+            pair_set(carrier_sample(fourth_bundle.space, 50), fourth_bundle.selfmap, 2.0,
+                     fourth_bundle.theta), 0.5,
         )
         w = cert.worst_pair
         space, selfmap, theta = fourth_bundle.space, fourth_bundle.selfmap, fourth_bundle.theta
@@ -402,7 +410,8 @@ class TestCertificateReplay:
 
     def test_worst_pair_replay_finite(self):
         b = build_example_final()
-        cert = check_theta_phi_contraction(pair_set(b.space, b.selfmap, 3.0, b.theta), b.phi)
+        cert = check_theta_phi_contraction(
+            pair_set(carrier_sample(b.space), b.selfmap, 3.0, b.theta), b.phi)
         w = cert.worst_pair
         tx = b.selfmap.apply_label(b.space, w.x)
         ty = b.selfmap.apply_label(b.space, w.y)
@@ -417,7 +426,7 @@ class TestPairNaming:
     # to 1.5: the four grid pairs are skipped, so every witness is a random pair
     SPACE = "if(x < y, 0, x - y)"
     MAP = "1.5 + (x - 1) * (2 - x)"
-    SAMPLE = dict(grid_points=2, random_pairs=50, seed=3)
+    GRID, SAMPLE = 2, dict(random_pairs=50, seed=3)
 
     def test_grid_pairs_then_random_pairs(self):
         space = AnalyticSpace.build(1.0, 2.0, self.SPACE)
@@ -426,7 +435,7 @@ class TestPairNaming:
         xs, ys = rng.uniform(1.0, 2.0, 50), rng.uniform(1.0, 2.0, 50)
         want = [(x, y) for x in (1.0, 2.0) for y in (1.0, 2.0)]
         want += list(zip(xs.tolist(), ys.tolist()))
-        pairs = pair_set(space, selfmap, 1.0, theta, **self.SAMPLE)
+        pairs = pair_set(carrier_sample(space, self.GRID), selfmap, 1.0, theta, **self.SAMPLE)
         cert = check_theta_contraction(pairs, 0.5)
         assert [pairs.pair(k) for k in range(54)] == want and cert.pairs_total == 54
         image = {v: selfmap.apply_value(space, v) for pair in want for v in pair}
@@ -453,13 +462,13 @@ class TestPairPassPrecedence:
     def test_analytic_table_error_before_a_map_leaving_the_domain(self):
         space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2 + 0 * ln(x - y + 0.5)")
         with pytest.raises(EvalError) as err:
-            pair_set(space, SelfMap.from_expression("x - 5"), 1.0)
+            pair_set(carrier_sample(space), SelfMap.from_expression("x - 5"), 1.0)
         assert str(err.value) == "ln of a non-positive value in 'ln(x - y + 0.5)'"
 
     def test_finite_undefined_pair_before_a_failing_map(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0})
         with pytest.raises(SpaceError) as err:
-            pair_set(space, SelfMap.from_expression("sqrt(0.5 - x)"), 1.0)
+            pair_set(carrier_sample(space), SelfMap.from_expression("sqrt(0.5 - x)"), 1.0)
         assert str(err.value) == (
             "no override for ('b', 'a') and the space has no default formula"
         )
@@ -469,7 +478,7 @@ class TestSharedPairSet:
     """A pair set is built once and read by any number of operations: the map
     and theta are evaluated by ``pair_set`` only."""
 
-    SAMPLE = {"grid_points": 11, "random_pairs": 50, "seed": 3}
+    GRID, SAMPLE = 11, {"random_pairs": 50, "seed": 3}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -485,7 +494,8 @@ class TestSharedPairSet:
 
     def test_the_operations_evaluate_nothing_again(self, calls):
         b = build_example_sqrt("sqrt")
-        pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, **self.SAMPLE)
+        pairs = pair_set(carrier_sample(b.space, self.GRID), b.selfmap, 2.0, b.theta,
+                         **self.SAMPLE)
         assert b.selfmap.expr in calls and b.theta.expr in calls
         before = len(calls)
         check_theta_contraction(pairs, 0.5)
@@ -495,7 +505,8 @@ class TestSharedPairSet:
 
     def test_the_set_is_read_only(self):
         b = build_example_sqrt("sqrt")
-        pairs = pair_set(b.space, b.selfmap, 2.0, b.theta, **self.SAMPLE)
+        pairs = pair_set(carrier_sample(b.space, self.GRID), b.selfmap, 2.0, b.theta,
+                         **self.SAMPLE)
         cert = check_theta_contraction(pairs, 0.5)
         for name in ("xs", "ys", "d_img", "d_pre", "skipped", "checked", "th_img", "th_pre",
                      "ratio"):
@@ -517,10 +528,10 @@ class TestSharedPairSet:
             },
         )
         broken = SelfMap.from_table({"a": "a", "b": "c", "c": "c"})
-        with_theta = pair_set(space, broken, 1.0, builtin_theta("exp-sqrt"))
+        with_theta = pair_set(carrier_sample(space), broken, 1.0, builtin_theta("exp-sqrt"))
         assert best_exponent(with_theta).domain_violation == ("a", "b")
         cert = check_linear_contraction(with_theta, 0.5)
-        plain = check_linear_contraction(pair_set(space, broken, 1.0), 0.5)
+        plain = check_linear_contraction(pair_set(carrier_sample(space), broken, 1.0), 0.5)
         assert cert.domain_violation is None and cert.max_ratio == math.inf
         assert json.dumps(cert.to_dict()) == json.dumps(plain.to_dict())
 
@@ -625,7 +636,8 @@ class TestPairPassOracle:
         def oracle(form, rhs_of):
             return oracle_pairs(labels, dist, image, s, form, rhs_of)
 
-        pairs, plain = pair_set(space, selfmap, s, theta), pair_set(space, selfmap, s)
+        sample = carrier_sample(space)
+        pairs, plain = pair_set(sample, selfmap, s, theta), pair_set(sample, selfmap, s)
         theta_rows = oracle(theta_form, lambda th: np.power(th, r))
         assert_matches_oracle(
             check_theta_contraction(pairs, r),
@@ -661,4 +673,4 @@ class TestNanCoefficientRefused:
         b = fourth_bundle
         for theta in (None, b.theta):
             with pytest.raises(ValueError, match=r"^coefficient s must be >= 1, got nan$"):
-                pair_set(b.space, b.selfmap, math.nan, theta)
+                pair_set(carrier_sample(b.space), b.selfmap, math.nan, theta)

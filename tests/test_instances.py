@@ -31,6 +31,7 @@ from rqbm.spaces import (
     SpaceError,
     _identity_verdicts,
     _rectangular_verdicts,
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -64,7 +65,7 @@ class TestExampleTable:
 
     def test_claimed_coefficient_holds(self):
         space = build_example_2_3().space
-        assert check_b_rectangular(space, 3.0).passed
+        assert check_b_rectangular(carrier_sample(space), 3.0).passed
 
     def test_grid_density_configurable(self):
         space = build_example_2_3(grid_points=5).space
@@ -141,26 +142,26 @@ class TestRoundTrip:
 
 class TestRandomSpace:
     def test_metric_profile_is_metric(self):
-        assert classify(random_space(4, 1, "metric")).is_metric
+        assert classify(carrier_sample(random_space(4, 1, "metric"))).is_metric
 
     def test_metric_profile_100_consecutive_seeds(self):
         for seed in range(100):
-            assert classify(random_space(4, seed, "metric")).is_metric
+            assert classify(carrier_sample(random_space(4, seed, "metric"))).is_metric
 
     def test_quasi_seed_one_pinned(self):
-        result = classify(random_space(4, 1, "quasi"))
+        result = classify(carrier_sample(random_space(4, 1, "quasi")))
         assert not result.is_symmetric
         assert result.is_quasi_identity
         assert result.is_rqb_at_s  # coefficient 4 bounds the directional scaling
         assert result.minimal_s == 1.2767236749245456
 
     def test_adversarial_seed_pinned(self):
-        result = classify(random_space(5, 2, "adversarial"))
+        result = classify(carrier_sample(random_space(5, 2, "adversarial")))
         assert not result.is_rqb_at_s
         assert result.minimal_s > 4.0
 
     def test_two_points_vacuous(self):
-        report = check_b_rectangular(random_space(2, 0, "metric"), 1.0)
+        report = check_b_rectangular(carrier_sample(random_space(2, 0, "metric")), 1.0)
         assert report.vacuous and report.passed
 
     def test_determinism(self):
@@ -198,7 +199,7 @@ class TestSortedPairs:
 class TestPerturb:
     def test_break_identity_single_witness(self):
         broken = perturb(build_example_2_3().space, "break_identity", 3)
-        report = check_identity_axiom(broken)
+        report = check_identity_axiom(carrier_sample(broken))
         assert not report.passed
         assert len(report.zero_off_diagonal) == 1
 
@@ -206,18 +207,18 @@ class TestPerturb:
         for seed in range(10):
             base = random_space(5, seed, "quasi")
             broken = perturb(base, "break_identity", seed)
-            assert not check_identity_axiom(broken).passed
+            assert not check_identity_axiom(carrier_sample(broken)).passed
 
     def test_break_quadrilateral_metric(self):
         for seed in range(10):
             base = random_space(5, seed, "metric")
             broken = perturb(base, "break_quadrilateral", seed, s=1.0)
-            assert not check_b_rectangular(broken, 1.0).passed
+            assert not check_b_rectangular(carrier_sample(broken), 1.0).passed
 
     def test_break_quadrilateral_uses_claimed_s(self):
         base = random_space(6, 11, "quasi")  # claimed coefficient 4
         broken = perturb(base, "break_quadrilateral", 11)
-        assert not check_b_rectangular(broken, 4.0).passed
+        assert not check_b_rectangular(carrier_sample(broken), 4.0).passed
 
     def test_two_point_break_quadrilateral_rejected(self):
         with pytest.raises(SpaceError):
@@ -366,10 +367,12 @@ def per_trial_reference(n, seeds, profile, kinds):
                 broken = reference_perturb(base, kind, seed)
                 tables[kind].append(broken.distance_matrix)
                 if kind == "break_identity":
-                    detected[kind].append(not check_identity_axiom(broken).passed)
+                    sample = carrier_sample(broken)
+                    detected[kind].append(not check_identity_axiom(sample).passed)
                 else:
                     s = base.claimed_s or 1.0
-                    detected[kind].append(not check_b_rectangular(broken, s).passed)
+                    sample = carrier_sample(broken)
+                    detected[kind].append(not check_b_rectangular(sample, s).passed)
     except (SpaceError, ValueError) as e:
         return None, None, e
     return tables, detected, None

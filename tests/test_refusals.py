@@ -24,6 +24,7 @@ from rqbm.spaces import (
     SpaceError,
     SpaceFormatError,
     UnknownLabelError,
+    carrier_sample,
     check_b_rectangular,
     space_from_dict,
 )
@@ -40,8 +41,8 @@ def sqrt_trace():
 
 def sqrt_pairs(with_theta=True):
     b = build_example_sqrt()
-    return pair_set(b.space, b.selfmap, 2.0, b.theta if with_theta else None,
-                    grid_points=5, random_pairs=10)
+    return pair_set(carrier_sample(b.space, 5), b.selfmap, 2.0,
+                    b.theta if with_theta else None, random_pairs=10)
 
 
 def two_points():
@@ -77,13 +78,13 @@ REFUSALS = {
                         "break_identity", 0),
         SpaceError, "every off-diagonal distance is already zero"),
     "negative max_violations": (
-        lambda: check_b_rectangular(sqrt_space(), 2.0, max_violations=-1),
+        lambda: check_b_rectangular(carrier_sample(sqrt_space()), 2.0, max_violations=-1),
         ValueError, "max_violations must be >= 0"),
     "infinite coefficient in a scan": (
-        lambda: check_b_rectangular(sqrt_space(), math.inf),
+        lambda: check_b_rectangular(carrier_sample(sqrt_space()), math.inf),
         ValueError, "coefficient s must be finite"),
     **{f"scan tol of {tol}": (
-        lambda tol=tol: check_b_rectangular(sqrt_space(), 2.0, tol=tol),
+        lambda tol=tol: check_b_rectangular(carrier_sample(sqrt_space()), 2.0, tol=tol),
         ValueError, "tol must be finite") for tol in (math.inf, math.nan)},
     "infinite claimed coefficient on a table": (
         lambda: FiniteSpace.build([("a", 0.0)], claimed_s=math.inf),
@@ -130,13 +131,14 @@ REFUSALS = {
         lambda: validate_phi(builtin_phi("midpoint")).check("nope"),
         KeyError, "nope"),
     "table map checked on an interval": (
-        lambda: pair_set(sqrt_space(), SelfMap.from_table({"a": "a"}), 2.0),
+        lambda: pair_set(carrier_sample(sqrt_space()), SelfMap.from_table({"a": "a"}), 2.0),
         MapError, "an analytic space needs an expression map"),
     "pair set below coefficient 1": (
-        lambda: pair_set(sqrt_space(), SelfMap.from_expression("sqrt(x)"), 0.5),
+        lambda: pair_set(carrier_sample(sqrt_space()), SelfMap.from_expression("sqrt(x)"), 0.5),
         ValueError, "coefficient s must be >= 1, got 0.5"),
     "pair set at an infinite coefficient": (
-        lambda: pair_set(sqrt_space(), SelfMap.from_expression("sqrt(x)"), math.inf),
+        lambda: pair_set(carrier_sample(sqrt_space()), SelfMap.from_expression("sqrt(x)"),
+                         math.inf),
         ValueError, "coefficient s must be finite, got inf"),
     **{f"exponent r of {r}": (
         lambda r=r: check_theta_contraction(sqrt_pairs(), r),

@@ -19,7 +19,13 @@ from rqbm.solver import (
     uniqueness_scan,
     verify_fixed_point,
 )
-from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError, UnknownLabelError
+from rqbm.spaces import (
+    AnalyticSpace,
+    FiniteSpace,
+    SpaceError,
+    UnknownLabelError,
+    carrier_sample,
+)
 
 
 def two_point(d_ab=1.0, d_ba=1.0):
@@ -253,7 +259,7 @@ class TestCertifiedContractionConsequences:
     def test_certified_map_converges_and_verifies(self):
         b = build_example_sqrt("fourth_root")
         cert = check_theta_contraction(
-            pair_set(b.space, b.selfmap, 2.0, b.theta, grid_points=30, random_pairs=1000), 0.5
+            pair_set(carrier_sample(b.space, 30), b.selfmap, 2.0, b.theta, random_pairs=1000), 0.5
         )
         assert cert.verdict == "pass"
         tol = 1e-10

@@ -19,11 +19,13 @@ from rqbm.instances import (
     random_space,
 )
 from rqbm.spaces import (
+    DEFAULT_GRID_POINTS,
     AnalyticSpace,
     FiniteSpace,
     SpaceError,
     SpaceFormatError,
     UnknownLabelError,
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -250,7 +252,7 @@ class TestDistanceTable:
     def test_image_distances_match_distance_value(self):
         bundle = build_example_final(5)
         space = bundle.space
-        pairs = pair_set(space, bundle.selfmap, 3.0)
+        pairs = pair_set(carrier_sample(space), bundle.selfmap, 3.0)
         image = {l: bundle.selfmap.apply_label(space, l) for l in space.labels}
         want = [space.distance_value(image[a], image[b])
                 for a, b in map(pairs.pair, range(pairs.d_img.size))]
@@ -272,7 +274,7 @@ class TestDistanceTable:
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("a", "b"): 1.0, ("b", "a"): 1.0})
         selfmap = SelfMap.hybrid({"a": "b"}, "x / 2")
         with pytest.raises(SpaceError, match="outside the labeled carrier"):
-            pair_set(space, selfmap, 1.0)
+            pair_set(carrier_sample(space), selfmap, 1.0)
 
 
 def reference_table(labels, values, source, overrides):
@@ -350,10 +352,10 @@ class TestNegativeAnalyticDistance:
         assert str(err.value) == "distance (1.5, 1.0) = -0.25 must be finite and >= 0"
 
     @pytest.mark.parametrize("operation", [
-        check_identity_axiom,
-        lambda space: check_b_rectangular(space, 2.0),
-        minimal_rectangular_coefficient,
-        classify,
+        lambda space: check_identity_axiom(carrier_sample(space)),
+        lambda space: check_b_rectangular(carrier_sample(space), 2.0),
+        lambda space: minimal_rectangular_coefficient(carrier_sample(space)),
+        lambda space: classify(carrier_sample(space)),
     ])
     def test_every_scan_refuses(self, operation):
         with pytest.raises(SpaceError, match="must be finite and >= 0"):
@@ -380,23 +382,41 @@ class TestAnalyticDistance:
 
 class TestCarrierSample:
     def test_finite_labels_values_and_table(self, table_space):
-        names, values, D, source = rqbm.spaces._points_of(table_space, 7)
+        sample = carrier_sample(table_space, 7)
+        names, values, D, source = sample.names, sample.values, sample.table, sample.source
         assert names is table_space.labels  # the space's own tuple, not a copy
+        assert values is table_space.values
         assert values.tolist() == [table_space.value_of(a) for a in names]
         assert D is table_space.distance_matrix and source == "exhaustive"
+        assert sample.space is table_space
 
     def test_analytic_grid(self):
         space = build_example_sqrt().space
-        names, values, D, source = rqbm.spaces._points_of(space, 7)
+        sample = carrier_sample(space, 7)
+        names, values, D, source = sample.names, sample.values, sample.table, sample.source
         g = space.grid(7)
-        assert names == [float(v) for v in g] and values.tolist() == names
+        assert names == tuple(float(v) for v in g) and tuple(values.tolist()) == names
         assert D.tolist() == [[space.distance(x, y) for y in names] for x in names]
-        assert source == "grid:7"
+        assert source == "grid:7" and sample.space is space
+
+    @pytest.mark.parametrize("space", [
+        build_example_final().space,
+        build_example_sqrt().space,
+    ], ids=["finite", "analytic"])
+    def test_uniform_and_read_only(self, space):
+        sample = carrier_sample(space)
+        assert type(sample.names) is tuple
+        for array in (sample.values, sample.table):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            sample.names = ()
 
 
 class TestIdentityAxiom:
     def test_full_table_passes(self, table_space):
-        report = check_identity_axiom(table_space)
+        report = check_identity_axiom(carrier_sample(table_space))
         assert report.passed
         assert report.pairs_checked == len(table_space.labels) ** 2
 
@@ -404,20 +424,20 @@ class TestIdentityAxiom:
         labels = [("a", 0.0), ("b", 1.0), ("c", 2.0)]
         overrides = {(p, q): 0.0 for p, _ in labels for q, _ in labels if p != q}
         space = FiniteSpace.build(labels, None, overrides)
-        report = check_identity_axiom(space)
+        report = check_identity_axiom(carrier_sample(space))
         assert not report.passed
         assert len(report.zero_off_diagonal) == 6  # every ordered distinct pair
 
     def test_analytic_squared_difference(self):
         space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2")
-        report = check_identity_axiom(space, grid_points=50)
+        report = check_identity_axiom(carrier_sample(space, 50))
         assert report.passed
         assert report.pairs_checked == 2500
 
 
 class TestBRectangular:
     def test_example_table_at_coefficient_3(self, table_space):
-        report = check_b_rectangular(table_space, 3.0)
+        report = check_b_rectangular(carrier_sample(table_space), 3.0)
         assert report.passed and not report.vacuous
         assert report.quadruples_checked == 57120
 
@@ -425,13 +445,13 @@ class TestBRectangular:
         pts = [("a", 0.0), ("b", 1.0), ("c", 3.0)]
         ov = {(p, q): abs(x - y) for (p, x), (q, y) in itertools.permutations(pts, 2)}
         space = FiniteSpace.build(pts, None, ov)
-        report = check_b_rectangular(space, 1.0)
+        report = check_b_rectangular(carrier_sample(space), 1.0)
         assert report.passed and report.vacuous
         assert report.quadruples_checked == 0
 
     def test_final_table_fails_at_1_with_large_witness(self):
         space = build_example_final().space
-        report = check_b_rectangular(space, 1.0)
+        report = check_b_rectangular(carrier_sample(space), 1.0)
         assert not report.passed
         assert any(
             v.x == "1/5" and v.y == "1/6" and v.lhs == 0.5 for v in report.violations
@@ -443,12 +463,12 @@ class TestBRectangular:
         labels = [p["label"] for p in obj["points"]]
         for s in (1.0, 2.0, 3.0):
             _, want, _ = oracle_quad_scan(labels, dist, s)
-            got = check_b_rectangular(table_space_no_grid, s)
+            got = check_b_rectangular(carrier_sample(table_space_no_grid), s)
             assert {(v.x, v.u, v.v, v.y) for v in got.violations} == set(want)
 
     def test_order_independence(self, table_space_no_grid):
         obj = space_to_dict(table_space_no_grid)
-        baseline = check_b_rectangular(table_space_no_grid, 1.0)
+        baseline = check_b_rectangular(carrier_sample(table_space_no_grid), 1.0)
         want = {(v.x, v.u, v.v, v.y, v.lhs, v.rhs_sum) for v in baseline.violations}
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -456,34 +476,35 @@ class TestBRectangular:
             shuffled["points"] = list(obj["points"])
             rng.shuffle(shuffled["points"])
             space = space_from_dict(shuffled)
-            got = check_b_rectangular(space, 1.0)
+            got = check_b_rectangular(carrier_sample(space), 1.0)
             assert {(v.x, v.u, v.v, v.y, v.lhs, v.rhs_sum) for v in got.violations} == want
 
 
 class TestMinimalCoefficient:
     def test_example_table_full(self, table_space):
-        bound = minimal_rectangular_coefficient(table_space)
+        bound = minimal_rectangular_coefficient(carrier_sample(table_space))
         # supremum attained by equally spaced grid quadruples
         assert bound.value == 3.0000000000000004
         assert bound.value <= 3.0 + 1e-9
-        assert check_b_rectangular(table_space, bound.value).passed
+        assert check_b_rectangular(carrier_sample(table_space), bound.value).passed
 
     def test_example_table_a_only_matches_oracle(self, table_space_no_grid):
         obj = space_to_dict(table_space_no_grid)
         dist = dict_distance(obj)
         labels = [p["label"] for p in obj["points"]]
         sup, _, _ = oracle_quad_scan(labels, dist, math.inf)
-        bound = minimal_rectangular_coefficient(table_space_no_grid)
+        bound = minimal_rectangular_coefficient(carrier_sample(table_space_no_grid))
         assert bound.value == sup == 0.4 / 0.14
         assert bound.witness.ratio == bound.value
 
     def test_readme_coefficients(self, table_space, table_space_no_grid):
         # the README: the table alone needs 20/7, the table plus its 11-point grid 3
-        bound = minimal_rectangular_coefficient(table_space_no_grid)
+        bound = minimal_rectangular_coefficient(carrier_sample(table_space_no_grid))
         assert bound.value == 20 / 7
         w = bound.witness
         assert (w.x, w.u, w.v, w.y) == ("1/6", "1/5", "1/4", "1/2")
-        assert minimal_rectangular_coefficient(table_space).value == 3.0000000000000004
+        assert minimal_rectangular_coefficient(
+            carrier_sample(table_space)).value == 3.0000000000000004
 
     def test_collinear_euclidean_at_most_1(self):
         pts = [(f"p{i}", float(i)) for i in range(5)]
@@ -494,19 +515,19 @@ class TestMinimalCoefficient:
             if i != j
         }
         space = FiniteSpace.build(pts, None, ov)
-        bound = minimal_rectangular_coefficient(space)
+        bound = minimal_rectangular_coefficient(carrier_sample(space))
         assert bound.value <= 1.0 + 1e-9
 
     def test_zero_analytic_distance(self):
         # three grid points hold no quadruple; every random one has lhs = rhs = 0
         space = AnalyticSpace.build(1, 2, "0 * (x - y)")
-        bound = minimal_rectangular_coefficient(space, grid_points=3)
+        bound = minimal_rectangular_coefficient(carrier_sample(space, 3))
         assert (bound.value, bound.witness) == (0.0, None)
         assert bound.quadruples_checked > 0
 
     def test_two_points_undefined(self):
         space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], "(x - y)^2")
-        bound = minimal_rectangular_coefficient(space)
+        bound = minimal_rectangular_coefficient(carrier_sample(space))
         assert bound.value is None
 
     def test_piecewise_grid_value(self, piecewise_space):
@@ -541,27 +562,28 @@ class TestMinimalCoefficient:
         rr = eta(xs, us) + eta(us, vs) + eta(vs, ys)
         sup = max(sup, float((eta(xs, ys) / rr).max()))
 
-        bound = minimal_rectangular_coefficient(piecewise_space)
+        bound = minimal_rectangular_coefficient(carrier_sample(piecewise_space))
         assert bound.value == sup == 3.0000000000000004
         # the claimed coefficient 2 is genuinely exceeded on this space
         assert bound.value > 2.0
 
     def test_consistency_with_checker(self, table_space_no_grid):
-        bound = minimal_rectangular_coefficient(table_space_no_grid)
-        assert check_b_rectangular(table_space_no_grid, bound.value).passed
-        assert not check_b_rectangular(table_space_no_grid, bound.value - 1e-3).passed
+        sample = carrier_sample(table_space_no_grid)
+        bound = minimal_rectangular_coefficient(sample)
+        assert check_b_rectangular(sample, bound.value).passed
+        assert not check_b_rectangular(sample, bound.value - 1e-3).passed
 
 
 class TestClassify:
     def test_example_table_asymmetric(self, table_space):
-        result = classify(table_space)
+        result = classify(carrier_sample(table_space))
         assert not result.is_symmetric
         assert ("1/2", "1/3", 0.05, 0.04) in result.asymmetry_witnesses
         assert result.is_quasi_identity
         assert result.is_rqb_at_s  # claimed coefficient 3 holds
 
     def test_final_table_asymmetric(self):
-        result = classify(build_example_final().space)
+        result = classify(carrier_sample(build_example_final().space))
         assert not result.is_symmetric
         assert ("1/3", "1/4", 0.1, 0.05) in result.asymmetry_witnesses
         # the claimed coefficient 3 does not actually hold on this table
@@ -570,7 +592,7 @@ class TestClassify:
 
     def test_planar_euclidean_is_metric(self):
         space = random_space(6, 1, "metric")
-        result = classify(space)
+        result = classify(carrier_sample(space))
         assert result.is_metric
         assert result.is_quasi_identity and result.is_symmetric
         assert result.is_rectangular
@@ -579,37 +601,40 @@ class TestClassify:
     def test_squared_line_is_a_b_metric_at_2_but_no_metric(self):
         # symmetric; d(0, 2) = 4 > d(0, 1) + d(1, 2) = 2, and 4 <= 2 * 2
         space = FiniteSpace.build([(f"p{i}", float(i)) for i in range(4)], "(x - y)^2")
-        result = classify(space, 2.0)
+        sample = carrier_sample(space)
+        result = classify(sample, 2.0)
         assert result.is_symmetric and result.is_quasi_identity
         assert not result.is_metric and result.is_b_metric_at_s
         assert result.triangle_witness is None
-        assert classify(space, 1.0).triangle_witness == ("p0", "p1", "p2", 4.0, 2.0)
+        assert classify(sample, 1.0).triangle_witness == ("p0", "p1", "p2", 4.0, 2.0)
 
     def test_metric_implies_weaker_classes(self):
         for seed in range(5):
-            result = classify(random_space(5, seed, "metric"))
+            result = classify(carrier_sample(random_space(5, seed, "metric")))
             if result.is_metric:
                 assert result.is_b_metric_at_s
                 assert result.is_rectangular
                 assert result.is_rqb_at_s
 
     def test_rqb_monotone_in_s(self, table_space_no_grid):
-        bound = minimal_rectangular_coefficient(table_space_no_grid)
+        sample = carrier_sample(table_space_no_grid)
+        bound = minimal_rectangular_coefficient(sample)
         for bump in (0.0, 0.5, 1.0, 10.0):
-            assert check_b_rectangular(table_space_no_grid, bound.value + bump).passed
+            assert check_b_rectangular(sample, bound.value + bump).passed
 
     def test_analytic_piecewise(self, piecewise_space):
-        result = classify(piecewise_space)
+        sample = carrier_sample(piecewise_space)
+        result = classify(sample)
         assert result.is_quasi_identity
         assert not result.is_symmetric  # the halved increasing branch
         assert not result.is_rqb_at_s   # the claimed coefficient 2 fails
         assert result.minimal_s == 3.0000000000000004
-        assert check_b_rectangular(piecewise_space, result.minimal_s).passed
+        assert check_b_rectangular(sample, result.minimal_s).passed
 
     def test_negative_coefficient_rejected(self, table_space_no_grid):
         for op in (check_b_rectangular, classify):
             with pytest.raises(ValueError, match="s must be >= 0"):
-                op(table_space_no_grid, -1.0)
+                op(carrier_sample(table_space_no_grid), -1.0)
 
 
 class TestHierarchyProperty:
@@ -618,15 +643,16 @@ class TestHierarchyProperty:
         space = random_space(5, seed, "metric")
         D = space.distance_matrix
         assert np.allclose(D, D.T)
-        report = check_b_rectangular(space, 1.0)
+        report = check_b_rectangular(carrier_sample(space), 1.0)
         assert report.passed
 
     @given(st.integers(min_value=0, max_value=40))
     def test_passing_coefficient_bounds_the_minimum(self, seed):
         space = random_space(5, seed, "quasi")
-        bound = minimal_rectangular_coefficient(space)
+        sample = carrier_sample(space)
+        bound = minimal_rectangular_coefficient(sample)
         for s in (bound.value, bound.value + 1.0, 4.0):
-            if check_b_rectangular(space, s).passed:
+            if check_b_rectangular(sample, s).passed:
                 assert bound.value <= s + 1e-9
 
 
@@ -666,13 +692,14 @@ class TestQuadrilateralPassOracle:
         dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
         sup, want, first_max = oracle_quad_scan(labels, dist, s, tol)
 
+        sample = carrier_sample(space)
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
-            report = check_b_rectangular(space, s, tol=tol, max_violations=k)
-            every = check_b_rectangular(space, s, tol=tol, max_violations=None)
-            bound = minimal_rectangular_coefficient(space)
-            result = classify(space, s, tol=tol)
-            at_s = check_b_rectangular(space, s, tol=tol, max_violations=1)
-            at_1 = check_b_rectangular(space, 1.0, tol=tol)
+            report = check_b_rectangular(sample, s, tol=tol, max_violations=k)
+            every = check_b_rectangular(sample, s, tol=tol, max_violations=None)
+            bound = minimal_rectangular_coefficient(sample)
+            result = classify(sample, s, tol=tol)
+            at_s = check_b_rectangular(sample, s, tol=tol, max_violations=1)
+            at_1 = check_b_rectangular(sample, 1.0, tol=tol)
         assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want[:k]
         assert report.violation_count == len(want)
         # the whole list, which spans several rows and, under a small block, several blocks
@@ -724,11 +751,12 @@ class TestQuadrilateralPassOracle:
                 (a, b): float(D[i, j]) for i, a in enumerate(labels)
                 for j, b in enumerate(labels) if i != j
             })
-            report = check_identity_axiom(space)
+            report = check_identity_axiom(carrier_sample(space))
             assert (report.zero_off_diagonal, report.nonzero_diagonal) == oracle_identity(labels, D)
             want_identity.append(not report.passed)
             # a raw table keeps its nonzero diagonal, which the lists must name too
-            report = rqbm.spaces._identity(labels, R)
+            raw_sample = rqbm.spaces.Sample(space, tuple(labels), space.values, R, "exhaustive")
+            report = check_identity_axiom(raw_sample)
             assert (report.zero_off_diagonal, report.nonzero_diagonal) == oracle_identity(labels, R)
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
             assert rqbm.spaces._rectangular_verdicts(stack, s, tol).tolist() == want_quad
@@ -750,7 +778,7 @@ class TestQuadrilateralPassOracle:
         overrides = {(a, b): 1.0 for a in labels for b in labels if a != b}
         overrides[("p3", "p0")] = 3.0
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
-            result = classify(table_space_of(labels, overrides), 1.0)
+            result = classify(carrier_sample(table_space_of(labels, overrides)), 1.0)
         assert result.triangle_witness == ("p3", "p1", "p0", 3.0, 2.0)
 
     def test_cheapest_sum_through_y_is_excluded(self):
@@ -765,7 +793,7 @@ class TestQuadrilateralPassOracle:
         space = table_space_of(labels, overrides)
         dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
         sup, _, first_max = oracle_quad_scan(labels, dist, 1.0)
-        bound = minimal_rectangular_coefficient(space)
+        bound = minimal_rectangular_coefficient(carrier_sample(space))
         assert bound.value == sup == 1.0
         assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
 
@@ -776,15 +804,16 @@ class TestQuadrilateralPassOracle:
         overrides[("p3", "p2")] = 1.0
         space = table_space_of(labels, overrides)
         dist = lambda a, b: 0.0 if a == b else overrides[(a, b)]  # noqa: E731
-        bound = minimal_rectangular_coefficient(space)
+        sample = carrier_sample(space)
+        bound = minimal_rectangular_coefficient(sample)
         for s in (0.0, 1.0, 3.0):
             sup, want, first_max = oracle_quad_scan(labels, dist, s)
-            report = check_b_rectangular(space, s)
+            report = check_b_rectangular(sample, s)
             assert report.violation_count == len(want) > 0
             assert [(v.x, v.u, v.v, v.y) for v in report.violations] == want
             assert bound.value == sup == math.inf
             assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
-            assert classify(space, s).triangle_witness == oracle_triangle(labels, dist, s)
+            assert classify(sample, s).triangle_witness == oracle_triangle(labels, dist, s)
 
     @example(table=[0] * 16, checks=[(0.0, 0.0)], unit=1.0, block=1, order=[3, 0, 2, 1])
     # row p0 is all 0, so its supremum is 0; its first maximiser (p1, p2, p3)
@@ -875,19 +904,20 @@ class TestQuadrilateralPassOracle:
                               ("p1", "p4", "p0", "p2"), ("p3", "p4", "p0", "p2")]
         sup, _, first_max = oracle_quad_scan(labels, dist, 1.0)
         with mock.patch.object(rqbm.spaces, "_BLOCK", block):
-            bound = minimal_rectangular_coefficient(table_space_of(labels, overrides))
+            bound = minimal_rectangular_coefficient(
+                carrier_sample(table_space_of(labels, overrides)))
         assert bound.value == sup == 0.75
         assert (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y) == first_max
         assert first_max == maximisers[0]
 
     def test_truncated_list_is_prefix_on_grid_then_random(self):
         space = build_example_sqrt().space
-        scan = dict(grid_points=6, random_samples=300, seed=0)
-        full = check_b_rectangular(space, 1.0, **scan)
+        sample, scan = carrier_sample(space, 6), dict(random_samples=300, seed=0)
+        full = check_b_rectangular(sample, 1.0, **scan)
         on_grid = sum(1 for v in full.violations if v.x in space.grid(6))
         assert 0 < on_grid < full.violation_count == len(full.violations)
         for k in (1, on_grid, on_grid + 1, full.violation_count + 1):
-            cut = check_b_rectangular(space, 1.0, max_violations=k, **scan)
+            cut = check_b_rectangular(sample, 1.0, max_violations=k, **scan)
             assert cut.violations == full.violations[:k]
             assert cut.violation_count == full.violation_count
 
@@ -903,11 +933,12 @@ class TestMetamorphicRelations:
     # relations between scans, at sizes brute force cannot reach
     S = (0.0, 0.5, 1.0, 2.0, 3.0)
 
-    def profile(self, space, **scan):
-        """min-s and the violation count at each s, in increasing s."""
-        counts = [check_b_rectangular(space, s, max_violations=0, **scan).violation_count
+    def profile(self, space, grid=DEFAULT_GRID_POINTS, **scan):
+        """min-s and the violation count at each s, in increasing s, on one sample."""
+        sample = carrier_sample(space, grid)
+        counts = [check_b_rectangular(sample, s, max_violations=0, **scan).violation_count
                   for s in self.S]
-        return minimal_rectangular_coefficient(space, **scan).value, counts
+        return minimal_rectangular_coefficient(sample, **scan).value, counts
 
     def test_relabeling_transposing_and_growing_s(self):
         sqrt = build_example_sqrt().space
@@ -916,7 +947,7 @@ class TestMetamorphicRelations:
         rng = np.random.default_rng(7)
         integer = rng.integers(0, 6, (60, 60)).astype(np.float64)
         np.fill_diagonal(integer, 0.0)
-        on_grid = self.profile(sqrt, grid_points=120, random_samples=0)
+        on_grid = self.profile(sqrt, 120, random_samples=0)
         assert self.profile(space_of_table(grid_table)) == on_grid
         for D in (grid_table, integer):
             want = self.profile(space_of_table(D))
@@ -934,10 +965,10 @@ class TestScanMemory:
     BOUND_MIB = 8
 
     @pytest.mark.parametrize("operation", [
-        lambda space: minimal_rectangular_coefficient(space, grid_points=200, random_samples=0),
-        lambda space: check_b_rectangular(space, 4.0, grid_points=200, random_samples=0),
+        lambda space: minimal_rectangular_coefficient(carrier_sample(space, 200), random_samples=0),
+        lambda space: check_b_rectangular(carrier_sample(space, 200), 4.0, random_samples=0),
         # every row violates at s = 2: counts for all 200 rows, witnesses from one
-        lambda space: check_b_rectangular(space, 2.0, grid_points=200, random_samples=0,
+        lambda space: check_b_rectangular(carrier_sample(space, 200), 2.0, random_samples=0,
                                           max_violations=100),
     ], ids=["min-s", "no-violating-row", "violating-rows"])
     def test_grid_200_peak_below_bound(self, operation):
@@ -1045,8 +1076,8 @@ class TestNanCoefficientRefused:
             space_from_dict(json.loads(json.dumps(obj)))
 
     @pytest.mark.parametrize("op", [
-        lambda space: check_b_rectangular(space, math.nan),
-        lambda space: classify(space, math.nan),
+        lambda space: check_b_rectangular(carrier_sample(space), math.nan),
+        lambda space: classify(carrier_sample(space), math.nan),
     ], ids=["check_b_rectangular", "classify"])
     def test_scan_coefficient(self, op):
         with pytest.raises(ValueError, match="coefficient s must be >= 0"):

@@ -1,8 +1,9 @@
 """No operation keeps state on its inputs.
 
-After any public check, pair set or solver call, a space and a map hold only
-the attributes their construction set, and the arrays a check built are
-freed when it returns.
+After any public check, pair set or solver call, a space, a map and the
+carrier sample every check of a bundle shares hold only the attributes their
+construction set, the sample's arrays are unchanged and still read-only, and
+the arrays a check built are freed when it returns.
 """
 import tracemalloc
 
@@ -18,6 +19,7 @@ from rqbm.contraction import (
 from rqbm.instances import build_example_final, build_example_sqrt
 from rqbm.solver import picard_iterate, uniqueness_scan
 from rqbm.spaces import (
+    carrier_sample,
     check_b_rectangular,
     check_identity_axiom,
     classify,
@@ -30,27 +32,29 @@ BUNDLES = {
     "interval": lambda: (build_example_sqrt(), [1.2, 1.8]),
     "finite": lambda: (build_example_final(), ["1/3", "0.5", "1.5"]),
 }
-SAMPLE = {"grid_points": 8, "random_samples": 20}
+GRID, SCAN = 8, {"random_samples": 20}
 
 
-def pairs_of(b):
-    return pair_set(b.space, b.selfmap, 3.0, b.theta, grid_points=8, random_pairs=20)
+def pairs_of(b, sample):
+    return pair_set(sample, b.selfmap, 3.0, b.theta, random_pairs=20)
 
 
 OPERATIONS = {
-    "check_identity_axiom": lambda b, starts: check_identity_axiom(b.space, 8),
-    "check_b_rectangular": lambda b, starts: check_b_rectangular(b.space, 2.0, **SAMPLE),
+    "check_identity_axiom": lambda b, sample, starts: check_identity_axiom(sample),
+    "check_b_rectangular": lambda b, sample, starts: check_b_rectangular(sample, 2.0, **SCAN),
     "minimal_rectangular_coefficient":
-        lambda b, starts: minimal_rectangular_coefficient(b.space, **SAMPLE),
-    "classify": lambda b, starts: classify(b.space, 2.0, **SAMPLE),
-    "pair_set": lambda b, starts: pairs_of(b),
-    "check_theta_contraction": lambda b, starts: check_theta_contraction(pairs_of(b), 0.5),
-    "check_theta_phi_contraction":
-        lambda b, starts: check_theta_phi_contraction(pairs_of(b), builtin_phi("midpoint")),
-    "check_linear_contraction": lambda b, starts: check_linear_contraction(pairs_of(b), 0.5),
-    "best_exponent": lambda b, starts: best_exponent(pairs_of(b)),
-    "picard_iterate": lambda b, starts: picard_iterate(b.space, b.selfmap, starts[0]),
-    "uniqueness_scan": lambda b, starts: uniqueness_scan(b.space, b.selfmap, starts),
+        lambda b, sample, starts: minimal_rectangular_coefficient(sample, **SCAN),
+    "classify": lambda b, sample, starts: classify(sample, 2.0, **SCAN),
+    "pair_set": lambda b, sample, starts: pairs_of(b, sample),
+    "check_theta_contraction":
+        lambda b, sample, starts: check_theta_contraction(pairs_of(b, sample), 0.5),
+    "check_theta_phi_contraction": lambda b, sample, starts: check_theta_phi_contraction(
+        pairs_of(b, sample), builtin_phi("midpoint")),
+    "check_linear_contraction":
+        lambda b, sample, starts: check_linear_contraction(pairs_of(b, sample), 0.5),
+    "best_exponent": lambda b, sample, starts: best_exponent(pairs_of(b, sample)),
+    "picard_iterate": lambda b, sample, starts: picard_iterate(b.space, b.selfmap, starts[0]),
+    "uniqueness_scan": lambda b, sample, starts: uniqueness_scan(b.space, b.selfmap, starts),
 }
 
 
@@ -58,20 +62,28 @@ OPERATIONS = {
 @pytest.mark.parametrize("operation", OPERATIONS.values(), ids=OPERATIONS.keys())
 def test_space_and_map_keep_only_their_construction(bundle, operation):
     b, starts = bundle()
-    built = {name: dict(vars(obj)) for name, obj in (("space", b.space), ("map", b.selfmap))}
-    operation(b, starts)
-    operation(b, starts)  # a second call finds nothing to reuse either
-    for name, obj in (("space", b.space), ("map", b.selfmap)):
+    sample = carrier_sample(b.space, GRID)  # one sample for every call below
+    inputs = {"space": b.space, "map": b.selfmap, "sample": sample}
+    built = {name: dict(vars(obj)) for name, obj in inputs.items()}
+    arrays = {name: getattr(sample, name).copy() for name in ("values", "table")}
+    operation(b, sample, starts)
+    operation(b, sample, starts)  # a second call finds nothing to reuse either
+    for name, obj in inputs.items():
         now = vars(obj)
         assert now.keys() == built[name].keys(), name
         assert all(now[key] is value for key, value in built[name].items()), name
+    for name, before in arrays.items():
+        array = getattr(sample, name)
+        assert not array.flags.writeable and array.tobytes() == before.tobytes(), name
 
 
 def test_identity_check_frees_its_grid():
     space = build_example_sqrt().space
     tracemalloc.start()
     try:
-        report = check_identity_axiom(space, 1000)  # an 8 MB table while it runs
+        sample = carrier_sample(space, 1000)  # an 8 MB table, held by the sample alone
+        report = check_identity_axiom(sample)
+        del sample
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

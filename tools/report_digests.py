@@ -90,6 +90,9 @@ ERROR_CASES = [
     ["verify", "--space", str(FAILING_SPACE)],
     ["contraction", "--space", str(FAILING_SPACE), "--kind", "linear", "--k", "0.5",
      "--map", "2 - x/2"],
+    # a carrier fault is reported before a bad s: the sample is built first
+    ["contraction", "--space", str(FAILING_SPACE), "--kind", "linear", "--k", "0.5",
+     "--map", "2 - x/2", "--s", "nan"],
     ["verify", "--instance", "example-2-3", "--s", "nan"],
     ["classify", "--instance", "example-2-3", "--s", "nan"],
     ["contraction", "--instance", "example-sqrt", "--s", "nan"],
