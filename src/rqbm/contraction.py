@@ -38,6 +38,7 @@ from .spaces import (
     FiniteSpace,
     Sample,
     Space,
+    _streams,
 )
 from .thetaphi import PhiSpec, ThetaSpec
 
@@ -300,9 +301,7 @@ def pair_set(
     source = f"{sample.source.partition(':')[0]}:{n}x{n}"  # exhaustive:NxN or grid:GxG
     xs = ys = np.empty(0)
     if isinstance(space, AnalyticSpace) and random_pairs > 0:
-        from ._pcg import Streams  # loaded at the first draw, as ``spaces`` loads it
-        rng = Streams([seed])
-        xs, ys = (rng.uniform(space.lo, space.hi, random_pairs)[0] for _ in range(2))
+        xs, ys = _streams([seed]).uniform(space.lo, space.hi, 2 * random_pairs)[0].reshape(2, -1)
         # no local keeps the images: they are freed before theta runs
         d_img = np.concatenate([d_img, space.distance_value(
             selfmap.apply_array(space, xs), selfmap.apply_array(space, ys))])

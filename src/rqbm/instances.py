@@ -178,8 +178,7 @@ def _sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the off-diagonal pairs of labels p0 ... p{n-1},
     in sorted label order (p10 comes before p2)."""
     order = np.array(sorted(range(n), key=lambda i: f"p{i}"), dtype=np.intp)
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    return order[i], order[j]
+    return np.repeat(order, n - 1), np.broadcast_to(order, (n, n))[~np.eye(n, dtype=bool)]
 
 
 def _random_tables(n: int, seeds, profile: str):
@@ -192,14 +191,21 @@ def _random_tables(n: int, seeds, profile: str):
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; known: {', '.join(_PROFILES)}")
     rng = _streams(seeds)
-    x, y = np.moveaxis(rng.uniform(0.0, 10.0, 2 * n).reshape(-1, n, 2), -1, 0)
+    # one draw: the points in [0, 10)^2, then unless metric one scale in
+    # [0.5, 2) per ordered pair, in sorted label order; the per-column bounds
+    # live only as the call's arguments, so they are freed as it returns
+    n_scales = 0 if profile == "metric" else n * (n - 1)
+    bounds = (np.repeat(bound, [2 * n, n_scales]) for bound in ([0.0, 0.5], [10.0, 2.0]))
+    draws = rng.uniform(*bounds, 2 * n + n_scales)
+    # copied, so that the point values returned do not keep the scales alive
+    x, y = np.moveaxis(draws[:, :2 * n].reshape(-1, n, 2), -1, 0).copy()
     # a non-finite draw shows as a non-finite table, which the caller refuses
     with np.errstate(invalid="ignore"):
         D = x[:, :, None] - x[:, None, :]
         D = np.hypot(D, y[:, :, None] - y[:, None, :], out=D)
-        if profile != "metric":  # one scale per ordered pair, in sorted label order
+        if n_scales:
             I, J = _sorted_pairs(n)
-            D[:, I, J] *= rng.uniform(0.5, 2.0, len(I))
+            D[:, I, J] *= draws[:, 2 * n:]
         if profile == "adversarial":
             k = rng.integers(len(I))
             D[np.arange(len(D)), I[k], J[k]] *= rng.uniform(5.0, 50.0, 1)[:, 0]

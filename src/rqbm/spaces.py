@@ -583,8 +583,8 @@ def _scan_checks(checks: list[tuple[float, float]]) -> list:
 
 def _streams(seeds, salt: int | None = None):
     """NumPy's ``default_rng(seed)``, or ``default_rng([salt, seed])``, for
-    every seed at once (``_pcg.Streams``).  ``_pcg`` is imported at the first
-    draw, so a command that draws nothing never loads it."""
+    every seed at once (``_pcg.Streams``), for every module that draws.  ``_pcg``
+    is imported at the first draw, so a command that draws nothing never loads it."""
     from ._pcg import Streams
 
     return Streams(seeds, salt)
@@ -660,7 +660,7 @@ def _quadrilateral_pass(
             sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
         if isinstance(space, AnalyticSpace) and random_samples > 0:
             rng = _streams([seed])
-            xs, us, vs, ys = (rng.uniform(space.lo, space.hi, random_samples)[0] for _ in range(4))
+            xs, us, vs, ys = rng.uniform(space.lo, space.hi, 4 * random_samples)[0].reshape(4, -1)
             d = space.distance_value
             adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
             checked += int(np.count_nonzero(adm))

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm._pcg
 import rqbm.cli
 import rqbm.expr
+from rqbm.contraction import pair_set
 from rqbm.instances import build_example_sqrt
 from rqbm.solver import SeriesDiagnostic, _diag_series
-from rqbm.spaces import carrier_sample, classify
+from rqbm.spaces import (
+    DEFAULT_RANDOM_SAMPLES,
+    carrier_sample,
+    check_b_rectangular,
+    classify,
+    minimal_rectangular_coefficient,
+)
 from rqbm.thetaphi import (
     _FIXPOINT_TOL,
     _JUMP_FACTOR,
@@ -326,3 +334,43 @@ class TestAnalyticGridTable:
         # the identity and quadrilateral checks read one carrier sample
         assert rqbm.cli.main(["verify", "--instance", "example-sqrt"]) == 1
         assert [shape for shape in shapes if len(shape) == 2] == [(40, 40)]
+
+
+class TestOneDrawPerRandomPhase:
+    """Each analytic random phase takes its uniforms in one ``Streams.uniform``
+    call: the four coordinates of the random quadruples, or the two of the
+    random pairs, are one draw's consecutive segments."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        draws = []
+        uniform = rqbm._pcg.Streams.uniform
+
+        def counting(self, lo, hi, count):
+            draws.append((lo, hi, count))
+            return uniform(self, lo, hi, count)
+
+        monkeypatch.setattr(rqbm._pcg.Streams, "uniform", counting)
+        return draws
+
+    @pytest.mark.parametrize("check", [
+        lambda sample: check_b_rectangular(sample, 2.0),
+        lambda sample: minimal_rectangular_coefficient(sample),
+        lambda sample: classify(sample),
+    ], ids=["check_b_rectangular", "minimal_rectangular_coefficient", "classify"])
+    def test_the_quadrilateral_pass_draws_once(self, draws, check):
+        check(carrier_sample(build_example_sqrt().space))
+        assert draws == [(1.0, 2.0, 4 * DEFAULT_RANDOM_SAMPLES)]
+
+    def test_pair_set_draws_once(self, draws):
+        bundle = build_example_sqrt()
+        pair_set(carrier_sample(bundle.space), bundle.selfmap, 2.0, bundle.theta)
+        assert draws == [(1.0, 2.0, 2 * DEFAULT_RANDOM_SAMPLES)]
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["classify"], 1), (["verify"], 1), (["min-s"], 1),
+        (["contraction", "--best-exponent"], 1), (["solve"], 0),
+    ])
+    def test_each_command_draws_once_per_random_phase(self, draws, argv, calls, capsys):
+        rqbm.cli.main([*argv, "--instance", "example-sqrt"])
+        assert len(draws) == calls

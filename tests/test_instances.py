@@ -513,8 +513,8 @@ class TestDrawMemory:
 def spoil_coordinates(monkeypatch, spoil):
     """Let ``spoil(seed, coords)`` edit the (n, 2) point coordinates drawn for
     each integer seed: in the generators' (trials, n, 2) coordinate draw, the
-    ``(0, 10)`` uniforms of a ``Streams`` without salt, and in the reference's
-    ``default_rng(seed)``; every other draw is the real one."""
+    ``(0, 10)`` uniforms that lead a draw of a ``Streams`` without salt, and
+    in the reference's ``default_rng(seed)``; every other draw is the real one."""
 
     class SpoiledStreams(rqbm._pcg.Streams):
         def __init__(self, seeds, salt=None):
@@ -523,8 +523,10 @@ def spoil_coordinates(monkeypatch, spoil):
 
         def uniform(self, lo, hi, count):
             out = super().uniform(lo, hi, count)
-            if self.seeds is not None and (lo, hi) == (0.0, 10.0):
-                for seed, coords in zip(self.seeds, out.reshape(len(out), -1, 2)):
+            leading = (np.broadcast_to(lo, count) == 0.0) & (np.broadcast_to(hi, count) == 10.0)
+            k = int(np.count_nonzero(leading))
+            if self.seeds is not None and k:
+                for seed, coords in zip(self.seeds, out[:, :k].reshape(len(out), -1, 2)):
                     spoil(seed, coords)
             return out
 

@@ -1,4 +1,5 @@
 """``rqbm._pcg.Streams`` against ``np.random.default_rng``, draw for draw."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,59 @@ def test_one_long_lane_in_blocks():
     want = np.random.default_rng(3).uniform(0.5, 2.0, 100_000)
     rng = Streams([3])
     assert rng.uniform(0.5, 2.0, 100_000)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [64, rqbm.spaces._BLOCK])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@pytest.mark.parametrize("k", [2, 4])
+def test_one_draw_equals_successive_draws(block, edge, k):
+    # N at a block boundary and either side of it: a block of _BLOCK words
+    # holds _BLOCK // 2 states (32 at 64, 8,192 at the default)
+    lanes, n = [7, 2**64 + 5], block // 2 + edge
+    want = np.array([np.random.default_rng(seed).uniform(0.5, 2.0, k * n) for seed in lanes])
+    with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+        whole = Streams(lanes).uniform(0.5, 2.0, k * n)
+        rng = Streams(lanes)
+        parts = [rng.uniform(0.5, 2.0, n) for _ in range(k)]
+    assert whole.tobytes() == want.tobytes()
+    assert whole.reshape(len(lanes), k, n).transpose(1, 0, 2).tobytes() == np.array(parts).tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    lanes=st.lists(seeds, min_size=1, max_size=4),
+    segments=st.lists(st.tuples(st.sampled_from(RANGES), st.integers(0, 12)),
+                      min_size=1, max_size=5),
+    block=st.sampled_from([1, 5, rqbm.spaces._BLOCK]),
+)
+def test_per_column_bounds_match_per_segment_draws(lanes, segments, block):
+    counts = [count for _, count in segments]
+    lo, hi = (np.repeat([bounds[i] for bounds, _ in segments], counts) for i in (0, 1))
+    want = [np.concatenate([rng.uniform(lo_, hi_, count) for (lo_, hi_), count in segments])
+            for rng in map(np.random.default_rng, lanes)]
+    with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+        got = Streams(lanes).uniform(lo, hi, sum(counts))
+    assert got.tobytes() == np.array(want).reshape(len(lanes), -1).tobytes()
+
+
+def test_a_draw_holds_its_output_and_a_few_blocks():
+    # ROADMAP aim 3: a long one-lane draw peaks at its output plus a bounded
+    # number of block-sized arrays (spaces._BLOCK uint64 words each), so its
+    # memory does not grow with a larger block unnoticed
+    count = 100_000
+    rng = Streams([0])
+    tracemalloc.start()
+    try:
+        rng.uniform(0.0, 1.0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * count + 5 * 8 * rqbm.spaces._BLOCK
+
+
+def test_no_lanes_draw_nothing():
+    rng = Streams([])
+    assert rng.uniform(0.0, 1.0, 5).shape == (0, 5) and rng.integers(3).shape == (0,)
 
 
 @pytest.mark.parametrize("entropy", [[-1], [0, -1], [5, -2**40, 3]])

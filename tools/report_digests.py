@@ -17,7 +17,8 @@ interval's export; then validate cases whose phi iterates settle at
 different steps, never settle, rise or escape, and thetas with a jump; and
 the flags a contraction kind or ``instances list`` does not read; then scan
 cases whose kept witnesses span many rows, or rows with one violating column,
-and analytic random phases at seeds of two and five words and a negative one.
+and analytic random phases (verify, min-s, contraction and classify) at
+seeds of two and five words and a negative one.
 Each runs through ``rqbm.cli.main`` in this process, one line per command:
 exit code (or ``raised`` and the exception a command let escape), stdout
 digest, stderr digest, argv.  Then comes one line per demo under
@@ -203,7 +204,7 @@ SCAN_CASES = [
     ["min-s", "--instance", "example-final"],
     *([command, "--instance", "example-sqrt", "--seed", seed]
       for seed in (str(2**40), str(2**130), "-1")
-      for command in ("verify", "min-s", "contraction")),
+      for command in ("verify", "min-s", "contraction", "classify")),
 ]
 
 # commands that write a file at their last argument: reports also written
