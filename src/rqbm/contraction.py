@@ -170,9 +170,8 @@ class SelfMap:
         if rest.any():
             try:
                 out[rest] = ex.evaluate(self.expr, {"x": xs[rest]})
-            except ex.EvalError:
-                for x in xs[rest].tolist():
-                    ex.evaluate(self.expr, {"x": x})
+            except ex.EvalError as e:  # the first failing value raises its own error
+                ex.evaluate(self.expr, {"x": float(xs[rest][np.argmax(e.bad)])})
                 raise
         if isinstance(space, AnalyticSpace):
             outside = (out < space.lo) | (out > space.hi)

@@ -18,7 +18,9 @@ Evaluation has one contract.  Scalar bindings give a float, evaluate one
 branch of a conditional and raise ``EvalError`` at the offending
 subexpression.  Array bindings give, element by element, bit for bit the
 float that the scalar bindings of that element give, and raise whenever some
-element's scalar evaluation raises, naming the first such element.
+element's scalar evaluation raises, naming the first such element.  Where the
+walk over whole arrays cannot vouch for every element, a masked walk takes
+each branch of a conditional only on the elements that take it.
 """
 from __future__ import annotations
 
@@ -77,7 +79,8 @@ class ArityError(ExprError):
 
 
 class EvalError(ExprError):
-    """Evaluation failure: division by zero, domain error, non-finite result."""
+    """Evaluation failure: division by zero, domain error, non-finite result.
+    An array call's error carries ``values`` (NaN where one fails) and ``bad``."""
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +360,8 @@ _RELOP_FN = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 # max keep Python's rule on ties (the first argument wins), so the two walks
 # agree on the sign of zero too.
 _OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "^": np.power,
+    "neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": np.power,
     "sqrt": np.sqrt,
     "abs": abs,
     "exp": np.exp,
@@ -367,23 +370,22 @@ _OPS = {
     "max": lambda a, b: np.where(b > a, b, a),
 }
 
-# The scalar walk's domain checks, made before the operation: a reason or None.
+# The domain checks of both walks, before the operation: (reason, test) pairs.
 _DOMAIN = {
-    "/": lambda a, b: "division by zero" if b == 0.0 else None,
-    "^": lambda a, b: (
-        "fractional power of a negative base" if a < 0.0 and b != np.floor(b)
-        else "zero raised to a negative power" if a == 0.0 and b < 0.0
-        else None
-    ),
-    "sqrt": lambda a: "sqrt of a negative value" if a < 0.0 else None,
-    "ln": lambda a: "ln of a non-positive value" if a <= 0.0 else None,
+    "/": (("division by zero", lambda a, b: b == 0.0),),
+    "^": (("fractional power of a negative base", lambda a, b: (a < 0.0) & (b != np.floor(b))),
+          ("zero raised to a negative power", lambda a, b: (a == 0.0) & (b < 0.0))),
+    "sqrt": (("sqrt of a negative value", lambda a: a < 0.0),),
+    "ln": (("ln of a non-positive value", lambda a: a <= 0.0),),
 }
 
 # operations whose result is finite whenever their arguments are
-_TOTAL = frozenset({"abs", "min", "max"})
+_TOTAL = frozenset({"neg", "abs", "min", "max"})
 
 
-def _operation(node: BinOp | Call) -> tuple[str, tuple]:
+def _operation(node: Neg | BinOp | Call) -> tuple[str, tuple]:
+    if isinstance(node, Neg):
+        return "neg", (node.operand,)
     if isinstance(node, BinOp):
         return node.op, (node.left, node.right)
     return node.func, node.args
@@ -405,41 +407,54 @@ def _scalar(node: Expr, ctx: Mapping[str, Value]) -> Value:
             return ctx[node.name]
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_scalar(node.operand, ctx)
     if isinstance(node, Cond):
         c = _RELOP_FN[node.relop](_scalar(node.lhs, ctx), _scalar(node.rhs, ctx))
         return _scalar(node.then if c else node.orelse, ctx)
     op, operands = _operation(node)
     args = [_scalar(a, ctx) for a in operands]
-    reason = op in _DOMAIN and _DOMAIN[op](*args)
-    if reason:
-        raise EvalError(f"{reason} in {to_source(node)!r}")
+    for reason, fails in _DOMAIN.get(op, ()):
+        if fails(*args):
+            raise EvalError(f"{reason} in {to_source(node)!r}")
     value = _OPS[op](*args)
     return value if op in _TOTAL else _finite(value, node)
-
-
-class _Replay(Exception):
-    """The array walk cannot vouch for a leaf; the scalar walk decides."""
 
 
 def _array(node: Expr, ctx: Mapping[str, np.ndarray]) -> Value:
     """The unchecked walk: both branches of a conditional, on whole arrays."""
     if isinstance(node, Num):
         if not math.isfinite(node.value):
-            raise _Replay
+            raise FloatingPointError(f"non-finite literal {node.value!r}")
         return np.float64(node.value)
     if isinstance(node, Var):
-        if node.name not in ctx:
-            raise _Replay  # harmless if only untaken branches read it
         return ctx[node.name]
-    if isinstance(node, Neg):
-        return -_array(node.operand, ctx)
     if isinstance(node, Cond):
         c = _RELOP_FN[node.relop](_array(node.lhs, ctx), _array(node.rhs, ctx))
         return np.where(c, _array(node.then, ctx), _array(node.orelse, ctx))
     op, operands = _operation(node)
     return _OPS[op](*[_array(a, ctx) for a in operands])
+
+
+def _masked(node: Expr, ctx: Mapping[str, np.ndarray], at: np.ndarray):
+    """The checked walk on the elements ``at`` of flat arrays, each branch only
+    where taken: their values, and the mask of those whose scalar walk raises."""
+    if isinstance(node, Num):  # a scalar, as in the other walks: numpy squares x ^ 2
+        return np.float64(node.value), np.zeros(at.size, bool)
+    if isinstance(node, Var):  # an unbound variable fails on every element
+        value = ctx[node.name][at] if node.name in ctx else np.full(at.size, math.nan)
+        return value, np.full(at.size, node.name not in ctx)
+    if isinstance(node, Cond):
+        (lhs, lbad), (rhs, rbad) = _masked(node.lhs, ctx, at), _masked(node.rhs, ctx, at)
+        c, bad, out = _RELOP_FN[node.relop](lhs, rhs), lbad | rbad, np.full(at.size, math.nan)
+        for branch, take in ((node.then, c & ~bad), (node.orelse, ~c & ~bad)):
+            out[take], bad[take] = _masked(branch, ctx, at[take])
+        return out, bad
+    op, operands = _operation(node)
+    args, bads = zip(*[_masked(a, ctx, at) for a in operands])
+    bad = np.logical_or.reduce(bads)
+    for _, fails in _DOMAIN.get(op, ()):
+        bad = bad | fails(*args)
+    value = _OPS[op](*args)
+    return value, bad if op in _TOTAL else bad | ~np.isfinite(value)
 
 
 def evaluate(node: Expr, bindings: Mapping[str, Value]) -> Value:
@@ -453,38 +468,38 @@ def evaluate(node: Expr, bindings: Mapping[str, Value]) -> Value:
     call raises exactly when some element's scalar evaluation raises, with the
     first such element's message (C order) plus `` at sample index (...)``.
     """
-    arrays = [v for v in bindings.values() if isinstance(v, np.ndarray) and v.ndim > 0]
-    if not arrays:
+    if not any(isinstance(v, np.ndarray) and v.ndim > 0 for v in bindings.values()):
         with np.errstate(all="ignore"):
             return _finite(_scalar(node, bindings), node)
-    shape = np.broadcast(*arrays).shape
-    if all(v.size == 1 for v in arrays):  # one element: the scalar walk is the cheaper one
-        sample = {k: float(v.ravel()[0]) if isinstance(v, np.ndarray) else float(v)
-                  for k, v in bindings.items()}
+    shape = np.broadcast_shapes(*map(np.shape, bindings.values()))
+    if math.prod(shape) == 1:  # one element: the scalar walk is the cheaper one
+        sample = {k: float(np.ravel(v)[0]) for k, v in bindings.items()}
         try:
             with np.errstate(all="ignore"):
                 return np.full(shape, _finite(_scalar(node, sample), node))
-        except EvalError as e:
-            raise EvalError(f"{e} at sample index {(0,) * len(shape)}") from None
+        except EvalError:
+            pass  # the walks below give the failure mask
     ctx = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
-    # one unchecked walk; a floating-point event, a non-finite value or an
-    # unbound variable sends the elements one by one through the scalar walk
-    try:
-        if not all(np.isfinite(v).all() for v in ctx.values()):
-            raise _Replay
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            out = np.broadcast_to(_array(node, ctx), shape).astype(np.float64)
-        if np.isfinite(out).all():
-            return out
-    except (_Replay, FloatingPointError):
+    try:  # one unchecked walk first; a floating-point event, a non-finite literal,
+        # input or output, or an unbound variable sends the elements to the masked walk
+        if all(np.isfinite(v).all() for v in ctx.values()):
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                out = np.broadcast_to(_array(node, ctx), shape).astype(np.float64)
+            if np.isfinite(out).all():
+                return out
+    except (FloatingPointError, KeyError):
         pass
-    full = {k: np.broadcast_to(v, shape) for k, v in ctx.items()}
-    out = np.empty(shape)
+    flat = {k: np.broadcast_to(v, shape).ravel() for k, v in ctx.items()}
     with np.errstate(all="ignore"):
-        for k in np.ndindex(shape):
-            try:
-                sample = {name: float(v[k]) for name, v in full.items()}
-                out[k] = _finite(_scalar(node, sample), node)
-            except EvalError as e:
-                raise EvalError(f"{e} at sample index {k}") from None
+        out, bad = _masked(node, flat, np.arange(math.prod(shape)))
+    bad = bad | ~np.isfinite(out)  # out may be one value, where no variable is read
+    out = np.where(bad, math.nan, out).reshape(shape)
+    if bad.any():  # the first failing element's scalar walk raises its error
+        first = int(bad.argmax())
+        try:
+            evaluate(node, {name: float(v[first]) for name, v in flat.items()})
+        except EvalError as e:
+            k = tuple(int(i) for i in np.unravel_index(first, shape))
+            e.args, e.values, e.bad = (f"{e} at sample index {k}",), out, bad.reshape(shape)
+            raise
     return out

@@ -161,19 +161,12 @@ class FiniteSpace:
                 raise SpaceError(f"override ({a!r}, {a!r}) must be 0, got {d!r}")
             table[index[a], index[b]] = d
         if self.default_formula is not None:
-            step = max(1, _BLOCK // len(labels))
-            for lo in range(0, len(labels), step):  # row blocks, in C order
+            step, names = max(1, _BLOCK // len(labels)), np.array(labels, dtype=object)
+            for lo in range(0, len(labels), step):  # row blocks in C order, one call each
                 rows, need = table[lo:lo + step], np.isnan(table[lo:lo + step])
-                try:  # one broadcast call, kept on the block's undefined pairs
-                    np.copyto(rows, ex.evaluate(self.default_formula, {
-                        "x": values[lo:lo + step, None], "y": values[None, :]}), where=need)
-                    if not (rows < 0.0).any():
-                        continue
-                except ex.EvalError:
-                    pass
-                i, j = np.nonzero(need)  # pair by pair: the first failing one raises its error
-                rows[i, j] = _formula_distance(self.default_formula, values[i + lo],
-                                               values[j], i + lo, j, labels)
+                d = _formula_distance(self.default_formula, values[lo:lo + step, None], values,
+                                      names[lo:lo + step, None], names, need)
+                np.copyto(rows, d, where=need)  # kept on the block's undefined pairs
         values.flags.writeable = table.flags.writeable = False
         for name, field in (("labels", labels), ("values", values), ("_index_of", index),
                             ("_ascending", ascending), ("_order", order), ("_table", table)):
@@ -287,30 +280,23 @@ class AnalyticSpace:
         return np.linspace(self.lo, self.hi, m)
 
 
-def _formula_distance(formula: ex.Expr, x, y, a, b, names=None):
-    """``formula`` at values x, y (floats or arrays), its pairs named by ``a``
-    and ``b``, or by ``names[a]`` and ``names[b]`` when ``names`` is given.
-    The first pair in C order that fails raises its own error."""
+def _formula_distance(formula: ex.Expr, x, y, a, b, need=True):
+    """``formula`` at values x, y (floats or arrays), its pairs named by ``a`` and
+    ``b``.  The first pair in C order of those ``need`` marks that fails, or is
+    negative, raises its own error."""
     try:
         d = ex.evaluate(formula, {"x": x, "y": y})
-    except ex.EvalError:
-        if np.ndim(x) or np.ndim(y):  # pair by pair, so an earlier negative pair is named
-            for pair in np.broadcast(x, y, a, b):
-                _formula_distance(formula, *pair, names)
-        raise
-    _refuse_negative(d, a, b, names)
-    return d
-
-
-def _refuse_negative(d, a, b, names=None) -> None:
-    """Raise for the first negative ``d`` in C order, named as ``_formula_distance`` names it."""
-    neg = np.asarray(d) < 0.0
-    if neg.any():
-        k = np.unravel_index(int(np.argmax(neg)), neg.shape)
-        a, b, d = (np.broadcast_to(np.asarray(w), neg.shape)[k].item() for w in (a, b, d))
-        if names is not None:
-            a, b = names[a], names[b]
+        fail = np.asarray(d) < 0.0
+    except ex.EvalError as e:  # the failing pairs too, to look past those not needed
+        if not hasattr(e, "bad"):  # a float pair raises its own error
+            raise
+        d, fail = e.values, e.bad | (e.values < 0.0)
+    if fail.any() and (fail := fail & need).any():
+        k = np.unravel_index(int(np.argmax(fail)), fail.shape)
+        x, y, a, b = (np.broadcast_to(w, fail.shape).item(k) for w in (x, y, a, b))
+        d = ex.evaluate(formula, {"x": x, "y": y})  # a failing pair raises its own error
         raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+    return d
 
 
 Space = FiniteSpace | AnalyticSpace

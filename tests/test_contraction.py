@@ -17,7 +17,7 @@ from rqbm.contraction import (
     check_theta_phi_contraction,
     pair_set,
 )
-from rqbm.expr import EvalError
+from rqbm.expr import EvalError, to_source
 from rqbm.instances import (
     affine_toward,
     build_example_final,
@@ -26,6 +26,7 @@ from rqbm.instances import (
 )
 from rqbm.spaces import AnalyticSpace, FiniteSpace, SpaceError, carrier_sample
 from rqbm.thetaphi import builtin_phi, builtin_theta
+from test_expr import _exprs
 
 # closed forms of the builtin thetas and phis, on numpy scalars: numpy's
 # elementary functions agree bit for bit between scalars and arrays, where
@@ -118,6 +119,91 @@ class TestHybridMapImages:
         with pytest.raises(EvalError) as got:
             pair_set(carrier_sample(bundle.space), selfmap, 3.0)
         assert str(got.value) == str(want.value)
+
+
+def reference_images(selfmap, space, xs):
+    """Value by value in order: a labeled value's table image, else one scalar
+    walk of the expression (at the label's value, on a finite space); the
+    first walk that raises raises.  On an interval, the first image outside it
+    then raises."""
+    out = []
+    for x in xs:
+        label = space.label_for_value(x)
+        if label is not None and label in (selfmap.table or {}):
+            target = selfmap.table[label]
+            out.append(space.value_of(target) if isinstance(target, str) else target)
+        else:
+            at = x if label is None else space.value_of(label)
+            out.append(rqbm.expr.evaluate(selfmap.expr, {"x": at}))
+    if isinstance(space, AnalyticSpace):
+        for x, image in zip(xs, out):
+            if not space.lo <= image <= space.hi:
+                raise MapRangeError(
+                    f"map image {image!r} of {x!r} leaves [{space.lo}, {space.hi}]")
+    return np.array(out, dtype=np.float64)
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+                    st.floats(min_value=-50.0, max_value=50.0))
+
+
+@st.composite
+def guarded_maps(draw):
+    """``if(x RELOP c, ...)`` with one branch that leaves its domain on some
+    side of a cut, taken or not; or a random expression in x."""
+    c, cut = (draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0])) for _ in range(2))
+    risky = draw(st.sampled_from(["sqrt(x - {})", "ln(x - {})", "1 / (x - {})",
+                                  "(x - {}) ^ 0.5", "sqrt({} - x)"])).format(cut)
+    safe = draw(st.sampled_from(["x / 2", "0.5", "abs(x) / 4", "min(x, 0) - 1"]))
+    relop = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
+    branches = draw(st.permutations([safe, risky]))
+    guarded = f"if(x {relop} {c}, {branches[0]}, {branches[1]})"
+    return draw(st.one_of(st.just(guarded), _exprs(("x",)).map(to_source)))
+
+
+def _outcome(call):
+    try:
+        return call().tobytes()
+    except (EvalError, MapRangeError) as err:
+        return type(err), str(err)
+
+
+class TestApplyArrayOracle:
+    @given(guarded_maps(), st.lists(_VALUES, min_size=1, max_size=8))
+    def test_interval_matches_value_by_value_reference(self, source, xs):
+        space = AnalyticSpace.build(-100.0, 100.0, "abs(x - y)")
+        selfmap = SelfMap.from_expression(source)
+        want = _outcome(lambda: reference_images(selfmap, space, xs))
+        assert _outcome(lambda: selfmap.apply_array(space, np.array(xs))) == want
+
+    @given(guarded_maps(), st.data())
+    def test_hybrid_matches_value_by_value_reference(self, source, data):
+        values = data.draw(st.lists(_VALUES, min_size=1, max_size=5, unique=True))
+        labels = [f"p{i}" for i in range(len(values))]
+        space = FiniteSpace.build(zip(labels, values), "abs(x - y)")
+        ruled = data.draw(st.lists(st.sampled_from(labels), unique=True))
+        table = {l: data.draw(st.one_of(st.sampled_from(labels), _VALUES)) for l in ruled}
+        selfmap = SelfMap.hybrid(table, source)
+        xs = data.draw(st.lists(st.one_of(st.sampled_from(values), _VALUES), min_size=1,
+                                max_size=8))
+        want = _outcome(lambda: reference_images(selfmap, space, xs))
+        assert _outcome(lambda: selfmap.apply_array(space, np.array(xs))) == want
+
+    def test_untaken_branch_leaves_its_domain(self):
+        selfmap = SelfMap.from_expression("if(x >= 0.5, x / 2, sqrt(x - 0.6))")
+        xs = np.linspace(0.5, 1.0, 1001)
+        images = selfmap.apply_array(AnalyticSpace.build(0.0, 1.0, "abs(x - y)"), xs)
+        assert np.array_equal(images, xs / 2)
+
+    def test_interior_failure_is_the_value_alone(self):
+        space = AnalyticSpace.build(0.0, 1.0, "abs(x - y)")
+        selfmap = SelfMap.from_expression("0.5 + 0 * ln(abs(x - 0.5))")
+        with pytest.raises(EvalError) as alone:
+            selfmap.apply_value(space, 0.5)
+        with pytest.raises(EvalError) as grid:
+            selfmap.apply_array(space, np.linspace(0.0, 1.0, 11))
+        assert str(grid.value) == str(alone.value) == (
+            "ln of a non-positive value in 'ln(abs(x - 0.5))'")
 
 
 class TestThetaPhiContraction:

@@ -397,6 +397,40 @@ class TestArrayContractPins:
         assert np.array_equal(out, np.repeat(g[:, None] + 1, 3, axis=1))
 
 
+class TestMaskedWalkPins:
+    @pytest.mark.parametrize("source, xs", [
+        ("x ^ -0.5", [4.0, -math.inf]),             # a domain fault whose value is finite (0.0)
+        ("min(x, 0) ^ -0.5", [-math.inf, 1.0]),
+        ("if(x > 0, if(x < 1, ln(x - 0.5), x), 0)", [0.25, 0.75]),  # a nested taken failure
+        ("if(sqrt(x) > 1, 2, 3)", [4.0, -1.0]),      # a condition that fails
+        ("if(x > 0, sqrt(x), y) + ln(x)", [1.0, 0.0]),  # an untaken unbound y, then a failure
+        # a literal exponent 2 squares, where an array of 2s would call pow (one ulp apart)
+        ("if(x < 1, x ^ 2, sqrt(x - 1))", [51 / 399, 0.5]),
+        # a non-finite value that reaches the result through total steps only
+        ("-abs(x)", [1.0, -math.inf]),
+        ("if(x > 1, x, sqrt(x))", [math.inf, 0.25]),
+    ])
+    def test_pinned(self, source, xs):
+        assert_array_call_matches_scalar_calls(parse(source, XY), {"x": np.array(xs)}, (2,))
+
+    def test_error_carries_the_mask(self):
+        e = parse("if(x > 1, sqrt(2 - x), sqrt(x))", XY)
+        with pytest.raises(EvalError) as err:
+            evaluate(e, {"x": np.array([0.5, 3.0, -1.0])})
+        assert str(err.value) == "sqrt of a negative value in 'sqrt(2.0 - x)' at sample index (1,)"
+        assert err.value.bad.tolist() == [False, True, True]
+        assert err.value.values[0] == math.sqrt(0.5) and np.isnan(err.value.values[1:]).all()
+
+    @pytest.mark.parametrize("x, y", [(np.array([0.0]), 1.0), (np.array([[0.0]]), np.array([1.0])),
+                                      (np.array([0.0, 2.0]), np.array([[1.0]]))])
+    def test_mask_has_the_call_shape(self, x, y):
+        with pytest.raises(EvalError) as err:
+            evaluate(parse("sqrt(x - y)", XY), {"x": x, "y": y})
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert err.value.values.shape == err.value.bad.shape == shape
+        assert err.value.bad.tolist() == (np.broadcast_to(x, shape) < 1.0).tolist()
+
+
 class TestDecimalDigitsOnly:
     # str.isdigit() holds for superscript and circled digits, which float() refuses
     @pytest.mark.parametrize("source", ["²", "x + ²", "1²", "1e²", "①"])

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm.expr
 import rqbm.spaces
 from rqbm.contraction import SelfMap, pair_set
 from rqbm.expr import EvalError, evaluate, parse, to_source
@@ -378,6 +380,125 @@ class TestAnalyticDistance:
         assert str(mesh.value) == str(alone.value) == (
             "ln of a non-positive value in 'ln(x - y + 0.5)'"
         )
+
+
+# a distance that only fails late in C order, at (2, 0) of a grid on [0, 2]
+LATE_FAILING = "sqrt(y - x + 1.999) * abs(x - y)"
+
+
+def reference_distances(formula, xs, ys):
+    """The grid xs by ys pair by pair in C order, one scalar walk each; the
+    first pair that raises, or is negative, raises."""
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            d = evaluate(formula, {"x": x, "y": y})
+            if d < 0.0:
+                raise SpaceError(f"distance ({x!r}, {y!r}) = {d!r} must be finite and >= 0")
+            out[i, j] = d
+    return out
+
+
+@st.composite
+def grid_cases(draw):
+    # 0 on the diagonal, so the space builds; off it, a random formula whose
+    # conditionals may hold branches that leave their domain
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+                       st.floats(min_value=-50.0, max_value=50.0))
+    xs, ys = (draw(st.lists(values, min_size=1, max_size=5)) for _ in range(2))
+    return f"if(x == y, 0, {to_source(draw(_exprs(('x', 'y'))))})", xs, ys
+
+
+class TestAnalyticDistanceOracle:
+    @example(case=("if(x == y, 0, (x - y)^2 / abs(x - y))", [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+    @example(case=("if(x >= y, sqrt(x - y), 2 * sqrt(y - x))", [0.0, 1.0], [0.5, 1.0, 2.0]))
+    @example(case=(LATE_FAILING, np.linspace(0.0, 2.0, 40).tolist(),
+                   np.linspace(0.0, 2.0, 40).tolist()))
+    # the negative (1, 0) comes before the failing (10, 0)
+    @example(case=("if(x == y, 0, if(x > 5, sqrt(0 - x), y - x))", [0.0, 1.0, 10.0],
+                   [0.0, 1.0, 10.0]))
+    @given(grid_cases())
+    def test_grid_matches_pair_by_pair_reference(self, case):
+        source, xs, ys = case
+        space = AnalyticSpace.build(-50.0, 50.0, source)
+        try:
+            want = reference_distances(space.formula, xs, ys).tobytes()
+        except (SpaceError, EvalError) as err:
+            want = (type(err), str(err))
+        try:
+            got = space.distance_value(np.array(xs)[:, None], np.array(ys)[None, :]).tobytes()
+        except (SpaceError, EvalError) as err:
+            got = (type(err), str(err))
+        assert got == want
+
+
+class TestOneElementFailures:
+    """A call on one pair raises that pair's own error, as a call on many does."""
+
+    def test_analytic_one_by_one_grid(self):
+        space = AnalyticSpace.build(0.0, 2.0, "sqrt(x - y)")
+        for x, y in ((np.array([0.0]), np.array([1.0])), (np.array([[0.0]]), np.array([[1.0]]))):
+            with pytest.raises(EvalError, match=r"^sqrt of a negative value in 'sqrt\(x - y\)'$"):
+                space.distance_value(x, y)
+
+    def test_analytic_one_negative_pair(self):
+        space = AnalyticSpace.build(0.0, 2.0, "x - y")
+        with pytest.raises(SpaceError, match=r"^distance \(0.0, 1.0\) = -1.0 must be"):
+            space.distance_value(np.array([0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("a, b", [(-2.0, 0.5), (np.array([-2.0, 0.0]), np.array([0.5, 1.0]))])
+    def test_hybrid_one_free_pair(self, a, b):
+        space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], "abs(x - y) + 0 * ln(x + 1)")
+        with pytest.raises(EvalError, match=r"^ln of a non-positive value in 'ln\(x \+ 1.0\)'$"):
+            space.distance_value(a, b)
+
+
+@contextlib.contextmanager
+def scalar_walks(limit):
+    """The nodes of the top-level entries of ``expr._scalar`` (its recursive
+    calls are not counted); an entry past ``limit`` fails the call at once."""
+    scalar, depth, entries = rqbm.expr._scalar, [0], []
+
+    def counting(node, ctx):
+        if depth[0] == 0:
+            entries.append(node)
+            assert len(entries) <= limit, "a scalar walk per element"
+        depth[0] += 1
+        try:
+            return scalar(node, ctx)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(rqbm.expr, "_scalar", counting):
+        yield entries
+
+
+class TestScalarWalksPerCall:
+    """An array call that the whole-array walk cannot vouch for makes a handful
+    of scalar walks (one names a failure), not one per element."""
+
+    HANDFUL = 3
+
+    def test_guarded_conditional_on_a_grid(self):
+        g = np.linspace(0.0, 1.0, 300)
+        e = parse("if(x >= y, sqrt(x - y), 2 * sqrt(y - x))", {"x", "y"})
+        with scalar_walks(self.HANDFUL) as walks:
+            d = evaluate(e, {"x": g[:, None], "y": g[None, :]})
+        assert d.shape == (300, 300) and walks == []
+        assert d[299, 0] == 1.0 and d[0, 299] == 2.0
+
+    def test_finite_build_guarded_on_the_diagonal(self):
+        points = [(f"p{i}", v) for i, v in enumerate(np.linspace(0.0, 1.0, 400).tolist())]
+        with scalar_walks(self.HANDFUL) as walks:
+            space = FiniteSpace.build(points, "if(x == y, 0, (x - y)^2 / abs(x - y))")
+        assert walks == [] and space.distance("p399", "p0") == 1.0
+
+    def test_late_failing_carrier(self):
+        space = AnalyticSpace.build(0.0, 2.0, LATE_FAILING)
+        with scalar_walks(self.HANDFUL) as walks, pytest.raises(EvalError) as err:
+            carrier_sample(space, 300)
+        assert str(err.value) == "sqrt of a negative value in 'sqrt(y - x + 1.999)'"
+        assert 1 <= len(walks) <= self.HANDFUL
 
 
 class TestCarrierSample:

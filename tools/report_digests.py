@@ -18,7 +18,12 @@ different steps, never settle, rise or escape, and thetas with a jump; and
 the flags a contraction kind or ``instances list`` does not read; then scan
 cases whose kept witnesses span many rows, or rows with one violating column,
 and analytic random phases (verify, min-s, contraction and classify) at
-seeds of two and five words and a negative one.
+seeds of two and five words and a negative one; then array evaluation
+cases: an analytic space that fails only late in C order (and a solve
+whose first step fails on it), maps whose
+untaken branch leaves its domain or that fail at an interior value, and a
+finite space whose default formula fails only on the diagonal (each space
+file written at a fixed temp path).
 Each runs through ``rqbm.cli.main`` in this process, one line per command:
 exit code (or ``raised`` and the exception a command let escape), stdout
 digest, stderr digest, argv.  Then comes one line per demo under
@@ -207,6 +212,28 @@ SCAN_CASES = [
       for command in ("verify", "min-s", "contraction", "classify")),
 ]
 
+# an analytic space that fails only at (2, 0) of a grid on [0, 2], and a finite
+# space whose default formula fails only where x = y, which no table entry reads
+LATE_SPACE = Path(tempfile.gettempdir()) / "rqbm-late-failing.json"
+DIAGONAL_SPACE = Path(tempfile.gettempdir()) / "rqbm-diagonal-failing.json"
+EVAL_SPACES = {
+    LATE_SPACE: {"kind": "analytic", "domain": {"lo": 0.0, "hi": 2.0},
+                 "forward": "sqrt(y - x + 1.999) * abs(x - y)"},
+    DIAGONAL_SPACE: {"kind": "finite", "default": "abs(x - y) + 0 * ln(abs(x - y))",
+                     "points": [{"label": f"p{i}", "value": i / 4} for i in range(6)]},
+}
+EVAL_CASES = [
+    *([command, "--space", str(LATE_SPACE)] for command in ("verify", "min-s")),
+    # a start whose first step, 0 -> 2, has d(2, 0) fail: each start is rerun alone
+    ["solve", "--space", str(LATE_SPACE), "--map", "2 - x", "--start", "0"],
+    # each branch leaves its domain where the other is taken, and the result passes
+    *([command, "--instance", "example-sqrt", "--map", "if(x >= 1.5, sqrt(x), 1 + sqrt(1.5 - x))",
+       *more] for command, more in (("contraction", []), ("solve", ["--start", "1.2"]))),
+    # the first failing grid value is interior, 1.5128...
+    ["contraction", "--instance", "example-sqrt", "--map", "1 + sqrt(1.5 - x)"],
+    *([command, "--space", str(DIAGONAL_SPACE)] for command in ("verify", "classify")),
+]
+
 # commands that write a file at their last argument: reports also written
 # with --out, in both formats and with one of the large falsify reports, and
 # the instance exports of a formula and of two finite carriers
@@ -274,11 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     NAN_SPACE.write_text(json.dumps({
         "kind": "finite", "points": [{"label": "a", "value": 0.0}], "claimed_s": math.nan,
     }))
-    for path, obj in REFUSED_CARRIERS.items():
+    for path, obj in {**REFUSED_CARRIERS, **EVAL_SPACES}.items():
         path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
-             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES)
+             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES + EVAL_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     for path in DEMOS:

@@ -1,4 +1,4 @@
-"""Time the quadrilateral scan and falsify at sizes that no benchmark workload reaches.
+"""Time the quadrilateral scan, falsify and array evaluation at sizes no workload reaches.
 
 Runs ``min-s`` and a failing ``verify --s 2`` on ``example-sqrt`` at grids
 200, 400 and 1000, ``solve --start 1/3 --uniqueness-starts all`` on
@@ -11,6 +11,19 @@ exit code, the wall-clock seconds of the call and the SHA-256 of its stdout.
 ``--skip verify:1000`` (or ``--skip falsify:60``, by size) leaves a command
 out (it prints ``"seconds": null``), for a checkout where it would run for
 an hour.
+
+Then come the cliff cases of array evaluation, where the walk over whole
+arrays cannot vouch for every element and a walk per element would take
+seconds: a conditional whose untaken branch leaves its domain on a 300 x 300
+grid; a 400-point finite space whose default formula is guarded on the
+diagonal; ``verify`` of an analytic space that fails only late in C order,
+at grids 100, 300 and 1000, from the space file of ``report_digests.py``
+(written again under the system temp directory); and a map with an
+out-of-domain untaken branch on 100,000 values.  A cliff line gives ``rc``
+(``raised`` and the exception name for a library call that raises) and the
+SHA-256 of what the call gave: its result's bytes, or the command's stdout
+then stderr.  Their keys start with ``cliff``, e.g.
+``--skip cliff:verify-late:1000``.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so two checkouts can be timed, and
 their reports compared, command for command::
@@ -27,7 +40,13 @@ import io
 import json
 import time
 
+import numpy as np
+
+from report_digests import EVAL_SPACES, LATE_SPACE
 from rqbm.cli import main
+from rqbm.contraction import SelfMap
+from rqbm.expr import evaluate, parse
+from rqbm.spaces import AnalyticSpace, FiniteSpace
 
 GRIDS = (200, 400, 1000)
 # name -> (argv, the grids it runs at)
@@ -55,6 +74,58 @@ def run(argv: list[str]) -> tuple[int, float, str]:
     return rc, seconds, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def _cliff_grid() -> bytes:
+    g = np.linspace(0.0, 1.0, 300)
+    e = parse("if(x >= y, sqrt(x - y), 2 * sqrt(y - x))", {"x", "y"})
+    return evaluate(e, {"x": g[:, None], "y": g[None, :]}).tobytes()
+
+
+def _cliff_build() -> bytes:
+    points = [(f"p{i}", v) for i, v in enumerate(np.linspace(0.0, 1.0, 400).tolist())]
+    space = FiniteSpace.build(points, "if(x == y, 0, (x - y)^2 / abs(x - y))")
+    return space.distance_matrix.tobytes()
+
+
+def _cliff_map() -> bytes:
+    space = AnalyticSpace.build(0.0, 1.0, "abs(x - y)")
+    selfmap = SelfMap.from_expression("if(x >= 0.5, x / 2, sqrt(x - 0.6))")
+    return selfmap.apply_array(space, np.linspace(0.5, 1.0, 100_000)).tobytes()
+
+
+def _cliff_verify(grid: int):
+    def call() -> tuple[int, bytes]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--space", str(LATE_SPACE), "--grid", str(grid)])
+        return rc, (out.getvalue() + err.getvalue()).encode()
+    return call
+
+
+# key -> (line fields, the call: result bytes, or (exit code, output bytes))
+CLIFFS = {
+    "cliff:grid-300": ({"case": "conditional on a 300 x 300 grid"}, _cliff_grid),
+    "cliff:build-400": ({"case": "400-point finite space guarded on the diagonal"},
+                        _cliff_build),
+    **{f"cliff:verify-late:{grid}": ({"case": "verify of a late-failing space", "grid": grid},
+                                     _cliff_verify(grid)) for grid in (100, 300, 1000)},
+    "cliff:map-100000": ({"case": "map with an untaken sqrt branch on 100,000 values"},
+                         _cliff_map),
+}
+
+
+def run_cliff(call) -> tuple[int | str, float, str]:
+    """Exit code (0 for a library call, ``raised`` and the exception name when
+    it raises), wall seconds and the digest of what the call gave."""
+    start = time.perf_counter()
+    try:
+        got = call()
+        rc, data = got if isinstance(got, tuple) else (0, got)
+    except Exception as e:  # reported on its line, so the later cases still run
+        rc, data = f"raised {type(e).__name__}", str(e).encode()
+    seconds = time.perf_counter() - start
+    return rc, seconds, hashlib.sha256(data).hexdigest()
+
+
 def cli() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--skip", action="append", default=[], metavar="COMMAND:GRID",
@@ -70,6 +141,14 @@ def cli() -> None:
         if key not in skip:
             rc, seconds, digest = run(argv)
             row.update(rc=rc, seconds=round(seconds, 3), stdout_sha256=digest)
+        print(json.dumps(row), flush=True)
+    LATE_SPACE.write_text(json.dumps(EVAL_SPACES[LATE_SPACE]))
+    for key, (fields, call) in CLIFFS.items():
+        row = {"command": key.split(":")[0], **fields, "rc": None, "seconds": None,
+               "sha256": None}
+        if key not in skip:
+            rc, seconds, digest = run_cliff(call)
+            row.update(rc=rc, seconds=round(seconds, 4), sha256=digest)
         print(json.dumps(row), flush=True)
 
 
