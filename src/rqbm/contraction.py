@@ -38,6 +38,7 @@ from .spaces import (
     FiniteSpace,
     Sample,
     Space,
+    _raise_first,
     _streams,
 )
 from .thetaphi import PhiSpec, ThetaSpec
@@ -102,23 +103,24 @@ class SelfMap:
         return " | ".join(parts) or "<empty>"
 
     def check_total(self, space: Space) -> None:
+        """Refuse a map with a rule that cannot apply on ``space``: a table label
+        or target the space lacks, an unlabeled image with no default formula, or
+        a label with no rule.  It is policy, not a copy of ``apply_array``'s
+        checks: it refuses such rules even where an orbit never visits them."""
         if isinstance(space, FiniteSpace):
-            if self.table:
-                for a, b in self.table.items():
-                    space.value_of(a)
-                    if isinstance(b, str):
-                        space.value_of(b)
-                    elif space.label_for_value(b) is None and space.default_formula is None:
-                        raise MapError(
-                            f"table image {b!r} is unlabeled and the space has no default formula"
-                        )
+            for a, b in (self.table or {}).items():
+                space.value_of(a)
+                if isinstance(b, str):
+                    space.value_of(b)
+                elif space.label_for_value(b) is None and space.default_formula is None:
+                    raise MapError(f"table image {b!r} is unlabeled and the space has no "
+                                   "default formula")
             if self.expr is None:
                 missing = [l for l in space.labels if not (self.table and l in self.table)]
                 if missing:
                     raise MapError(f"map has no rule for labels {missing[:4]!r}")
-        else:
-            if self.expr is None:
-                raise MapError("an analytic space needs an expression map")
+        elif self.expr is None:
+            raise MapError("an analytic space needs an expression map")
 
     def apply_label(self, space: FiniteSpace, label: str) -> float:
         return self.apply_value(space, space.value_of(label))
@@ -145,8 +147,8 @@ class SelfMap:
 
     def apply_array(self, space: Space, xs: np.ndarray) -> np.ndarray:
         """The image of every value in the 1-D array ``xs``, with one expression
-        call for the values off the table.  If it fails, the first failing
-        value raises the error a call on that value alone gives."""
+        call for the values off the table.  If it fails, the first failing value
+        raises its own error, with ``bad`` marking the values that fail that check."""
         xs = np.asarray(xs, dtype=np.float64)
         out = np.empty(xs.shape)
         rest = np.ones(xs.shape, dtype=bool)  # the values the expression maps
@@ -156,31 +158,29 @@ class SelfMap:
             if self.table:
                 image, rule = self._label_images(space)
                 ruled = np.where(at >= 0, rule[at], 0)
-                if (ruled < 0).any():  # the first value whose target names no label
-                    space.value_of(self.table[space.labels[at[int(np.argmax(ruled < 0))]]])
+                if (ruled < 0).any():  # a value whose target names no label
+                    _raise_first(ruled < 0, lambda k: space.value_of(
+                        self.table[space.labels[at[k]]]))
                 rest = ruled == 0
                 out[~rest] = image[at[~rest]]
             if self.expr is None and rest.any():
-                k = int(np.argmax(rest))
-                if at[k] >= 0:
-                    raise MapError(f"map has no rule for label {space.labels[at[k]]!r}")
-                raise MapError(f"map has no rule for value {float(raw[k])!r}")
+                _raise_first(rest, lambda k: MapError(
+                    f"map has no rule for label {space.labels[at[k]]!r}" if at[k] >= 0
+                    else f"map has no rule for value {float(raw[k])!r}"))
         elif self.expr is None and rest.any():
-            raise MapError("an analytic space needs an expression map")
+            _raise_first(rest, lambda k: MapError("an analytic space needs an expression map"))
         if rest.any():
             try:
                 out[rest] = ex.evaluate(self.expr, {"x": xs[rest]})
-            except ex.EvalError as e:  # the first failing value raises its own error
-                ex.evaluate(self.expr, {"x": float(xs[rest][np.argmax(e.bad)])})
-                raise
+            except ex.EvalError as e:  # its mask, from the values off the table to all
+                bad, bad[rest] = np.zeros_like(rest), e.bad
+                _raise_first(bad, lambda k: ex.evaluate(self.expr, {"x": float(xs[k])}))
         if isinstance(space, AnalyticSpace):
             outside = (out < space.lo) | (out > space.hi)
             if outside.any():
-                k = int(np.argmax(outside))
-                raise MapRangeError(
+                _raise_first(outside, lambda k: MapRangeError(
                     f"map image {float(out[k])!r} of {float(xs[k])!r} leaves "
-                    f"[{space.lo}, {space.hi}]"
-                )
+                    f"[{space.lo}, {space.hi}]"))
         return out
 
 

@@ -371,9 +371,11 @@ _OPS = {
 }
 
 # The domain checks of both walks, before the operation: (reason, test) pairs.
+# The scalar walk tests every power: a float base >= 0 skips np.floor.
 _DOMAIN = {
     "/": (("division by zero", lambda a, b: b == 0.0),),
-    "^": (("fractional power of a negative base", lambda a, b: (a < 0.0) & (b != np.floor(b))),
+    "^": (("fractional power of a negative base",
+           lambda a, b: neg if (neg := a < 0.0) is False else neg & (b != np.floor(b))),
           ("zero raised to a negative power", lambda a, b: (a == 0.0) & (b < 0.0))),
     "sqrt": (("sqrt of a negative value", lambda a: a < 0.0),),
     "ln": (("ln of a non-positive value", lambda a: a <= 0.0),),

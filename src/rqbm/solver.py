@@ -16,8 +16,9 @@ distances d(x_n, x_{n+2}) / d(x_{n+2}, x_n).  Termination:
 All starts advance in lock-step, a single run being the one-start case: a
 round makes one map call and one distance call per series over the live
 starts, and keeps only their arrays; the traces are built from those once,
-at the end.  If a round raises, the starts rerun one at a time in start
-order, so the first start that fails raises its own error.
+at the end.  A start that fails (its error's ``bad``) or is refused drops out
+with the starts after it, and the round runs again; once the rest end, the
+first start in order that fails raises its own error.
 """
 from __future__ import annotations
 
@@ -164,9 +165,23 @@ def _resolve_start(space: Space, x0) -> float:
     return x0
 
 
-def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
-    finite, m = isinstance(space, FiniteSpace), len(starts)
-    x = np.array([_resolve_start(space, x0) for x0 in starts])
+def _iterate(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
+    """Picard traces from every start (labels or values), in start order."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if tol == np.inf:
+        raise ValueError("tol must be finite")
+    selfmap.check_total(space)
+    x, error = [], None
+    for x0 in starts:  # a refused start ends the start list, as a failing one does
+        try:
+            x.append(_resolve_start(space, x0))
+        except (SpaceError, ValueError) as e:
+            error = e
+            break
+    finite, m, x = isinstance(space, FiniteSpace), len(x), np.array(x)
     live = np.arange(m)  # the starts still running, in start order
     at = space._indices(x) if finite else np.full(m, -1)  # label indices, -1 for none
     # each column holds per round the round's starts and one array over them:
@@ -180,13 +195,16 @@ def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: 
         visited = np.zeros((m, len(space.labels)), dtype=bool)
         visited[live[at >= 0], at[at >= 0]] = True
         loose = [{v} if a < 0 else set() for a, v in zip(at.tolist(), x.tolist())]
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        xn = selfmap.apply_array(space, x)
-        d = [space.distance_value(x, xn), space.distance_value(xn, x)]
-        if prev is not None:
-            d += [space.distance_value(prev, xn), space.distance_value(xn, prev)]
+    while live.size and len(iterates) <= max_iter:  # the starts, then one entry per round
+        try:
+            xn = selfmap.apply_array(space, x)
+            d = [space.distance_value(x, xn), space.distance_value(xn, x)]
+            if prev is not None:
+                d += [space.distance_value(prev, xn), space.distance_value(xn, prev)]
+        except (ExprError, MapError, SpaceError) as e:  # drop the first failing start and
+            error, k = e, int(np.argmax(e.bad))  # those after it, then run the round again
+            live, x, prev = live[:k], x[:k], None if prev is None else prev[:k]
+            continue
         at = space._indices(xn) if finite else np.full(len(xn), -1)
         iterates.append((live, xn))
         indices.append((live, at))
@@ -209,6 +227,8 @@ def _lockstep(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: 
         ends[live[near]] = "tolerance"
         keep = ~(exact | cycle | near)
         live, prev, x = live[keep], x[keep], xn[keep]
+    if error is not None:  # the error of the first start, in order, that fails
+        raise error
     names = np.array([*(space.labels if finite else ()), None], dtype=object)  # -1: None
     values = _by_start(iterates, m)
     labels = _by_start([(w, names[a]) for w, a in indices], m)
@@ -228,24 +248,6 @@ def _by_start(column: list, m: int) -> list[tuple]:
     flat = np.concatenate([a for _, a in column])[np.argsort(who, kind="stable")].tolist()
     bounds = np.cumsum(np.bincount(who, minlength=m)).tolist()
     return [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
-
-
-def _iterate(space: Space, selfmap: SelfMap, starts: list, max_iter: int, tol: float):
-    """Picard traces from every start (labels or values), in start order."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if tol == np.inf:
-        raise ValueError("tol must be finite")
-    selfmap.check_total(space)
-    try:
-        return _lockstep(space, selfmap, starts, max_iter, tol)
-    except (ExprError, MapError, SpaceError, ValueError) as e:
-        error = e
-    for x0 in starts:  # one at a time: the first start to fail raises its own error
-        _lockstep(space, selfmap, [x0], max_iter, tol)
-    raise error
 
 
 def picard_iterate(

@@ -204,7 +204,8 @@ class FiniteSpace:
     def distance_value(self, a, b):
         """Distance between raw values over the broadcast of ``a`` and ``b`` (a
         float for two floats): overrides where both are labeled, else the
-        default formula.  The first pair in C order that fails raises its error."""
+        default formula.  The first failing pair in C order raises its error, whose
+        ``bad`` marks every pair that fails the check that raised."""
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         ia, ib = self._indices(a), self._indices(b)  # on the inputs, not their broadcast
         labeled = (ia >= 0) & (ib >= 0)
@@ -212,15 +213,12 @@ class FiniteSpace:
         free = ~labeled & (a != b)
         undefined = np.isnan(d) | (free & (self.default_formula is None))
         if undefined.any():
-            k = np.unravel_index(int(np.argmax(undefined)), d.shape)
-            if free[k]:
-                raise SpaceError(
-                    "value lies outside the labeled carrier and no default formula exists"
-                )
-            self.distance(*(self.labels[np.broadcast_to(i, d.shape)[k]] for i in (ia, ib)))
+            _raise_first(undefined, lambda k: SpaceError(
+                "value lies outside the labeled carrier and no default formula exists"
+            ) if free[k] else self.distance(
+                *(self.labels[np.broadcast_to(i, d.shape)[k]] for i in (ia, ib))))
         if free.any():
-            x, y = (np.broadcast_to(w, d.shape)[free] for w in (a, b))
-            d[free] = _formula_distance(self.default_formula, x, y, x, y)
+            d = np.where(free, _formula_distance(self.default_formula, a, b, a, b, free), d)
         return float(d) if d.ndim == 0 else d
 
     @property
@@ -268,8 +266,8 @@ class AnalyticSpace:
         return None
 
     def distance_value(self, x, y):
-        """The distance at floats or over the broadcast of arrays.  The first
-        pair in C order that fails, or is negative, raises its own error."""
+        """The distance at floats or over the broadcast of arrays, as
+        ``_formula_distance`` gives it."""
         return _formula_distance(self.formula, x, y, x, y)
 
     distance = distance_value
@@ -283,7 +281,7 @@ class AnalyticSpace:
 def _formula_distance(formula: ex.Expr, x, y, a, b, need=True):
     """``formula`` at values x, y (floats or arrays), its pairs named by ``a`` and
     ``b``.  The first pair in C order of those ``need`` marks that fails, or is
-    negative, raises its own error."""
+    negative, raises its own error, and its ``bad`` marks every such pair."""
     try:
         d = ex.evaluate(formula, {"x": x, "y": y})
         fail = np.asarray(d) < 0.0
@@ -292,11 +290,22 @@ def _formula_distance(formula: ex.Expr, x, y, a, b, need=True):
             raise
         d, fail = e.values, e.bad | (e.values < 0.0)
     if fail.any() and (fail := fail & need).any():
-        k = np.unravel_index(int(np.argmax(fail)), fail.shape)
-        x, y, a, b = (np.broadcast_to(w, fail.shape).item(k) for w in (x, y, a, b))
-        d = ex.evaluate(formula, {"x": x, "y": y})  # a failing pair raises its own error
-        raise SpaceError(f"distance ({a!r}, {b!r}) = {d!r} must be finite and >= 0")
+        def error_at(k):  # a failing pair raises its own error
+            x_, y_, a_, b_ = (np.broadcast_to(w, fail.shape).item(k) for w in (x, y, a, b))
+            d = ex.evaluate(formula, {"x": x_, "y": y_})
+            return SpaceError(f"distance ({a_!r}, {b_!r}) = {d!r} must be finite and >= 0")
+        _raise_first(fail, error_at)
     return d
+
+
+def _raise_first(bad, error_at):
+    """Raise the error of the first True of ``bad`` in C order, carrying ``bad``:
+    ``error_at`` takes that value's index and raises its own error, or returns it."""
+    try:
+        raise error_at(np.unravel_index(int(np.argmax(bad)), np.shape(bad)))
+    except Exception as e:
+        e.bad = bad
+        raise
 
 
 Space = FiniteSpace | AnalyticSpace

@@ -297,29 +297,34 @@ def validate_theta(
 
 def _phi_iterates(spec: PhiSpec, t, n: int) -> list:
     """t, phi(t), ..., phi^n(t) for a float start, or for a 1-D array of starts
-    with one array call per step; the first start to leave [1, inf) raises.
+    with one array call per step; the first start to fail or leave [1, inf)
+    raises.  A failing start (the error's ``bad``, or v < 1) drops out with the
+    starts after it; once the rest end, one scalar step of the first raises.
 
     A step that returns its own input has every start at a fixed point, so the
     remaining entries are that same value (the same object) and phi is not
     called again: evaluation is elementwise and deterministic, and a kept
     value is >= 1, so ``==`` is bit equality (NaN never compares equal)."""
-    seq = [t]
-    try:
-        for _ in range(n):
-            v = spec(seq[-1])
-            if np.any(v < 1.0):
-                raise IterateEscapeError(
-                    f"iterate of {spec.name!r} left [1, inf): phi({seq[-1]!r}) = {v!r}"
-                )
-            if np.all(v == seq[-1]):
-                seq += [v] * (n + 1 - len(seq))
-                break
-            seq.append(v)
-    except (IterateEscapeError, ex.EvalError):
-        if np.ndim(t):
-            for start in t:  # start by start, so the first in order raises its own error
-                _phi_iterates(spec, float(start), n)
-        raise
+    seq, failed = [t], None
+    for _ in range(n):
+        try:
+            v, bad = spec(seq[-1]), False
+        except ex.EvalError as e:
+            if not np.ndim(t):
+                raise
+            v, bad = e.values, e.bad
+        if np.any(bad := bad | (v < 1.0)):
+            if not np.ndim(t):
+                raise IterateEscapeError(f"iterate of {spec.name!r} left [1, inf): "
+                                         f"phi({seq[-1]!r}) = {v!r}")
+            k = int(np.argmax(bad))
+            failed, seq, v = float(seq[-1][k]), [s[:k] for s in seq], v[:k]
+        if np.all(v == seq[-1]):
+            seq += [v] * (n + 1 - len(seq))
+            break
+        seq.append(v)
+    if failed is not None:
+        _phi_iterates(spec, failed, 1)  # raises the first failing start's own error
     return seq
 
 

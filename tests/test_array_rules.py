@@ -294,6 +294,51 @@ class TestPhiIterates:
                 == self.outcome(reference_phi_iterates, spec, t, n))
 
 
+def phi_by_start(spec, t, n):
+    """The iterates of one ``_phi_iterates`` per float start, as one array per
+    step: the first start, in order, that fails on its own raises its error."""
+    runs = [_phi_iterates(spec, float(start), n) for start in t]
+    return [np.array(step, dtype=np.float64) for step in zip(*runs)]
+
+
+# Each formula fails at a step that depends on the start: an escape below 1 or
+# a domain fault, and the largest starts fail at once on the first one.
+PHI_FAILING_FORMULAS = [
+    "if(t > 4, sqrt(4.5 - t) + 1, if(t > 1.25, t - 0.3, t))",
+    "if(t > 1.5, t - 0.2, if(t > 1.2, sqrt(t - 1.45) + 1, t))",
+    "if(t > 6, ln(6 - t), if(t > 1.1, (t + 1) / 2 - 0.05, t))",
+    "(t + 1) / 2",
+]
+PHI_FAILING_STARTS = [1.0, 1.05, 1.27, 1.3, 1.47, 1.6, 2.0, 2.17, 3.0, 4.6, 5.0, 7.0]
+
+
+class TestPhiFailingStarts:
+    @staticmethod
+    def outcome(iterates, spec, t, n):
+        """Every step's bytes, or the type and text of the error."""
+        try:
+            return [np.asarray(v, dtype=np.float64).tobytes() for v in iterates(spec, t, n)]
+        except (IterateEscapeError, rqbm.expr.EvalError) as e:
+            return type(e).__name__, str(e)
+
+    @given(st.sampled_from(PHI_FAILING_FORMULAS),
+           st.lists(st.sampled_from(PHI_FAILING_STARTS), min_size=1, max_size=8),
+           st.integers(0, 40))
+    @example(PHI_FAILING_FORMULAS[0], [2.17, 4.6], 10)  # 4.6 fails at step 1, 2.17 at step 4
+    @example(PHI_FAILING_FORMULAS[1], [1.6, 1.3, 1.47], 10)
+    def test_matches_the_runs_by_start(self, formula, starts, n):
+        spec = PhiSpec.from_source(formula, formula)
+        t = np.array(starts)
+        assert self.outcome(_phi_iterates, spec, t, n) == self.outcome(phi_by_start, spec, t, n)
+
+    def test_later_start_failing_first(self):
+        spec = PhiSpec.from_source("f", PHI_FAILING_FORMULAS[0])
+        with pytest.raises(IterateEscapeError) as err:
+            _phi_iterates(spec, np.array([2.17, 4.6]), 10)
+        assert str(err.value) == (
+            "iterate of 'f' left [1, inf): phi(1.2699999999999998) = 0.9699999999999998")
+
+
 class TestDiagSeriesRule:
     @given(st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 0.25, 0.5, 1.0, 2.0]), max_size=12),
            st.sampled_from([1e-9, 1e-3]))

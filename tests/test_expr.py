@@ -430,6 +430,15 @@ class TestMaskedWalkPins:
         assert err.value.values.shape == err.value.bad.shape == shape
         assert err.value.bad.tolist() == (np.broadcast_to(x, shape) < 1.0).tolist()
 
+    @pytest.mark.parametrize("x, floors", [(2.0, 0), (0.0, 0), (-2.0, 1)])
+    def test_scalar_power_tests_the_exponent_only_under_a_negative_base(
+            self, monkeypatch, x, floors):
+        calls = []
+        floor = np.floor
+        monkeypatch.setattr(np, "floor", lambda v: calls.append(v) or floor(v))
+        assert evaluate(parse("x ^ 2 + x ^ 3", XY), {"x": x}) == x ** 2 + x ** 3
+        assert len(calls) == 2 * floors
+
 
 class TestDecimalDigitsOnly:
     # str.isdigit() holds for superscript and circled digits, which float() refuses

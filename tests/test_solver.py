@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rqbm.expr as ex
 from rqbm.contraction import MapError, MapRangeError, SelfMap, check_theta_contraction, pair_set
-from rqbm.expr import EvalError
+from rqbm.expr import EvalError, parse
 from rqbm.instances import build_example_final, build_example_sqrt
 from rqbm.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_SOLVE_TOL,
     PicardTrace,
+    _iterate,
     cauchy_diagnostics,
     limit_sandwich_check,
     picard_iterate,
@@ -24,6 +25,7 @@ from rqbm.spaces import (
     FiniteSpace,
     SpaceError,
     UnknownLabelError,
+    _formula_distance,
     carrier_sample,
 )
 
@@ -571,3 +573,229 @@ class TestSandwichNanCoefficient:
         trace = picard_iterate(sqrt_bundle.space, sqrt_bundle.selfmap, 2.0, tol=1e-10)
         with pytest.raises(ValueError, match="coefficient s must be >= 1"):
             limit_sandwich_check(trace, 2.0, math.nan, 10)
+
+
+# --------------------------------------------------------------------------
+# failing starts: the lock-step against one run per start
+# --------------------------------------------------------------------------
+
+def by_start(space, selfmap, starts, max_iter):
+    """The traces of one ``picard_iterate`` per start, in start order: the
+    first start that fails on its own raises its error."""
+    return [trace_fields(picard_iterate(space, selfmap, s0, max_iter)) for s0 in starts]
+
+
+def lockstep(space, selfmap, starts, max_iter):
+    return [trace_fields(t) for t in _iterate(space, selfmap, starts, max_iter,
+                                              DEFAULT_SOLVE_TOL)]
+
+
+# On [0, 2] the first three maps climb by a fixed step until a guard sends
+# them into a failing branch, so a start fails at a round its distance to the
+# guard sets; the third halves starts below 0.5 toward its fixed point 0.
+_CLIMBING = [
+    "if(x > 1.6, sqrt(1.6 - x), x + 0.15)",  # an EvalError
+    "if(x > 1.6, x + 0.5, x + 0.15)",  # a MapRangeError
+    "if(x < 0.5, x / 2, if(x > 1.5, ln(1.5 - x), x + 0.2))",
+    "if(x < 0.3, x + 1.6, x / 2 + 0.5)",  # a jump the ln distance refuses
+    "x / 2 + 0.5",
+    "2 - x",
+]
+# the second fails where y - x >= 1.5, and the fourth is negative where x > 1.9 > y
+_CLIMBING_DISTANCES = [
+    "abs(x - y)",
+    "abs(x - y) + 0 * ln(x - y + 1.5)",
+    "if(x >= y, x - y, 2 * (y - x))",
+    "abs(x - y) * if(x > 1.9, if(y < 1.9, -1, 1), 1)",
+]
+_CLIMBING_ITER = [1, 2, 3, 5, 12, 40, 200]
+
+
+@st.composite
+def failing_analytic_cases(draw):
+    space = AnalyticSpace.build(0.0, 2.0, draw(st.sampled_from(_CLIMBING_DISTANCES)))
+    grid = [k / 8 for k in range(17)] + [0.1, 1.55]
+    refused = [2.5, -1.0, "p0"]  # outside the interval, or a label
+    starts = draw(st.lists(st.sampled_from(grid + refused), min_size=1, max_size=6))
+    return space, SelfMap.from_expression(draw(st.sampled_from(_CLIMBING))), starts
+
+
+@st.composite
+def failing_hybrid_cases(draw):
+    """Points on [0, 2] with a default formula; the table sends some labels to
+    other labels or off the carrier, and the expression maps the rest."""
+    n = draw(st.integers(3, 9))
+    values = draw(st.lists(st.sampled_from([k / 8 for k in range(17)]), min_size=n,
+                           max_size=n, unique=True))
+    labels = [f"p{i}" for i in range(n)]
+    points, formula = list(zip(labels, values)), draw(st.sampled_from(_CLIMBING_DISTANCES))
+    try:
+        space = FiniteSpace.build(points, formula)
+    except (EvalError, SpaceError):  # the formula is left to the pairs off the carrier
+        space = FiniteSpace.build(points, formula, {
+            (a, b): abs(u - v) for a, u in points for b, v in points if a != b})
+    covered = draw(st.lists(st.sampled_from(labels), unique=True, max_size=n - 1))
+    table = {a: draw(st.sampled_from(labels + [0.1, 1.55])) for a in covered}
+    selfmap = SelfMap.hybrid(table, draw(st.sampled_from(_CLIMBING)))
+    starts = draw(st.lists(st.sampled_from(labels + [0.1, 1.55, "zz"]), min_size=1,
+                           max_size=6))
+    return space, selfmap, starts
+
+
+class TestFailingStartsOracle:
+    """A failing start ends the start list where it stands: the lock-step
+    raises what the first start, in order, that fails on its own raises, and
+    otherwise gives every start's trace."""
+
+    def check(self, space, selfmap, starts, max_iter):
+        want = outcome(by_start, space, selfmap, starts, max_iter)
+        assert outcome(lockstep, space, selfmap, starts, max_iter) == want
+        got = outcome(lambda: uniqueness_scan(space, selfmap, starts, max_iter).to_dict())
+        assert got[0] == want[0]
+        if want[0] != "ok":
+            assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(failing_analytic_cases(), st.sampled_from(_CLIMBING_ITER))
+    @example((AnalyticSpace.build(0.0, 2.0, "abs(x - y)"),
+              SelfMap.from_expression(_CLIMBING[0]), [0.0, 1.5]), 40)
+    @example((AnalyticSpace.build(0.0, 2.0, "abs(x - y)"),
+              SelfMap.from_expression(_CLIMBING[1]), [1.5, 0.0, 2.5]), 40)
+    def test_analytic_spaces_match_the_runs_by_start(self, case, max_iter):
+        self.check(*case, max_iter)
+
+    @settings(max_examples=150, deadline=None)
+    @given(failing_hybrid_cases(), st.sampled_from(_CLIMBING_ITER))
+    def test_hybrid_spaces_match_the_runs_by_start(self, case, max_iter):
+        self.check(*case, max_iter)
+
+    def test_later_start_failing_in_an_earlier_round(self):
+        # 1.5 fails in round 2 and 0.0 in round 12: 0.0 runs on alone and raises
+        space = AnalyticSpace.build(0.0, 2.0, "abs(x - y)")
+        selfmap = SelfMap.from_expression("if(x > 1.6, ln(1.6 - x), x + 0.15)")
+        with pytest.raises(EvalError) as want:
+            picard_iterate(space, selfmap, 0.0)
+        with pytest.raises(EvalError) as got:
+            uniqueness_scan(space, selfmap, [0.0, 1.5])
+        assert str(got.value) == str(want.value) == "ln of a non-positive value in 'ln(1.6 - x)'"
+
+    @pytest.mark.parametrize("starts, error, message", [
+        # 1.0 fails in round 4, after 1.8 in round 1 and 5.0 before round 1
+        ([1.0, 5.0, 1.8], MapRangeError, "map image 2.2 of 1.9000000000000001 leaves [1.0, 2.0]"),
+        ([1.8, 1.0, 5.0], MapRangeError, "map image 2.1 of 1.8 leaves [1.0, 2.0]"),
+        ([5.0, 1.0], ValueError, "start 5.0 outside [1.0, 2.0]"),
+        (["a", 1.8], UnknownLabelError, "analytic spaces take numeric starts"),
+    ])
+    def test_refused_start_ends_the_start_list(self, starts, error, message):
+        space = AnalyticSpace.build(1.0, 2.0, "(x - y)^2")
+        selfmap = SelfMap.from_expression("x + 0.3")
+        with pytest.raises(error) as err:
+            uniqueness_scan(space, selfmap, starts)
+        assert str(err.value) == message
+        assert outcome(by_start, space, selfmap, starts, DEFAULT_MAX_ITER) == (
+            error.__name__, message)
+
+    def test_failing_scan_of_1000_starts_runs_once(self, monkeypatch):
+        # only the last start fails, in round 1: the other 999 run on together, in about
+        # 35 rounds of five calls each, where a run per start would make over 2,000 calls
+        space = AnalyticSpace.build(0.0, 2.0, "abs(x - y)")
+        selfmap = SelfMap.from_expression("if(x >= 1.999, sqrt(1.9 - x) + 1, x / 2 + 0.5)")
+        calls = []
+        evaluate = ex.evaluate
+        monkeypatch.setattr(ex, "evaluate", lambda node, b: calls.append(node) or evaluate(node, b))
+        with pytest.raises(EvalError, match=r"^sqrt of a negative value in 'sqrt\(1.9 - x\)'$"):
+            uniqueness_scan(space, selfmap, np.linspace(0.0, 2.0, 1000).tolist())
+        assert len(calls) <= 400
+
+
+# --------------------------------------------------------------------------
+# the failure mask on the errors of array calls
+# --------------------------------------------------------------------------
+
+_LINE = FiniteSpace.build([("a", 0.0), ("b", 0.5), ("c", 1.0)], "abs(x - y)")
+_BARE = FiniteSpace.build([("a", 0.0), ("b", 1.0)], None, {("b", "a"): 2.0})
+_FORMULA_OFF = FiniteSpace.build(
+    [("a", 0.0), ("b", 1.0)], "if(x > y, sqrt(x - y - 0.5), ln(y - x - 0.25) + 2)",
+    {("a", "b"): 1.0, ("b", "a"): 1.0})
+_SIGNED = FiniteSpace.build([("a", 0.0), ("b", 1.0)], "x - y", {("a", "b"): 1.0})
+# fails where x <= 1.9 and y - x >= 0.5, and is negative where y < x > 1.9
+_INTERVAL = AnalyticSpace.build(0.0, 2.0, "if(x > 1.9, y - x, (x - y)^2 + 0 * ln(x - y + 0.5))")
+
+
+def _images(space, selfmap):
+    return lambda xs: selfmap.apply_array(space, np.array(xs))
+
+
+def _distances(space):
+    return lambda a, b: space.distance_value(np.array(a), np.array(b))
+
+
+# (the call, its arguments, the mask it must raise)
+MASK_CASES = {
+    "target-names-no-label": (
+        _images(_LINE, SelfMap.from_table({"a": "b", "b": "yy", "c": "zz"})),
+        ([0.0, 1.0, 0.5],), [False, True, True]),
+    "no-rule-for-value": (_images(_LINE, SelfMap.from_table({"a": "b"})),
+                          ([0.0, 0.25, 1.0],), [False, True, True]),
+    "no-rule-for-label": (_images(_LINE, SelfMap.from_table({"a": "b"})),
+                          ([0.0, 1.0, 0.25],), [False, True, True]),
+    "no-expression": (_images(AnalyticSpace.build(0.0, 1.0, "abs(x - y)"),
+                              SelfMap.from_table({})), ([0.5, 0.25],), [True, True]),
+    "map-fails-past-the-table": (
+        _images(_LINE, SelfMap.hybrid({"a": "b"}, "if(x > 0.75, sqrt(0.75 - x), ln(x - 0.25))")),
+        ([0.0, 0.5, 1.0, 0.125],), [False, False, True, True]),
+    "map-fails-at-an-unlabeled-value": (
+        _images(_LINE, SelfMap.hybrid({"a": "b"}, "if(x > 0.75, sqrt(0.75 - x), ln(x - 0.25))")),
+        ([0.0, 0.125, 0.5, 1.0],), [False, True, False, True]),
+    "image-leaves-the-interval": (
+        _images(AnalyticSpace.build(0.0, 1.0, "abs(x - y)"), SelfMap.from_expression("2 * x")),
+        ([0.25, 0.75, 0.5, 1.0],), [False, True, False, True]),
+    "no-override": (_distances(_BARE), ([0.0, 0.5, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]),
+                    [True, True, False, True]),
+    "off-the-carrier-without-a-formula": (
+        _distances(_BARE), ([[0.5], [0.0]], [0.0, 1.0, 0.25]),
+        [[True, True, True], [False, True, True]]),
+    "default-formula-fails": (
+        _distances(_FORMULA_OFF), ([[0.0], [0.75]], [1.0, 0.4, 0.5]),
+        [[False, False, False], [True, True, True]]),
+    "default-formula-is-negative": (
+        _distances(_SIGNED), ([0.5, 0.25, 1.0, 0.0], [0.25, 0.5, 0.0, 0.75]),
+        [False, True, False, True]),
+    "formula-fails-first": (
+        _distances(_INTERVAL), ([[0.0], [1.95]], [1.0, 0.0, 2.0]),
+        [[True, False, True], [True, True, False]]),
+    "formula-is-negative-first": (
+        _distances(_INTERVAL), ([[1.95], [0.0]], [1.0, 0.0, 2.0]),
+        [[True, True, False], [True, False, True]]),
+}
+
+
+class TestErrorMasks:
+    """Every error an array call raises carries ``bad``: the call's shape,
+    True at every value that fails the check that raised, its first True the
+    value that the message names (the same call on that value alone raises
+    the same error)."""
+
+    @pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES.keys())
+    def test_mask_names_the_first_failing_value(self, case):
+        call, args, mask = case
+        with pytest.raises(Exception) as err:
+            call(*args)
+        bad = err.value.bad
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        assert (bad.shape, bad.dtype) == (shape, bool)
+        assert bad.tolist() == mask
+        k = np.unravel_index(int(np.argmax(bad)), shape)
+        alone = [[np.broadcast_to(a, shape)[k]] for a in args]
+        with pytest.raises(type(err.value)) as one:
+            call(*alone)
+        assert str(one.value) == str(err.value)
+
+    def test_formula_mask_keeps_only_needed_pairs(self):
+        formula = parse("sqrt(x - y)", {"x", "y"})
+        x, y = np.array([[0.0], [1.0]]), np.array([0.5, 2.0, 0.0])
+        need = np.array([[False, True, True], [True, True, True]])
+        with pytest.raises(EvalError) as err:
+            _formula_distance(formula, x, y, x, y, need)
+        assert err.value.bad.tolist() == [[False, True, False], [False, True, False]]
+        assert str(err.value) == "sqrt of a negative value in 'sqrt(x - y)'"

@@ -453,6 +453,17 @@ class TestOneElementFailures:
             space.distance_value(a, b)
 
 
+class TestFreePairs:
+    def test_formula_reads_only_the_free_pairs(self):
+        # the formula fails where x = y and is negative where x < y: the labeled
+        # pair reads its override, an equal unlabeled pair is 0, and the free pairs
+        # the formula
+        space = FiniteSpace.build([("a", 0.0), ("b", 1.0)], "x - y + 0 * ln(abs(x - y))",
+                                  {("a", "b"): 0.5})
+        d = space.distance_value(np.array([0.0, 0.25, 0.75, 1.0]), np.array([1.0, 0.25, 0.5, 0.5]))
+        assert d.tolist() == [0.5, 0.0, 0.25, 0.5]
+
+
 @contextlib.contextmanager
 def scalar_walks(limit):
     """The nodes of the top-level entries of ``expr._scalar`` (its recursive

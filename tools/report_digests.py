@@ -23,7 +23,9 @@ cases: an analytic space that fails only late in C order (and a solve
 whose first step fails on it), maps whose
 untaken branch leaves its domain or that fail at an interior value, and a
 finite space whose default formula fails only on the diagonal (each space
-file written at a fixed temp path).
+file written at a fixed temp path); then failing Picard scans: uniqueness
+starts that fail only late, a later start that fails in an earlier round
+than an earlier one, and a start outside the interval after a failing one.
 Each runs through ``rqbm.cli.main`` in this process, one line per command:
 exit code (or ``raised`` and the exception a command let escape), stdout
 digest, stderr digest, argv.  Then comes one line per demo under
@@ -224,7 +226,7 @@ EVAL_SPACES = {
 }
 EVAL_CASES = [
     *([command, "--space", str(LATE_SPACE)] for command in ("verify", "min-s")),
-    # a start whose first step, 0 -> 2, has d(2, 0) fail: each start is rerun alone
+    # a start whose first step, 0 -> 2, has d(2, 0) fail: the start's own error
     ["solve", "--space", str(LATE_SPACE), "--map", "2 - x", "--start", "0"],
     # each branch leaves its domain where the other is taken, and the result passes
     *([command, "--instance", "example-sqrt", "--map", "if(x >= 1.5, sqrt(x), 1 + sqrt(1.5 - x))",
@@ -232,6 +234,18 @@ EVAL_CASES = [
     # the first failing grid value is interior, 1.5128...
     ["contraction", "--instance", "example-sqrt", "--map", "1 + sqrt(1.5 - x)"],
     *([command, "--space", str(DIAGONAL_SPACE)] for command in ("verify", "classify")),
+]
+
+# failing Picard scans: uniqueness starts of which only those near 1.5 fail; a
+# later start (1.95) that fails in round 1, before an earlier one (1.3) fails in
+# round 2, which is the one reported; and a start outside [1, 2] after a start
+# that fails and after one that converges
+_CLIMB = "if(x > 1.9, sqrt(1.9 - x), if(x < 1.2, x, x * 1.3))"
+FAILING_SCAN_CASES = [
+    ["solve", "--instance", "example-final", "--grid", "40", "--start", "1/3",
+     "--uniqueness-starts", "all", "--map", "if(x >= 1.4999, sqrt(1.4 - x), (sqrt(x) + 3) / 4)"],
+    *(["solve", "--instance", "example-sqrt", "--start", "1.0", "--uniqueness-starts", starts,
+       "--map", _CLIMB] for starts in ("1.0,1.3,1.95", "1.3,5", "1.0,5,1.95")),
 ]
 
 # commands that write a file at their last argument: reports also written
@@ -305,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(obj))
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
-             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES + EVAL_CASES)
+             + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES + EVAL_CASES
+             + FAILING_SCAN_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     for path in DEMOS:

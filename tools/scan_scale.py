@@ -18,11 +18,14 @@ seconds: a conditional whose untaken branch leaves its domain on a 300 x 300
 grid; a 400-point finite space whose default formula is guarded on the
 diagonal; ``verify`` of an analytic space that fails only late in C order,
 at grids 100, 300 and 1000, from the space file of ``report_digests.py``
-(written again under the system temp directory); and a map with an
-out-of-domain untaken branch on 100,000 values.  A cliff line gives ``rc``
-(``raised`` and the exception name for a library call that raises) and the
-SHA-256 of what the call gave: its result's bytes, or the command's stdout
-then stderr.  Their keys start with ``cliff``, e.g.
+(written again under the system temp directory); a map with an
+out-of-domain untaken branch on 100,000 values; and the failing Picard
+scans, where a run per start would take seconds: ``uniqueness_scan`` from
+1,000 starts of which only the last fails, and ``solve --uniqueness-starts
+all`` on ``example-final`` at grid 1000 with a map that fails only near
+1.5.  A cliff line gives ``rc`` (``raised`` and the exception name for a
+library call that raises) and the SHA-256 of what the call gave: its
+result's bytes (or the error's text), or the command's stdout then stderr.  Their keys start with ``cliff``, e.g.
 ``--skip cliff:verify-late:1000``.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so two checkouts can be timed, and
@@ -43,9 +46,11 @@ import time
 import numpy as np
 
 from report_digests import EVAL_SPACES, LATE_SPACE
+from rqbm._report import to_json
 from rqbm.cli import main
 from rqbm.contraction import SelfMap
 from rqbm.expr import evaluate, parse
+from rqbm.solver import uniqueness_scan
 from rqbm.spaces import AnalyticSpace, FiniteSpace
 
 GRIDS = (200, 400, 1000)
@@ -92,13 +97,23 @@ def _cliff_map() -> bytes:
     return selfmap.apply_array(space, np.linspace(0.5, 1.0, 100_000)).tobytes()
 
 
-def _cliff_verify(grid: int):
+def _cliff_scan() -> bytes:
+    space = AnalyticSpace.build(0.0, 2.0, "abs(x - y)")
+    selfmap = SelfMap.from_expression("if(x >= 1.999, sqrt(1.9 - x) + 1, x / 2 + 0.5)")
+    return to_json(uniqueness_scan(space, selfmap, np.linspace(0.0, 2.0, 1000).tolist())).encode()
+
+
+def _cliff_command(argv: list[str]):
     def call() -> tuple[int, bytes]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["verify", "--space", str(LATE_SPACE), "--grid", str(grid)])
+            rc = main(argv)
         return rc, (out.getvalue() + err.getvalue()).encode()
     return call
+
+
+def _cliff_verify(grid: int):
+    return _cliff_command(["verify", "--space", str(LATE_SPACE), "--grid", str(grid)])
 
 
 # key -> (line fields, the call: result bytes, or (exit code, output bytes))
@@ -110,6 +125,13 @@ CLIFFS = {
                                      _cliff_verify(grid)) for grid in (100, 300, 1000)},
     "cliff:map-100000": ({"case": "map with an untaken sqrt branch on 100,000 values"},
                          _cliff_map),
+    "cliff:scan-1000": ({"case": "uniqueness_scan of 1,000 starts, the last one failing"},
+                        _cliff_scan),
+    "cliff:solve-late:1000": (
+        {"case": "solve --uniqueness-starts all with a map failing near 1.5", "grid": 1000},
+        _cliff_command(["solve", "--instance", "example-final", "--grid", "1000",
+                        "--start", "1/3", "--uniqueness-starts", "all",
+                        "--map", "if(x >= 1.4999, sqrt(1.4 - x), (sqrt(x) + 3) / 4)"])),
 }
 
 
