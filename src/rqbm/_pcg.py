@@ -120,9 +120,8 @@ class Streams:
         self.half = np.zeros(len(seeds), np.uint64)  # a drawn word's unused high half
         self.has_half = np.zeros(len(seeds), bool)
 
-    def uniform(self, lo, hi, count: int) -> np.ndarray:
-        """``rng.uniform(lo, hi, count)`` in every lane, as (lanes, count); ``lo``
-        and ``hi`` may also be arrays over the count, one bound per draw."""
+    def uniform(self, lo: float, hi: float, count: int) -> np.ndarray:
+        """``rng.uniform(lo, hi, count)`` in every lane, as (lanes, count)."""
         lanes = len(self.half)
         out = np.empty((lanes, count))
         most = max(1, min(count, spaces._BLOCK // max(2, 2 * lanes)))  # a state is two words

@@ -54,9 +54,9 @@ from .thetaphi import IterateEscapeError, phi_spec, theta_spec, validate_phi, va
 
 SCHEMA = 1
 # The most points a --grid or a falsify --size may ask for: a table grows as
-# n^2 and a scan's stage 1 as n^3.  At 1,000 points on a 2-vCPU host,
-# `contraction --instance example-sqrt --best-exponent` peaks at 234 MiB and
-# `min-s --instance example-sqrt` takes about 13 s.
+# n^2 and the work of a scan's three-hop table as n^3.  At 1,000 points on a
+# 2-vCPU host, `contraction --instance example-sqrt --best-exponent` peaks at
+# 234 MiB and `min-s --instance example-sqrt` takes about 13 s.
 MAX_POINTS = 1000
 # Table elements per chunk of falsify trials, so memory stays bounded for any --trials.
 _TRIAL_CHUNK = 1 << 18

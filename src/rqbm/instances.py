@@ -192,11 +192,13 @@ def _random_tables(n: int, seeds, profile: str):
         raise ValueError(f"unknown profile {profile!r}; known: {', '.join(_PROFILES)}")
     rng = _streams(seeds)
     # one draw: the points in [0, 10)^2, then unless metric one scale in
-    # [0.5, 2) per ordered pair, in sorted label order; the per-column bounds
-    # live only as the call's arguments, so they are freed as it returns
+    # [0.5, 2) per ordered pair, in sorted label order; each segment is scaled
+    # in place as uniform(lo, hi) scales a unit draw, bit for bit
     n_scales = 0 if profile == "metric" else n * (n - 1)
-    bounds = (np.repeat(bound, [2 * n, n_scales]) for bound in ([0.0, 0.5], [10.0, 2.0]))
-    draws = rng.uniform(*bounds, 2 * n + n_scales)
+    draws = rng.uniform(0.0, 1.0, 2 * n + n_scales)
+    draws[:, :2 * n] *= 10.0
+    draws[:, 2 * n:] *= 1.5
+    draws[:, 2 * n:] += 0.5
     # copied, so that the point values returned do not keep the scales alive
     x, y = np.moveaxis(draws[:, :2 * n].reshape(-1, n, 2), -1, 0).copy()
     # a non-finite draw shows as a non-finite table, which the caller refuses

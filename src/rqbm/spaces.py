@@ -15,11 +15,13 @@ space, or a uniform grid of an analytic one.  Each scan is exhaustive over
 the sample's quadruples, plus seeded random ones on an analytic space.  One
 pass over those quadruples serves all three quadrilateral operations
 (``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
-``classify``): it counts every violation and tracks the supremum ratio.  Its
-stage 1 is the same min-plus kernel that checks a whole stack of tables at
-once (``_rectangular_verdicts``).  One row search (``_row_search``) builds
-every grid witness, the supremum's first maximiser and the violations a
-report keeps, over the columns each row's three-hop minimum admits.  The
+``classify``): it counts every violation and tracks the supremum ratio.  Every
+verdict, supremum and witness row reads the three-hop table M(x, y), the
+least d(x, u) + d(u, v) + d(v, y) over admissible (u, v), from the same
+min-plus kernel that checks a whole stack of tables at once
+(``_three_hop_table``, ``_rectangular_verdicts``).  One row search
+(``_row_search``) builds every grid witness, the supremum's first maximiser
+and the violations a report keeps, over the columns that M admits.  The
 random quadruples are NumPy's seeded PCG64 draws, taken through ``_pcg``.
 Only ``classify`` searches for a triangle violation.  All scans are pure and
 deterministic for fixed inputs.
@@ -87,6 +89,14 @@ def format_value(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _refuse_claimed(claimed_s: float | None) -> None:
+    """Refuse a space's claimed coefficient unless it is None or finite and >= 1."""
+    if claimed_s is not None and not claimed_s >= 1.0:
+        raise SpaceError("claimed coefficient must be >= 1")
+    if claimed_s == math.inf:
+        raise SpaceError("claimed coefficient must be finite")
+
+
 # --------------------------------------------------------------------------
 # Spaces
 # --------------------------------------------------------------------------
@@ -144,10 +154,7 @@ class FiniteSpace:
             first = int(order[np.searchsorted(ascending, values[later])])
             raise SpaceError(f"points {labels[first]!r} and {labels[later]!r} "
                              f"share the value {float(values[later])!r}")
-        if self.claimed_s is not None and not self.claimed_s >= 1.0:
-            raise SpaceError("claimed coefficient must be >= 1")
-        if self.claimed_s == math.inf:
-            raise SpaceError("claimed coefficient must be finite")
+        _refuse_claimed(self.claimed_s)
         # a pair resolves to its override, else 0 on the diagonal, else the
         # default formula; NaN marks a pair with none of these
         table = np.full((len(labels), len(labels)), math.nan)
@@ -249,10 +256,7 @@ class AnalyticSpace:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise SpaceError("domain must be a finite interval [lo, hi] with lo < hi")
-        if self.claimed_s is not None and not self.claimed_s >= 1.0:
-            raise SpaceError("claimed coefficient must be >= 1")
-        if self.claimed_s == math.inf:
-            raise SpaceError("claimed coefficient must be finite")
+        _refuse_claimed(self.claimed_s)
         # cheap construction probe; full verification is sampling-based
         for v in (self.lo, self.hi, 0.5 * (self.lo + self.hi)):
             if self.distance(v, v) != 0.0:
@@ -437,46 +441,30 @@ def _ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _stage1(tables: np.ndarray, checks: list[tuple[float, float]], supremum: bool = False):
-    """Stage 1 of the tropical pass over the (table, x) rows of a (T, n, n)
-    stack, in blocks of at most max(``_BLOCK``, n^2) elements.
-
-    M(x, y) = ``_three_hop_min`` is the least rhs = d(x, u) + d(u, v) + d(v, y)
-    over admissible (u, v).  Rounded addition, lhs / rhs and ``s * rhs + tol``
-    (s >= 0) are monotone, so M gives each row its exact verdicts and
-    supremum.  An entry with lhs = M = 0 is skipped (-inf): if no row
-    supremum is above 0 (n >= 4), every off-diagonal distance is 0, so no
-    admissible sum is positive.  Returns ``bad`` (T * n, len(checks)): does
-    the row hold a quadruple with lhs > s * rhs + tol, per ``(s, tol)``; and,
-    with ``supremum``, each row's supremum (-inf for no ratio), else None.
-    """
+def _three_hop_table(tables: np.ndarray) -> np.ndarray:
+    """M[t, x, y] = ``_three_hop_min`` of row x of table t of a (T, n, n) stack:
+    the least rhs = d(x, u) + d(u, v) + d(v, y) over admissible (u, v), inf at
+    y = x and everywhere below 4 points.  Rounded addition, lhs / rhs and
+    ``s * rhs + tol`` (s >= 0) are monotone, so M gives every row its exact
+    verdicts and supremum.  The (table, x) rows go in blocks of at most
+    max(``_BLOCK``, n^2) elements."""
     T, n = tables.shape[0], tables.shape[-1]
-    bad = np.zeros((T * n, len(checks)), dtype=bool)
-    row_sup = np.full(T * n, -math.inf) if supremum else None
+    M = np.full(tables.shape, math.inf)
+    rows_of = M.reshape(T * n, n)
     step = max(1, _BLOCK // (n * n))
-    with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
-        for lo in range(0, T * n if n >= 4 else 0, step):  # no quadruple below 4 points
-            rows = np.arange(lo, min(lo + step, T * n))
-            (t, X), r = np.divmod(rows, n), np.arange(len(rows))
-            # a block inside one table reads it through a view, not a copy
-            D = np.broadcast_to(tables[t[0]], (len(r), n, n)) if t[0] == t[-1] else tables[t]
-            L = D[r, X]
-            M = _three_hop_min(D, X)
-            for c, (s, tol) in enumerate(checks):
-                bad[rows, c] = (L > s * M + tol).any(axis=1)
-            if not supremum:
-                continue
-            ratio = _ratio(L, M)
-            ratio[r, X] = -math.inf
-            row_sup[rows] = ratio.max(axis=1)
-    return bad, row_sup
+    for lo in range(0, T * n if n >= 4 else 0, step):  # no quadruple below 4 points
+        t, X = np.divmod(np.arange(lo, min(lo + step, T * n)), n)
+        # a block inside one table reads it through a view, not a copy
+        D = np.broadcast_to(tables[t[0]], (len(X), n, n)) if t[0] == t[-1] else tables[t]
+        rows_of[lo:lo + len(X)] = _three_hop_min(D, X)
+    return M
 
 
 def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """For each table of a (T, n, n) stack, the verdict of ``check_b_rectangular``:
     does some admissible quadruple have lhs > s * rhs + tol?"""
-    bad, _ = _stage1(tables, [(s, tol)])
-    return bad.reshape(len(tables), -1).any(axis=1)
+    with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
+        return (tables > s * _three_hop_table(tables) + tol).any(axis=(1, 2))
 
 
 def _violation_counts(D: np.ndarray, X: np.ndarray,
@@ -524,7 +512,7 @@ def _row_search(D: np.ndarray, x: int, Y: np.ndarray, test, limit: int) -> list[
     ``test(lhs, rhs)`` holds, with lhs = d(x, y) and
     rhs = d(x, u) + d(u, v) + d(v, y): as (u, v, y, lhs, rhs).
 
-    The caller picks Y by the row's three-hop minimum M (``_three_hop_min``):
+    The caller picks Y by the row's three-hop minimum M (``_three_hop_table``):
     every rhs at y is at least M[y], and both lhs > s * rhs + tol and
     lhs / rhs can only fall as rhs grows (s >= 0), so a y whose M[y] fails
     the test holds no hit.  Y is not empty: the callers search only rows
@@ -605,12 +593,13 @@ def _quadrilateral_pass(
     must be 0.  The supremum of lhs / rhs comes with its first maximiser:
     rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
 
-    ``_stage1`` gives every grid row its verdicts and supremum, and
-    ``_violation_counts`` counts the violating rows.  ``_row_search`` builds
-    every grid witness from a row's lhs L and three-hop minimum M: the
-    maximiser in the first row attaining the supremum, over the y where
-    L / M is that supremum, and the kept violations, row by row over the
-    violating rows, over the y where L > s * M + tol, until ``keep`` are found.
+    The three-hop table M (``_three_hop_table``) gives every grid row its
+    verdicts and supremum, and ``_violation_counts`` counts the violating
+    rows.  ``_row_search`` builds every grid witness from a row's lhs L and
+    its row of M: the maximiser in the first row attaining the supremum, over
+    the y where L / M is that supremum, and the kept violations, row by row
+    over the violating rows, over the y where L > s * M + tol, until ``keep``
+    are found.
 
     Returns ``(bound, counts, kept)``; ``bound.value`` is None without
     admissible quadruples, 0 when every one has rhs = lhs = 0.  Without
@@ -627,28 +616,33 @@ def _quadrilateral_pass(
     def keep_violation(at, lhs, rhs):
         kept.append(QuadrupleViolation(*at, lhs, rhs, math.inf if rhs == 0.0 else lhs / rhs))
 
-    bad, row_sup = _stage1(D[None], checks, supremum)
-    if exact:
-        counts = _violation_counts(D, np.flatnonzero(bad.any(axis=1)), checks).sum(axis=0).tolist()
-    else:  # a positive count is all the verdict needs
-        counts = np.count_nonzero(bad, axis=0).tolist()
+    M = _three_hop_table(D[None])[0]
     with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
-        if supremum and row_sup.max() > -math.inf:
-            top = int(np.argmax(row_sup))  # the first row attaining the supremum
-            L = D[top]
-            ratio = _ratio(L, _three_hop_min(D[None], np.array([top]))[0])
-            ratio[top] = -math.inf
-            sup = float(ratio.max())  # above 0 (``_stage1``): a y with lhs = 0 cannot attain it
-            Y = np.flatnonzero(ratio == sup)
-            [(u, v, y, lhs, rhs)] = _row_search(D, top, Y, lambda a, b: _ratio(a, b) == sup, 1)
-            sup_at = (pts[top], pts[u], pts[v], pts[y], lhs, rhs)
+        # bad[c, x]: does row x hold a quadruple with lhs > s * rhs + tol, per check
+        bad = np.array([(D > s * M + tol).any(axis=1) for s, tol in checks]).reshape(-1, n)
+        if exact:
+            counts = _violation_counts(D, np.flatnonzero(bad.any(axis=0)), checks).sum(axis=0)
+        else:  # a positive count is all the verdict needs
+            counts = np.count_nonzero(bad, axis=1)
+        counts = counts.tolist()
+        if supremum and checked:
+            ratio = _ratio(D, M)
+            np.fill_diagonal(ratio, -math.inf)  # y = x
+            top = int(np.argmax(ratio)) // n  # the first row attaining the supremum
+            # -inf only if every off-diagonal distance is 0 (lhs = M = 0 is
+            # skipped), else above 0, so a y with lhs = 0 cannot attain it
+            sup = float(ratio[top].max())
+            if sup > -math.inf:
+                Y = np.flatnonzero(ratio[top] == sup)
+                [(u, v, y, lhs, rhs)] = _row_search(D, top, Y, lambda a, b: _ratio(a, b) == sup, 1)
+                sup_at = (pts[top], pts[u], pts[v], pts[y], lhs, rhs)
         if room:
             s, tol = checks[-1]
             violates = lambda a, b: a > s * b + tol  # noqa: E731
-            for x in np.flatnonzero(bad[:, -1]).tolist():
+            for x in np.flatnonzero(bad[-1]).tolist():
                 if len(kept) == room:
                     break
-                Y = np.flatnonzero(violates(D[x], _three_hop_min(D[None], np.array([x]))[0]))
+                Y = np.flatnonzero(violates(D[x], M[x]))
                 for u, v, y, lhs, rhs in _row_search(D, x, Y, violates, room - len(kept)):
                     keep_violation((pts[x], pts[u], pts[v], pts[y]), lhs, rhs)
         if checked and sup == -math.inf:

@@ -25,7 +25,7 @@ from rqbm.instances import (
     perturb,
     random_space,
 )
-from rqbm.instances import _broken_tables, _sorted_pairs
+from rqbm.instances import _broken_tables, _random_tables, _sorted_pairs
 from rqbm.spaces import (
     FiniteSpace,
     SpaceError,
@@ -448,7 +448,7 @@ class TestBatchedFalsifyOracle:
             if seed in (2, 3):
                 coords[seed - 1, 0] = coords[0, 0]
 
-        spoil_coordinates(monkeypatch, twins)
+        spoil_coordinates(monkeypatch, twins, 6)
         code, out, err = run_falsify("--profile", "quasi", "--size", "6", "--trials", "5")
         assert (code, out) == (2, "")
         assert err.startswith("error: points 'p0' and 'p1' share the value ")
@@ -463,7 +463,7 @@ class TestBatchedFalsifyOracle:
             if seed == 3:
                 coords[at] = value
 
-        spoil_coordinates(monkeypatch, spoil)
+        spoil_coordinates(monkeypatch, spoil, 5)
         assert run_falsify("--size", "5", "--trials", "6") == (2, "", f"error: {message}\n")
         assert_batched_matches_reference(5, 0, 6, "metric", "both")
 
@@ -487,7 +487,7 @@ class TestFalsifyChunks:
             if seed in (8, 9):
                 coords[seed - 7, 0] = coords[0, 0]
 
-        spoil_coordinates(monkeypatch, twins)
+        spoil_coordinates(monkeypatch, twins, 6)
         whole = run_falsify(*self.ARGV)
         assert whole[:2] == (2, "")
         assert whole[2].startswith("error: points 'p0' and 'p1' share the value ")
@@ -509,11 +509,31 @@ class TestDrawMemory:
             tracemalloc.stop()
         assert peak < 44 * 2**20
 
+    def test_the_table_draw_takes_no_count_long_bounds(self, monkeypatch):
+        # one unit draw, each segment scaled in place: up to the end of the
+        # draw a 1000-point quasi trial holds its 7.6 MiB of uniforms and a few
+        # blocks.  Bounds given per draw, as count-long arrays, peaked at 30.7 MiB.
+        real, peaks = rqbm._pcg.Streams.uniform, []
 
-def spoil_coordinates(monkeypatch, spoil):
+        def uniform(self, lo, hi, count):
+            out = real(self, lo, hi, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(rqbm._pcg.Streams, "uniform", uniform)
+        tracemalloc.start()
+        try:
+            _random_tables(1000, [3], "quasi")
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 12 * 2**20
+
+
+def spoil_coordinates(monkeypatch, spoil, n):
     """Let ``spoil(seed, coords)`` edit the (n, 2) point coordinates drawn for
     each integer seed: in the generators' (trials, n, 2) coordinate draw, the
-    ``(0, 10)`` uniforms that lead a draw of a ``Streams`` without salt, and
+    2n unit uniforms that lead a ``(0, 1)`` draw of a ``Streams`` without salt
+    (scaled by 10 after the spoil, which keeps twins twins and inf inf), and
     in the reference's ``default_rng(seed)``; every other draw is the real one."""
 
     class SpoiledStreams(rqbm._pcg.Streams):
@@ -523,10 +543,8 @@ def spoil_coordinates(monkeypatch, spoil):
 
         def uniform(self, lo, hi, count):
             out = super().uniform(lo, hi, count)
-            leading = (np.broadcast_to(lo, count) == 0.0) & (np.broadcast_to(hi, count) == 10.0)
-            k = int(np.count_nonzero(leading))
-            if self.seeds is not None and k:
-                for seed, coords in zip(self.seeds, out[:, :k].reshape(len(out), -1, 2)):
+            if self.seeds is not None and (lo, hi) == (0.0, 1.0):
+                for seed, coords in zip(self.seeds, out[:, :2 * n].reshape(len(out), n, 2)):
                     spoil(seed, coords)
             return out
 

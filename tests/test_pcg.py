@@ -97,13 +97,19 @@ def test_one_draw_equals_successive_draws(block, edge, k):
                       min_size=1, max_size=5),
     block=st.sampled_from([1, 5, rqbm.spaces._BLOCK]),
 )
-def test_per_column_bounds_match_per_segment_draws(lanes, segments, block):
+def test_scaled_segments_of_one_unit_draw_match_per_segment_draws(lanes, segments, block):
+    # what instances._random_tables relies on: one uniform(0, 1) draw, each
+    # segment scaled in place by hi - lo and shifted by lo, is bit for bit the
+    # successive uniform(lo, hi) draws of default_rng
     counts = [count for _, count in segments]
-    lo, hi = (np.repeat([bounds[i] for bounds, _ in segments], counts) for i in (0, 1))
-    want = [np.concatenate([rng.uniform(lo_, hi_, count) for (lo_, hi_), count in segments])
+    want = [np.concatenate([rng.uniform(lo, hi, count) for (lo, hi), count in segments])
             for rng in map(np.random.default_rng, lanes)]
     with mock.patch.object(rqbm.spaces, "_BLOCK", block):
-        got = Streams(lanes).uniform(lo, hi, sum(counts))
+        got = Streams(lanes).uniform(0.0, 1.0, sum(counts))
+    for ((lo, hi), count), start in zip(segments, np.cumsum([0] + counts).tolist()):
+        part = got[:, start:start + count]
+        part *= hi - lo
+        part += lo
     assert got.tobytes() == np.array(want).reshape(len(lanes), -1).tobytes()
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm.cli
 import rqbm.expr
 import rqbm.spaces
 from rqbm.contraction import SelfMap, pair_set
@@ -1052,6 +1054,65 @@ class TestQuadrilateralPassOracle:
             cut = check_b_rectangular(sample, 1.0, max_violations=k, **scan)
             assert cut.violations == full.violations[:k]
             assert cut.violation_count == full.violation_count
+
+
+def brute_three_hop(tables):
+    """M[t, x, y]: the least d(x, u) + d(u, v) + d(v, y) of table t over
+    distinct x, u, v, y, summed left to right; inf where no (u, v) is admissible."""
+    T, n, _ = tables.shape
+    M = np.full(tables.shape, math.inf)
+    for t, D in enumerate(tables.tolist()):
+        for x, u, v, y in itertools.permutations(range(n), 4):
+            M[t, x, y] = min(M[t, x, y], D[x][u] + D[u][v] + D[v][y])
+    return M
+
+
+@st.composite
+def three_hop_stacks(draw):
+    """T <= 4 tables of n <= 8 points: all zero, tie-heavy small integers in
+    one unit, or zero but for one positive entry."""
+    n, T = draw(st.sampled_from(range(2, 9))), draw(st.sampled_from(range(1, 5)))
+    kind = draw(st.sampled_from(["zero", "ties", "one"]))
+    tables = np.zeros((T, n, n))
+    if kind == "ties":
+        cells = draw(st.lists(st.integers(0, 3), min_size=T * n * n, max_size=T * n * n))
+        tables = np.array(cells, dtype=np.float64).reshape(T, n, n)
+        tables *= draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    elif kind == "one":
+        tables.flat[draw(st.integers(0, T * n * n - 1))] = draw(st.sampled_from([0.5, 1.0, 7.0]))
+    return tables
+
+
+class TestThreeHopTable:
+    # three distinct tie-heavy tables of five points: at block 100 each block
+    # holds four rows, so two blocks span two tables
+    @example(np.arange(75.0).reshape(3, 5, 5) % 4, 100)
+    @example(np.arange(75.0).reshape(3, 5, 5) % 4, rqbm.spaces._BLOCK)
+    @given(three_hop_stacks(), st.sampled_from([1, 100, rqbm.spaces._BLOCK]))
+    def test_matches_brute_force(self, tables, block):
+        # blocks of one row, of rows spanning two tables, and of the whole stack
+        with mock.patch.object(rqbm.spaces, "_BLOCK", block):
+            got = rqbm.spaces._three_hop_table(tables)
+        assert got.shape == tables.shape
+        assert got.tobytes() == brute_three_hop(tables).tobytes()
+
+    @pytest.mark.parametrize("argv, n", [
+        (["verify", "--instance", "example-sqrt"], DEFAULT_GRID_POINTS),
+        (["min-s", "--instance", "example-sqrt", "--grid", "80"], 80),
+    ])
+    def test_each_row_is_reduced_once(self, argv, n):
+        # the verdicts, the supremum's row and the kept violations' rows all
+        # read one table, so the row kernel sees each of the n rows once
+        rows, real = [], rqbm.spaces._three_hop_min
+
+        def counted(D, X):
+            rows.append(len(X))
+            return real(D, X)
+
+        with mock.patch.object(rqbm.spaces, "_three_hop_min", counted), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rqbm.cli.main(argv)
+        assert sum(rows) == n
 
 
 def space_of_table(D):

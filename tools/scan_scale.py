@@ -1,16 +1,16 @@
 """Time the quadrilateral scan, falsify and array evaluation at sizes no workload reaches.
 
-Runs ``min-s`` and a failing ``verify --s 2`` on ``example-sqrt`` at grids
-200, 400 and 1000, ``solve --start 1/3 --uniqueness-starts all`` on
-``example-final`` (the fixed-point workload's slowest command, which builds
-a table of (grid + 4)^2 distances) at grids 400 and 1000, then ``falsify``
-on one 1000-point trial and on 2000 trials of 60 points, each once, through
-``rqbm.cli.main`` in this process, and prints one JSON line per command: the
-command, the grid (a falsify line gives its size and trials instead), the
-exit code, the wall-clock seconds of the call and the SHA-256 of its stdout.
-``--skip verify:1000`` (or ``--skip falsify:60``, by size) leaves a command
-out (it prints ``"seconds": null``), for a checkout where it would run for
-an hour.
+Runs ``min-s``, ``classify`` and a failing ``verify --s 2`` on
+``example-sqrt`` at grids 200, 400 and 1000, ``solve --start 1/3
+--uniqueness-starts all`` on ``example-final`` (the fixed-point workload's
+slowest command, which builds a table of (grid + 4)^2 distances) at grids
+400 and 1000, then ``falsify`` on one 1000-point trial and on 2000 trials of
+60 points, each once, through ``rqbm.cli.main`` in this process, and prints
+one JSON line per command: the command, the grid (a falsify line gives its
+size and trials instead), the exit code, the wall-clock seconds of the call
+and the SHA-256 of its stdout.  ``--skip verify:1000`` (or ``--skip
+classify:1000``, or ``--skip falsify:60``, by size) leaves a command out (it
+prints ``"seconds": null``), for a checkout where it would run for an hour.
 
 Then come the cliff cases of array evaluation, where the walk over whole
 arrays cannot vouch for every element and a walk per element would take
@@ -57,6 +57,7 @@ GRIDS = (200, 400, 1000)
 # name -> (argv, the grids it runs at)
 COMMANDS = {
     "min-s": (["min-s", "--instance", "example-sqrt"], GRIDS),
+    "classify": (["classify", "--instance", "example-sqrt"], GRIDS),
     "verify": (["verify", "--instance", "example-sqrt", "--s", "2"], GRIDS),
     "solve": (["solve", "--instance", "example-final", "--start", "1/3",
                "--uniqueness-starts", "all"], (400, 1000)),
