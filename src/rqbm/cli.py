@@ -4,18 +4,19 @@ A report holds ``schema``, ``command``, ``config`` and ``passed``, then the
 command's sections, which may be result objects.  Exit codes: 0 passed; 1 a
 check failed (witnesses are in the report); 2 usage or input error.  Reports
 are JSON (default), written straight from the result objects by
-``_report.to_json``, or aligned text, rendered from their ``plain`` copy;
+``_report.to_json``, or aligned text, rendered from the tree that JSON holds;
 identical configurations produce byte-identical JSON.  Only the subcommand
 that argv names gets a parser of its own.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import partial
 
 from . import __version__
-from ._report import plain, to_json
+from ._report import to_json
 from .contraction import (
     MapError,
     SelfMap,
@@ -71,11 +72,10 @@ class UsageError(Exception):
 # --------------------------------------------------------------------------
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    """Write ``report`` (results and all) to stdout, and to ``out`` when given."""
-    if fmt == "json":
-        payload = to_json(report) + "\n"
-    else:
-        payload = _render_text(plain(report))
+    """Write ``report`` (results and all) to stdout, and to ``out`` when given:
+    its JSON, or the text rendered from the tree that JSON holds."""
+    payload = to_json(report)
+    payload = payload + "\n" if fmt == "json" else _render_text(json.loads(payload))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._report import Result, plain
+from ._report import Result
 from .contraction import MapError, SelfMap
 from .expr import ExprError
 from .spaces import AnalyticSpace, FiniteSpace, Space, SpaceError, UnknownLabelError
@@ -75,7 +75,7 @@ class PicardTrace(Result):
         return self.terminated_by in ("exact_fixed_point", "tolerance")
 
     def to_dict(self) -> dict:
-        return plain({
+        return {
             "iterates": [{"value": v, "label": l} for v, l in zip(self.values, self.labels)],
             "fwd_step": self.fwd_step,
             "bwd_step": self.bwd_step,
@@ -86,7 +86,7 @@ class PicardTrace(Result):
             "limit": self.limit,
             "limit_label": self.limit_label,
             "tol": self.tol,
-        })
+        }
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class CauchyDiagnostics(Result):
         return all(s.monotone and s.tail_ok for s in self.series)
 
     def to_dict(self) -> dict:
-        return plain({"passed": self.passed, "tol": self.tol, "series": self.series})
+        return {"passed": self.passed, "tol": self.tol, "series": self.series}
 
 
 @dataclass(frozen=True)

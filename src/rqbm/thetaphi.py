@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
-from ._report import Result, plain
+from ._report import Result
 
 __all__ = [
     "ThetaSpec",
@@ -50,7 +50,8 @@ class IterateEscapeError(Exception):
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """A candidate for the (0, inf) -> (1, inf) comparison family, in variable t."""
+    """A candidate in variable t for either family: theta, (0, inf) -> (1, inf),
+    or phi, [1, inf) -> [1, inf) (``PhiSpec`` names this same class)."""
 
     name: str
     source: str
@@ -64,20 +65,7 @@ class ThetaSpec:
         return ex.evaluate(self.expr, {"t": t})
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """A candidate for the [1, inf) -> [1, inf) comparison family, in variable t."""
-
-    name: str
-    source: str
-    expr: ex.Expr
-
-    @classmethod
-    def from_source(cls, name: str, source: str) -> "PhiSpec":
-        return cls(name, source, ex.parse(source, {"t"}))
-
-    def __call__(self, t):
-        return ex.evaluate(self.expr, {"t": t})
+PhiSpec = ThetaSpec
 
 
 THETA_BUILTINS = {
@@ -165,8 +153,8 @@ class ValidationReport(Result):
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return plain({"name": self.name, "grid": self.grid_description, "passed": self.passed,
-                      "max_defect": self.max_defect, "checks": self.checks})
+        return {"name": self.name, "grid": self.grid_description, "passed": self.passed,
+                "max_defect": self.max_defect, "checks": self.checks}
 
 
 # --------------------------------------------------------------------------

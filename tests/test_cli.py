@@ -12,7 +12,7 @@ import pytest
 
 import rqbm.cli
 import rqbm.spaces
-from rqbm._report import Result, plain
+from rqbm._report import Result, to_json
 from rqbm.cli import MAX_POINTS, _grid_size, main
 
 
@@ -192,7 +192,7 @@ class TestContraction:
                                 "--grid", "11", *kind, "--best-exponent")
         want = best_exponent(pair_set(carrier_sample(bundle.space, 11), bundle.selfmap,
                                       bundle.space.claimed_s, bundle.theta))
-        assert report["best_exponent"] == json.loads(json.dumps(want.to_dict()))
+        assert report["best_exponent"] == json.loads(to_json(want))
 
     def test_theta_is_parsed_only_where_it_is_read(self, capsys):
         argv = ["contraction", "--instance", "example-final", "--grid", "11",
@@ -686,13 +686,15 @@ class TestReportShape:
     @staticmethod
     def plain_types(value) -> set:
         """The exact types anywhere in a report tree, each result expanded to
-        its report as the JSON writer expands it."""
+        its report and each exact tuple counted as a list, as the JSON writer
+        writes them."""
         if isinstance(value, Result):
             return TestReportShape.plain_types(value.to_dict())
         if isinstance(value, dict):
             return {dict}.union(*map(TestReportShape.plain_types, value.values()))
         if isinstance(value, (list, tuple)):
-            return {type(value)}.union(*map(TestReportShape.plain_types, value))
+            kind = list if type(value) is tuple else type(value)
+            return {kind}.union(*map(TestReportShape.plain_types, value))
         return {type(value)}
 
     @pytest.mark.parametrize("argv", CASES,
@@ -782,14 +784,14 @@ class TestOneJsonWriter:
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
-        copies = []
-        monkeypatch.setattr(rqbm.cli, "plain", lambda tree: copies.append(tree) or plain(tree))
+        writes = []
+        monkeypatch.setattr(rqbm.cli, "to_json", lambda tree: writes.append(tree) or to_json(tree))
         # instances list refuses --out
         out = [] if argv[:2] == ["instances", "list"] else ["--out", str(tmp_path / "report")]
         code, report, err = run(capsys, *argv, *out)
-        assert copies == [] and err == ""
+        assert len(writes) == 1 and err == ""
         text_code, text, _ = run(capsys, *argv, "--format", "text")
-        assert len(copies) == 1 and text_code == code
+        assert len(writes) == 2 and text_code == code
         # the text renders the tree the JSON holds
         assert text == rqbm.cli._render_text(json.loads(report))
         if out:

@@ -1,8 +1,9 @@
 """The report writer against the json module on random report trees.
 
 ``to_json`` must write every tree exactly as ``json.dumps(plain(tree),
-indent=2, ensure_ascii=True)`` does, and raise ``TypeError`` where that call
-does, with the same message.
+indent=2, ensure_ascii=True)`` does, where ``plain`` below is the reference
+report form, and raise ``TypeError`` where that call does, with the same
+message.
 """
 import enum
 import json
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rqbm._report import Result, plain, to_json
-from rqbm.instances import INSTANCE_NAMES, get_instance
-from rqbm.spaces import dump_space, space_to_dict
+from rqbm._report import Result, to_json
+from rqbm.instances import INSTANCE_NAMES, build_example_2_3, get_instance
+from rqbm.solver import picard_iterate
+from rqbm.spaces import carrier_sample, check_b_rectangular, dump_space, space_to_dict
+from rqbm.thetaphi import builtin_phi, validate_phi
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class Renamed(Result):
     inner: object
 
     def to_dict(self) -> dict:
-        return plain({"renamed": self.inner, "fields": (1, 2)})
+        return {"renamed": self.inner, "fields": (1, 2)}
 
 
 class Level(enum.IntEnum):
@@ -49,6 +52,18 @@ class Tag(str):
 
 
 Point = namedtuple("Point", "x y")
+
+
+def plain(value):
+    """``value`` in report form: each result is its expanded ``to_dict()``,
+    tuples and lists become lists, and dicts are copied."""
+    if isinstance(value, Result):
+        return plain(value.to_dict())
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
 
 
 def oracle(tree) -> str:
@@ -128,3 +143,14 @@ def test_dump_space_writes_the_json_file(tmp_path, name):
     path = tmp_path / "space.json"
     dump_space(space, str(path))
     assert path.read_text() == json.dumps(space_to_dict(space), indent=2) + "\n"
+
+
+def test_to_dict_hands_over_the_results_own_containers():
+    bundle = get_instance("example-sqrt")
+    trace = picard_iterate(bundle.space, bundle.selfmap, 2.0, 3)
+    assert trace.to_dict()["fwd_step"] is trace.fwd_step
+    report = validate_phi(builtin_phi("midpoint"))
+    assert report.to_dict()["checks"] is report.checks
+    failing = check_b_rectangular(carrier_sample(build_example_2_3().space), 2.8)
+    assert not failing.passed and failing.violations
+    assert failing.to_dict()["violations"] is failing.violations

@@ -38,7 +38,8 @@ three chunks, each again with ``--format text``.  Last of all come the
 commands that write a file, each to a fixed temp path that is removed
 first: reports written with ``--out`` (JSON and text) and instance exports.
 Their lines add the file's digest (``-`` when none was written) before the
-argv.
+argv.  After them, every case from the error cases to the failing Picard
+scans runs again with ``--format text``, in the same order.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -329,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         print(digest_line(run), flush=True)
     for run in FILE_CASES:
         print(file_line(run), flush=True)
+    for run in cases:
+        print(digest_line(run + ["--format", "text"]), flush=True)
     return 0
 
 
