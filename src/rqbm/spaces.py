@@ -12,17 +12,19 @@ checkers decide which axioms hold:
 Every check reads a carrier sample, which the caller builds once with
 ``carrier_sample`` and passes to each check it runs: every label of a finite
 space, or a uniform grid of an analytic one.  Each scan is exhaustive over
-the sample's quadruples, plus seeded random ones on an analytic space.  One
-pass over those quadruples serves all three quadrilateral operations
-(``check_b_rectangular``, ``minimal_rectangular_coefficient`` and
-``classify``): it counts every violation and tracks the supremum ratio.  Every
-verdict, supremum and witness row reads the three-hop table M(x, y), the
+the sample's quadruples, plus seeded random ones on an analytic space.  All
+three quadrilateral operations (``check_b_rectangular``,
+``minimal_rectangular_coefficient`` and ``classify``) read one quadruple set,
+built once per operation (``_quadruples``), through two readers: the
+violations at one (s, tol) (``_violations``) and the supremum ratio
+(``_supremum``).  The set holds the grid as its three-hop table M(x, y), the
 least d(x, u) + d(u, v) + d(v, y) over admissible (u, v), from the same
 min-plus kernel that checks a whole stack of tables at once
-(``_three_hop_table``, ``_rectangular_verdicts``).  One row search
-(``_row_search``) builds every grid witness, the supremum's first maximiser
-and the violations a report keeps, over the columns that M admits.  The
-random quadruples are NumPy's seeded PCG64 draws, taken through ``_pcg``.
+(``_three_hop_table``, ``_rectangular_verdicts``), and the random
+quadruples, NumPy's seeded PCG64 draws taken through ``_pcg``, with their
+lhs and rhs.  One row search (``_row_search``) builds every grid witness,
+the supremum's first maximiser and the violations a report keeps, over the
+columns that M admits.
 Only ``classify`` searches for a triangle violation.  All scans are pure and
 deterministic for fixed inputs.
 """
@@ -446,8 +448,9 @@ def _three_hop_table(tables: np.ndarray) -> np.ndarray:
     the least rhs = d(x, u) + d(u, v) + d(v, y) over admissible (u, v), inf at
     y = x and everywhere below 4 points.  Rounded addition, lhs / rhs and
     ``s * rhs + tol`` (s >= 0) are monotone, so M gives every row its exact
-    verdicts and supremum.  The (table, x) rows go in blocks of at most
-    max(``_BLOCK``, n^2) elements."""
+    verdicts and supremum: a sample's M is the grid part of ``_quadruples``,
+    which ``_violations`` and ``_supremum`` read.  The (table, x) rows go in
+    blocks of at most max(``_BLOCK``, n^2) elements."""
     T, n = tables.shape[0], tables.shape[-1]
     M = np.full(tables.shape, math.inf)
     rows_of = M.reshape(T * n, n)
@@ -467,10 +470,9 @@ def _rectangular_verdicts(tables: np.ndarray, s: float, tol: float = DEFAULT_TOL
         return (tables > s * _three_hop_table(tables) + tol).any(axis=(1, 2))
 
 
-def _violation_counts(D: np.ndarray, X: np.ndarray,
-                      checks: list[tuple[float, float]]) -> np.ndarray:
-    """counts[i, c]: how many admissible quadruples (x, u, v, y) of table D,
-    x = X[i], have lhs > s * rhs + tol, per ``(s, tol)`` in ``checks``.
+def _violation_counts(D: np.ndarray, X: np.ndarray, s: float, tol: float) -> np.ndarray:
+    """counts[i]: how many admissible quadruples (x, u, v, y) of table D,
+    x = X[i], have lhs > s * rhs + tol.
 
     For row x, the sums A[u, v] = d(x, u) + d(u, v), masked as in
     ``_triangle_sums``, are held transposed, each column v sorted over u.  The test
@@ -482,7 +484,7 @@ def _violation_counts(D: np.ndarray, X: np.ndarray,
     all rows, in blocks of at most max(``_BLOCK``, n^2) elements per array.
     """
     n = D.shape[-1]
-    counts = np.zeros((len(X), len(checks)), dtype=np.int64)
+    counts = np.zeros(len(X), dtype=np.int64)
     idx = np.arange(n)
     step = max(1, _BLOCK // (n * n))
     with np.errstate(all="ignore"):  # s = 0 meets the inf of a masked sum
@@ -493,16 +495,15 @@ def _violation_counts(D: np.ndarray, X: np.ndarray,
             At[r, :, x] = At[:, idx, idx] = At[r, x, :] = math.inf  # u = x, u = v, v = x
             lhs = D[x, None, :]  # d(x, y) over (v, y)
             # the u = y term: At[r, v, y] is A[y, v]
-            own = [lhs > s * (At + D) + tol for s, tol in checks]
+            own = lhs > s * (At + D) + tol
             At.sort(axis=2)  # every column holds inf at u = x, so its last entry fails
-            for c, (s, tol) in enumerate(checks):
-                k = np.zeros(At.shape, dtype=np.intp)  # u known to pass, per (v, y)
-                for bit in reversed(range((n - 1).bit_length())):
-                    probe = np.minimum(k + ((1 << bit) - 1), n - 1)
-                    k += (lhs > s * (np.take_along_axis(At, probe, axis=2) + D) + tol) << bit
-                k -= own[c]
-                k[:, idx, idx] = k[r, :, x] = 0  # y = v, y = x
-                counts[lo:lo + len(x), c] = k.sum(axis=(1, 2))
+            k = np.zeros(At.shape, dtype=np.intp)  # u known to pass, per (v, y)
+            for bit in reversed(range((n - 1).bit_length())):
+                probe = np.minimum(k + ((1 << bit) - 1), n - 1)
+                k += (lhs > s * (np.take_along_axis(At, probe, axis=2) + D) + tol) << bit
+            k -= own
+            k[:, idx, idx] = k[r, :, x] = 0  # y = v, y = x
+            counts[lo:lo + len(x)] = k.sum(axis=(1, 2))
     return counts
 
 
@@ -512,10 +513,10 @@ def _row_search(D: np.ndarray, x: int, Y: np.ndarray, test, limit: int) -> list[
     ``test(lhs, rhs)`` holds, with lhs = d(x, y) and
     rhs = d(x, u) + d(u, v) + d(v, y): as (u, v, y, lhs, rhs).
 
-    The caller picks Y by the row's three-hop minimum M (``_three_hop_table``):
+    The readers of ``_quadruples`` pick Y by the row's three-hop minimum M:
     every rhs at y is at least M[y], and both lhs > s * rhs + tol and
     lhs / rhs can only fall as rhs grows (s >= 0), so a y whose M[y] fails
-    the test holds no hit.  Y is not empty: the callers search only rows
+    the test holds no hit.  Y is not empty: the readers search only rows
     with a hit.  O(|Y| n^2), in blocks of u of at most max(``_BLOCK``, n |Y|)
     elements, up to the block that fills ``limit``.
     """
@@ -553,15 +554,14 @@ def _first_triangle(pts: Sequence, D: np.ndarray, s: float, tol: float) -> tuple
     return None
 
 
-def _scan_checks(checks: list[tuple[float, float]]) -> list:
-    """``checks`` for ``_quadrilateral_pass``, each s finite and >= 0, each tol finite."""
-    if not all(s >= 0 for s, _ in checks):
+def _check_coefficient(s: float, tol: float) -> None:
+    """Refuse a coefficient s that is not finite and >= 0, or a tol that is not finite."""
+    if not s >= 0:
         raise ValueError("coefficient s must be >= 0")
-    if math.inf in (s for s, _ in checks):
+    if s == math.inf:
         raise ValueError("coefficient s must be finite")
-    if not all(math.isfinite(tol) for _, tol in checks):
+    if not math.isfinite(tol):
         raise ValueError("tol must be finite")
-    return checks
 
 
 def _streams(seeds, salt: int | None = None):
@@ -573,60 +573,70 @@ def _streams(seeds, salt: int | None = None):
     return Streams(seeds, salt)
 
 
-def _quadrilateral_pass(
-    sample: Sample,
-    checks: list[tuple[float, float]],
-    keep: int | None,
-    random_samples: int,
-    seed: int,
-    exact: bool = True,
-    supremum: bool = True,
-):
-    """The one pass over admissible quadruples behind every quadrilateral operation.
+@dataclass(frozen=True, eq=False)
+class _Quadruples:
+    """The admissible quadruples of a sample, built once by ``_quadruples``."""
 
-    Quadruples come in lexicographic (x, u, v, y) point-index order over the
-    carrier ``sample``, then, for an analytic space, ``random_samples``
-    seeded uniform ones.  Per ``(s, tol)`` in ``checks`` it counts the
-    quadruples with ``lhs > s * rhs + tol`` (when ``exact``, else a count is
-    only zero or positive).  With checks, it keeps the first
-    ``keep`` violations of the last one (all when None); without, ``keep``
-    must be 0.  The supremum of lhs / rhs comes with its first maximiser:
-    rhs = lhs = 0 is skipped, rhs = 0 < lhs is +inf.
+    sample: Sample
+    M: np.ndarray  # the sample's three-hop table (``_three_hop_table``)
+    drawn: tuple  # the random quadruples' x, u, v, y, lhs and rhs, as arrays
+    adm: np.ndarray  # which random quadruples are admissible
+    quadruples_checked: int
+    source: str
 
-    The three-hop table M (``_three_hop_table``) gives every grid row its
-    verdicts and supremum, and ``_violation_counts`` counts the violating
-    rows.  ``_row_search`` builds every grid witness from a row's lhs L and
-    its row of M: the maximiser in the first row attaining the supremum, over
-    the y where L / M is that supremum, and the kept violations, row by row
-    over the violating rows, over the y where L > s * M + tol, until ``keep``
-    are found.
 
-    Returns ``(bound, counts, kept)``; ``bound.value`` is None without
-    admissible quadruples, 0 when every one has rhs = lhs = 0.  Without
-    ``supremum`` no ratio is taken and ``bound`` carries no value and no
-    witness.
-    """
-    pts, D, source, space = sample.names, sample.table, sample.source, sample.space
-    n = len(pts)
-    checked = n * (n - 1) * (n - 2) * (n - 3)
-    room = sys.maxsize if keep is None else keep
-    kept: list[QuadrupleViolation] = []
-    sup, sup_at = -math.inf, None
+def _quadruples(sample: Sample, random_samples: int, seed: int) -> _Quadruples:
+    """The quadruples every quadrilateral operation reads, in scan order: the
+    sample's admissible (x, u, v, y) in lexicographic point-index order, held
+    as its three-hop table M, then, on an analytic space, ``random_samples``
+    seeded uniform ones, drawn and evaluated here once."""
+    n, space, source = len(sample.names), sample.space, sample.source
+    xs = us = vs = ys = lhs = rhs = np.empty(0)
+    M = _three_hop_table(sample.table[None])[0]
+    if isinstance(space, AnalyticSpace) and random_samples > 0:
+        draw = _streams([seed]).uniform(space.lo, space.hi, 4 * random_samples)[0]
+        (xs, us, vs, ys), d = draw.reshape(4, -1), space.distance_value
+        lhs = np.asarray(d(xs, ys))
+        rhs = np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys))
+        source += f"+random:{random_samples}(seed={seed})"
+    adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
+    checked = n * (n - 1) * (n - 2) * (n - 3) + int(np.count_nonzero(adm))
+    return _Quadruples(sample, M, (xs, us, vs, ys, lhs, rhs), adm, checked, source)
 
-    def keep_violation(at, lhs, rhs):
-        kept.append(QuadrupleViolation(*at, lhs, rhs, math.inf if rhs == 0.0 else lhs / rhs))
 
-    M = _three_hop_table(D[None])[0]
+def _violations(q: _Quadruples, s: float, tol: float, keep: int) -> tuple:
+    """The quadruples of ``q`` with lhs > s * rhs + tol: whether each grid row
+    holds one (by its row of M), the mask of the random ones, and the first
+    ``keep`` in scan order, from ``_row_search`` over the violating rows and
+    the y where d(x, y) > s * M(x, y) + tol, then from the random mask."""
+    pts, D, M = q.sample.names, q.sample.table, q.M
+    violates = lambda a, b: a > s * b + tol  # noqa: E731
+    found: list[tuple] = []  # (x, u, v, y, lhs, rhs)
     with np.errstate(all="ignore"):  # s = 0 meets M = inf at y = x
-        # bad[c, x]: does row x hold a quadruple with lhs > s * rhs + tol, per check
-        bad = np.array([(D > s * M + tol).any(axis=1) for s, tol in checks]).reshape(-1, n)
-        if exact:
-            counts = _violation_counts(D, np.flatnonzero(bad.any(axis=0)), checks).sum(axis=0)
-        else:  # a positive count is all the verdict needs
-            counts = np.count_nonzero(bad, axis=1)
-        counts = counts.tolist()
-        if supremum and checked:
-            ratio = _ratio(D, M)
+        rows, random = violates(D, M).any(axis=1), q.adm & violates(*q.drawn[4:])
+        for x in np.flatnonzero(rows).tolist():
+            if len(found) == keep:
+                break
+            Y = np.flatnonzero(violates(D[x], M[x]))
+            found += [(pts[x], pts[u], pts[v], pts[y], lhs, rhs)
+                      for u, v, y, lhs, rhs in _row_search(D, x, Y, violates, keep - len(found))]
+    found += [tuple(float(w[k]) for w in q.drawn)
+              for k in np.flatnonzero(random)[:keep - len(found)].tolist()]
+    kept = [QuadrupleViolation(*w, math.inf if w[5] == 0.0 else w[4] / w[5]) for w in found]
+    return rows, random, kept
+
+
+def _supremum(q: _Quadruples) -> CoefficientBound:
+    """The supremum of lhs / rhs over the quadruples of ``q`` (rhs = lhs = 0
+    skipped, rhs = 0 < lhs +inf; None without any, 0 if all are skipped) and
+    its first maximiser in scan order: on the grid, by ``_row_search`` in the
+    first row attaining it, over the y where d(x, y) / M(x, y) attains it; a
+    random quadruple replaces it only with a larger ratio."""
+    pts, D, n = q.sample.names, q.sample.table, len(q.sample.names)
+    sup, sup_at = -math.inf, None
+    with np.errstate(all="ignore"):  # rhs = 0
+        if n >= 4:
+            ratio = _ratio(D, q.M)
             np.fill_diagonal(ratio, -math.inf)  # y = x
             top = int(np.argmax(ratio)) // n  # the first row attaining the supremum
             # -inf only if every off-diagonal distance is 0 (lhs = M = 0 is
@@ -636,44 +646,16 @@ def _quadrilateral_pass(
                 Y = np.flatnonzero(ratio[top] == sup)
                 [(u, v, y, lhs, rhs)] = _row_search(D, top, Y, lambda a, b: _ratio(a, b) == sup, 1)
                 sup_at = (pts[top], pts[u], pts[v], pts[y], lhs, rhs)
-        if room:
-            s, tol = checks[-1]
-            violates = lambda a, b: a > s * b + tol  # noqa: E731
-            for x in np.flatnonzero(bad[-1]).tolist():
-                if len(kept) == room:
-                    break
-                Y = np.flatnonzero(violates(D[x], M[x]))
-                for u, v, y, lhs, rhs in _row_search(D, x, Y, violates, room - len(kept)):
-                    keep_violation((pts[x], pts[u], pts[v], pts[y]), lhs, rhs)
-        if checked and sup == -math.inf:
-            sup = 0.0  # a random quadruple must beat the all-zero grid to replace it
-        if isinstance(space, AnalyticSpace) and random_samples > 0:
-            rng = _streams([seed])
-            xs, us, vs, ys = rng.uniform(space.lo, space.hi, 4 * random_samples)[0].reshape(4, -1)
-            d = space.distance_value
-            adm = (us != vs) & (us != xs) & (us != ys) & (vs != xs) & (vs != ys) & (xs != ys)
-            checked += int(np.count_nonzero(adm))
-            lhs = np.asarray(d(xs, ys))
-            rhs = np.asarray(d(xs, us)) + np.asarray(d(us, vs)) + np.asarray(d(vs, ys))
-            at = lambda k: tuple(float(w[k]) for w in (xs, us, vs, ys))  # noqa: E731
-            if supremum:
-                ratio = _ratio(lhs, rhs)
-                ratio[~adm] = -math.inf
-                k = int(np.argmax(ratio))
-                if ratio[k] > sup:
-                    sup, sup_at = float(ratio[k]), (*at(k), float(lhs[k]), float(rhs[k]))
-            viol = [adm & (lhs > s * rhs + tol) for s, tol in checks]
-            counts = [count + int(np.count_nonzero(v)) for count, v in zip(counts, viol)]
-            if room:
-                for k in np.flatnonzero(viol[-1])[:room - len(kept)].tolist():
-                    keep_violation(at(k), float(lhs[k]), float(rhs[k]))
-            source += f"+random:{random_samples}(seed={seed})"
-    if not (checked and supremum):
-        sup = None
-    elif sup == -math.inf:
-        sup = 0.0
-    witness = None if sup_at is None else QuadrupleViolation(*sup_at, sup)
-    return CoefficientBound(sup, witness, checked, source), counts, kept
+            sup = max(sup, 0.0)  # a random quadruple must beat the all-zero grid to replace it
+        if q.adm.size:
+            ratio = _ratio(*q.drawn[4:])
+            ratio[~q.adm] = -math.inf
+            k = int(np.argmax(ratio))
+            if ratio[k] > sup:
+                sup, sup_at = float(ratio[k]), tuple(float(w[k]) for w in q.drawn)
+    value = max(sup, 0.0) if q.quadruples_checked else None
+    witness = None if sup_at is None else QuadrupleViolation(*sup_at, value)
+    return CoefficientBound(value, witness, q.quadruples_checked, q.source)
 
 
 # --------------------------------------------------------------------------
@@ -722,20 +704,25 @@ def check_b_rectangular(
     ``violations`` keeps the first ``max_violations`` (>= 0, all when None)
     in scan order.
     """
-    checks = _scan_checks([(s, tol)])
+    _check_coefficient(s, tol)
     if max_violations is not None and max_violations < 0:
         raise ValueError("max_violations must be >= 0")
-    bound, [count], violations = _quadrilateral_pass(
-        sample, checks, max_violations, random_samples, seed, supremum=False)
+    q = _quadruples(sample, random_samples, seed)
+    keep = sys.maxsize if max_violations is None else max_violations
+    rows, random, violations = _violations(q, s, tol, keep)
+    checked, source = q.quadruples_checked, q.source
+    del q  # the rows are counted with the random quadruples freed, for peak memory
+    count = int(_violation_counts(sample.table, np.flatnonzero(rows), s, tol).sum()
+                + np.count_nonzero(random))
     return RectangularReport(
         s=s,
         tol=tol,
         passed=count == 0,
-        vacuous=bound.quadruples_checked == 0,
-        quadruples_checked=bound.quadruples_checked,
+        vacuous=checked == 0,
+        quadruples_checked=checked,
         violation_count=count,
         violations=tuple(violations),
-        source=bound.source,
+        source=source,
     )
 
 
@@ -751,8 +738,7 @@ def minimal_rectangular_coefficient(
     makes the result infinite.  Returns value ``None`` when no admissible
     quadruple exists.  The witness is the first maximiser in scan order.
     """
-    bound, _, _ = _quadrilateral_pass(sample, [], 0, random_samples, seed)
-    return bound
+    return _supremum(_quadruples(sample, random_samples, seed))
 
 
 def classify(
@@ -773,25 +759,27 @@ def classify(
         for i, j in np.argwhere(np.triu(np.abs(D - D.T), k=1) > tol)
     )
     is_symmetric = not asym
-    # the s = 1 check only needs its verdict; the last check, at s, keeps one witness
-    checks = _scan_checks([(1.0, tol)] if s == 1.0 else [(1.0, tol), (s, tol)])
-    bound, counts, first_s = _quadrilateral_pass(sample, checks, 1, random_samples, seed,
-                                                 exact=False)
-    count_1, count_s = counts[0], counts[-1]
+    _check_coefficient(s, tol)
     tri_1 = _first_triangle(pts, D, 1.0, tol)
     # For s >= 1 the rounded s * rhs is at least rhs, so a violation at s is
     # one at 1 too: with none at 1 there is nothing to search for at s.
     tri_s = tri_1 if s == 1.0 or (s > 1.0 and tri_1 is None) else _first_triangle(pts, D, s, tol)
+    q = _quadruples(sample, random_samples, seed)  # after the triangles, for peak memory
+    rows, random, first_s = _violations(q, s, tol, 1)
+    holds_s = not (rows.any() or random.any())
+    if s != 1.0:  # the check at 1 only needs its verdict
+        rows, random, _ = _violations(q, 1.0, tol, 0)
+    holds_1 = not (rows.any() or random.any())
     ok_id = identity.passed
     return Classification(
         s=s,
         is_quasi_identity=ok_id,
         is_symmetric=is_symmetric,
         is_metric=ok_id and is_symmetric and tri_1 is None,
-        is_rectangular=ok_id and is_symmetric and count_1 == 0,
+        is_rectangular=ok_id and is_symmetric and holds_1,
         is_b_metric_at_s=ok_id and is_symmetric and tri_s is None,
-        is_rqb_at_s=ok_id and count_s == 0,
-        minimal_s=bound.value,
+        is_rqb_at_s=ok_id and holds_s,
+        minimal_s=_supremum(q).value,
         asymmetry_witnesses=asym,
         identity=identity,
         triangle_witness=tri_s,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rqbm._pcg
 import rqbm.cli
 import rqbm.expr
 import rqbm.spaces
@@ -24,6 +25,7 @@ from rqbm.instances import (
 )
 from rqbm.spaces import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_TOL,
     AnalyticSpace,
     FiniteSpace,
     SpaceError,
@@ -969,10 +971,11 @@ class TestQuadrilateralPassOracle:
         st.permutations(range(8)),
     )
     def test_row_counts_and_witnesses_match_brute_force(self, table, checks, unit, block, order):
-        # per-row violation counts, each row's first maximiser and its violations
-        # in order, on tie-heavy tables with zeros; rows go in a shuffled order,
-        # split across blocks.  The row search reads only the columns the row's
-        # three-hop minimum M admits, as the quadrilateral pass picks them.
+        # per-row violation counts, one call per check, each row's first
+        # maximiser and its violations in order, on tie-heavy tables with zeros;
+        # rows go in a shuffled order, split across blocks.  The row search reads
+        # only the columns the row's three-hop minimum M admits, as
+        # ``_violations`` and ``_supremum`` pick them.
         n = math.isqrt(len(table))
         D = np.array(table, dtype=np.float64).reshape(n, n) * unit
         np.fill_diagonal(D, 0.0)
@@ -990,7 +993,8 @@ class TestQuadrilateralPassOracle:
                 best[x] = (u, v, y, lhs, rhs, ratio)
         search = rqbm.spaces._row_search
         with mock.patch.object(rqbm.spaces, "_BLOCK", block), np.errstate(all="ignore"):
-            got = rqbm.spaces._violation_counts(D, X, checks)
+            got = np.stack([rqbm.spaces._violation_counts(D, X, s, tol) for s, tol in checks],
+                           axis=1)
             assert got.tolist() == want[X].tolist()
             for x in X.tolist():
                 L, M = D[x], rqbm.spaces._three_hop_min(D[None], np.array([x]))[0]
@@ -1056,6 +1060,73 @@ class TestQuadrilateralPassOracle:
             assert cut.violation_count == full.violation_count
 
 
+def coarse(draw, lo, hi):
+    """A uniform draw on [lo, hi) floored to the five points lo + (hi - lo) k / 4,
+    hi among them: the grid of five points."""
+    return lo + (hi - lo) * np.floor(5 * (draw - lo) / (hi - lo)) / 4
+
+
+class TestRandomPhaseTies:
+    """The random phase on draws floored to five values, so that most random
+    quadruples repeat a point and the rest tie with grid quadruples, against
+    plain loops over the grid's quadruples and then the same draws: only those
+    of four distinct points count, and a tie keeps the first maximiser."""
+
+    RANDOM_SAMPLES = 200
+
+    @pytest.fixture(autouse=True)
+    def coarse_draws(self, monkeypatch):
+        uniform = rqbm._pcg.Streams.uniform
+        monkeypatch.setattr(rqbm._pcg.Streams, "uniform",
+                            lambda self, lo, hi, count: coarse(uniform(self, lo, hi, count), lo, hi))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("grid", [2, 3, 5])
+    @pytest.mark.parametrize("formula", [
+        "(x - y)^2",
+        # ascending hops are free: rhs = lhs = 0 on every ascending quadruple
+        "if(x >= y, x - y, 0)",
+        # short ascending hops are free and long ones are not: rhs = 0 < lhs
+        "if(y > x, if(y - x > 0.3, 1, 0), x - y)",
+    ])
+    def test_matches_plain_loops(self, formula, grid, s, seed):
+        space = AnalyticSpace.build(1.0, 2.0, formula)
+        d = space.distance
+        draws = np.random.default_rng(seed).uniform(1.0, 2.0, 4 * self.RANDOM_SAMPLES)
+        drawn = [q for q in zip(*coarse(draws, 1.0, 2.0).reshape(4, -1).tolist())
+                 if len(set(q)) == 4]
+        assert 0 < len(drawn) < self.RANDOM_SAMPLES
+        g = space.grid(grid).tolist()
+        sup = witness = None
+        violations = []
+        for x, u, v, y in [*itertools.permutations(g, 4), *drawn]:
+            lhs, rhs = d(x, y), d(x, u) + d(u, v) + d(v, y)
+            ratio = (math.inf if lhs > 0 else None) if rhs == 0 else lhs / rhs
+            if ratio is not None and (sup is None or ratio > sup):
+                sup, witness = ratio, (x, u, v, y, lhs, rhs)
+            if lhs > s * rhs + DEFAULT_TOL:
+                violations.append((x, u, v, y, lhs, rhs))
+        scan = dict(random_samples=self.RANDOM_SAMPLES, seed=seed)
+        sample = carrier_sample(space, grid)
+        report = check_b_rectangular(sample, s, **scan)
+        assert report.quadruples_checked == grid * (grid - 1) * (grid - 2) * (grid - 3) + len(drawn)
+        assert report.violation_count == len(violations)
+        assert [(w.x, w.u, w.v, w.y, w.lhs, w.rhs_sum) for w in report.violations] == violations
+        bound = minimal_rectangular_coefficient(sample, **scan)
+        assert bound.value == (0.0 if sup is None else sup)
+        assert bound.witness is None if witness is None else (
+            (bound.witness.x, bound.witness.u, bound.witness.v, bound.witness.y,
+             bound.witness.lhs, bound.witness.rhs_sum) == witness)
+        result = classify(sample, s, **scan)
+        quasi_identity = all(d(a, b) > 0 for a, b in itertools.permutations(g, 2))
+        assert result.is_rqb_at_s == (quasi_identity and not violations)
+        assert result.minimal_s == bound.value
+        first = result.quadrilateral_witness
+        assert (first and (first.x, first.u, first.v, first.y, first.lhs, first.rhs_sum)) == (
+            violations[0] if violations else None)
+
+
 def brute_three_hop(tables):
     """M[t, x, y]: the least d(x, u) + d(u, v) + d(v, y) of table t over
     distinct x, u, v, y, summed left to right; inf where no (u, v) is admissible."""
@@ -1099,6 +1170,8 @@ class TestThreeHopTable:
     @pytest.mark.parametrize("argv, n", [
         (["verify", "--instance", "example-sqrt"], DEFAULT_GRID_POINTS),
         (["min-s", "--instance", "example-sqrt", "--grid", "80"], 80),
+        # checks at 1 and at the claimed s = 2, and the supremum
+        (["classify", "--instance", "example-sqrt"], DEFAULT_GRID_POINTS),
     ])
     def test_each_row_is_reduced_once(self, argv, n):
         # the verdicts, the supremum's row and the kept violations' rows all
@@ -1113,6 +1186,36 @@ class TestThreeHopTable:
                 contextlib.redirect_stdout(io.StringIO()):
             rqbm.cli.main(argv)
         assert sum(rows) == n
+
+    @pytest.mark.parametrize("argv, calls", [
+        # example-final violates at s = 3 in one row of its 15
+        (["verify", "--instance", "example-final", "--s", "3"], 1),
+        (["min-s", "--instance", "example-sqrt"], 0),
+        (["classify", "--instance", "example-sqrt"], 0),
+    ])
+    def test_only_verify_counts_violations(self, argv, calls):
+        # a verdict needs only the violating rows, so classify and min-s count
+        # nothing, and verify counts once, over exactly the rows that violate
+        rows, real = [], rqbm.spaces._violation_counts
+
+        def counted(D, X, s, tol):
+            rows.append(X.tolist())
+            return real(D, X, s, tol)
+
+        with mock.patch.object(rqbm.spaces, "_violation_counts", counted), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rqbm.cli.main(argv)
+        assert len(rows) == calls
+        if calls:
+            D = carrier_sample(build_example_final().space).table
+            n, idx = len(D), np.arange(len(D))
+            u, v, y = np.ix_(idx, idx, idx)
+            distinct = (u != v) & (u != y) & (v != y)
+            want = [x for x in range(n) if (
+                (D[x, y] > 3.0 * (D[x, u] + D[u, v] + D[v, y]) + DEFAULT_TOL)
+                & distinct & (u != x) & (v != x) & (y != x)).any()]
+            assert 0 < len(want) < n
+            assert rows == [want]
 
 
 def space_of_table(D):

@@ -25,7 +25,11 @@ untaken branch leaves its domain or that fail at an interior value, and a
 finite space whose default formula fails only on the diagonal (each space
 file written at a fixed temp path); then failing Picard scans: uniqueness
 starts that fail only late, a later start that fails in an earlier round
-than an earlier one, and a start outside the interval after a failing one.
+than an earlier one, and a start outside the interval after a failing one;
+then the branches of the quadrilateral operations' one quadruple set:
+``classify`` at s = 1, ``verify`` and ``classify`` at s = 0, and ``verify``,
+``min-s`` and ``classify`` on a grid of three points, where only the random
+quadruples count.
 Each runs through ``rqbm.cli.main`` in this process, one line per command:
 exit code (or ``raised`` and the exception a command let escape), stdout
 digest, stderr digest, argv.  Then comes one line per demo under
@@ -38,8 +42,8 @@ three chunks, each again with ``--format text``.  Last of all come the
 commands that write a file, each to a fixed temp path that is removed
 first: reports written with ``--out`` (JSON and text) and instance exports.
 Their lines add the file's digest (``-`` when none was written) before the
-argv.  After them, every case from the error cases to the failing Picard
-scans runs again with ``--format text``, in the same order.
+argv.  After them, every case from the error cases to the quadruple-set
+cases runs again with ``--format text``, in the same order.
 
 ``rqbm`` is imported from ``PYTHONPATH``, so the same script run against two
 checkouts tells whether any report byte changed between them::
@@ -249,6 +253,18 @@ FAILING_SCAN_CASES = [
        "--map", _CLIMB] for starts in ("1.0,1.3,1.95", "1.3,5", "1.0,5,1.95")),
 ]
 
+# the branches where the quadrilateral operations read one quadruple set:
+# classify's check at s = 1, which is also its check at 1; s = 0, which meets
+# the three-hop table's inf at y = x; and a grid of three points, which holds
+# no quadruple, so that only the random ones count
+QUAD_SET_CASES = [
+    ["classify", "--instance", "example-sqrt", "--s", "1"],
+    *([command, "--instance", "example-sqrt", "--s", "0"] for command in ("verify", "classify")),
+    *([command, "--instance", "example-sqrt", "--grid", "3"]
+      for command in ("verify", "min-s", "classify")),
+    ["verify", "--instance", "example-sqrt", "--grid", "3", "--s", "1"],
+]
+
 # commands that write a file at their last argument: reports also written
 # with --out, in both formats and with one of the large falsify reports, and
 # the instance exports of a formula and of two finite carriers
@@ -321,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     cases = (ERROR_CASES + SOLVER_CASES + PAIR_PASS_CASES + HELP_CASES + CARRIER_CASES
              + RANGE_CASES + VALIDATE_CASES + UNREAD_FLAG_CASES + SCAN_CASES + EVAL_CASES
-             + FAILING_SCAN_CASES)
+             + FAILING_SCAN_CASES + QUAD_SET_CASES)
     for run in json_runs + text_runs + cases:
         print(digest_line(run), flush=True)
     for path in DEMOS:
